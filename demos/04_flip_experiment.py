@@ -36,7 +36,7 @@ models = [
     least_squares_model(dataset.schema),
     constant_model(),
 ]
-report = run_experiment(pairs, models, num_splits=40, seed=5, threads=4)
+report = run_experiment(pairs, models, num_splits=40, seed=5)
 
 print()
 print(report.to_text())

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -74,20 +73,6 @@ _NUMERIC_ERRORS = (
 )
 
 MODEL_CHOICES = ("rsm", "least_squares", "constant", "train_ctr")
-
-
-def _threads() -> int:
-    """Worker cap from RSM_THREADS; 0 or unset means one per CPU."""
-    raw = os.environ.get("RSM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RSM_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("RSM_THREADS must be nonnegative")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -316,7 +301,6 @@ def cmd_eval(args) -> int:
     names = [part.strip() for part in args.models.split(",") if part.strip()]
     if not names:
         raise ValueError("--models must name at least one model")
-    threads = _threads()
 
     def run_at(lam: float):
         models = _build_models(names, schema, args, lam)
@@ -326,7 +310,6 @@ def cmd_eval(args) -> int:
             num_splits=args.splits,
             seed=args.seed,
             train_fraction=args.train_frac,
-            threads=threads,
         )
 
     if args.lambda_sweep:
@@ -510,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_learner_flags(p_train)
     p_train.add_argument("--grid", action="store_true", help="brute-force grid search instead")
     p_train.add_argument("--grid-step", type=float, default=0.05)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="run the paired-split flip experiment")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -321,15 +320,14 @@ def run_experiment(
     num_splits: int = config.DEFAULT_NUM_SPLITS,
     seed: int = 0,
     train_fraction: float = config.DEFAULT_TRAIN_FRACTION,
-    threads: int = 1,
     on_split: Optional[Callable[[int, Dict[str, float]], None]] = None,
 ) -> ExperimentReport:
     """Repeated paired-split evaluation of several models on one dataset.
 
     Accepts either click-log rows (pairs are mined first) or pre-mined flip
     pairs. Every split re-fits every model on that split's training rows.
-    Split seeds derive from ``seed``, so results do not depend on ``threads``
-    or on the order models finish.
+    Split seeds derive from ``seed``. ``on_split(s, accuracies)`` is invoked
+    after each split when given.
     """
     pairs = _as_pairs(rows_or_pairs)
     models = list(models)
@@ -341,22 +339,13 @@ def run_experiment(
     if num_splits < 1:
         raise ValueError("num_splits must be positive")
 
-    def one_split(s: int) -> Dict[str, float]:
+    split_accs = []
+    for s in range(num_splits):
         split_seed = derive_seed(seed, f"split:{s}")
         train_rows, test_pairs = paired_split(pairs, train_fraction, split_seed)
-        accs = {}
-        for model in models:
-            scorer = model.fit(train_rows)
-            accs[model.name] = flip_accuracy(scorer, test_pairs)
-        return accs
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            split_accs = list(pool.map(one_split, range(num_splits)))
-    else:
-        split_accs = [one_split(s) for s in range(num_splits)]
-    if on_split is not None:
-        for s, accs in enumerate(split_accs):
+        accs = {model.name: flip_accuracy(model.fit(train_rows), test_pairs) for model in models}
+        split_accs.append(accs)
+        if on_split is not None:
             on_split(s, accs)
 
     per_split = {name: tuple(accs[name] for accs in split_accs) for name in names}
@@ -389,19 +378,3 @@ def run_experiment(
         t_tests=t_tests,
     )
 
-
-def run_lambda_sweep(
-    rows_or_pairs,
-    build_models: Callable[[float], Sequence[Model]],
-    lambdas: Sequence[float],
-    **kwargs,
-) -> Dict[float, ExperimentReport]:
-    """Run the same experiment at several restart rates.
-
-    ``build_models(lam)`` must return the model list for that rate; results
-    are keyed by the rate itself.
-    """
-    out: Dict[float, ExperimentReport] = {}
-    for lam in lambdas:
-        out[float(lam)] = run_experiment(rows_or_pairs, build_models(lam), **kwargs)
-    return out

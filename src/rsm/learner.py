@@ -29,7 +29,7 @@ import numpy as np
 
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
-from .markov import StochasticMatrix, fundamental_matrix
+from .markov import stationary_rows
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -40,9 +40,7 @@ class LearnerConfig:
     """Knobs of the iterative learner.
 
     ``init`` of None means the uniform start ``(1 - lam) / k`` per feature;
-    a given :class:`WeightVector` (either normalization) is converted. The
-    ``pairwise`` flag selects a pairwise-difference objective that is
-    reserved but not implemented; enabling it raises ``NotImplementedError``.
+    a given :class:`WeightVector` (either normalization) is converted.
     """
 
     lam: float = config.DEFAULT_LAMBDA
@@ -51,7 +49,6 @@ class LearnerConfig:
     max_iters: int = config.DEFAULT_MAX_ITERS
     qp_tol: float = config.DEFAULT_QP_TOL
     init: Optional[WeightVector] = None
-    pairwise: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -119,8 +116,9 @@ class FitResult:
 #
 # Instances sharing a topology tuple also share the combined chain, its
 # stationary and its fundamental matrix, so they are evaluated together.
-# Contexts of equal size are stacked and handed to batched LAPACK calls; the
-# per-instance results match the sequential computation up to roundoff.
+# Contexts of equal size are stacked and handed to the batched stationary
+# kernel and a batched inverse; the per-instance results match the
+# sequential computation up to roundoff.
 # ---------------------------------------------------------------------------
 
 
@@ -176,18 +174,6 @@ def _group_instances(dataset: Sequence[TrainingInstance]):
     return k, buckets
 
 
-def _batched_stationary(chains: np.ndarray) -> np.ndarray:
-    """Stationary rows for a stack of ergodic chains, shape (B, n)."""
-    b, n, _ = chains.shape
-    systems = np.transpose(np.eye(n) - chains, (0, 2, 1)).copy()
-    systems[:, -1, :] = 1.0
-    rhs = np.zeros((b, n, 1))
-    rhs[:, -1, 0] = 1.0
-    probs = np.linalg.solve(systems, rhs)[..., 0]
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
 def _evaluate_buckets(buckets, w_native: np.ndarray, lam: float, m: int, k: int, gradients: bool):
     """Residuals (and gradient rows) for every instance, in dataset order."""
     residuals = np.empty(m)
@@ -195,7 +181,7 @@ def _evaluate_buckets(buckets, w_native: np.ndarray, lam: float, m: int, k: int,
     for bucket in buckets:
         n = bucket.tensor.shape[2]
         chains = lam / n + np.einsum("k,bkij->bij", w_native, bucket.tensor)
-        probs = _batched_stationary(chains)
+        probs = stationary_rows(chains)
         residuals[bucket.slots] = bucket.targets - probs[bucket.gidx, bucket.uidx]
         if gradients:
             cores = np.eye(n) - chains + probs[:, None, :]
@@ -216,22 +202,15 @@ def linearized_row(
     Returns ``(target - p(u), g)`` where ``g_i = (p^T T_i Z) e_u`` for the
     combined chain at native-form weights. The gradient row is exact: for a
     sum-zero direction ``x`` the directional derivative of ``p(u)`` in the
-    weights is ``x . g``.
+    weights is ``x . g``. This is the evaluation :func:`fit` runs, applied to
+    a one-instance dataset.
     """
     native = weights.as_native(lam).values
     if native.size != instance.k:
         raise ShapeError(f"instance has {instance.k} topologies but {native.size} weights")
-    n = instance.n
-    mix = np.zeros((n, n))
-    for w, top in zip(native, instance.topologies):
-        mix += w * top.matrix.entries
-    chain = StochasticMatrix(lam / n + mix)
-    fund = fundamental_matrix(chain)
-    probs = fund.stationary.probs
-    u = instance.target_index
-    column = fund.z[:, u]
-    grad = np.array([probs @ top.matrix.entries @ column for top in instance.topologies])
-    return float(instance.target_prob - probs[u]), grad
+    k, buckets = _group_instances([instance])
+    residuals, grads = _evaluate_buckets(buckets, native, lam, 1, k, gradients=True)
+    return float(residuals[0]), grads[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +384,6 @@ def fit(
     step_norm)`` is invoked once per iteration when given.
     """
     cfg = cfg or LearnerConfig()
-    if cfg.pairwise:
-        raise NotImplementedError("the pairwise-difference objective is reserved, not implemented")
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be nonempty")

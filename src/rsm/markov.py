@@ -27,18 +27,11 @@ class StochasticMatrix:
     Parameters
     ----------
     entries : array_like, shape (n, n)
-        Nonnegative transition weights. Every row must sum to
-        ``1 - row_deficit`` within ``config.ROW_SUM_TOL``.
-    row_deficit : float, optional
-        Flags the substochastic variant. A plain stochastic matrix has
-        deficit 0; a matrix whose rows each leak ``d`` of their mass (for
-        example after subtracting a rank-one restart term) carries
-        ``row_deficit=d``. The arithmetic is shared, only the row-sum
-        invariant changes.
+        Nonnegative transition weights. Every row must sum to 1 within
+        ``config.ROW_SUM_TOL``.
     """
 
     entries: np.ndarray
-    row_deficit: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.float64)
@@ -50,13 +43,10 @@ class StochasticMatrix:
             raise ValueError("transition entries must be finite")
         if np.any(arr < 0.0):
             raise ValueError("transition entries must be nonnegative")
-        if not 0.0 <= self.row_deficit < 1.0:
-            raise ValueError("row_deficit must lie in [0, 1)")
-        target = 1.0 - self.row_deficit
-        gap = np.max(np.abs(arr.sum(axis=1) - target))
+        gap = np.max(np.abs(arr.sum(axis=1) - 1.0))
         if gap > config.ROW_SUM_TOL:
             raise ValueError(
-                f"rows must sum to {target} within {config.ROW_SUM_TOL}, worst gap {gap:.3e}"
+                f"rows must sum to 1 within {config.ROW_SUM_TOL}, worst gap {gap:.3e}"
             )
         object.__setattr__(self, "entries", _freeze(arr))
 
@@ -117,55 +107,84 @@ class FundamentalMatrix:
         return self.z.shape[0]
 
 
-def _power_iteration(entries: np.ndarray) -> np.ndarray:
-    n = entries.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(config.POWER_ITER_MAX_STEPS):
-        nxt = x @ entries
-        if np.abs(nxt - x).sum() <= config.POWER_ITER_TOL:
-            return nxt
-        x = nxt
-    raise NoUniqueStationary(
-        "power iteration did not converge; the chain is likely periodic or reducible"
-    )
+def stationary_rows(chains: np.ndarray) -> np.ndarray:
+    """Stationary rows of a stack of chains with unique stationary vectors.
 
-
-def stationary(matrix: StochasticMatrix) -> Distribution:
-    """Solve ``p^T P = p^T`` with ``sum(p) = 1``.
-
-    Uses a direct least-squares solve of the augmented (n+1)-row system for
-    ``n <= config.DIRECT_SOLVE_MAX_N`` and power iteration above that.
+    ``chains`` has shape ``(..., n, n)``; the result has shape ``(..., n)``.
+    For ``n <= config.DIRECT_SOLVE_MAX_N`` each chain is solved by LU on
+    ``p^T (I - P) = 0`` with the last equation replaced by ``sum(p) = 1``;
+    above that, by power iteration from the uniform vector. Uniqueness is
+    the caller's to establish (:func:`stationary` checks it).
 
     Raises
     ------
     NoUniqueStationary
-        If the linear system is rank deficient (several stationary
-        distributions, e.g. the identity chain), if the solution leaves the
-        simplex, or if power iteration fails to converge.
+        If the system is singular, a solution leaves the probability
+        simplex, its fixed-point residual exceeds
+        ``config.STATIONARY_RESIDUAL_TOL``, or power iteration does not
+        converge.
     """
-    if matrix.row_deficit != 0.0:
-        raise ValueError("stationary distributions are defined for stochastic matrices only")
-    n = matrix.n
+    chains = np.asarray(chains, dtype=np.float64)
+    n = chains.shape[-1]
     if n <= config.DIRECT_SOLVE_MAX_N:
-        system = np.vstack([matrix.entries.T - np.eye(n), np.ones((1, n))])
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        sol, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-        if rank < n:
-            raise NoUniqueStationary(
-                f"stationarity system has rank {rank} < {n}; multiple stationary distributions"
-            )
-        probs = sol
+        systems = np.swapaxes(np.eye(n) - chains, -1, -2).copy()
+        systems[..., -1, :] = 1.0
+        rhs = np.zeros(chains.shape[:-1] + (1,))
+        rhs[..., -1, 0] = 1.0
+        try:
+            probs = np.linalg.solve(systems, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NoUniqueStationary("stationarity system is singular") from exc
     else:
-        probs = _power_iteration(matrix.entries)
-    if probs.min() < -config.STATIONARY_RESIDUAL_TOL:
+        probs = np.full(chains.shape[:-1], 1.0 / n)
+        for _ in range(config.POWER_ITER_MAX_STEPS):
+            nxt = np.matmul(probs[..., None, :], chains)[..., 0, :]
+            change = np.abs(nxt - probs).sum(axis=-1).max(initial=0.0)
+            probs = nxt
+            if change <= config.POWER_ITER_TOL:
+                break
+        else:
+            raise NoUniqueStationary(
+                "power iteration did not converge; the chain is likely periodic or reducible"
+            )
+    if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
         raise NoUniqueStationary("stationary solution leaves the probability simplex")
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    residual = np.max(np.abs(probs @ matrix.entries - probs))
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    moved = np.matmul(probs[..., None, :], chains)[..., 0, :]
+    residual = np.abs(moved - probs).max(initial=0.0)
     if residual > config.STATIONARY_RESIDUAL_TOL:
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
-    return Distribution(probs)
+    return probs
+
+
+def _one_closed_class(entries: np.ndarray) -> bool:
+    """Whether the support graph of a chain has exactly one closed class."""
+    reach = (entries > 0.0) | np.eye(entries.shape[0], dtype=bool)
+    for _ in range(entries.shape[0].bit_length()):  # squaring t times covers 2^t steps
+        hops = reach.astype(np.float64)
+        reach = hops @ hops > 0.0
+    recurrent = np.all(reach <= reach.T, axis=1)
+    return bool(np.all(reach[np.ix_(recurrent, recurrent)]))
+
+
+def stationary(matrix: StochasticMatrix) -> Distribution:
+    """Solve ``p^T P = p^T`` with ``sum(p) = 1`` through :func:`stationary_rows`.
+
+    A chain with every entry positive has a unique stationary distribution
+    (Perron-Frobenius); any other chain is first checked to have exactly
+    one closed class in its support graph.
+
+    Raises
+    ------
+    NoUniqueStationary
+        If the chain has several closed classes (several stationary
+        distributions, e.g. the identity chain), or from the solve itself.
+    """
+    entries = matrix.entries
+    if entries.min() <= 0.0 and not _one_closed_class(entries):
+        raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
+    return Distribution(stationary_rows(entries))
 
 
 def limiting_matrix(matrix: StochasticMatrix) -> np.ndarray:

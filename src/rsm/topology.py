@@ -11,15 +11,14 @@ yields the same topology. Tied values receive average ranks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import config
 from .errors import ContextTooSmall, DanglingItem, ShapeError
-from .markov import Distribution, StochasticMatrix, stationary
+from .markov import StochasticMatrix, stationary
 
 
 class Direction(enum.Enum):
@@ -29,20 +28,16 @@ class Direction(enum.Enum):
     LOWER_IS_BETTER = "lower"
 
 
-class FeatureKind(enum.Enum):
-    NUMERIC = "numeric"
-    # Categorical features arrive pre-mapped to numeric scores in the data
-    # (e.g. a brand column carrying -1/0/+1); the encoder never maps them.
-    CATEGORICAL = "categorical"
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Name, desirability direction and kind of one feature column."""
+    """Name and desirability direction of one feature column.
+
+    Categorical features arrive pre-mapped to numeric scores in the data
+    (e.g. a brand column carrying -1/0/+1); the encoder never maps them.
+    """
 
     name: str
     direction: Direction = Direction.HIGHER_IS_BETTER
-    kind: FeatureKind = FeatureKind.NUMERIC
 
     def __post_init__(self):
         if not self.name:
@@ -170,7 +165,10 @@ def encode_rank_topology(
     if not np.all(np.isfinite(vals)):
         raise ValueError("feature values must be finite")
     desirability = vals if direction is Direction.HIGHER_IS_BETTER else -vals
-    ranks = rankdata(desirability, method="average")
+    # average ranks: 1 + #{strictly less} + (#{equal} - 1) / 2
+    below = (desirability[None, :] < desirability[:, None]).sum(axis=1)
+    equal = (desirability[None, :] == desirability[:, None]).sum(axis=1)
+    ranks = below + (equal + 1) / 2
     weights = n + ranks[None, :] - ranks[:, None]
     entries = weights / weights.sum(axis=1, keepdims=True)
     if item_ids is None:

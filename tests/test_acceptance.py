@@ -355,7 +355,7 @@ def test_10_rsm_beats_least_squares(capsys):
         rsm_model(dataset.schema, LearnerConfig(lam=LAM, max_iters=30)),
         least_squares_model(dataset.schema),
     ]
-    report = run_experiment(pairs, models, num_splits=100, seed=77, threads=4)
+    report = run_experiment(pairs, models, num_splits=100, seed=77)
     elapsed = time.perf_counter() - start
     stats = report.t_tests["rsm|least_squares"]
     ok = (

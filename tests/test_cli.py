@@ -1,10 +1,14 @@
 """End-to-end command tests, all run in process through cli.main."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsm
 from rsm.cli import main
 
 
@@ -154,3 +158,13 @@ class TestDemo:
         assert "ordering: A > B > C" in out
         assert "does NOT flip" in out
         assert "flips found: 0" in out
+
+
+def test_import_leaves_scipy_stats_out():
+    src = Path(rsm.__file__).resolve().parent.parent
+    probe = "import sys, rsm.cli, rsm.evaluation; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

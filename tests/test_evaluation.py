@@ -149,13 +149,12 @@ class TestRunExperiment:
         assert entry["t"] == 0.0
         assert entry["p"] == 1.0
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible_for_fixed_seed(self):
         pairs = build_pairs(9, seed=4)
         models = [Model(name="oracle", fit=lambda rows: ctr_scorer), constant_model()]
         r1 = run_experiment(pairs, models, num_splits=8, seed=12)
         r2 = run_experiment(pairs, models, num_splits=8, seed=12)
-        r4 = run_experiment(pairs, models, num_splits=8, seed=12, threads=4)
-        assert r1.to_json() == r2.to_json() == r4.to_json()
+        assert r1.to_json() == r2.to_json()
         r_other = run_experiment(pairs, models, num_splits=8, seed=13)
         assert r_other.seed == 13
         assert r_other.to_json() != r1.to_json()

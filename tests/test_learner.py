@@ -68,7 +68,10 @@ class TestLinearizedRow:
             down = stationary_at_native(inst, native - h * d, 0.15)
             fd = (up - down) / (2.0 * h)
             analytic = float(grad @ d)
-            denom = max(abs(fd), abs(analytic), 1e-9)
+            # an item pinned at a constant p(u), such as a middle-ranked item
+            # of three, has a zero row, so the floor must sit above the
+            # finite-difference noise, not at it
+            denom = max(abs(fd), abs(analytic), 1e-6)
             assert abs(fd - analytic) / denom < 1e-4
 
     def test_weight_arity_guard(self):
@@ -238,12 +241,6 @@ class TestFit:
         best_recorded = min(mae for mae, _ in seen)
         achieved = sample_error(data, result.weights, 0.15)
         assert achieved <= best_recorded + 1e-12
-
-    def test_pairwise_objective_reserved(self):
-        rng = np.random.default_rng(1)
-        data = noise_free_instances(rng, 2, 3, 2, random_reporting_weights(rng, 2), 0.15)
-        with pytest.raises(NotImplementedError):
-            fit(data, LearnerConfig(pairwise=True))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

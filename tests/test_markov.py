@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rsm import (
@@ -9,11 +11,16 @@ from rsm import (
     NoUniqueStationary,
     ShapeError,
     StochasticMatrix,
+    WeightVector,
+    combine,
     fundamental_matrix,
     limiting_matrix,
     stationary,
+    stationary_rows,
     stationary_shift,
 )
+
+from conftest import random_topologies
 
 
 def two_state(a, c):
@@ -73,13 +80,109 @@ class TestStationary:
             stationary(StochasticMatrix(blocks))
 
     def test_large_chain_power_path(self):
-        # n > 64 goes through power iteration instead of the dense solve
+        # n > DIRECT_SOLVE_MAX_N goes through power iteration instead of LU
         rng = np.random.default_rng(3)
         n = 70
         raw = rng.random((n, n)) + 0.01
         matrix = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
         p = stationary(matrix).probs
         assert np.max(np.abs(p @ matrix.entries - p)) < 1e-10
+
+
+def lstsq_stationary(entries):
+    """Oracle: least-squares solve of the stacked system (P^T - I) p = 0, 1^T p = 1."""
+    n = entries.shape[0]
+    system = np.vstack([entries.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+def random_chain_stack(rng, count, n):
+    """Random positive chains, half of them restart mixtures of rank topologies."""
+    chains = []
+    for c in range(count):
+        if c % 2:
+            k = int(rng.integers(1, 4))
+            values = rng.random(k) + 0.05
+            mixed = combine(random_topologies(rng, n, k), WeightVector(values / values.sum()))
+            chains.append(mixed.entries)
+        else:
+            raw = rng.random((n, n)) + 0.01
+            chains.append(raw / raw.sum(axis=1, keepdims=True))
+    return np.stack(chains)
+
+
+def permuted_chain(blocks, rng):
+    """Block-diagonal chain of the given blocks, states shuffled."""
+    n = sum(b.shape[0] for b in blocks)
+    entries = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        end = start + block.shape[0]
+        entries[start:end, start:end] = block
+        start = end
+    perm = rng.permutation(n)
+    return entries[np.ix_(perm, perm)]
+
+
+def random_block(rng, size, density):
+    """Irreducible random chain on ``size`` states with some zero entries."""
+    raw = rng.random((size, size)) * (rng.random((size, size)) < density)
+    cycle = np.roll(np.eye(size), 1, axis=1)  # keeps the block irreducible
+    raw += 0.1 * cycle
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+class TestStationaryRows:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64, 65, 200]), seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_scalar_solve_and_lstsq_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        chains = random_chain_stack(rng, 3, n)
+        rows = stationary_rows(chains)
+        assert rows.shape == (3, n)
+        for chain, row in zip(chains, rows):
+            assert_allclose(row, stationary(StochasticMatrix(chain)).probs, rtol=0.0, atol=1e-12)
+            assert_allclose(row, lstsq_stationary(chain), rtol=0.0, atol=1e-12)
+
+    def test_leading_batch_axes(self):
+        rng = np.random.default_rng(8)
+        chains = random_chain_stack(rng, 6, 5)
+        grid = stationary_rows(chains.reshape(2, 3, 5, 5))
+        assert grid.shape == (2, 3, 5)
+        assert_allclose(grid.reshape(6, 5), stationary_rows(chains), rtol=0.0, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        transient=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_reducible_chains_raise(self, sizes, transient, seed):
+        rng = np.random.default_rng(seed)
+        entries = permuted_chain([random_block(rng, s, 0.7) for s in sizes], rng)
+        if transient:
+            # transient states that may lead into every closed class
+            n = entries.shape[0]
+            feed = rng.random((transient, n + transient)) + 0.01
+            feed /= feed.sum(axis=1, keepdims=True)
+            entries = np.block([[entries, np.zeros((n, transient))], [feed]])
+        with pytest.raises(NoUniqueStationary):
+            stationary(StochasticMatrix(entries))
+
+    @pytest.mark.parametrize("closed, transient", [(1, 1), (3, 2), (5, 4), (40, 30)])
+    def test_transient_states_get_no_mass(self, closed, transient):
+        rng = np.random.default_rng(closed + transient)
+        block = random_block(rng, closed, 0.5)
+        n = closed + transient
+        feed = rng.random((transient, n)) + 0.01
+        feed /= feed.sum(axis=1, keepdims=True)
+        entries = np.block([[block, np.zeros((closed, transient))], [feed]])
+        perm = rng.permutation(n)
+        p = stationary(StochasticMatrix(entries[np.ix_(perm, perm)])).probs[np.argsort(perm)]
+        assert_allclose(p[closed:], 0.0, rtol=0.0, atol=1e-13)
+        assert_allclose(p[:closed], lstsq_stationary(block), rtol=0.0, atol=1e-12)
 
 
 class TestValidation:
@@ -94,11 +197,6 @@ class TestValidation:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
-
-    def test_row_deficit_rows(self):
-        # rows summing to 1 - deficit are legal when declared
-        m = StochasticMatrix(np.array([[0.4, 0.45], [0.45, 0.4]]), row_deficit=0.15)
-        assert m.n == 2
 
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import rankdata  # test-only oracle; rsm does not import scipy.stats
 
 from rsm import (
     ContextTooSmall,
@@ -99,6 +102,22 @@ class TestRankEncoding:
             entries = t.matrix.entries
             assert np.all(entries > 0)
             assert_allclose(entries.sum(axis=1), np.ones(n), atol=1e-12)
+
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
+            min_size=2,
+            max_size=30,
+        ),
+        direction=st.sampled_from(list(Direction)),
+    )
+    def test_ranks_match_rankdata_average(self, values, direction):
+        vals = np.array(values)
+        desirability = vals if direction is Direction.HIGHER_IS_BETTER else -vals
+        ranks = rankdata(desirability, method="average")
+        weights = len(vals) + ranks[None, :] - ranks[:, None]
+        expected = weights / weights.sum(axis=1, keepdims=True)
+        assert_array_equal(encode_rank_topology(vals, direction).matrix.entries, expected)
 
     def test_single_item_rejected(self):
         with pytest.raises(ContextTooSmall):
