@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +68,21 @@ class DatasetSchema:
 
 @dataclass(frozen=True, eq=False)
 class LogRow:
-    """One displayed context: a query, its items, clicks and feature values."""
+    """One displayed context: a query, its items, clicks and feature values.
+
+    A row is immutable: its arrays are read-only and ``features`` is a
+    read-only mapping. Encodings derived from it (rank topologies, baseline
+    feature rows) are therefore cached on the row, keyed by the schema that
+    produced them, and live exactly as long as the row.
+    """
 
     query_id: str
     context_id: str
     items: tuple
     positions: np.ndarray
     clicks: np.ndarray
-    features: Dict[str, np.ndarray]
+    features: Mapping[str, np.ndarray]
+    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -88,6 +96,8 @@ class LogRow:
         clicks = np.array(self.clicks, dtype=np.float64)
         if positions.shape != (n,) or clicks.shape != (n,):
             raise ShapeError("positions and clicks must have one entry per item")
+        if not np.all(np.isfinite(clicks)):
+            raise ValueError("clicks must be finite")
         if np.any(clicks < 0):
             raise ValueError("clicks must be nonnegative")
         feats = {}
@@ -95,13 +105,15 @@ class LogRow:
             arr = np.array(values, dtype=np.float64)
             if arr.shape != (n,):
                 raise ShapeError(f"feature {name!r} must have one value per item")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"feature {name!r} values must be finite")
             arr.flags.writeable = False
             feats[name] = arr
         positions.flags.writeable = False
         clicks.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "clicks", clicks)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", MappingProxyType(feats))
 
     @property
     def n(self) -> int:
@@ -424,16 +436,23 @@ def paired_split(
 
 
 def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, ...]:
-    """Rank-encode every schema feature of one context."""
-    return tuple(
-        encode_rank_topology(
-            row.features[spec.name],
-            direction=spec.direction,
-            item_ids=row.items,
-            feature=spec.name,
+    """Rank-encode every schema feature of one context.
+
+    The tuple is encoded on first use and cached on the row under the
+    schema, so every split, scorer and restart rate shares one object.
+    """
+    topologies = row._encodings.get(schema)
+    if topologies is None:
+        topologies = row._encodings[schema] = tuple(
+            encode_rank_topology(
+                row.features[spec.name],
+                direction=spec.direction,
+                item_ids=row.items,
+                feature=spec.name,
+            )
+            for spec in schema.features
         )
-        for spec in schema.features
-    )
+    return topologies
 
 
 def training_instances_from_rows(
@@ -468,26 +487,40 @@ def feature_rows_from_logs(
     """Flatten contexts into per-item rows for the score-based baselines.
 
     The display position is appended as the last feature when
-    ``include_position`` is set. Contexts without clicks are skipped.
+    ``include_position`` is set. Contexts without clicks are skipped. Each
+    row's feature rows are built once and cached on the row under
+    ``(schema, include_position)``.
     """
+    key = (schema, include_position)
     out: List[FeatureRow] = []
     for row in rows:
         if row.total_clicks() <= 0:
             continue
-        ctr = row.ctrs()
-        for i, item in enumerate(row.items):
-            values = [row.features[name][i] for name in schema.names]
-            if include_position:
-                values.append(float(row.positions[i]))
-            out.append(
-                FeatureRow(
-                    query_id=row.query_id,
-                    item_id=item,
-                    features=np.array(values),
-                    ctr=float(ctr[i]),
-                )
-            )
+        cached = row._encodings.get(key)
+        if cached is None:
+            cached = row._encodings[key] = _feature_rows(row, schema, include_position)
+        out.extend(cached)
     return out
+
+
+def _feature_rows(
+    row: LogRow, schema: DatasetSchema, include_position: bool
+) -> Tuple[FeatureRow, ...]:
+    ctr = row.ctrs()
+    out = []
+    for i, item in enumerate(row.items):
+        values = [row.features[name][i] for name in schema.names]
+        if include_position:
+            values.append(float(row.positions[i]))
+        out.append(
+            FeatureRow(
+                query_id=row.query_id,
+                item_id=item,
+                features=np.array(values),
+                ctr=float(ctr[i]),
+            )
+        )
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

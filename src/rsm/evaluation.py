@@ -65,22 +65,8 @@ def rsm_model(
     cfg = cfg or learner.LearnerConfig()
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        instances = training_instances_from_rows(train_rows, schema)
-        result = learner.fit(instances, cfg)
-        weights = result.weights
-        cache: Dict[Tuple[str, str], Dict[object, float]] = {}
-
-        def scorer(row: LogRow, item_id) -> float:
-            key = (row.query_id, row.context_id)
-            table = cache.get(key)
-            if table is None:
-                combined = combine(topologies_from_row(row, schema), weights, cfg.lam)
-                probs = stationary(combined).probs
-                table = dict(zip(row.items, probs))
-                cache[key] = table
-            return float(table[item_id])
-
-        return scorer
+        result = learner.fit(training_instances_from_rows(train_rows, schema), cfg)
+        return _stationary_scorer(schema, result.weights, cfg.lam)
 
     return Model(name=name, fit=fit_fn)
 
@@ -93,15 +79,26 @@ def fixed_weights_model(
 ) -> Model:
     """Random-shopper scorer with known weights; no fitting. For oracles."""
 
-    def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        def scorer(row: LogRow, item_id) -> float:
-            combined = combine(topologies_from_row(row, schema), weights, lam)
-            probs = stationary(combined).probs
-            return float(probs[row.index_of(item_id)])
+    return Model(name=name, fit=lambda train_rows: _stationary_scorer(schema, weights, lam))
 
-        return scorer
 
-    return Model(name=name, fit=fit_fn)
+def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
+    """Score items by stationary mass in their own context, one solve per context.
+
+    Tables are keyed by the row object, not its ids, so a scorer reused on a
+    second dataset whose ids repeat (``q00000``/``c00000``) never serves a
+    stale table.
+    """
+    cache: Dict[LogRow, Dict[object, float]] = {}
+
+    def scorer(row: LogRow, item_id) -> float:
+        table = cache.get(row)
+        if table is None:
+            probs = stationary(combine(topologies_from_row(row, schema), weights, lam)).probs
+            table = cache[row] = dict(zip(row.items, probs))
+        return float(table[item_id])
+
+    return scorer
 
 
 def least_squares_model(

@@ -23,11 +23,13 @@ from rsm import (
     generate_synthetic,
     load_csv,
     load_instances,
+    encode_rank_topology,
     mine_flip_pairs,
     paired_split,
     save_csv,
     save_instances,
     synthetic_schema,
+    topologies_from_row,
     training_instances_from_rows,
 )
 
@@ -72,6 +74,24 @@ class TestLogRow:
         with pytest.raises(ValueError):
             make_row("q", "c", ["a", "b"], [1, -2], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_clicks_rejected(self, bad):
+        with pytest.raises(ValueError, match="clicks must be finite"):
+            make_row("q", "c", ["a", "b"], [1, bad], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="'rating' values must be finite"):
+            make_row("q", "c", ["a", "b"], [1, 2], {"price": [1.0, 2.0], "rating": [bad, 2.0]})
+
+    def test_features_are_read_only(self):
+        row = two_context_rows()[0]
+        with pytest.raises(TypeError):
+            row.features["price"] = np.array([5.0, 6.0])
+        with pytest.raises(ValueError):
+            row.features["price"][0] = 5.0
+        assert_allclose(row.features["price"], [10.0, 20.0], atol=0)
+
 
 class TestCsvRoundTrip:
     def test_row_survive_save_and_load(self, tmp_path):
@@ -109,6 +129,23 @@ class TestCsvRoundTrip:
         assert [r.context_id for r in result.rows] == ["c1", "c3"]
         assert len(result.errors) == 1
         assert result.errors[0].line_number == 4
+
+    def test_non_finite_cells_drop_their_context_only(self, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "query_id,context_id,item_id,position,clicks,price,rating\n"
+            "q,c1,a,1,3,1.0,2.0\n"
+            "q,c1,b,2,4,nan,3.0\n"
+            "q,c2,a,1,inf,1.0,2.0\n"
+            "q,c2,b,2,4,2.0,3.0\n"
+            "q,c3,a,1,5,1.0,2.0\n"
+            "q,c3,b,2,1,2.0,3.0\n"
+        )
+        result = load_csv(path, SCHEMA)
+        assert [r.context_id for r in result.rows] == ["c3"]
+        assert [e.line_number for e in result.errors] == [2, 4]
+        assert "'price' values must be finite" in result.errors[0].message
+        assert "clicks must be finite" in result.errors[1].message
 
     def test_single_line_context_reported(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -395,11 +432,47 @@ class TestBridges:
         assert len(instances) == 5
 
     def test_feature_rows_append_position(self):
-        rows = feature_rows_from_logs(two_context_rows(), SCHEMA, include_position=True)
+        logs = two_context_rows()
+        rows = feature_rows_from_logs(logs, SCHEMA, include_position=True)
         assert rows[0].features.size == 3
         assert rows[0].features[-1] == 1.0
-        bare = feature_rows_from_logs(two_context_rows(), SCHEMA, include_position=False)
-        assert bare[0].features.size == 2
+        # the same rows again, so each setting must find its own cached entry
+        for include_position, arity in [(False, 2), (True, 3), (False, 2)]:
+            out = feature_rows_from_logs(logs, SCHEMA, include_position=include_position)
+            assert [r.features.size for r in out] == [arity] * 5
+            assert [r.ctr for r in out] == pytest.approx([2 / 3, 1 / 3, 2 / 9, 6 / 9, 1 / 9])
+
+
+class TestEncodingCache:
+    def test_topologies_shared_across_equal_schemas(self):
+        row = two_context_rows()[1]
+        first = topologies_from_row(row, SCHEMA)
+        equal = DatasetSchema(
+            features=(
+                FeatureSpec("price", Direction.LOWER_IS_BETTER),
+                FeatureSpec("rating", Direction.HIGHER_IS_BETTER),
+            )
+        )
+        assert topologies_from_row(row, equal) is first
+        instances = training_instances_from_rows([row], equal)
+        assert all(inst.topologies is first for inst in instances)
+
+    def test_direction_change_encodes_afresh(self):
+        row = two_context_rows()[1]
+        cached_price = topologies_from_row(row, SCHEMA)[0].matrix.entries
+        flipped = DatasetSchema(
+            features=(
+                FeatureSpec("price", Direction.HIGHER_IS_BETTER),
+                FeatureSpec("rating", Direction.HIGHER_IS_BETTER),
+            )
+        )
+        got = topologies_from_row(row, flipped)
+        for spec, top in zip(flipped.features, got):
+            fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
+            assert top.feature == spec.name
+            assert np.array_equal(top.matrix.entries, fresh.matrix.entries)
+        assert not np.array_equal(got[0].matrix.entries, cached_price)
+        assert topologies_from_row(row, SCHEMA)[0].matrix.entries is cached_price
 
 
 class TestDeriveSeed:

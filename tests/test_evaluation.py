@@ -6,15 +6,25 @@ import math
 import numpy as np
 import pytest
 
+import rsm.data
+import rsm.evaluation
 from rsm import (
     DegenerateVariance,
     FlipPair,
     Model,
+    WeightVector,
+    combine,
     constant_model,
     ctr_mae,
+    fixed_weights_model,
     flip_accuracy,
+    least_squares_model,
     paired_t_test,
+    rsm_model,
     run_experiment,
+    stationary,
+    synthetic_schema,
+    topologies_from_row,
 )
 
 from conftest import make_row
@@ -32,6 +42,22 @@ def build_pairs(count, seed=0):
         r1 = make_row(f"q{i}", "c1", ["a", "b"], [a_clicks, b_clicks], FEATS)
         r2 = make_row(f"q{i}", "c2", ["a", "b"], [b_clicks, a_clicks], FEATS)
         pairs.append(FlipPair(row_1=r1, row_2=r2, item_a="a", item_b="b", strength=0.5))
+    return pairs
+
+
+def random_flip_pairs(count, k, seed=0):
+    """Flip pairs over three-item contexts with random features and clicks."""
+    rng = np.random.default_rng(seed)
+    names = synthetic_schema(k).names
+    pairs = []
+    for i in range(count):
+        rows = []
+        for c, (hi, lo) in enumerate([(0, 1), (1, 0)]):
+            clicks = rng.integers(1, 20, size=3).astype(float)
+            clicks[hi] = clicks[lo] + rng.integers(5, 20)
+            feats = {name: rng.random(3) for name in names}
+            rows.append(make_row(f"q{i}", f"c{c}", ["a", "b", f"x{c}"], clicks, feats))
+        pairs.append(FlipPair(row_1=rows[0], row_2=rows[1], item_a="a", item_b="b", strength=0.5))
     return pairs
 
 
@@ -164,12 +190,65 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(pairs, [constant_model(), constant_model()], num_splits=2)
 
+    def test_each_row_encoded_once_across_splits(self, monkeypatch):
+        k = 3
+        pairs = random_flip_pairs(12, k, seed=5)
+        schema = synthetic_schema(k)
+        weights = WeightVector(np.full(k, 1.0 / k))
+        calls = []
+        real_encode = rsm.data.encode_rank_topology
+
+        def counting_encode(*args, **kwargs):
+            calls.append(1)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(rsm.data, "encode_rank_topology", counting_encode)
+        models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
+        run_experiment(pairs, models, num_splits=4, seed=7)
+        # every row sits on one side of every split, so all rows are touched
+        assert len(calls) == k * 2 * len(pairs)
+
     def test_accepts_raw_rows(self):
         rows = []
         for pair in build_pairs(5, seed=9):
             rows.extend([pair.row_1, pair.row_2])
         report = run_experiment(rows, [constant_model()], num_splits=3, seed=0)
         assert report.num_pairs == 5
+
+
+class TestFixedWeightsModel:
+    def test_scores_are_stationary_mass_one_solve_per_context(self, monkeypatch):
+        k, lam = 2, 0.2
+        schema = synthetic_schema(k)
+        weights = WeightVector([0.7, 0.3])
+        rows = [row for pair in random_flip_pairs(3, k, seed=2) for row in (pair.row_1, pair.row_2)]
+        expected = {
+            id(row): stationary(combine(topologies_from_row(row, schema), weights, lam)).probs
+            for row in rows
+        }
+        solves = []
+
+        def counting_stationary(chain):
+            solves.append(chain)
+            return stationary(chain)
+
+        monkeypatch.setattr(rsm.evaluation, "stationary", counting_stationary)
+        scorer = fixed_weights_model(schema, weights, lam).fit([])
+        for _ in range(2):
+            for row in rows:
+                for i, item in enumerate(row.items):
+                    assert scorer(row, item) == float(expected[id(row)][i])
+        assert len(solves) == len(rows)
+
+    def test_rows_with_repeated_ids_scored_separately(self):
+        schema = synthetic_schema(2)
+        weights = WeightVector([0.5, 0.5])
+        feats = [{"f0": [0.1, 0.5, 0.9], "f1": [0.2, 0.3, 0.4]}, {"f0": [0.9, 0.5, 0.1], "f1": [0.4, 0.3, 0.2]}]
+        rows = [make_row("q00000", "c00000", ["a", "b", "c"], [3, 2, 1], f) for f in feats]
+        scorer = fixed_weights_model(schema, weights).fit([])
+        first, second = ([scorer(row, item) for item in row.items] for row in rows)
+        assert first[0] < first[2]
+        assert second == pytest.approx(first[::-1], rel=1e-12)
 
 
 class TestReportSerialization:
