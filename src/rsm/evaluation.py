@@ -172,10 +172,11 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
-    cache: Dict[Tuple[str, str, object], Optional[float]] = {}
+    # keyed by row object (LogRow hashes by identity): ids repeat across datasets
+    cache: Dict[Tuple[LogRow, object], Optional[float]] = {}
 
     def get(row: LogRow, item) -> Optional[float]:
-        key = (row.query_id, row.context_id, item)
+        key = (row, item)
         if key not in cache:
             try:
                 cache[key] = float(scorer(row, item))

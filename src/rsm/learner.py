@@ -2,12 +2,13 @@
 
 The iterative learner alternates two steps. Given current native-form
 weights w (summing to 1 - lambda), it computes for every training instance
-the stationary p of the current combined chain and the fundamental matrix Z,
-and forms the linearization
+the stationary p of the current combined chain P and forms the linearization
 
-    p_target(u) - p(u)  ~=  sum_i x(i) * (p^T T_i Z) e_u
+    p_target(u) - p(u)  ~=  sum_i x(i) * (p^T T_i Z) e_u,   Z = (I - P + 1 p^T)^-1,
 
-of the stationary shift in the weight change x. It then solves the
+of the stationary shift in the weight change x. A context's k rows p^T T_i Z
+come from one LU solve of (I - P + 1 p^T)^T with k right-hand sides; the
+fundamental matrix Z itself is never formed. It then solves the
 box-constrained least-squares subproblem over sum-zero steps
 
     minimize  sum_instances (residual - x . g)^2
@@ -115,10 +116,10 @@ class FitResult:
 # Context grouping and batched evaluation.
 #
 # Instances sharing a topology tuple also share the combined chain, its
-# stationary and its fundamental matrix, so they are evaluated together.
-# Contexts of equal size are stacked and handed to the batched stationary
-# kernel and a batched inverse; the per-instance results match the
-# sequential computation up to roundoff.
+# stationary and its gradient rows, so they are evaluated together. Contexts
+# of equal size are stacked for the batched stationary kernel and one batched
+# LU solve of (I - P + 1 p^T)^T with k right-hand sides, which gives the rows
+# p^T T_i Z without forming Z; results match the sequential path to roundoff.
 # ---------------------------------------------------------------------------
 
 
@@ -155,13 +156,8 @@ def _group_instances(dataset: Sequence[TrainingInstance]):
     buckets = []
     for n, entries in by_n.items():
         tensor = np.stack([e[0] for e in entries])
-        gidx, uidx, targets, slots = [], [], [], []
-        for b, (_, tgt, slt) in enumerate(entries):
-            for (u, y), slot in zip(tgt, slt):
-                gidx.append(b)
-                uidx.append(u)
-                targets.append(y)
-                slots.append(slot)
+        flat = [(b, u, y, slot) for b, (_, tgt, slt) in enumerate(entries) for (u, y), slot in zip(tgt, slt)]
+        gidx, uidx, targets, slots = zip(*flat)
         buckets.append(
             _Bucket(
                 tensor,
@@ -179,16 +175,15 @@ def _evaluate_buckets(buckets, w_native: np.ndarray, lam: float, m: int, k: int,
     residuals = np.empty(m)
     grads = np.empty((m, k)) if gradients else None
     for bucket in buckets:
-        n = bucket.tensor.shape[2]
-        chains = lam / n + np.einsum("k,bkij->bij", w_native, bucket.tensor)
+        b, _, n, _ = bucket.tensor.shape
+        chains = lam / n + (w_native @ bucket.tensor.reshape(b, k, n * n)).reshape(b, n, n)
         probs = stationary_rows(chains)
         residuals[bucket.slots] = bucket.targets - probs[bucket.gidx, bucket.uidx]
         if gradients:
             cores = np.eye(n) - chains + probs[:, None, :]
-            zed = np.linalg.inv(cores)
-            hit = np.einsum("bj,bkji->bki", probs, bucket.tensor)  # p^T T_i
-            rows = np.einsum("bki,bij->bkj", hit, zed)             # (p^T T_i) Z
-            grads[bucket.slots] = rows[bucket.gidx, :, bucket.uidx]
+            hit = (probs[:, None, None, :] @ bucket.tensor)[:, :, 0, :]  # p^T T_i, (b, k, n)
+            rows = np.linalg.solve(np.swapaxes(cores, -1, -2), np.swapaxes(hit, -1, -2))  # Z^T (p^T T_i)^T
+            grads[bucket.slots] = rows[bucket.gidx, bucket.uidx, :]
     return residuals, grads
 
 
@@ -427,7 +422,8 @@ def fit(
         residuals, _ = _evaluate_buckets(buckets, w, lam, m, k, gradients=False)
         if float(np.mean(np.abs(residuals))) >= best_err:
             w = best_w
-        logger.debug("fit stopped unconverged after %d iterations", iterations)
+        logger.warning("fit stopped unconverged after %d iterations: final step norm %.3e > halt_eps %.3e",
+                       iterations, final_step, cfg.halt_eps)
     reporting = WeightVector(w / (1.0 - lam))
     return FitResult(
         weights=reporting,

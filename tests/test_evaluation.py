@@ -107,6 +107,16 @@ class TestFlipAccuracy:
         with pytest.raises(ValueError):
             flip_accuracy(ctr_scorer, [])
 
+    def test_pairs_with_repeated_ids_scored_separately(self):
+        """Two datasets reuse q00000/c00000/c00001 with the preferred item swapped."""
+        pairs = []
+        for a, b in (("a", "b"), ("b", "a")):
+            r1 = make_row("q00000", "c00000", [a, b], [8, 3], FEATS)
+            r2 = make_row("q00000", "c00001", [a, b], [3, 8], FEATS)
+            pairs.append(FlipPair(row_1=r1, row_2=r2, item_a=a, item_b=b, strength=0.5))
+        assert [flip_accuracy(ctr_scorer, [p]) for p in pairs] == [1.0, 1.0]
+        assert flip_accuracy(ctr_scorer, pairs) == 1.0
+
 
 def t_density(x, df):
     log_norm = (

@@ -1,5 +1,6 @@
 """Iterative weight learning, the boxed step subproblem, and the grid oracle."""
 
+import logging
 import math
 
 import numpy as np
@@ -12,8 +13,11 @@ from rsm import (
     LearnerConfig,
     ShapeError,
     StochasticMatrix,
+    TrainingInstance,
     WeightVector,
+    combine,
     fit,
+    fundamental_matrix,
     grid_search,
     linearized_row,
     sample_bound,
@@ -21,6 +25,7 @@ from rsm import (
     solve_step,
     stationary,
 )
+import rsm.learner
 from rsm.learner import _project_box_sum_zero
 
 from conftest import noise_free_instances, random_reporting_weights, random_topologies
@@ -73,6 +78,22 @@ class TestLinearizedRow:
             # finite-difference noise, not at it
             denom = max(abs(fd), abs(analytic), 1e-6)
             assert abs(fd - analytic) / denom < 1e-4
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_rows_match_fundamental_matrix_oracle(self, n):
+        """g_i = p^T T_i Z e_u with Z inverted by fundamental_matrix, both solver paths."""
+        rng = np.random.default_rng(600 + n)
+        weights = random_reporting_weights(rng, 3)
+        topologies = random_topologies(rng, n, 3)
+        items = topologies[0].item_ids
+        fm = fundamental_matrix(combine(topologies, weights, 0.15))
+        p = fm.stationary.probs
+        for u in sorted({0, n // 2, n - 1}):
+            inst = TrainingInstance("q", items, topologies, u, 0.5)
+            residual, grad = linearized_row(inst, weights, 0.15)
+            expected = np.array([p @ top.matrix.entries @ fm.z[:, u] for top in topologies])
+            assert residual == pytest.approx(0.5 - p[u], abs=1e-12)
+            assert np.max(np.abs(grad - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_weight_arity_guard(self):
         rng = np.random.default_rng(2)
@@ -245,6 +266,73 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit([])
+
+    def test_recovers_weights_noise_free_on_power_path(self):
+        """Contexts above DIRECT_SOLVE_MAX_N take power iteration for the stationary."""
+        rng = np.random.default_rng(405)
+        true = WeightVector(np.array([0.5, 0.3, 0.2]))
+        data = noise_free_instances(rng, 8, 65, 3, true, 0.15) + noise_free_instances(rng, 8, 120, 3, true, 0.15)
+        result = fit(data, LearnerConfig(max_iters=60))
+        assert result.converged
+        assert np.max(np.abs(result.weights.values - true.values)) < 1e-3
+        assert sample_error(data, result.weights, 0.15) < 1e-4
+
+    def test_interleaved_widths_scatter_to_their_own_slots(self, monkeypatch):
+        """fit's batched rows and residuals equal linearized_row, instance by instance."""
+        rng = np.random.default_rng(406)
+        true = WeightVector(np.array([0.6, 0.3, 0.1]))
+        data = noise_free_instances(rng, 2, 5, 3, true, 0.15) + noise_free_instances(rng, 2, 70, 3, true, 0.15)
+        data = [data[i] for i in rng.permutation(len(data))]
+        seen = []
+        solve = rsm.learner._solve_step_arrays
+
+        def recording_solve(grads, residuals, w_native, cfg):
+            seen.append((grads, residuals, w_native))
+            return solve(grads, residuals, w_native, cfg)
+
+        monkeypatch.setattr(rsm.learner, "_solve_step_arrays", recording_solve)
+        fit(data, LearnerConfig(max_iters=1))
+        grads, residuals, native = seen[0]
+        start = WeightVector(native / native.sum())
+        for inst, residual, grad in zip(data, residuals, grads):
+            expected_residual, expected_grad = linearized_row(inst, start, 0.15)
+            assert residual == pytest.approx(expected_residual, abs=1e-12)
+            assert_allclose(grad, expected_grad, rtol=1e-10, atol=1e-14)
+
+    def test_fundamental_matrix_never_formed(self, monkeypatch):
+        """fit and linearized_row never call an explicit inverse."""
+        rng = np.random.default_rng(407)
+        true = random_reporting_weights(rng, 3)
+        data = noise_free_instances(rng, 3, 6, 3, true, 0.15) + noise_free_instances(rng, 1, 66, 3, true, 0.15)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert fit(data, LearnerConfig(max_iters=60)).converged
+        for inst in (data[0], data[-1]):
+            linearized_row(inst, true, 0.15)
+
+    def test_unconverged_fit_warns_once(self, caplog):
+        rng = np.random.default_rng(88)
+        data = noise_free_instances(rng, 10, 5, 3, WeightVector(np.array([0.8, 0.15, 0.05])), 0.15)
+        with caplog.at_level(logging.DEBUG, logger="rsm.learner"):
+            result = fit(data, LearnerConfig(max_iters=3, halt_eps=1e-15))
+        warnings = [r for r in caplog.records if r.name == "rsm.learner" and r.levelno == logging.WARNING]
+        assert not result.converged
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "unconverged after 3 iterations" in message
+        assert f"{result.final_step_norm:.3e}" in message and "halt_eps 1.000e-15" in message
+
+    @pytest.mark.parametrize("max_iters", [0, 60])
+    def test_converged_or_empty_fit_does_not_warn(self, caplog, max_iters):
+        rng = np.random.default_rng(404)
+        data = noise_free_instances(rng, 6, 4, 3, WeightVector(np.array([0.5, 0.3, 0.2])), 0.15)
+        with caplog.at_level(logging.DEBUG, logger="rsm.learner"):
+            result = fit(data, LearnerConfig(max_iters=max_iters))
+        assert result.converged == (max_iters > 0)
+        assert not [r for r in caplog.records if r.name == "rsm.learner" and r.levelno >= logging.WARNING]
 
 
 class TestGridSearch:
