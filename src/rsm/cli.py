@@ -22,6 +22,7 @@ from . import config, learner
 from .data import (
     DatasetSchema,
     SyntheticSpec,
+    batch_from_rows,
     derive_seed,
     generate_flip_dataset,
     generate_synthetic,
@@ -29,7 +30,6 @@ from .data import (
     load_instances,
     save_csv,
     save_instances,
-    training_instances_from_rows,
 )
 from .errors import (
     ContextTooSmall,
@@ -217,17 +217,16 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if data_path.suffix == ".json":
-        instances = load_instances(data_path)
+        batch = learner.as_batch(load_instances(data_path))
     else:
         schema = _schema_for_csv(data_path)
-        rows = _load_rows(data_path, schema)
-        instances = training_instances_from_rows(rows, schema)
-    if not instances:
+        batch = batch_from_rows(_load_rows(data_path, schema), schema)
+    if not len(batch):
         raise SchemaError(f"{data_path} produced no training instances")
 
     if args.grid:
-        weights = learner.grid_search(instances, grid_step=args.grid_step, lam=args.lam)
-        err = learner.sample_error(instances, weights, args.lam)
+        weights = learner.grid_search(batch, grid_step=args.grid_step, lam=args.lam)
+        err = learner.sample_error(batch, weights, args.lam)
         payload = {
             "method": "grid",
             "grid_step": args.grid_step,
@@ -245,7 +244,7 @@ def cmd_train(args) -> int:
             trace.append((it, mse, mae, step_norm))
             log.info("iteration %d: mse %.6g mae %.6g step %.3g", it, mse, mae, step_norm)
 
-        result = learner.fit(instances, cfg, on_iteration=record)
+        result = learner.fit(batch, cfg, on_iteration=record)
         final_step = result.final_step_norm
         payload = {
             "method": "iterative",
@@ -258,7 +257,7 @@ def cmd_train(args) -> int:
             "iterations": result.iterations,
             "converged": result.converged,
             "final_step_norm": final_step if np.isfinite(final_step) else None,
-            "sample_error": learner.sample_error(instances, result.weights, cfg.lam),
+            "sample_error": learner.sample_error(batch, result.weights, cfg.lam),
         }
         with open(out_dir / "loss.csv", "w", encoding="utf-8") as handle:
             handle.write("iteration,mse,mae,step_norm\n")

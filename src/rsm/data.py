@@ -21,7 +21,7 @@ import numpy as np
 from . import config
 from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError, SplitTooSmall
-from .learner import TrainingInstance
+from .learner import ContextBatch, TrainingInstance
 from .markov import StochasticMatrix, stationary
 from .topology import (
     Direction,
@@ -44,7 +44,7 @@ def derive_seed(base: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """Ordered feature columns of a dataset."""
+    """Ordered feature columns of a dataset; compared by value, hashed once for the row caches."""
 
     features: Tuple[FeatureSpec, ...]
 
@@ -56,6 +56,13 @@ class DatasetSchema:
         for name in names:
             if name in BASE_COLUMNS:
                 raise SchemaError(f"feature name {name!r} collides with a base column")
+        object.__setattr__(self, "_hash", hash(self.features))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # string hashes differ between interpreters: rehash on unpickling
+        return (type(self), (self.features,))
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -455,6 +462,29 @@ def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, .
     return topologies
 
 
+def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
+    """The row's topologies as one read-only ``(k, n, n)`` array, cached beside them."""
+    key = (schema, "tensor")
+    if key not in row._encodings:
+        tensor = row._encodings[key] = np.stack([top.matrix.entries for top in topologies_from_row(row, schema)])
+        tensor.flags.writeable = False
+    return row._encodings[key]
+
+
+def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBatch:
+    """The learner's batch of :func:`training_instances_from_rows`, built without the instances.
+
+    One target per (context, item), the within-context CTR; contexts without clicks are skipped.
+    """
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    starts = np.cumsum([0] + [row.n for row in clicked])
+    contexts = [
+        (topology_tensor(row, schema), np.arange(row.n), row.ctrs(), np.arange(start, start + row.n))
+        for row, start in zip(clicked, starts)
+    ]
+    return ContextBatch.from_contexts(schema.k, contexts)
+
+
 def training_instances_from_rows(
     rows: Sequence[LogRow], schema: DatasetSchema
 ) -> List[TrainingInstance]:
@@ -464,21 +494,13 @@ def training_instances_from_rows(
     """
     instances: List[TrainingInstance] = []
     for row in rows:
-        if row.total_clicks() <= 0:
-            continue
-        ctr = row.ctrs()
-        topologies = topologies_from_row(row, schema)
-        for u in range(row.n):
-            instances.append(
-                TrainingInstance(
-                    query_id=row.query_id,
-                    item_ids=row.items,
-                    topologies=topologies,
-                    target_index=u,
-                    target_prob=float(ctr[u]),
-                )
-            )
+        if row.total_clicks() > 0:
+            instances += _instances(row.query_id, row.items, topologies_from_row(row, schema), row.ctrs())
     return instances
+
+
+def _instances(query_id, items, topologies, probs) -> List[TrainingInstance]:
+    return [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
 
 
 def feature_rows_from_logs(
@@ -593,16 +615,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
             for i in range(spec.k)
         )
         probs = stationary(combine(topologies, spec.weights, spec.lam)).probs
-        for u in range(spec.n):
-            instances.append(
-                TrainingInstance(
-                    query_id=query_id,
-                    item_ids=items,
-                    topologies=topologies,
-                    target_index=u,
-                    target_prob=float(probs[u]),
-                )
-            )
+        instances += _instances(query_id, items, topologies, probs)
         if spec.clicks_per_context is not None:
             clicks = rng.multinomial(spec.clicks_per_context, probs)
             rows.append(
@@ -685,16 +698,7 @@ def generate_flip_dataset(
                     features={schema.names[i]: subvals[i] for i in range(k)},
                 )
             )
-            for u in range(n):
-                instances.append(
-                    TrainingInstance(
-                        query_id=query_id,
-                        item_ids=items,
-                        topologies=topologies,
-                        target_index=u,
-                        target_prob=float(probs[u]),
-                    )
-                )
+            instances += _instances(query_id, items, topologies, probs)
     return SyntheticDataset(instances=instances, rows=rows, schema=schema)
 
 

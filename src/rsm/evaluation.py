@@ -23,16 +23,16 @@ from .data import (
     DatasetSchema,
     FlipPair,
     LogRow,
+    batch_from_rows,
     derive_seed,
     feature_rows_from_logs,
     mine_flip_pairs,
     paired_split,
-    topologies_from_row,
-    training_instances_from_rows,
+    topology_tensor,
 )
 from .errors import DegenerateVariance, SplitTooSmall
-from .markov import stationary
-from .topology import WeightVector, combine
+from .markov import stationary, stationary_rows  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
+from .topology import Normalization, WeightVector
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ def rsm_model(
     cfg = cfg or learner.LearnerConfig()
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        result = learner.fit(training_instances_from_rows(train_rows, schema), cfg)
+        result = learner.fit(batch_from_rows(train_rows, schema), cfg)
         return _stationary_scorer(schema, result.weights, cfg.lam)
 
     return Model(name=name, fit=fit_fn)
@@ -85,16 +85,22 @@ def fixed_weights_model(
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
     """Score items by stationary mass in their own context, one solve per context.
 
-    Tables are keyed by the row object, not its ids, so a scorer reused on a
-    second dataset whose ids repeat (``q00000``/``c00000``) never serves a
-    stale table.
+    The row's cached tensor is mixed with ``combine``'s arithmetic; every
+    entry is at least ``lam / n`` > 0, so ``stationary_rows`` needs no
+    uniqueness check. Tables are keyed by the row object, not its ids, so a
+    scorer reused on a second dataset whose ids repeat never serves a stale table.
     """
+    if weights.normalization is not Normalization.SUMS_TO_ONE or weights.k != schema.k or not 0.0 < lam < 1.0:
+        raise ValueError(f"the scorer needs {schema.k} reporting-form weights and lam in (0, 1)")
     cache: Dict[LogRow, Dict[object, float]] = {}
 
     def scorer(row: LogRow, item_id) -> float:
         table = cache.get(row)
         if table is None:
-            probs = stationary(combine(topologies_from_row(row, schema), weights, lam)).probs
+            mix = np.zeros((row.n, row.n))
+            for w, entries in zip(weights.values, topology_tensor(row, schema)):
+                mix += w * entries
+            probs = stationary_rows(lam / row.n + (1.0 - lam) * mix)
             table = cache[row] = dict(zip(row.items, probs))
         return float(table[item_id])
 

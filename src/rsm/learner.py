@@ -1,8 +1,9 @@
 """Weight learning for the combined chain.
 
 The iterative learner alternates two steps. Given current native-form
-weights w (summing to 1 - lambda), it computes for every training instance
-the stationary p of the current combined chain P and forms the linearization
+weights w (summing to 1 - lambda), it computes for every training target
+the stationary p of its context's combined chain P and forms the
+linearization
 
     p_target(u) - p(u)  ~=  sum_i x(i) * (p^T T_i Z) e_u,   Z = (I - P + 1 p^T)^-1,
 
@@ -11,20 +12,28 @@ come from one LU solve of (I - P + 1 p^T)^T with k right-hand sides; the
 fundamental matrix Z itself is never formed. It then solves the
 box-constrained least-squares subproblem over sum-zero steps
 
-    minimize  sum_instances (residual - x . g)^2
+    minimize  sum_targets (residual - x . g)^2
     subject to  -min(eta, w_i) <= x_i <= min(eta, 1 - lambda - w_i),
                 sum_i x_i = 0,
 
-and applies the step until its max-norm drops to the halting threshold.
-A brute-force grid learner over the weight simplex serves as an oracle.
+exactly, by a primal active-set method on its k x k normal equations, and
+applies the step until its max-norm drops to the halting threshold.
+
+The learner reads its data as a :class:`ContextBatch`: per context width, one
+stacked (B, k, n, n) topology tensor with each target's context, item,
+probability and dataset-order slot. ``rsm.data.batch_from_rows`` builds one
+from click-log rows; a :class:`TrainingInstance` sequence is converted once
+by :func:`as_batch`. A brute-force grid learner over the weight simplex
+serves as an oracle.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +43,6 @@ from .markov import stationary_rows
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -95,14 +103,14 @@ class TrainingInstance:
     def n(self) -> int:
         return len(self.item_ids)
 
-    @property
-    def k(self) -> int:
-        return len(self.topologies)
-
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of :func:`fit`. ``weights`` is in reporting form."""
+    """Outcome of :func:`fit`. ``weights`` is in reporting form.
+
+    ``qp_steps`` counts the active-set steps of all step subproblems and
+    ``max_kkt_residual`` is the largest KKT residual a step ended with.
+    """
 
     weights: WeightVector
     iterations: int
@@ -110,71 +118,80 @@ class FitResult:
     per_iteration_loss: tuple
     per_iteration_error: tuple
     converged: bool
+    qp_steps: int
+    max_kkt_residual: float
 
 
 # ---------------------------------------------------------------------------
-# Context grouping and batched evaluation.
+# The context batch and its batched evaluation.
 #
-# Instances sharing a topology tuple also share the combined chain, its
-# stationary and its gradient rows, so they are evaluated together. Contexts
-# of equal size are stacked for the batched stationary kernel and one batched
-# LU solve of (I - P + 1 p^T)^T with k right-hand sides, which gives the rows
-# p^T T_i Z without forming Z; results match the sequential path to roundoff.
+# Targets of one context share the combined chain, its stationary and its
+# gradient rows, so they are evaluated together. Contexts of equal size are
+# stacked for the batched stationary kernel and one batched LU solve of
+# (I - P + 1 p^T)^T with k right-hand sides, which gives the rows p^T T_i Z
+# without forming Z; results match the sequential path to roundoff.
 # ---------------------------------------------------------------------------
 
 
-class _Bucket:
-    __slots__ = ("tensor", "gidx", "uidx", "targets", "slots")
-
-    def __init__(self, tensor, gidx, uidx, targets, slots):
-        self.tensor = tensor  # (B, k, n, n) stacked topology entries
-        self.gidx = gidx      # context index per instance
-        self.uidx = uidx      # target item index per instance
-        self.targets = targets
-        self.slots = slots    # position of each instance in dataset order
+# one width: the (B, k, n, n) tensor, and per target its context, item, target and slot
+_Bucket = namedtuple("_Bucket", "tensor gidx uidx targets slots")
 
 
-def _group_instances(dataset: Sequence[TrainingInstance]):
-    k = dataset[0].k
+@dataclass(frozen=True, eq=False)
+class ContextBatch:
+    """Training targets grouped by context width; ``len(batch)`` counts targets.
+
+    Build one with :meth:`from_contexts`, ``rsm.data.batch_from_rows`` or
+    :func:`as_batch`. Widths keep their order of first appearance.
+    """
+
+    k: int
+    buckets: tuple
+
+    def __len__(self) -> int:
+        return sum(bucket.slots.size for bucket in self.buckets)
+
+    @classmethod
+    def from_contexts(cls, k: int, contexts) -> "ContextBatch":
+        """Stack ``(topology matrices, item indices, targets, slots)`` per context."""
+        by_n = {}
+        for context in contexts:
+            by_n.setdefault(len(context[0][0]), []).append(context)
+        buckets = []
+        for group in by_n.values():
+            matrices, uidx, targets, slots = zip(*group)
+            gidx = np.repeat(np.arange(len(group)), [len(u) for u in uidx])
+            tensor = np.array(matrices, dtype=np.float64)
+            buckets.append(_Bucket(tensor, gidx, *map(np.concatenate, (uidx, targets, slots))))
+        return cls(k=k, buckets=tuple(buckets))
+
+
+Data = Union[ContextBatch, Sequence[TrainingInstance]]
+
+
+def as_batch(data: Data) -> ContextBatch:
+    """``data`` itself if it is a batch, else the batch of an instance sequence.
+
+    Instances holding one topology tuple form one context; every target
+    keeps its position in the sequence as its slot.
+    """
+    if isinstance(data, ContextBatch):
+        return data
     groups = {}
-    order = []
-    for slot, inst in enumerate(dataset):
-        if inst.k != k:
-            raise ShapeError("all instances must share the same number of topologies")
-        key = id(inst.topologies)
-        entry = groups.get(key)
-        if entry is None:
-            tensor = np.stack([top.matrix.entries for top in inst.topologies])
-            entry = groups[key] = [tensor, [], []]
-            order.append(key)
-        entry[1].append((inst.target_index, inst.target_prob))
-        entry[2].append(slot)
-    by_n = {}
-    for key in order:
-        tensor, targets, slots = groups[key]
-        by_n.setdefault(tensor.shape[1], []).append((tensor, targets, slots))
-    buckets = []
-    for n, entries in by_n.items():
-        tensor = np.stack([e[0] for e in entries])
-        flat = [(b, u, y, slot) for b, (_, tgt, slt) in enumerate(entries) for (u, y), slot in zip(tgt, slt)]
-        gidx, uidx, targets, slots = zip(*flat)
-        buckets.append(
-            _Bucket(
-                tensor,
-                np.array(gidx, dtype=np.intp),
-                np.array(uidx, dtype=np.intp),
-                np.array(targets, dtype=np.float64),
-                np.array(slots, dtype=np.intp),
-            )
-        )
-    return k, buckets
+    for slot, inst in enumerate(data):
+        groups.setdefault(inst.topologies, []).append((inst.target_index, inst.target_prob, slot))
+    if len({len(tops) for tops in groups}) > 1:
+        raise ShapeError("all instances must share the same number of topologies")
+    contexts = [([t.matrix.entries for t in tops], *map(np.array, zip(*rows))) for tops, rows in groups.items()]
+    return ContextBatch.from_contexts(len(next(iter(groups), ())), contexts)
 
 
-def _evaluate_buckets(buckets, w_native: np.ndarray, lam: float, m: int, k: int, gradients: bool):
-    """Residuals (and gradient rows) for every instance, in dataset order."""
+def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: bool):
+    """Residuals (and gradient rows) for every target, in dataset order."""
+    k, m = batch.k, len(batch)
     residuals = np.empty(m)
     grads = np.empty((m, k)) if gradients else None
-    for bucket in buckets:
+    for bucket in batch.buckets:
         b, _, n, _ = bucket.tensor.shape
         chains = lam / n + (w_native @ bucket.tensor.reshape(b, k, n * n)).reshape(b, n, n)
         probs = stationary_rows(chains)
@@ -188,102 +205,66 @@ def _evaluate_buckets(buckets, w_native: np.ndarray, lam: float, m: int, k: int,
 
 
 def linearized_row(
-    instance: TrainingInstance,
-    weights: WeightVector,
-    lam: float = config.DEFAULT_LAMBDA,
-) -> Tuple[float, np.ndarray]:
-    """Residual and gradient row of one instance at the current weights.
+    data: Union[TrainingInstance, Data], weights: WeightVector, lam: float = config.DEFAULT_LAMBDA
+):
+    """Residuals and gradient rows at the current weights.
 
-    Returns ``(target - p(u), g)`` where ``g_i = (p^T T_i Z) e_u`` for the
-    combined chain at native-form weights. The gradient row is exact: for a
-    sum-zero direction ``x`` the directional derivative of ``p(u)`` in the
-    weights is ``x . g``. This is the evaluation :func:`fit` runs, applied to
-    a one-instance dataset.
+    For one instance returns ``(target - p(u), g)`` where
+    ``g_i = (p^T T_i Z) e_u`` for the combined chain at native-form weights.
+    For a batch or an instance sequence returns the ``(m,)`` residuals and
+    ``(m, k)`` rows in dataset order. The rows are exact: for a sum-zero
+    direction ``x`` the directional derivative of ``p(u)`` in the weights is
+    ``x . g``. This is the evaluation :func:`fit` runs.
     """
+    single = isinstance(data, TrainingInstance)
+    batch = as_batch([data] if single else data)
     native = weights.as_native(lam).values
-    if native.size != instance.k:
-        raise ShapeError(f"instance has {instance.k} topologies but {native.size} weights")
-    k, buckets = _group_instances([instance])
-    residuals, grads = _evaluate_buckets(buckets, native, lam, 1, k, gradients=True)
-    return float(residuals[0]), grads[0]
+    if native.size != batch.k:
+        raise ShapeError(f"data has {batch.k} topologies but {native.size} weights")
+    residuals, grads = _evaluate(batch, native, lam, gradients=True)
+    if single:
+        return float(residuals[0]), grads[0]
+    return residuals, grads
 
 
 # ---------------------------------------------------------------------------
 # Subproblem: least squares over the intersection of a box and sum(x) = 0.
+#
+# With gram = G^T G and lin = G^T r the objective is x.gram.x - 2 lin.x. The
+# primal active-set method (Nocedal & Wright, Numerical Optimization, 16.5)
+# starts at the feasible x = 0 with no bound held. Each step solves for the
+# minimizer with the held bounds fixed and sum(x) = 0. If the way there
+# leaves the box, the step stops at the first bound and holds it. At the
+# minimizer, the held bound whose multiplier has the wrong sign by more than
+# qp_tol is released; if there is none, x is optimal. The KKT residual is the
+# largest violation of stationarity (free coordinates) or of a multiplier's
+# sign (held ones).
 # ---------------------------------------------------------------------------
 
 
-def _project_box_sum_zero(point: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto ``{lower <= x <= upper, sum(x) = 0}``.
+def _free_minimizer(gram, lin, x, free):
+    """Minimizer with the held coordinates fixed and sum(x) = 0.
 
-    Walks the breakpoints of the piecewise-linear, nonincreasing function
-    ``h(mu) = sum(clip(point - mu, lower, upper))`` and solves the crossing
-    segment in closed form. Assumes the set is nonempty, which the step
-    bounds guarantee (both bounds bracket zero).
+    The free coordinates move from their centre (equal values, sum zero) in
+    an orthonormal basis of the sum-zero directions. A singular reduced
+    Hessian still gives a minimizer, since ``lin`` lies in the range of
+    ``gram``; the pseudo-inverse picks the one nearest the centre.
     """
-    bps = np.unique(np.concatenate([point - upper, point - lower]))
-    vals = np.array([np.clip(point - mu, lower, upper).sum() for mu in bps])
-    if vals[0] <= 0.0:
-        mu = bps[0]
-    elif vals[-1] >= 0.0:
-        mu = bps[-1]
-    else:
-        mu = None
-        for j in range(len(bps) - 1):
-            if vals[j] >= 0.0 >= vals[j + 1]:
-                if vals[j + 1] == vals[j]:
-                    mu = bps[j]
-                else:
-                    slope = (vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j])
-                    mu = bps[j] - vals[j] / slope
-                break
-        if mu is None:
-            raise AssertionError("projection failed to bracket the crossing")
-    out = np.clip(point - mu, lower, upper)
-    free = (out > lower) & (out < upper)
-    if free.any():
-        out[free] -= out.sum() / free.sum()
-        out = np.clip(out, lower, upper)
+    idx = np.flatnonzero(free)
+    nf = idx.size
+    out = x.copy()
+    out[idx] = -x[~free].sum() / nf
+    if nf == 1:
+        return out
+    root = math.sqrt(nf)
+    # columns 2..nf of the Householder reflection that maps the ones vector onto e_1
+    basis = np.vstack([np.full(nf - 1, -1.0 / root), np.eye(nf - 1) - 1.0 / (root * (root + 1.0))])
+    vals, vecs = np.linalg.eigh(basis.T @ gram[np.ix_(idx, idx)] @ basis)
+    keep = vals > (nf - 1) * np.finfo(np.float64).eps * max(vals[-1], 0.0)
+    vecs = vecs[:, keep]
+    slope = basis.T @ (gram @ out - lin)[idx]
+    out[idx] -= basis @ (vecs @ ((vecs.T @ slope) / vals[keep]))
     return out
-
-
-def _kkt_residual(x, grad, lower, upper):
-    return float(np.max(np.abs(_project_box_sum_zero(x - grad, lower, upper) - x)))
-
-
-def _polish(gram, lin, x, lower, upper, qp_tol):
-    """Solve the equality-constrained system on the guessed active set."""
-    slack = 1e-9 * max(1.0, float(np.max(upper - lower)))
-    at_lower = x - lower <= slack
-    at_upper = upper - x <= slack
-    free = ~(at_lower | at_upper)
-    fixed = np.where(at_upper, upper, lower)
-    nf = int(free.sum())
-    if nf == 0:
-        cand = fixed.copy()
-    else:
-        idx = np.nonzero(free)[0]
-        clamped = np.nonzero(~free)[0]
-        system = np.zeros((nf + 1, nf + 1))
-        system[:nf, :nf] = 2.0 * gram[np.ix_(idx, idx)]
-        system[:nf, nf] = 1.0
-        system[nf, :nf] = 1.0
-        rhs = np.zeros(nf + 1)
-        rhs[:nf] = 2.0 * (lin[idx] - gram[np.ix_(idx, clamped)] @ fixed[clamped])
-        rhs[nf] = -fixed[clamped].sum()
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        cand = fixed.copy()
-        cand[idx] = sol[:nf]
-    if np.any(cand < lower - 1e-12) or np.any(cand > upper + 1e-12):
-        return None
-    cand = _project_box_sum_zero(cand, lower, upper)
-    grad = 2.0 * (gram @ cand - lin)
-    if _kkt_residual(cand, grad, lower, upper) <= qp_tol:
-        return cand
-    return None
 
 
 def _solve_step_arrays(
@@ -291,49 +272,50 @@ def _solve_step_arrays(
     residuals: np.ndarray,
     w_native: np.ndarray,
     cfg: LearnerConfig,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, int, float]:
+    """The exact step, the active-set steps it took and its KKT residual."""
     k = w_native.size
     lower = np.minimum(-np.minimum(cfg.eta, w_native), 0.0)
     upper = np.maximum(np.minimum(cfg.eta, 1.0 - cfg.lam - w_native), 0.0)
     gram = grads.T @ grads
     lin = grads.T @ residuals
-
-    def objective(x):
-        return float(x @ gram @ x - 2.0 * lin @ x)
-
     x = np.zeros(k)
-    cand = _polish(gram, lin, x, lower, upper, cfg.qp_tol)
-    if cand is not None and objective(cand) <= objective(x) + 1e-15:
-        return cand
-    lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-    if lip <= 0.0:
-        return x
-    best_x, best_f = x.copy(), objective(x)
-    for it in range(20000):
+    held = np.zeros(k)  # -1 held at the lower bound, +1 at the upper, 0 free
+    # The objective drops strictly between two visits of a minimizer, so each
+    # of the 3^k working sets is visited at most once, after at most k - 1
+    # bound hits; more steps than that means roundoff is cycling.
+    cap = k * 3**k
+    for steps in range(1, cap + 1):
+        free = held == 0.0
+        target = _free_minimizer(gram, lin, x, free)
+        move = target - x
+        if np.count_nonzero(free) > 1:
+            room = np.full(k, np.inf)
+            down, up = move < 0.0, move > 0.0
+            room[down] = (lower - x)[down] / move[down]
+            room[up] = (upper - x)[up] / move[up]
+            j = int(np.argmin(room))
+            if room[j] < 1.0:
+                x = x + max(room[j], 0.0) * move
+                x[j] = lower[j] if down[j] else upper[j]
+                held[j] = -1.0 if down[j] else 1.0
+                continue
+        x = target
         grad = 2.0 * (gram @ x - lin)
-        if _kkt_residual(x, grad, lower, upper) <= cfg.qp_tol:
+        wrong = held * (grad - grad[free].mean())  # > 0 where a multiplier has the wrong sign
+        j = int(np.argmax(wrong))
+        if wrong[j] <= cfg.qp_tol:
             break
-        trial = _project_box_sum_zero(x - grad / lip, lower, upper)
-        step = trial - x
-        curvature = float(step @ gram @ step)
-        if curvature > 0.0:
-            scale = min(1.0, max(0.0, -float(grad @ step) / (2.0 * curvature)))
-            if scale == 0.0:
-                scale = 1.0
-        else:
-            scale = 1.0
-        x = x + scale * step
-        fx = objective(x)
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
-        if it % 25 == 24:
-            cand = _polish(gram, lin, x, lower, upper, cfg.qp_tol)
-            if cand is not None and objective(cand) <= best_f + 1e-15:
-                return cand
-    cand = _polish(gram, lin, best_x, lower, upper, cfg.qp_tol)
-    if cand is not None and objective(cand) <= best_f + 1e-15:
-        return cand
-    return best_x
+        held[j] = 0.0
+    else:
+        logger.warning("step QP hit its cap of %d active-set steps", cap)
+    free = held == 0.0
+    slack = 2.0 * (gram @ x - lin)
+    slack -= slack[free].mean()  # gradient plus the sum constraint's multiplier
+    residual = float(np.max(np.where(free, np.abs(slack), held * slack)))
+    if residual > cfg.qp_tol:
+        logger.warning("step QP ended with KKT residual %.3e > qp_tol %.3e", residual, cfg.qp_tol)
+    return x, steps, residual
 
 
 def solve_step(
@@ -356,7 +338,7 @@ def solve_step(
     residuals = np.array([r for r, _ in rows], dtype=np.float64)
     if grads.shape[1] != native.size:
         raise ShapeError("gradient rows and weights disagree on k")
-    return _solve_step_arrays(grads, residuals, native, cfg)
+    return _solve_step_arrays(grads, residuals, native, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,33 +346,37 @@ def solve_step(
 # ---------------------------------------------------------------------------
 
 
+def _nonempty_batch(data: Data) -> ContextBatch:
+    batch = as_batch(data)
+    if not len(batch):
+        raise ValueError("dataset must be nonempty")
+    return batch
+
+
 def fit(
-    dataset: Sequence[TrainingInstance],
+    data: Data,
     cfg: Optional[LearnerConfig] = None,
     on_iteration: Optional[Callable] = None,
 ) -> FitResult:
     """Learn feature weights by iterated linearization.
 
-    Each iteration evaluates every instance at the current weights, solves
-    the constrained least-squares step and applies it; the loop halts when
-    the step max-norm drops to ``cfg.halt_eps``. If ``max_iters`` runs out,
-    the best iterate by mean absolute residual is returned, flagged
+    ``data`` is a :class:`ContextBatch` or a :class:`TrainingInstance`
+    sequence. Each iteration evaluates every target at the current weights,
+    solves the constrained least-squares step and applies it; the loop
+    halts when the step max-norm drops to ``cfg.halt_eps``. If ``max_iters``
+    runs out, the best iterate by mean absolute residual is returned, flagged
     unconverged. ``on_iteration(iteration, weights_native, mse, mae,
     step_norm)`` is invoked once per iteration when given.
     """
     cfg = cfg or LearnerConfig()
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    k, buckets = _group_instances(dataset)
-    lam = cfg.lam
+    batch = _nonempty_batch(data)
+    k, lam = batch.k, cfg.lam
     if cfg.init is None:
         w = np.full(k, (1.0 - lam) / k)
     else:
         if cfg.init.k != k:
             raise ShapeError(f"init has {cfg.init.k} weights but the data has {k} topologies")
         w = cfg.init.as_native(lam).values.copy()
-    m = len(dataset)
 
     losses: List[float] = []
     errors: List[float] = []
@@ -399,8 +385,10 @@ def fit(
     converged = False
     final_step = math.inf
     iterations = 0
+    qp_steps = 0
+    max_kkt = 0.0
     for it in range(cfg.max_iters):
-        residuals, grads = _evaluate_buckets(buckets, w, lam, m, k, gradients=True)
+        residuals, grads = _evaluate(batch, w, lam, gradients=True)
         mse = float(np.mean(residuals**2))
         mae = float(np.mean(np.abs(residuals)))
         losses.append(mse)
@@ -408,7 +396,9 @@ def fit(
         if mae < best_err:
             best_err = mae
             best_w = w.copy()
-        x = _solve_step_arrays(grads, residuals, w, cfg)
+        x, steps, kkt = _solve_step_arrays(grads, residuals, w, cfg)
+        qp_steps += steps
+        max_kkt = max(max_kkt, kkt)
         final_step = float(np.max(np.abs(x)))
         iterations = it + 1
         if on_iteration is not None:
@@ -419,7 +409,7 @@ def fit(
         w = np.clip(w + x, 0.0, 1.0 - lam)
         w *= (1.0 - lam) / w.sum()
     if not converged and cfg.max_iters > 0:
-        residuals, _ = _evaluate_buckets(buckets, w, lam, m, k, gradients=False)
+        residuals, _ = _evaluate(batch, w, lam, gradients=False)
         if float(np.mean(np.abs(residuals))) >= best_err:
             w = best_w
         logger.warning("fit stopped unconverged after %d iterations: final step norm %.3e > halt_eps %.3e",
@@ -432,23 +422,22 @@ def fit(
         per_iteration_loss=tuple(losses),
         per_iteration_error=tuple(errors),
         converged=converged,
+        qp_steps=qp_steps,
+        max_kkt_residual=max_kkt,
     )
 
 
 def sample_error(
-    dataset: Sequence[TrainingInstance],
+    data: Data,
     weights: WeightVector,
     lam: float = config.DEFAULT_LAMBDA,
 ) -> float:
     """Mean absolute gap between predicted and target stationary probabilities."""
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    k, buckets = _group_instances(dataset)
+    batch = _nonempty_batch(data)
     native = weights.as_native(lam).values
-    if native.size != k:
+    if native.size != batch.k:
         raise ShapeError("weights and dataset disagree on k")
-    residuals, _ = _evaluate_buckets(buckets, native, lam, len(dataset), k, gradients=False)
+    residuals, _ = _evaluate(batch, native, lam, gradients=False)
     return float(np.mean(np.abs(residuals)))
 
 
@@ -463,7 +452,7 @@ def _compositions(total: int, parts: int):
 
 
 def grid_search(
-    dataset: Sequence[TrainingInstance],
+    data: Data,
     grid_step: float,
     lam: float = config.DEFAULT_LAMBDA,
     max_points: int = config.GRID_POINT_CAP,
@@ -476,15 +465,13 @@ def grid_search(
     Ties keep the lexicographically smallest vector. Raises
     ``GridBudgetExceeded`` when the grid would exceed ``max_points``.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
+    batch = _nonempty_batch(data)
     if not 0.0 < grid_step <= 1.0:
         raise ValueError("grid_step must lie in (0, 1]")
     steps = round(1.0 / grid_step)
     if abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must divide 1")
-    k, buckets = _group_instances(dataset)
+    k = batch.k
     count = math.comb(steps + k - 1, k - 1)
     if count > max_points:
         raise GridBudgetExceeded(
@@ -492,13 +479,12 @@ def grid_search(
             required=count,
             cap=max_points,
         )
-    m = len(dataset)
     best_err = math.inf
     best = None
     for comp in _compositions(steps, k):
         reporting = np.array(comp, dtype=np.float64) * grid_step
         native = reporting * (1.0 - lam)
-        residuals, _ = _evaluate_buckets(buckets, native, lam, m, k, gradients=False)
+        residuals, _ = _evaluate(batch, native, lam, gradients=False)
         err = float(np.mean(np.abs(residuals)))
         if err < best_err:
             best_err = err

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rsm import (
     SplitTooSmall,
     SyntheticSpec,
     WeightVector,
+    batch_from_rows,
     derive_seed,
     feature_rows_from_logs,
     generate_flip_dataset,
@@ -32,6 +34,7 @@ from rsm import (
     topologies_from_row,
     training_instances_from_rows,
 )
+from rsm.data import topology_tensor
 
 from conftest import make_row
 
@@ -431,6 +434,15 @@ class TestBridges:
         instances = training_instances_from_rows([quiet] + two_context_rows(), SCHEMA)
         assert len(instances) == 5
 
+    def test_batch_from_rows_skips_quiet_contexts(self):
+        quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
+        batch = batch_from_rows([quiet] + two_context_rows(), SCHEMA)
+        assert batch.k == 2 and len(batch) == 5
+        assert [b.tensor.shape for b in batch.buckets] == [(1, 2, 2, 2), (1, 2, 3, 3)]
+        assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
+        assert batch.buckets[1].slots.tolist() == [2, 3, 4]
+        assert len(batch_from_rows([quiet], SCHEMA)) == 0
+
     def test_feature_rows_append_position(self):
         logs = two_context_rows()
         rows = feature_rows_from_logs(logs, SCHEMA, include_position=True)
@@ -473,6 +485,46 @@ class TestEncodingCache:
             assert np.array_equal(top.matrix.entries, fresh.matrix.entries)
         assert not np.array_equal(got[0].matrix.entries, cached_price)
         assert topologies_from_row(row, SCHEMA)[0].matrix.entries is cached_price
+
+
+    def test_schema_hash_is_computed_once(self, monkeypatch):
+        """Cache lookups reuse the schema's hash; equal schemas share one entry."""
+        row = two_context_rows()[1]
+        specs = [(spec.name, spec.direction) for spec in SCHEMA.features]
+        tensor = topology_tensor(row, SCHEMA)
+        calls = []
+        real_hash = FeatureSpec.__hash__
+
+        def counting_hash(spec):
+            calls.append(spec)
+            return real_hash(spec)
+
+        monkeypatch.setattr(FeatureSpec, "__hash__", counting_hash)
+        for _ in range(3):
+            topologies_from_row(row, SCHEMA)
+            topology_tensor(row, SCHEMA)
+            feature_rows_from_logs([row], SCHEMA)
+        assert calls == []
+        equal = DatasetSchema(features=tuple(FeatureSpec(name, d) for name, d in specs))
+        assert len(calls) == 2  # hashed once, when built
+        assert equal == SCHEMA and hash(equal) == hash(SCHEMA)
+        assert topology_tensor(row, equal) is tensor
+        assert topologies_from_row(row, equal) is topologies_from_row(row, SCHEMA)
+        flipped = DatasetSchema(
+            features=(FeatureSpec("price", Direction.HIGHER_IS_BETTER), FeatureSpec("rating", Direction.HIGHER_IS_BETTER))
+        )
+        assert flipped != SCHEMA
+        assert not np.array_equal(topology_tensor(row, flipped)[0], tensor[0])
+        assert np.array_equal(topology_tensor(row, flipped)[1], tensor[1])
+        restored = pickle.loads(pickle.dumps(SCHEMA))
+        assert restored == SCHEMA and hash(restored) == hash(SCHEMA)
+
+    def test_tensor_stacks_the_cached_topologies(self):
+        row = two_context_rows()[1]
+        tensor = topology_tensor(row, SCHEMA)
+        assert tensor.shape == (2, 3, 3) and not tensor.flags.writeable
+        for entries, top in zip(tensor, topologies_from_row(row, SCHEMA)):
+            assert np.array_equal(entries, top.matrix.entries)
 
 
 class TestDeriveSeed:

@@ -237,18 +237,40 @@ class TestFixedWeightsModel:
             for row in rows
         }
         solves = []
+        real_rows = rsm.evaluation.stationary_rows
 
-        def counting_stationary(chain):
-            solves.append(chain)
-            return stationary(chain)
+        def counting_stationary_rows(chains):
+            solves.append(chains)
+            return real_rows(chains)
 
-        monkeypatch.setattr(rsm.evaluation, "stationary", counting_stationary)
+        monkeypatch.setattr(rsm.evaluation, "stationary_rows", counting_stationary_rows)
         scorer = fixed_weights_model(schema, weights, lam).fit([])
         for _ in range(2):
             for row in rows:
                 for i, item in enumerate(row.items):
                     assert scorer(row, item) == float(expected[id(row)][i])
         assert len(solves) == len(rows)
+
+    @pytest.mark.parametrize("n", [5, 64, 65])
+    def test_scores_equal_combine_then_stationary_bit_for_bit(self, n):
+        """The tensor mix and direct kernel call repeat combine + stationary exactly."""
+        rng = np.random.default_rng(710 + n)
+        schema = synthetic_schema(3)
+        values = rng.random(3) + 0.05
+        weights = WeightVector(values / values.sum())
+        items = [f"i{j}" for j in range(n)]
+        row = make_row("q", "c", items, rng.integers(0, 9, n), {name: rng.random(n) for name in schema.names})
+        scorer = fixed_weights_model(schema, weights, 0.15).fit([])
+        expected = stationary(combine(topologies_from_row(row, schema), weights, 0.15)).probs
+        assert [scorer(row, item) for item in items] == expected.tolist()
+
+    def test_weights_checked_when_the_scorer_is_built(self):
+        schema = synthetic_schema(3)
+        with pytest.raises(ValueError):
+            fixed_weights_model(schema, WeightVector([0.5, 0.5])).fit([])
+        native = WeightVector([0.5, 0.3, 0.2]).as_native(0.15)
+        with pytest.raises(ValueError):
+            fixed_weights_model(schema, native).fit([])
 
     def test_rows_with_repeated_ids_scored_separately(self):
         schema = synthetic_schema(2)

@@ -5,28 +5,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from rsm import (
     GridBudgetExceeded,
     LearnerConfig,
+    LogRow,
     ShapeError,
     StochasticMatrix,
+    SyntheticSpec,
     TrainingInstance,
     WeightVector,
+    batch_from_rows,
     combine,
     fit,
     fundamental_matrix,
+    generate_synthetic,
     grid_search,
     linearized_row,
     sample_bound,
     sample_error,
     solve_step,
     stationary,
+    training_instances_from_rows,
 )
 import rsm.learner
-from rsm.learner import _project_box_sum_zero
+from rsm.learner import as_batch
 
 from conftest import noise_free_instances, random_reporting_weights, random_topologies
 
@@ -102,7 +109,146 @@ class TestLinearizedRow:
             linearized_row(data[0], WeightVector(np.array([1.0])), 0.15)
 
 
+def closed_form_step_k2(rows, w_native, lam, eta):
+    """k=2 oracle: the step is (t, -t); scalar least squares, clipped."""
+    d = np.array([g[0] - g[1] for _, g in rows])
+    r = np.array([r for r, _ in rows])
+    denom = float(d @ d)
+    t = float(r @ d) / denom if denom > 0 else 0.0
+    t_lo = max(-min(eta, w_native[0]), -min(eta, 1.0 - lam - w_native[1]))
+    t_hi = min(min(eta, 1.0 - lam - w_native[0]), min(eta, w_native[1]))
+    t = min(max(t, t_lo), t_hi)
+    return np.array([t, -t])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the projected-gradient step solver that the active-set method
+# replaced, kept verbatim as an independent reference.
+# ---------------------------------------------------------------------------
+
+
+def oracle_project(point, lower, upper):
+    """Euclidean projection onto ``{lower <= x <= upper, sum(x) = 0}``.
+
+    Walks the breakpoints of the piecewise-linear, nonincreasing function
+    ``h(mu) = sum(clip(point - mu, lower, upper))`` and solves the crossing
+    segment in closed form. Assumes the set is nonempty, which the step
+    bounds guarantee (both bounds bracket zero).
+    """
+    bps = np.unique(np.concatenate([point - upper, point - lower]))
+    vals = np.array([np.clip(point - mu, lower, upper).sum() for mu in bps])
+    if vals[0] <= 0.0:
+        mu = bps[0]
+    elif vals[-1] >= 0.0:
+        mu = bps[-1]
+    else:
+        mu = None
+        for j in range(len(bps) - 1):
+            if vals[j] >= 0.0 >= vals[j + 1]:
+                if vals[j + 1] == vals[j]:
+                    mu = bps[j]
+                else:
+                    slope = (vals[j + 1] - vals[j]) / (bps[j + 1] - bps[j])
+                    mu = bps[j] - vals[j] / slope
+                break
+        if mu is None:
+            raise AssertionError("projection failed to bracket the crossing")
+    out = np.clip(point - mu, lower, upper)
+    free = (out > lower) & (out < upper)
+    if free.any():
+        out[free] -= out.sum() / free.sum()
+        out = np.clip(out, lower, upper)
+    return out
+
+
+def oracle_kkt_residual(x, grad, lower, upper):
+    return float(np.max(np.abs(oracle_project(x - grad, lower, upper) - x)))
+
+
+def oracle_polish(gram, lin, x, lower, upper, qp_tol):
+    """Solve the equality-constrained system on the guessed active set."""
+    slack = 1e-9 * max(1.0, float(np.max(upper - lower)))
+    at_lower = x - lower <= slack
+    at_upper = upper - x <= slack
+    free = ~(at_lower | at_upper)
+    fixed = np.where(at_upper, upper, lower)
+    nf = int(free.sum())
+    if nf == 0:
+        cand = fixed.copy()
+    else:
+        idx = np.nonzero(free)[0]
+        clamped = np.nonzero(~free)[0]
+        system = np.zeros((nf + 1, nf + 1))
+        system[:nf, :nf] = 2.0 * gram[np.ix_(idx, idx)]
+        system[:nf, nf] = 1.0
+        system[nf, :nf] = 1.0
+        rhs = np.zeros(nf + 1)
+        rhs[:nf] = 2.0 * (lin[idx] - gram[np.ix_(idx, clamped)] @ fixed[clamped])
+        rhs[nf] = -fixed[clamped].sum()
+        try:
+            sol = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        cand = fixed.copy()
+        cand[idx] = sol[:nf]
+    if np.any(cand < lower - 1e-12) or np.any(cand > upper + 1e-12):
+        return None
+    cand = oracle_project(cand, lower, upper)
+    grad = 2.0 * (gram @ cand - lin)
+    if oracle_kkt_residual(cand, grad, lower, upper) <= qp_tol:
+        return cand
+    return None
+
+
+def oracle_solve_step(grads, residuals, w_native, cfg):
+    """The projected-gradient solver with periodic active-set polishing."""
+    k = w_native.size
+    lower = np.minimum(-np.minimum(cfg.eta, w_native), 0.0)
+    upper = np.maximum(np.minimum(cfg.eta, 1.0 - cfg.lam - w_native), 0.0)
+    gram = grads.T @ grads
+    lin = grads.T @ residuals
+
+    def objective(x):
+        return float(x @ gram @ x - 2.0 * lin @ x)
+
+    x = np.zeros(k)
+    cand = oracle_polish(gram, lin, x, lower, upper, cfg.qp_tol)
+    if cand is not None and objective(cand) <= objective(x) + 1e-15:
+        return cand
+    lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
+    if lip <= 0.0:
+        return x
+    best_x, best_f = x.copy(), objective(x)
+    for it in range(20000):
+        grad = 2.0 * (gram @ x - lin)
+        if oracle_kkt_residual(x, grad, lower, upper) <= cfg.qp_tol:
+            break
+        trial = oracle_project(x - grad / lip, lower, upper)
+        step = trial - x
+        curvature = float(step @ gram @ step)
+        if curvature > 0.0:
+            scale = min(1.0, max(0.0, -float(grad @ step) / (2.0 * curvature)))
+            if scale == 0.0:
+                scale = 1.0
+        else:
+            scale = 1.0
+        x = x + scale * step
+        fx = objective(x)
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+        if it % 25 == 24:
+            cand = oracle_polish(gram, lin, x, lower, upper, cfg.qp_tol)
+            if cand is not None and objective(cand) <= best_f + 1e-15:
+                return cand
+    cand = oracle_polish(gram, lin, best_x, lower, upper, cfg.qp_tol)
+    if cand is not None and objective(cand) <= best_f + 1e-15:
+        return cand
+    return best_x
+
+
 class TestProjection:
+    """The oracle's projection, which the step properties measure KKT residuals with."""
+
     def test_against_root_finding_oracle(self):
         """Projection matches the mu found by brentq on h(mu) = sum(clip)."""
         rng = np.random.default_rng(77)
@@ -111,7 +257,7 @@ class TestProjection:
             lower = -rng.random(k) * 0.2
             upper = rng.random(k) * 0.2
             point = rng.standard_normal(k) * 0.3
-            got = _project_box_sum_zero(point, lower, upper)
+            got = oracle_project(point, lower, upper)
             assert np.all(got >= lower - 1e-12)
             assert np.all(got <= upper + 1e-12)
             assert abs(got.sum()) < 1e-12
@@ -137,19 +283,101 @@ class TestProjection:
             upper = np.full(k, 0.5)
             x = rng.uniform(-0.4, 0.4, k)
             x -= x.mean()
-            assert np.max(np.abs(_project_box_sum_zero(x, lower, upper) - x)) < 1e-12
+            assert np.max(np.abs(oracle_project(x, lower, upper) - x)) < 1e-12
 
 
-def closed_form_step_k2(rows, w_native, lam, eta):
-    """k=2 oracle: the step is (t, -t); scalar least squares, clipped."""
-    d = np.array([g[0] - g[1] for _, g in rows])
-    r = np.array([r for r, _ in rows])
-    denom = float(d @ d)
-    t = float(r @ d) / denom if denom > 0 else 0.0
-    t_lo = max(-min(eta, w_native[0]), -min(eta, 1.0 - lam - w_native[1]))
-    t_hi = min(min(eta, 1.0 - lam - w_native[0]), min(eta, w_native[1]))
-    t = min(max(t, t_lo), t_hi)
-    return np.array([t, -t])
+def step_box(w_native, cfg):
+    lower = np.minimum(-np.minimum(cfg.eta, w_native), 0.0)
+    upper = np.maximum(np.minimum(cfg.eta, 1.0 - cfg.lam - w_native), 0.0)
+    return lower, upper
+
+
+def step_problem(k, m, kind, corner, lam, eta, seed):
+    """A step subproblem; ``kind`` shapes the Gram matrix, ``corner`` the box."""
+    rng = np.random.default_rng(seed)
+    grads = rng.standard_normal((m, k)) * rng.uniform(0.01, 5.0)
+    if kind == "duplicate" and k >= 2:
+        i, j = rng.choice(k, 2, replace=False)
+        grads[:, j] = grads[:, i]
+    elif kind == "zero":
+        grads[:] = 0.0
+    residuals = rng.standard_normal(m)
+    raw = rng.random(k) + 0.01
+    if corner == "zero" and k >= 2:
+        raw[rng.integers(k)] = 0.0  # w_i = 0: the lower bound is 0
+    elif corner == "full":
+        raw = np.zeros(k)
+        raw[rng.integers(k)] = 1.0  # w_i = 1 - lam: the upper bound is 0
+    w_native = raw / raw.sum() * (1.0 - lam)
+    return grads, residuals, w_native, LearnerConfig(lam=lam, eta=min(eta, 1.0 - lam))
+
+
+class TestActiveSetStep:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        m=st.integers(1, 10),
+        kind=st.sampled_from(["random", "duplicate", "zero"]),
+        corner=st.sampled_from(["interior", "zero", "full"]),
+        lam=st.sampled_from([0.01, 0.15, 0.95]),
+        eta=st.sampled_from([0.05, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_step_properties(self, k, m, kind, corner, lam, eta, seed):
+        """Feasible, KKT within qp_tol, no worse than the oracle or than x = 0."""
+        grads, residuals, w_native, cfg = step_problem(k, m, kind, corner, lam, eta, seed)
+        x, steps, residual = rsm.learner._solve_step_arrays(grads, residuals, w_native, cfg)
+        lower, upper = step_box(w_native, cfg)
+        assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
+        assert abs(x.sum()) <= 1e-12
+        gram, lin = grads.T @ grads, grads.T @ residuals
+        assert oracle_kkt_residual(x, 2.0 * (gram @ x - lin), lower, upper) <= cfg.qp_tol
+        assert residual <= cfg.qp_tol
+        assert 1 <= steps <= k * 3**k
+
+        def objective(v):
+            return float(v @ gram @ v - 2.0 * lin @ v)
+
+        f_oracle = objective(oracle_solve_step(grads, residuals, w_native, cfg))
+        assert objective(x) <= f_oracle + 1e-12 * max(1.0, abs(f_oracle))
+        assert objective(x) <= 1e-12 * max(1.0, abs(objective(x)))  # x = 0 scores 0
+        if k == 1:
+            assert np.array_equal(x, [0.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_zero_gram_gives_zero_step(self, k):
+        grads, residuals, w_native, cfg = step_problem(k, 4, "zero", "interior", 0.15, 0.05, 3)
+        x, steps, residual = rsm.learner._solve_step_arrays(grads, residuals, w_native, cfg)
+        assert np.array_equal(x, np.zeros(k))
+        assert steps == 1 and residual == 0.0
+
+    def test_duplicated_columns_share_the_step_equally(self):
+        """A singular Gram matrix gets the minimizer nearest the centre, not a roundoff one."""
+        rng = np.random.default_rng(410)
+        for _ in range(50):
+            grads = rng.standard_normal((8, 3))
+            grads[:, 2] = grads[:, 1]
+            residuals = rng.standard_normal(8) * 0.01
+            cfg = LearnerConfig(eta=0.85)
+            x, _, residual = rsm.learner._solve_step_arrays(grads, residuals, np.full(3, 0.85 / 3), cfg)
+            assert abs(x[1] - x[2]) <= 1e-12 and residual <= cfg.qp_tol
+
+    def test_cap_is_reported(self, monkeypatch, caplog):
+        """A cycling working set stops at k * 3^k steps with a WARNING."""
+
+        def pushes_first_down(gram, lin, x, free):
+            out = x.copy()
+            if np.count_nonzero(free) > 1:
+                out[0] -= 1.0
+                out[1] += 1.0
+            return out
+
+        monkeypatch.setattr(rsm.learner, "_free_minimizer", pushes_first_down)
+        grads, residuals = np.eye(2), np.array([1.0, -1.0])  # the optimum raises x_0
+        with caplog.at_level(logging.WARNING, logger="rsm.learner"):
+            _, steps, _ = rsm.learner._solve_step_arrays(grads, residuals, np.array([0.4, 0.45]), LearnerConfig())
+        assert steps == 2 * 3**2
+        assert any("cap of 18 active-set steps" in r.getMessage() for r in caplog.records)
 
 
 class TestSolveStep:
@@ -333,6 +561,85 @@ class TestFit:
             result = fit(data, LearnerConfig(max_iters=max_iters))
         assert result.converged == (max_iters > 0)
         assert not [r for r in caplog.records if r.name == "rsm.learner" and r.levelno >= logging.WARNING]
+
+
+def interleaved_rows():
+    """Click rows of widths 5 and 70, interleaved, two of them without clicks."""
+    true = WeightVector(np.array([0.5, 0.3, 0.2]))
+    narrow = generate_synthetic(SyntheticSpec(k=3, num_queries=5, weights=true, n=5, clicks_per_context=400, seed=1))
+    wide = generate_synthetic(SyntheticSpec(k=3, num_queries=3, weights=true, n=70, clicks_per_context=4000, seed=2))
+    quiet = [
+        LogRow(row.query_id, "quiet", row.items, row.positions, np.zeros(row.n), row.features)
+        for row in (narrow.rows[0], wide.rows[0])
+    ]
+    n, w = narrow.rows, wide.rows
+    return [n[0], w[0], quiet[0], n[1], n[2], w[1], quiet[1], n[3], w[2], n[4]], narrow.schema
+
+
+class TestContextBatch:
+    def test_fit_from_rows_equals_fit_from_instances(self):
+        rows, schema = interleaved_rows()
+        cfg = LearnerConfig(max_iters=60)
+        a = fit(batch_from_rows(rows, schema), cfg)
+        b = fit(training_instances_from_rows(rows, schema), cfg)
+        assert a.converged and b.converged
+        assert np.array_equal(a.weights.values, b.weights.values)
+        assert a.per_iteration_loss == b.per_iteration_loss
+        assert a.per_iteration_error == b.per_iteration_error
+        assert (a.iterations, a.qp_steps, a.final_step_norm) == (b.iterations, b.qp_steps, b.final_step_norm)
+
+    def test_rows_and_instances_give_the_same_targets_in_order(self):
+        rows, schema = interleaved_rows()
+        batch = batch_from_rows(rows, schema)
+        instances = training_instances_from_rows(rows, schema)
+        assert len(batch) == len(instances) == 5 * 5 + 3 * 70  # the quiet rows add none
+        weights = WeightVector(np.array([0.4, 0.4, 0.2]))
+        residuals, grads = linearized_row(batch, weights)
+        expected_residuals, expected_grads = linearized_row(instances, weights)
+        assert np.array_equal(residuals, expected_residuals)
+        assert np.array_equal(grads, expected_grads)
+        single_residual, single_grad = linearized_row(instances[7], weights)
+        assert single_residual == residuals[7] and np.array_equal(single_grad, grads[7])
+
+    def test_sample_error_and_grid_search_agree(self):
+        rows, schema = interleaved_rows()
+        batch = batch_from_rows(rows, schema)
+        instances = training_instances_from_rows(rows, schema)
+        weights = WeightVector(np.array([0.2, 0.5, 0.3]))
+        assert sample_error(batch, weights) == sample_error(instances, weights)
+        assert np.array_equal(grid_search(batch, 0.1).values, grid_search(instances, 0.1).values)
+
+    def test_instances_convert_once_per_call(self, monkeypatch):
+        rng = np.random.default_rng(408)
+        data = noise_free_instances(rng, 4, 5, 3, WeightVector(np.array([0.5, 0.3, 0.2])), 0.15)
+        calls = []
+        real = rsm.learner.as_batch
+
+        def counting(data):
+            calls.append(1)
+            return real(data)
+
+        monkeypatch.setattr(rsm.learner, "as_batch", counting)
+        result = fit(data, LearnerConfig(max_iters=60))
+        assert result.converged and len(calls) == 1
+        batch = as_batch(data)
+        assert as_batch(batch) is batch
+
+    def test_mixed_topology_counts_rejected(self):
+        rng = np.random.default_rng(409)
+        two = noise_free_instances(rng, 1, 4, 2, WeightVector(np.array([0.5, 0.5])), 0.15)
+        three = noise_free_instances(rng, 1, 4, 3, WeightVector(np.array([0.5, 0.3, 0.2])), 0.15)
+        with pytest.raises(ShapeError):
+            fit(two + three)
+
+    def test_active_set_steps_are_counted_and_bounded(self):
+        """A few active-set steps per iteration; an iterative QP would take hundreds."""
+        true = WeightVector(np.array([0.5, 0.3, 0.2]))
+        data = generate_synthetic(SyntheticSpec(k=3, num_queries=60, weights=true, n=5, clicks_per_context=2000, seed=12))
+        result = fit(batch_from_rows(data.rows, data.schema))
+        assert result.converged
+        assert result.iterations <= result.qp_steps <= 3 * result.iterations
+        assert 0.0 <= result.max_kkt_residual <= LearnerConfig().qp_tol
 
 
 class TestGridSearch:
