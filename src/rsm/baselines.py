@@ -9,7 +9,7 @@ raw feature units so prediction is a plain affine map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +63,9 @@ class LinearModel:
 
 
 def fit_least_squares(rows: Sequence[FeatureRow]) -> LinearModel:
-    """Least-squares CTR regression with standardization.
+    """Least-squares CTR regression on :class:`FeatureRow` observations.
 
-    Features are centered and scaled to unit variance (constant columns are
-    left centered only), the intercept absorbs the target mean, and the
-    solution is folded back to raw units. A rank-deficient design falls back
-    to ridge with ``tau = config.RIDGE_TAU`` and flags the result.
+    Stacks the rows and fits with :func:`fit_least_squares_arrays`.
     """
     rows = list(rows)
     if not rows:
@@ -77,10 +74,28 @@ def fit_least_squares(rows: Sequence[FeatureRow]) -> LinearModel:
     for row in rows:
         if row.features.size != k:
             raise ShapeError("all rows must share the same feature arity")
-    if len(rows) < k + 1:
+    return fit_least_squares_arrays(np.vstack([row.features for row in rows]), np.array([row.ctr for row in rows]))
+
+
+def fit_least_squares_arrays(design: np.ndarray, target: np.ndarray) -> LinearModel:
+    """Least-squares CTR regression with standardization, on an ``(m, k)`` design and ``(m,)`` targets.
+
+    Features are centered and scaled to unit variance (constant columns are
+    left centered only), the intercept absorbs the target mean, and the
+    solution is folded back to raw units. A rank-deficient design falls back
+    to ridge with ``tau = config.RIDGE_TAU`` and flags the result.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if design.ndim != 2 or target.shape != design.shape[:1]:
+        raise ShapeError(f"need an (m, k) design and m targets, got {design.shape} and {target.shape}")
+    m, k = design.shape
+    if m == 0:
+        raise ValueError("need at least one row")
+    if m < k + 1:
         raise ValueError(f"need at least {k + 1} rows to fit {k} coefficients")
-    design = np.vstack([row.features for row in rows])
-    target = np.array([row.ctr for row in rows])
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
+        raise ValueError("features and targets must be finite")
     mean = design.mean(axis=0)
     scale = design.std(axis=0)
     scale[scale == 0.0] = 1.0
@@ -121,9 +136,14 @@ def constant_scorer(rows: Sequence[FeatureRow]) -> ConstantScores:
     The score of a pair is identical in every context, so this scorer can
     never predict a preference flip.
     """
+    return mean_ctr_table(((row.query_id, row.item_id), row.ctr) for row in rows)
+
+
+def mean_ctr_table(observations: Iterable[Tuple[Tuple[str, str], float]]) -> ConstantScores:
+    """The mean CTR per ``(query, item)`` key of ``(key, ctr)`` observations, summed in order."""
     sums: Dict[Tuple[str, str], list] = {}
-    for row in rows:
-        bucket = sums.setdefault((row.query_id, row.item_id), [0.0, 0])
-        bucket[0] += row.ctr
+    for key, ctr in observations:
+        bucket = sums.setdefault(key, [0.0, 0])
+        bucket[0] += ctr
         bucket[1] += 1
     return ConstantScores({key: total / count for key, (total, count) in sums.items()})

@@ -5,6 +5,11 @@ The on-disk format is a CSV with one line per (query, context, item):
 per feature. Malformed lines are collected into an error report rather than
 silently dropped. A JSON format carries pre-encoded training instances with
 explicit topologies.
+
+A loaded row is validated once, at construction, and then feeds the learner
+and the baselines through arrays cached on it: its CTRs, its ``(k, n, n)``
+topology tensor (rows of one width encoded together by one
+``rank_chain_entries`` call) and its least-squares design block.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .topology import (
     WeightVector,
     combine,
     encode_rank_topology,
+    rank_chain_entries,
 )
 
 BASE_COLUMNS = ("query_id", "context_id", "item_id", "position", "clicks")
@@ -78,9 +84,10 @@ class LogRow:
     """One displayed context: a query, its items, clicks and feature values.
 
     A row is immutable: its arrays are read-only and ``features`` is a
-    read-only mapping. Encodings derived from it (rank topologies, baseline
-    feature rows) are therefore cached on the row, keyed by the schema that
-    produced them, and live exactly as long as the row.
+    read-only mapping. Its click total and CTR vector are computed once, and
+    the encodings derived from it (the ``(k, n, n)`` rank tensor, the
+    least-squares design block) are arrays cached on the row, keyed by the
+    schema that produced them, living exactly as long as the row.
     """
 
     query_id: str
@@ -90,6 +97,8 @@ class LogRow:
     clicks: np.ndarray
     features: Mapping[str, np.ndarray]
     _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _total: float = field(init=False, repr=False, compare=False)
+    _ctrs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -118,23 +127,29 @@ class LogRow:
             feats[name] = arr
         positions.flags.writeable = False
         clicks.flags.writeable = False
+        total = clicks.sum()
+        ctrs = None
+        if total > 0:
+            ctrs = clicks / total
+            ctrs.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "clicks", clicks)
         object.__setattr__(self, "features", MappingProxyType(feats))
+        object.__setattr__(self, "_total", float(total))
+        object.__setattr__(self, "_ctrs", ctrs)
 
     @property
     def n(self) -> int:
         return len(self.items)
 
     def total_clicks(self) -> float:
-        return float(self.clicks.sum())
+        return self._total
 
     def ctrs(self) -> np.ndarray:
-        """Within-context click-through rates (clicks normalized to sum 1)."""
-        total = self.clicks.sum()
-        if total <= 0:
+        """Within-context click-through rates (clicks normalized to sum 1), read-only."""
+        if self._ctrs is None:
             raise ValueError("ctrs are undefined for a context with no clicks")
-        return self.clicks / total
+        return self._ctrs
 
     def index_of(self, item_id) -> int:
         return self.items.index(item_id)
@@ -328,17 +343,15 @@ def mine_flip_pairs(
         qrows = [r for r in by_query[query] if r.total_clicks() > min_total_clicks]
         seen: Dict[Tuple[str, str], List[Tuple[LogRow, float, float]]] = {}
         for row in qrows:
-            ctr = row.ctrs()
+            items, clicks, ctr = row.items, row.clicks.tolist(), row.ctrs().tolist()
             for i in range(row.n):
                 for j in range(i + 1, row.n):
-                    a, b = sorted((row.items[i], row.items[j]))
-                    ia, ib = row.index_of(a), row.index_of(b)
-                    if abs(row.clicks[ia] - row.clicks[ib]) < min_click_diff:
+                    # name the pair by item id, so it reads the same in every context
+                    ia, ib = (i, j) if items[i] < items[j] else (j, i)
+                    diff = clicks[ia] - clicks[ib]
+                    if abs(diff) < min_click_diff:
                         continue
-                    seen.setdefault((a, b), []).append(
-                        (row, float(row.clicks[ia] - row.clicks[ib]), float(abs(ctr[ia] - ctr[ib])))
-                    )
-            # sorted (a, b) keeps pair naming deterministic across contexts
+                    seen.setdefault((items[ia], items[ib]), []).append((row, diff, abs(ctr[ia] - ctr[ib])))
         for (a, b), entries in sorted(seen.items()):
             prefer_a = [(row, gap) for row, diff, gap in entries if diff > 0]
             prefer_b = [(row, gap) for row, diff, gap in entries if diff < 0]
@@ -443,32 +456,47 @@ def paired_split(
 
 
 def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, ...]:
-    """Rank-encode every schema feature of one context.
+    """Rank-encode every schema feature of one context as :class:`Topology` objects.
 
-    The tuple is encoded on first use and cached on the row under the
-    schema, so every split, scorer and restart rate shares one object.
+    The tuple is built from the row's cached tensor on first use and cached
+    on the row under the schema, so every caller shares one object.
     """
     topologies = row._encodings.get(schema)
     if topologies is None:
         topologies = row._encodings[schema] = tuple(
-            encode_rank_topology(
-                row.features[spec.name],
-                direction=spec.direction,
-                item_ids=row.items,
-                feature=spec.name,
-            )
-            for spec in schema.features
+            Topology(feature=spec.name, matrix=StochasticMatrix(entries), item_ids=row.items)
+            for spec, entries in zip(schema.features, topology_tensor(row, schema))
         )
     return topologies
 
 
 def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
-    """The row's topologies as one read-only ``(k, n, n)`` array, cached beside them."""
+    """The row's rank topologies as one read-only ``(k, n, n)`` array, encoded once and cached."""
+    return _tensors([row], schema)[0]
+
+
+def _tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
+    """Each row's cached ``(k, n, n)`` tensor; rows without one are encoded one kernel call per width.
+
+    A width's ``(B, k, n)`` feature values, negated where lower is better,
+    go through :func:`rank_chain_entries` at once, and each row keeps a
+    read-only view of its slice under ``(schema, "tensor")``.
+    """
     key = (schema, "tensor")
-    if key not in row._encodings:
-        tensor = row._encodings[key] = np.stack([top.matrix.entries for top in topologies_from_row(row, schema)])
-        tensor.flags.writeable = False
-    return row._encodings[key]
+    pending: Dict[int, Dict[LogRow, None]] = {}
+    for row in rows:
+        if key not in row._encodings:
+            pending.setdefault(row.n, {})[row] = None
+    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
+    for n, group in pending.items():
+        values = np.array([[row.features[name] for name in schema.names] for row in group])
+        values = values.reshape(len(group), schema.k, n)
+        values[:, lower] = -values[:, lower]
+        tensors = rank_chain_entries(values)
+        tensors.flags.writeable = False
+        for row, tensor in zip(group, tensors):
+            row._encodings[key] = tensor
+    return [row._encodings[key] for row in rows]
 
 
 def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBatch:
@@ -479,8 +507,8 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
     clicked = [row for row in rows if row.total_clicks() > 0]
     starts = np.cumsum([0] + [row.n for row in clicked])
     contexts = [
-        (topology_tensor(row, schema), np.arange(row.n), row.ctrs(), np.arange(start, start + row.n))
-        for row, start in zip(clicked, starts)
+        (tensor, np.arange(row.n), row.ctrs(), np.arange(start, start + row.n))
+        for row, tensor, start in zip(clicked, _tensors(clicked, schema), starts)
     ]
     return ContextBatch.from_contexts(schema.k, contexts)
 
@@ -503,6 +531,34 @@ def _instances(query_id, items, topologies, probs) -> List[TrainingInstance]:
     return [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
 
 
+def design_block(row: LogRow, schema: DatasetSchema, include_position: bool) -> np.ndarray:
+    """The row's least-squares regressors: a read-only ``(n, d)`` array, built once and cached.
+
+    Columns are the schema features in order, then the display position
+    when ``include_position`` is set.
+    """
+    key = (schema, include_position)
+    block = row._encodings.get(key)
+    if block is None:
+        columns = [row.features[name] for name in schema.names]
+        if include_position:
+            columns.append(row.positions)
+        block = row._encodings[key] = np.column_stack(columns) if columns else np.empty((row.n, 0))
+        block.flags.writeable = False
+    return block
+
+
+def design_from_rows(
+    rows: Sequence[LogRow], schema: DatasetSchema, include_position: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stacked design blocks and CTRs of the clicked rows, ``(m, d)`` and ``(m,)``."""
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    if not clicked:
+        return np.empty((0, schema.k + int(include_position))), np.empty(0)
+    design = np.concatenate([design_block(row, schema, include_position) for row in clicked])
+    return design, np.concatenate([row.ctrs() for row in clicked])
+
+
 def feature_rows_from_logs(
     rows: Sequence[LogRow], schema: DatasetSchema, include_position: bool = True
 ) -> List[FeatureRow]:
@@ -510,39 +566,17 @@ def feature_rows_from_logs(
 
     The display position is appended as the last feature when
     ``include_position`` is set. Contexts without clicks are skipped. Each
-    row's feature rows are built once and cached on the row under
-    ``(schema, include_position)``.
+    row's features are its cached :func:`design_block`.
     """
-    key = (schema, include_position)
     out: List[FeatureRow] = []
     for row in rows:
-        if row.total_clicks() <= 0:
-            continue
-        cached = row._encodings.get(key)
-        if cached is None:
-            cached = row._encodings[key] = _feature_rows(row, schema, include_position)
-        out.extend(cached)
+        if row.total_clicks() > 0:
+            block = design_block(row, schema, include_position)
+            out += [
+                FeatureRow(query_id=row.query_id, item_id=item, features=x, ctr=float(ctr))
+                for item, x, ctr in zip(row.items, block, row.ctrs())
+            ]
     return out
-
-
-def _feature_rows(
-    row: LogRow, schema: DatasetSchema, include_position: bool
-) -> Tuple[FeatureRow, ...]:
-    ctr = row.ctrs()
-    out = []
-    for i, item in enumerate(row.items):
-        values = [row.features[name][i] for name in schema.names]
-        if include_position:
-            values.append(float(row.positions[i]))
-        out.append(
-            FeatureRow(
-                query_id=row.query_id,
-                item_id=item,
-                features=np.array(values),
-                ctr=float(ctr[i]),
-            )
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import config, learner
-from .baselines import FeatureRow, constant_scorer, fit_least_squares, predict
+from .baselines import fit_least_squares_arrays, mean_ctr_table
 from .data import (
     DatasetSchema,
     FlipPair,
     LogRow,
     batch_from_rows,
     derive_seed,
-    feature_rows_from_logs,
+    design_block,
+    design_from_rows,
     mine_flip_pairs,
     paired_split,
     topology_tensor,
@@ -110,20 +111,24 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
 def least_squares_model(
     schema: DatasetSchema, include_position: bool = True, name: str = "least_squares"
 ) -> Model:
-    """Linear CTR regression on raw feature values (plus display position)."""
+    """Linear CTR regression on raw feature values (plus display position).
+
+    Fits on the rows' cached design blocks; the scorer predicts a whole
+    context at once with ``predict``'s arithmetic, keyed by the row object.
+    """
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        model = fit_least_squares(feature_rows_from_logs(train_rows, schema, include_position))
+        model = fit_least_squares_arrays(*design_from_rows(train_rows, schema, include_position))
+        cache: Dict[LogRow, Dict[object, float]] = {}
 
         def scorer(row: LogRow, item_id) -> float:
-            i = row.index_of(item_id)
-            values = [row.features[name_][i] for name_ in schema.names]
-            if include_position:
-                values.append(float(row.positions[i]))
-            probe = FeatureRow(
-                query_id=row.query_id, item_id=str(item_id), features=np.array(values), ctr=0.0
-            )
-            return predict(model, probe)
+            table = cache.get(row)
+            if table is None:
+                block = design_block(row, schema, include_position)
+                table = cache[row] = {
+                    item: float(model.intercept + model.coefficients @ x) for item, x in zip(row.items, block)
+                }
+            return table[item_id]
 
         return scorer
 
@@ -134,7 +139,12 @@ def true_ctr_model(name: str = "train_ctr") -> Model:
     """Memorizes each (query, item) mean training CTR. Context-oblivious."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        table = constant_scorer(feature_rows_from_logs(train_rows, DatasetSchema(features=()), False))
+        table = mean_ctr_table(
+            ((row.query_id, item), float(ctr))
+            for row in train_rows
+            if row.total_clicks() > 0
+            for item, ctr in zip(row.items, row.ctrs())
+        )
 
         def scorer(row: LogRow, item_id) -> float:
             return table.score(row.query_id, item_id)

@@ -6,6 +6,11 @@ most desired; the transition weight from item i to item j is
 ``n + rank(j) - rank(i)``, rows normalized to sum 1. The encoding depends
 only on the ordering of the values, so any monotone rescaling of a feature
 yields the same topology. Tied values receive average ranks.
+
+:func:`rank_chain_entries` holds that arithmetic once, for a whole stack of
+equal-width contexts in one broadcast pass; :func:`encode_rank_topology`
+validates one value vector and wraps the kernel's output in a
+:class:`Topology`.
 """
 
 from __future__ import annotations
@@ -131,6 +136,27 @@ class WeightVector:
         )
 
 
+def rank_chain_entries(desirability: np.ndarray) -> np.ndarray:
+    """Rank-chain transition entries for a ``(..., n)`` stack of desirability values.
+
+    The kernel behind every rank topology: each length-``n`` vector along the
+    last axis becomes one ``(n, n)`` row-stochastic matrix, larger values
+    being more desirable. Ranks are averaged over ties,
+    ``#{v_j < v_i} + (#{v_j = v_i} + 1) / 2``, equal to
+    ``scipy.stats.rankdata(method="average")``; the weights
+    ``n + rank(j) - rank(i)`` are multiples of 1/2 below ``2n``, so their row
+    sums are exact and every slice is bit-identical to encoding its vector
+    alone. Callers validate: values finite, ``n >= 2``.
+    """
+    values = np.asarray(desirability, dtype=np.float64)
+    n = values.shape[-1]
+    below = (values[..., None, :] < values[..., :, None]).sum(axis=-1)
+    equal = (values[..., None, :] == values[..., :, None]).sum(axis=-1)
+    ranks = below + (equal + 1) / 2
+    weights = n + ranks[..., None, :] - ranks[..., :, None]
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def encode_rank_topology(
     values: Sequence[float],
     direction: Direction = Direction.HIGHER_IS_BETTER,
@@ -164,13 +190,7 @@ def encode_rank_topology(
         raise ContextTooSmall(f"a context needs at least two items, got {n}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("feature values must be finite")
-    desirability = vals if direction is Direction.HIGHER_IS_BETTER else -vals
-    # average ranks: 1 + #{strictly less} + (#{equal} - 1) / 2
-    below = (desirability[None, :] < desirability[:, None]).sum(axis=1)
-    equal = (desirability[None, :] == desirability[:, None]).sum(axis=1)
-    ranks = below + (equal + 1) / 2
-    weights = n + ranks[None, :] - ranks[:, None]
-    entries = weights / weights.sum(axis=1, keepdims=True)
+    entries = rank_chain_entries(vals if direction is Direction.HIGHER_IS_BETTER else -vals)
     if item_ids is None:
         item_ids = tuple(f"item{i}" for i in range(n))
     return Topology(feature=feature, matrix=StochasticMatrix(entries), item_ids=tuple(item_ids))

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rsm import FeatureRow, ShapeError, constant_scorer, fit_least_squares, predict
+from rsm.baselines import fit_least_squares_arrays
 
 
 def rows_from_design(design, targets):
@@ -100,6 +101,27 @@ class TestLeastSquares:
         with pytest.raises(ShapeError):
             fit_least_squares(rows)
 
+
+    def test_array_core_checks_its_input(self):
+        rng = np.random.default_rng(3)
+        design, target = rng.random((8, 3)), rng.random(8)
+        model = fit_least_squares_arrays(design, target)
+        reference = fit_least_squares(rows_from_design(design, target))
+        assert model.coefficients.tobytes() == reference.coefficients.tobytes()
+        assert model.intercept == reference.intercept
+        with pytest.raises(ValueError, match="at least one row"):
+            fit_least_squares_arrays(np.empty((0, 3)), np.empty(0))
+        with pytest.raises(ValueError, match="at least 4 rows"):
+            fit_least_squares_arrays(design[:3], target[:3])
+        with pytest.raises(ShapeError):
+            fit_least_squares_arrays(design, target[:7])
+        with pytest.raises(ShapeError):
+            fit_least_squares_arrays(design[0], target[:1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_least_squares_arrays(design, np.where(np.arange(8) == 5, bad, target))
+            with pytest.raises(ValueError, match="finite"):
+                fit_least_squares_arrays(np.where(design > 0.9, bad, design), target)
 
 class TestConstantScorer:
     def test_averages_repeated_observations(self):

@@ -122,6 +122,22 @@ class TestEval:
         csv_head = (out / "report_splits.csv").read_text().splitlines()[0]
         assert csv_head.startswith("lambda,split,")
 
+    def test_builds_no_per_item_objects(self, flip_dir, tmp_path, monkeypatch):
+        """Rows are encoded as arrays: no chain, topology or feature-row objects per context."""
+        built = []
+        for cls in (rsm.StochasticMatrix, rsm.Topology, rsm.FeatureRow):
+            def counting(self, _real=cls.__post_init__):
+                built.append(type(self).__name__)
+                _real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "rep",
+                    "--models", "rsm,least_squares,constant,train_ctr", "--splits", "3"]) == 0
+        assert json.loads((tmp_path / "rep" / "report.json").read_text())["num_pairs"] > 0
+        assert built == []
+        rsm.encode_rank_topology([1.0, 2.0])  # the counters do see a construction
+        assert built == ["StochasticMatrix", "Topology"]
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):

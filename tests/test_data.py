@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rsm.data
+from rsm import config
 from rsm import (
     DatasetSchema,
     Direction,
@@ -64,6 +66,14 @@ class TestLogRow:
         row = make_row("q", "c", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
         with pytest.raises(ValueError):
             row.ctrs()
+
+    def test_click_total_and_ctrs_computed_once(self):
+        row = make_row("q", "c", ["a", "b", "c"], [3, 0, 1], {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]})
+        assert row.total_clicks() == 4.0 and isinstance(row.total_clicks(), float)
+        assert row.ctrs() is row.ctrs()
+        assert row.ctrs().tolist() == [0.75, 0.0, 0.25]
+        with pytest.raises(ValueError):
+            row.ctrs()[0] = 0.5
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +193,37 @@ class TestBundledSample:
         assert pair.row_2.context_id == "ctx_large"
 
 
+def oracle_mine_flip_pairs(rows, min_total_clicks=config.MIN_TOTAL_CLICKS, min_click_diff=config.MIN_CLICK_DIFF):
+    """The miner as it was before it ordered pairs by index: ``sorted`` plus two ``index_of`` scans."""
+    by_query = {}
+    for row in rows:
+        by_query.setdefault(row.query_id, []).append(row)
+    pairs = []
+    for query in sorted(by_query):
+        qrows = [r for r in by_query[query] if r.total_clicks() > min_total_clicks]
+        seen = {}
+        for row in qrows:
+            ctr = row.ctrs()
+            for i in range(row.n):
+                for j in range(i + 1, row.n):
+                    a, b = sorted((row.items[i], row.items[j]))
+                    ia, ib = row.index_of(a), row.index_of(b)
+                    if abs(row.clicks[ia] - row.clicks[ib]) < min_click_diff:
+                        continue
+                    seen.setdefault((a, b), []).append(
+                        (row, float(row.clicks[ia] - row.clicks[ib]), float(abs(ctr[ia] - ctr[ib])))
+                    )
+        for (a, b), entries in sorted(seen.items()):
+            prefer_a = [(row, gap) for row, diff, gap in entries if diff > 0]
+            prefer_b = [(row, gap) for row, diff, gap in entries if diff < 0]
+            if not prefer_a or not prefer_b:
+                continue
+            row_1, gap_1 = max(prefer_a, key=lambda e: (e[1], e[0].context_id))
+            row_2, gap_2 = max(prefer_b, key=lambda e: (e[1], e[0].context_id))
+            pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a=a, item_b=b, strength=gap_1 + gap_2))
+    return pairs
+
+
 class TestMining:
     def test_canonical_flip(self):
         rows = [
@@ -255,6 +296,28 @@ class TestMining:
                 best[1].ctrs()[0] - best[1].ctrs()[1]
             )
             assert got.strength == pytest.approx(expect_strength)
+
+    def test_matches_the_index_of_miner(self):
+        """Random contexts shown out of id order, with equal click counts and click-less rows."""
+        rng = np.random.default_rng(818)
+        rows = []
+        for q in range(12):
+            pool = [f"i{j:02d}" for j in rng.permutation(8)]
+            for c in range(int(rng.integers(2, 7))):
+                n = int(rng.integers(2, 7))
+                items = [pool[j] for j in rng.choice(8, size=n, replace=False)]
+                clicks = rng.integers(0, 6, size=n) if rng.random() < 0.8 else np.zeros(n)
+                feats = {"price": rng.random(n), "rating": rng.random(n)}
+                rows.append(make_row(f"q{q}", f"c{c}", items, clicks, feats))
+        assert any(list(r.items) != sorted(r.items) for r in rows)
+        assert any(r.total_clicks() == 0 for r in rows)
+        assert any(len(set(r.clicks.tolist())) < r.n for r in rows)
+        for thresholds in [(), (0.0, 0.0), (3.0, 1.0)]:
+            got, want = mine_flip_pairs(rows, *thresholds), oracle_mine_flip_pairs(rows, *thresholds)
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert (g.row_1, g.row_2, g.item_a, g.item_b) == (w.row_1, w.row_2, w.item_a, w.item_b)
+                assert g.strength == w.strength
 
     def test_output_sorted_and_items_ordered(self):
         feats3 = {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]}
@@ -442,6 +505,34 @@ class TestBridges:
         assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
         assert batch.buckets[1].slots.tolist() == [2, 3, 4]
         assert len(batch_from_rows([quiet], SCHEMA)) == 0
+
+    def test_mixed_widths_encode_once_per_width(self, monkeypatch):
+        rng = np.random.default_rng(515)
+        rows = []
+        for c in range(8):
+            n = (5, 70)[c % 2]
+            clicks = np.zeros(n) if c in (2, 5) else rng.integers(0, 9, n)
+            feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
+            rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats))
+        shapes = []
+        real_kernel = rsm.data.rank_chain_entries
+
+        def counting_kernel(values):
+            shapes.append(values.shape)
+            return real_kernel(values)
+
+        monkeypatch.setattr(rsm.data, "rank_chain_entries", counting_kernel)
+        batch = batch_from_rows(rows, SCHEMA)
+        assert shapes == [(3, 2, 5), (3, 2, 70)]
+        clicked = [row for row in rows if row.total_clicks() > 0]
+        for bucket, n in zip(batch.buckets, (5, 70)):
+            for tensor, row in zip(bucket.tensor, [row for row in clicked if row.n == n]):
+                for entries, spec in zip(tensor, SCHEMA.features):
+                    expected = encode_rank_topology(row.features[spec.name], spec.direction).matrix.entries
+                    assert entries.tobytes() == expected.tobytes()
+                assert topology_tensor(row, SCHEMA) is topology_tensor(row, SCHEMA)
+                assert not topology_tensor(row, SCHEMA).flags.writeable
+        assert len(shapes) == 2
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()

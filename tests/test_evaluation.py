@@ -10,16 +10,20 @@ import rsm.data
 import rsm.evaluation
 from rsm import (
     DegenerateVariance,
+    FeatureRow,
     FlipPair,
     Model,
     WeightVector,
     combine,
     constant_model,
     ctr_mae,
+    feature_rows_from_logs,
+    fit_least_squares,
     fixed_weights_model,
     flip_accuracy,
     least_squares_model,
     paired_t_test,
+    predict,
     rsm_model,
     run_experiment,
     stationary,
@@ -205,18 +209,18 @@ class TestRunExperiment:
         pairs = random_flip_pairs(12, k, seed=5)
         schema = synthetic_schema(k)
         weights = WeightVector(np.full(k, 1.0 / k))
-        calls = []
-        real_encode = rsm.data.encode_rank_topology
+        encoded = []
+        real_kernel = rsm.data.rank_chain_entries
 
-        def counting_encode(*args, **kwargs):
-            calls.append(1)
-            return real_encode(*args, **kwargs)
+        def counting_kernel(values):
+            encoded.extend(values.shape[:1])
+            return real_kernel(values)
 
-        monkeypatch.setattr(rsm.data, "encode_rank_topology", counting_encode)
+        monkeypatch.setattr(rsm.data, "rank_chain_entries", counting_kernel)
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
         run_experiment(pairs, models, num_splits=4, seed=7)
-        # every row sits on one side of every split, so all rows are touched
-        assert len(calls) == k * 2 * len(pairs)
+        # every row sits on one side of every split, so all rows are touched, each once
+        assert sum(encoded) == 2 * len(pairs)
 
     def test_accepts_raw_rows(self):
         rows = []
@@ -281,6 +285,34 @@ class TestFixedWeightsModel:
         first, second = ([scorer(row, item) for item in row.items] for row in rows)
         assert first[0] < first[2]
         assert second == pytest.approx(first[::-1], rel=1e-12)
+
+
+class TestLeastSquaresModel:
+    @pytest.mark.parametrize("include_position", [True, False])
+    def test_scores_equal_predict_on_feature_rows_bit_for_bit(self, include_position):
+        rng = np.random.default_rng(99)
+        schema = synthetic_schema(3)
+        rows = []
+        for c in range(14):
+            n = int(rng.integers(2, 7))
+            clicks = rng.integers(0, 9, n) if c % 5 else np.zeros(n)
+            feats = {name: rng.random(n) * 10 for name in schema.names}
+            rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats, rng.permutation(n) + 1))
+        train = rows[:10]
+        scorer = least_squares_model(schema, include_position).fit(train)
+        model = fit_least_squares(feature_rows_from_logs(train, schema, include_position))
+        for row in rows:
+            for i, item in enumerate(row.items):
+                values = [row.features[name][i] for name in schema.names]
+                if include_position:
+                    values.append(float(row.positions[i]))
+                probe = FeatureRow(query_id=row.query_id, item_id=item, features=np.array(values), ctr=0.0)
+                assert scorer(row, item) == predict(model, probe)
+
+    def test_needs_clicked_training_rows(self):
+        quiet = make_row("q", "c", ["a", "b"], [0, 0], {name: [1.0, 2.0] for name in synthetic_schema(2).names})
+        with pytest.raises(ValueError, match="at least one row"):
+            least_squares_model(synthetic_schema(2)).fit([quiet])
 
 
 class TestReportSerialization:

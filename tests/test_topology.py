@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import rankdata  # test-only oracle; rsm does not import scipy.stats
@@ -20,6 +20,7 @@ from rsm import (
     restrict,
     stationary,
 )
+from rsm.topology import rank_chain_entries
 
 # Worked example used throughout: three machines with price and capacity.
 PRICES = {"A": 20.0, "B": 50.0, "C": 95.0}
@@ -126,6 +127,54 @@ class TestRankEncoding:
     def test_item_ids_default_to_names(self):
         t = encode_rank_topology([0.3, 0.1])
         assert t.item_ids == ("item0", "item1")
+
+
+def tied_values(seed, shape, levels):
+    """Random values of the given shape with about half drawn from ``levels`` integers, forcing ties."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(shape)
+    tied = rng.random(shape) < 0.5
+    values[tied] = rng.integers(0, levels, size=int(tied.sum()))
+    return values
+
+
+STACKS = dict(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.one_of(st.integers(2, 80), st.sampled_from([63, 64, 65]))),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestRankKernel:
+    """``rank_chain_entries`` on ``(B, k, n)`` stacks, n crossing ``DIRECT_SOLVE_MAX_N``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**STACKS)
+    def test_every_slice_is_the_scalar_encoding_bit_for_bit(self, shape, levels, seed):
+        values = tied_values(seed, shape, levels)
+        for direction, desirability in ((Direction.HIGHER_IS_BETTER, values), (Direction.LOWER_IS_BETTER, -values)):
+            entries = rank_chain_entries(desirability)
+            assert entries.shape == shape + shape[-1:]
+            for b, i in np.ndindex(*shape[:2]):
+                expected = encode_rank_topology(values[b, i], direction).matrix.entries
+                assert entries[b, i].tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**STACKS)
+    def test_invariant_under_increasing_maps(self, shape, levels, seed):
+        values = tied_values(seed, shape, levels)
+        base = rank_chain_entries(values)
+        for transform in (lambda v: np.exp(v / 4.0), lambda v: v**3 + 10.0 * v - 2.0):
+            assert rank_chain_entries(transform(values)).tobytes() == base.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**STACKS)
+    def test_equivariant_under_permutation(self, shape, levels, seed):
+        values = tied_values(seed, shape, levels)
+        perm = np.random.default_rng(seed + 1).permutation(shape[-1])
+        P = np.eye(shape[-1])[perm]  # (P v)_i = v[perm[i]]
+        expected = P @ rank_chain_entries(values) @ P.T
+        assert rank_chain_entries(values[..., perm]).tobytes() == expected.tobytes()
 
 
 class TestRestrict:
