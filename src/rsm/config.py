@@ -22,6 +22,10 @@ DIRECT_SOLVE_MAX_N = 64
 POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX_STEPS = 10**6
 
+# rank_items lists items this close below the first item of their group
+# by item id, so solver roundoff does not order tied items.
+RANK_TIE_TOL = 1e-12
+
 # Weight vector sums are validated this tightly.
 WEIGHT_SUM_TOL = 1e-12
 

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -483,10 +484,13 @@ def _tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
     read-only view of its slice under ``(schema, "tensor")``.
     """
     key = (schema, "tensor")
+    tensors = [row._encodings.get(key) for row in rows]
     pending: Dict[int, Dict[LogRow, None]] = {}
-    for row in rows:
-        if key not in row._encodings:
+    for row, tensor in zip(rows, tensors):
+        if tensor is None:
             pending.setdefault(row.n, {})[row] = None
+    if not pending:
+        return tensors
     lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
     for n, group in pending.items():
         values = np.array([[row.features[name] for name in schema.names] for row in group])
@@ -505,12 +509,21 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
     One target per (context, item), the within-context CTR; contexts without clicks are skipped.
     """
     clicked = [row for row in rows if row.total_clicks() > 0]
-    starts = np.cumsum([0] + [row.n for row in clicked])
-    contexts = [
-        (tensor, np.arange(row.n), row.ctrs(), np.arange(start, start + row.n))
-        for row, tensor, start in zip(clicked, _tensors(clicked, schema), starts)
+    tensors = _tensors(clicked, schema)
+    sizes = [row.n for row in clicked]
+    starts = list(accumulate(sizes, initial=0))  # each context's first slot
+    by_n: Dict[int, List[int]] = {}
+    for pos, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(pos)
+    widths = [
+        (
+            np.concatenate([tensors[p] for p in group]).reshape(len(group), schema.k, n, n),
+            np.concatenate([clicked[p].ctrs() for p in group]).reshape(len(group), n),
+            np.array([starts[p] for p in group])[:, None] + np.arange(n),
+        )
+        for n, group in by_n.items()
     ]
-    return ContextBatch.from_contexts(schema.k, contexts)
+    return ContextBatch.from_widths(schema.k, widths)
 
 
 def training_instances_from_rows(

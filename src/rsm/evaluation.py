@@ -33,7 +33,7 @@ from .data import (
 )
 from .errors import DegenerateVariance, SplitTooSmall
 from .markov import stationary, stationary_rows  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
-from .topology import Normalization, WeightVector
+from .topology import Normalization, WeightVector, mix_chains
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,7 @@ def fixed_weights_model(
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
     """Score items by stationary mass in their own context, one solve per context.
 
-    The row's cached tensor is mixed with ``combine``'s arithmetic; every
+    The row's cached tensor is mixed by ``combine``'s kernel; every
     entry is at least ``lam / n`` > 0, so ``stationary_rows`` needs no
     uniqueness check. Tables are keyed by the row object, not its ids, so a
     scorer reused on a second dataset whose ids repeat never serves a stale table.
@@ -98,10 +98,7 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
     def scorer(row: LogRow, item_id) -> float:
         table = cache.get(row)
         if table is None:
-            mix = np.zeros((row.n, row.n))
-            for w, entries in zip(weights.values, topology_tensor(row, schema)):
-                mix += w * entries
-            probs = stationary_rows(lam / row.n + (1.0 - lam) * mix)
+            probs = stationary_rows(mix_chains(topology_tensor(row, schema), weights.values, lam))
             table = cache[row] = dict(zip(row.items, probs))
         return float(table[item_id])
 

@@ -141,8 +141,9 @@ _Bucket = namedtuple("_Bucket", "tensor gidx uidx targets slots")
 class ContextBatch:
     """Training targets grouped by context width; ``len(batch)`` counts targets.
 
-    Build one with :meth:`from_contexts`, ``rsm.data.batch_from_rows`` or
-    :func:`as_batch`. Widths keep their order of first appearance.
+    Build one with :meth:`from_contexts`, :meth:`from_widths`,
+    ``rsm.data.batch_from_rows`` or :func:`as_batch`. Widths keep their
+    order of first appearance.
     """
 
     k: int
@@ -163,6 +164,20 @@ class ContextBatch:
             gidx = np.repeat(np.arange(len(group)), [len(u) for u in uidx])
             tensor = np.array(matrices, dtype=np.float64)
             buckets.append(_Bucket(tensor, gidx, *map(np.concatenate, (uidx, targets, slots))))
+        return cls(k=k, buckets=tuple(buckets))
+
+    @classmethod
+    def from_widths(cls, k: int, widths) -> "ContextBatch":
+        """One bucket per ``(tensor, targets, slots)``: every item of every context is a target.
+
+        ``tensor`` is a ``(B, k, n, n)`` stack and ``targets`` and ``slots``
+        are ``(B, n)``, so each target's context and item follow from its place.
+        """
+        buckets = []
+        for tensor, targets, slots in widths:
+            b, n = targets.shape
+            gidx, uidx = np.repeat(np.arange(b), n), np.tile(np.arange(n), b)
+            buckets.append(_Bucket(tensor, gidx, uidx, targets.ravel(), slots.ravel()))
         return cls(k=k, buckets=tuple(buckets))
 
 

@@ -10,7 +10,8 @@ yields the same topology. Tied values receive average ranks.
 :func:`rank_chain_entries` holds that arithmetic once, for a whole stack of
 equal-width contexts in one broadcast pass; :func:`encode_rank_topology`
 validates one value vector and wraps the kernel's output in a
-:class:`Topology`.
+:class:`Topology`. :func:`mix_chains` likewise holds the restart mixture once,
+for :func:`combine` and the held-out scorer.
 """
 
 from __future__ import annotations
@@ -248,33 +249,55 @@ def combine(
     for top in topologies[1:]:
         if top.item_ids != first.item_ids:
             raise ShapeError("all topologies must cover the same items in the same order")
-    n = first.n
+    return StochasticMatrix(mix_chains([top.matrix.entries for top in topologies], weights.values, lam))
+
+
+def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:
+    """The mixed chain ``lam / n + (1 - lam) * sum_i w_i T_i`` of a ``(k, n, n)`` stack.
+
+    The kernel behind :func:`combine` and the held-out scorer. Terms are
+    added to a zero matrix in feature order and the restart is applied last,
+    in place; this is the same IEEE arithmetic wherever it runs, so every
+    caller gets the same bits. Callers validate the weights and ``lam``.
+    """
+    n = len(stack[0])
     mix = np.zeros((n, n))
-    for w, top in zip(weights.values, topologies):
-        mix += w * top.matrix.entries
-    return StochasticMatrix(lam / n + (1.0 - lam) * mix)
+    term = np.empty((n, n))
+    for w, entries in zip(weights, stack):
+        mix += np.multiply(entries, w, out=term)
+    mix *= 1.0 - lam
+    mix += lam / n
+    return mix
 
 
-def rank_items(combined: StochasticMatrix, item_ids: Sequence, tie_tol: float = 1e-12) -> list:
+def rank_items(combined: StochasticMatrix, item_ids: Sequence) -> list:
     """Rank items by stationary probability, descending.
 
-    Probabilities within ``tie_tol`` of each other count as tied and are
-    ordered by item id ascending; otherwise solver roundoff would decide the
-    order of mathematically tied items. Returns ``(item_id, probability)``
-    pairs.
+    Near-ties are grouped from the top: a group opens at its highest item and
+    takes every following item whose probability is at most
+    ``config.RANK_TIE_TOL`` below that first item's, and each group is
+    listed by item id ascending, so solver roundoff does not decide the
+    order of mathematically tied items. Tied-ness is not transitive: with
+    ``a - b`` and ``b - c`` within the tolerance but ``a - c`` beyond it,
+    ``c`` opens the next group. Returns ``(item_id, probability)`` pairs.
     """
     item_ids = tuple(item_ids)
     if len(item_ids) != combined.n:
         raise ShapeError("item list length does not match the matrix size")
     probs = stationary(combined).probs
-    by_prob = sorted(range(len(item_ids)), key=lambda i: -probs[i])
-    order: list = []
-    group: list = [by_prob[0]]
-    for i in by_prob[1:]:
-        if probs[group[0]] - probs[i] <= tie_tol:
-            group.append(i)
-        else:
-            order.extend(sorted(group, key=lambda g: item_ids[g]))
-            group = [i]
-    order.extend(sorted(group, key=lambda g: item_ids[g]))
-    return [(item_ids[i], float(probs[i])) for i in order]
+    by_prob = np.argsort(-probs, kind="stable")
+    ranked = probs[by_prob]
+    order = by_prob.tolist()
+    # A gap above the tolerance always closes a group, so groups only form
+    # inside runs of consecutive near-tied items; regroup those runs alone.
+    edges = np.diff(np.concatenate(([0], ranked[:-1] - ranked[1:] <= config.RANK_TIE_TOL, [0])))
+    starts, stops = np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) + 1).tolist()
+    for start, stop in zip(starts, stops):
+        while start < stop:
+            head, end = ranked[start], start + 1
+            while end < stop and head - ranked[end] <= config.RANK_TIE_TOL:
+                end += 1
+            order[start:end] = sorted(order[start:end], key=item_ids.__getitem__)
+            start = end
+    values = probs.tolist()
+    return [(item_ids[i], values[i]) for i in order]

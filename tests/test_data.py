@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rsm.data
@@ -385,6 +387,33 @@ class TestPairedSplit:
             linked = {("q0", "a", "b") in test_set, ("q0", "b", "c") in test_set}
             assert linked in ({True}, {False})
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 6), contexts=st.integers(2, 4))
+    def test_rows_never_cross_and_shuffles_change_nothing(self, seed, queries, contexts):
+        """Random pair sets whose pairs share rows, split in several input orders."""
+        rng = np.random.default_rng(seed)
+        pairs = random_shared_row_pairs(rng, queries, contexts)
+        assume(len(pairs) >= 2)
+        key = lambda row: (row.query_id, row.context_id)
+        try:
+            train_rows, test_pairs = paired_split(pairs, 0.7, seed)
+        except SplitTooSmall:
+            for _ in range(3):
+                with pytest.raises(SplitTooSmall):
+                    paired_split([pairs[i] for i in rng.permutation(len(pairs))], 0.7, seed)
+            return
+        train_keys = {key(row) for row in train_rows}
+        test_keys = {key(row) for pair in test_pairs for row in (pair.row_1, pair.row_2)}
+        assert not train_keys & test_keys
+        tested = set(map(id, test_pairs))
+        for pair in pairs:
+            assert id(pair) in tested or {key(pair.row_1), key(pair.row_2)} <= train_keys
+        for _ in range(3):
+            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+            other_rows, other_pairs = paired_split(shuffled, 0.7, seed)
+            assert list(map(id, other_rows)) == list(map(id, train_rows))
+            assert set(map(id, other_pairs)) == tested
+
     def test_too_few_pairs(self):
         with pytest.raises(SplitTooSmall):
             paired_split(self.make_pairs(1))
@@ -392,6 +421,23 @@ class TestPairedSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             paired_split(self.make_pairs(4), train_fraction=1.0)
+
+
+def random_shared_row_pairs(rng, queries, contexts):
+    """Every flip pair among a few random contexts per query, about a quarter of them kept.
+
+    Contexts are reused across pairs, so pairs share rows and the split has
+    to keep such clusters together.
+    """
+    feats = {"price": [1.0, 2.0, 3.0], "rating": [3.0, 1.0, 2.0]}
+    pairs = []
+    for q in range(queries):
+        rows = [make_row(f"q{q}", f"c{c}", ["a", "b", "c"], rng.integers(0, 6, 3), feats) for c in range(contexts)]
+        for row_1, row_2 in itertools.permutations(rows, 2):
+            for a, b in itertools.permutations(range(3), 2):
+                if row_1.clicks[a] > row_1.clicks[b] and row_2.clicks[a] < row_2.clicks[b] and rng.random() < 0.25:
+                    pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a="abc"[a], item_b="abc"[b], strength=1.0))
+    return pairs
 
 
 class TestSyntheticGeneration:

@@ -1,5 +1,9 @@
 """Rank encoding, restriction, weighted combination and ranking."""
 
+import math
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from rsm import (
     restrict,
     stationary,
 )
+import rsm.topology
+from rsm import StochasticMatrix, config
 from rsm.topology import rank_chain_entries
 
 # Worked example used throughout: three machines with price and capacity.
@@ -283,11 +289,159 @@ class TestRankItems:
         assert_allclose([p for _, p in ranked], sorted(probs, reverse=True), atol=1e-15)
 
     def test_tie_breaks_lexicographically(self):
-        ranked = rank_items(StochasticMatrix_uniform(3), ("c", "a", "b"))
+        ranked = rank_items(StochasticMatrix.uniform(3), ("c", "a", "b"))
         assert [item for item, _ in ranked] == ["a", "b", "c"]
 
+    def test_ties_are_measured_from_the_first_item_of_the_group(self):
+        """a-b and b-c lie within the tolerance, a-c beyond it: c opens a new group."""
+        tol = config.RANK_TIE_TOL
+        probs = np.array([0.3, 0.3 - 0.6 * tol, 0.3 - 1.2 * tol])
+        ranked = ranked_with_probs(probs, ("z", "y", "x"))
+        assert [item for item, _ in ranked] == ["y", "z", "x"]
 
-def StochasticMatrix_uniform(n):
-    from rsm import StochasticMatrix
+    def test_a_gap_of_exactly_the_tolerance_ties(self):
+        """Gaps between normal-sized floats never equal 1e-12 exactly; at this scale they can."""
+        tol = config.RANK_TIE_TOL
+        probs = np.array([1.0 - 2.5e-12 - 1.5e-12, 2.5e-12, 2.5e-12 - tol])
+        assert probs[1] - probs[2] == tol
+        ranked = ranked_with_probs(probs, ("c", "b", "a"))
+        assert [item for item, _ in ranked] == ["c", "a", "b"]
+        assert exact(ranked) == exact(oracle_rank_order(probs, ("c", "b", "a")))
 
-    return StochasticMatrix.uniform(n)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(st.integers(1, 80), st.sampled_from([63, 64, 65, 200])), seed=st.integers(0, 2**32 - 1))
+    def test_grouping_matches_the_old_loop_on_forced_near_ties(self, n, seed):
+        probs, ids = near_tie_probs(seed, n)
+        assert exact(ranked_with_probs(probs, ids)) == exact(oracle_rank_order(probs, ids))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 80), st.sampled_from([63, 64, 65, 200])),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_old_loop_on_chains_with_tied_items(self, n, k, seed):
+        """Items tied on every feature get stationary masses equal up to roundoff."""
+        rng = np.random.default_rng(seed)
+        values = tied_values(seed, (k, n), 3)
+        for _ in range(n // 3):
+            values[:, rng.integers(n)] = values[:, rng.integers(n)]  # tie two items on every feature
+        ids = shuffled_ids(rng, n)
+        tops = [encode_rank_topology(values[i], item_ids=ids, feature=f"f{i}") for i in range(k)]
+        raw = rng.random(k) + 0.01
+        combined = combine(tops, WeightVector(raw / raw.sum()), float(rng.uniform(0.01, 0.99)))
+        expected = oracle_rank_order(stationary(combined).probs, ids)
+        assert exact(rank_items(combined, ids)) == exact(expected)
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_lam_near_zero_still_ranks_a_distribution(self, n):
+        ids, combined = reversed_id_chain(n, 1e-12)
+        ranked = rank_items(combined, ids)
+        assert abs(math.fsum(p for _, p in ranked) - 1.0) <= config.DIST_SUM_TOL
+        assert exact(ranked) == exact(oracle_rank_order(stationary(combined).probs, ids))
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_lam_near_one_ties_every_item(self, n):
+        """At lam = 1 - 1e-12 the chain is uniform up to the tolerance: one group, listed by id."""
+        ids, combined = reversed_id_chain(n, 1.0 - 1e-12)
+        ranked = rank_items(combined, ids)
+        probs = [p for _, p in ranked]
+        assert max(probs) - min(probs) <= config.RANK_TIE_TOL
+        assert [item for item, _ in ranked] == sorted(ids)
+
+
+class TestMixChains:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 80), st.sampled_from([200])),
+        k=st.integers(1, 4),
+        lam=st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.sampled_from([1e-12, 0.15, 1.0 - 1e-12])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_combine_repeats_the_old_arithmetic_bit_for_bit(self, n, k, lam, seed):
+        rng = np.random.default_rng(seed)
+        tops = [StochasticMatrix(m / m.sum(axis=1, keepdims=True)) for m in rng.random((k, n, n)) + 1e-3]
+        raw = rng.random(k) + 0.01
+        weights = WeightVector(raw / raw.sum())
+        expected = oracle_combine_entries([t.entries for t in tops], weights.values, lam)
+        ids = tuple(range(n))
+        topologies = [rsm.topology.Topology(feature=f"f{i}", matrix=m, item_ids=ids) for i, m in enumerate(tops)]
+        assert combine(topologies, weights, lam).entries.tobytes() == expected.tobytes()
+        stack = np.array([t.entries for t in tops])
+        assert rsm.topology.mix_chains(stack, weights.values, lam).tobytes() == expected.tobytes()
+
+
+def oracle_rank_order(probs, item_ids, tie_tol=1e-12):
+    """The grouping loop of ``rank_items`` before it was vectorised, copied verbatim."""
+    by_prob = sorted(range(len(item_ids)), key=lambda i: -probs[i])
+    order: list = []
+    group: list = [by_prob[0]]
+    for i in by_prob[1:]:
+        if probs[group[0]] - probs[i] <= tie_tol:
+            group.append(i)
+        else:
+            order.extend(sorted(group, key=lambda g: item_ids[g]))
+            group = [i]
+    order.extend(sorted(group, key=lambda g: item_ids[g]))
+    return [(item_ids[i], float(probs[i])) for i in order]
+
+
+def oracle_combine_entries(stack, weights, lam):
+    """``combine``'s mixing arithmetic before it moved into ``mix_chains``, copied verbatim."""
+    n = stack[0].shape[0]
+    mix = np.zeros((n, n))
+    for w, entries in zip(weights, stack):
+        mix += w * entries
+    return lam / n + (1.0 - lam) * mix
+
+
+def exact(ranking):
+    """A ranking with each probability spelled out bit for bit."""
+    return [(item, type(p), p.hex()) for item, p in ranking]
+
+
+def ranked_with_probs(probs, ids):
+    """``rank_items`` on a chain whose stationary vector is exactly ``probs``."""
+    with mock.patch.object(rsm.topology, "stationary", lambda matrix: SimpleNamespace(probs=probs)):
+        return rank_items(StochasticMatrix.uniform(len(ids)), ids)
+
+
+def shuffled_ids(rng, n):
+    return tuple(f"i{j:03d}" for j in rng.permutation(n))
+
+
+def near_tie_probs(seed, n):
+    """Descending values whose gaps are 0, 1e-13, 2e-12, large, or straddle the tolerance, shuffled.
+
+    A straddling gap is the largest one that still ties with the previous
+    value, or the smallest one that does not, so runs of them also build
+    chained ties (a-b and b-c tied, a-c not).
+    """
+    rng = np.random.default_rng(seed)
+    tol = config.RANK_TIE_TOL
+    values = [float(rng.uniform(1.0, 2.0)) / n]
+    for _ in range(n - 1):
+        v = values[-1]
+        kind = rng.integers(6)
+        if kind == 4:  # tied with v, or just not
+            x = v - tol
+            while v - x > tol:
+                x = np.nextafter(x, np.inf)
+            x = float(np.nextafter(x, -np.inf)) if rng.integers(2) else float(x)
+        elif kind == 5:
+            x = v * (1.0 - float(rng.uniform(1e-3, 2e-2)))
+        else:
+            x = v - (0.0, 1e-13, tol, 2e-12)[kind]
+        values.append(x)
+    return np.array(values)[rng.permutation(n)], shuffled_ids(rng, n)
+
+
+def reversed_id_chain(n, lam):
+    """Three random rank topologies over ids listed in reverse order, mixed at ``lam``."""
+    rng = np.random.default_rng(8000 + n)
+    ids = tuple(f"i{j:03d}" for j in reversed(range(n)))
+    tops = [
+        encode_rank_topology(rng.random(n), direction, ids, f"f{i}")
+        for i, direction in enumerate((Direction.HIGHER_IS_BETTER, Direction.LOWER_IS_BETTER, Direction.HIGHER_IS_BETTER))
+    ]
+    return ids, combine(tops, WeightVector(np.array([0.5, 0.3, 0.2])), lam)
