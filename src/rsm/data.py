@@ -51,7 +51,10 @@ def derive_seed(base: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """Ordered feature columns of a dataset; compared by value, hashed once for the row caches."""
+    """Ordered feature columns of a dataset; compared by value.
+
+    Its hash (for the row caches) and ``names`` are computed once, at construction.
+    """
 
     features: Tuple[FeatureSpec, ...]
 
@@ -63,6 +66,7 @@ class DatasetSchema:
         for name in names:
             if name in BASE_COLUMNS:
                 raise SchemaError(f"feature name {name!r} collides with a base column")
+        object.__setattr__(self, "names", tuple(names))  # the column names, in feature order
         object.__setattr__(self, "_hash", hash(self.features))
 
     def __hash__(self) -> int:
@@ -70,10 +74,6 @@ class DatasetSchema:
 
     def __reduce__(self):  # string hashes differ between interpreters: rehash on unpickling
         return (type(self), (self.features,))
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self.features)
 
     @property
     def k(self) -> int:
@@ -113,16 +113,16 @@ class LogRow:
         clicks = np.array(self.clicks, dtype=np.float64)
         if positions.shape != (n,) or clicks.shape != (n,):
             raise ShapeError("positions and clicks must have one entry per item")
-        if not np.all(np.isfinite(clicks)):
+        if not np.isfinite(clicks).all():
             raise ValueError("clicks must be finite")
-        if np.any(clicks < 0):
+        if (clicks < 0).any():
             raise ValueError("clicks must be nonnegative")
         feats = {}
         for name, values in self.features.items():
             arr = np.array(values, dtype=np.float64)
             if arr.shape != (n,):
                 raise ShapeError(f"feature {name!r} must have one value per item")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"feature {name!r} values must be finite")
             arr.flags.writeable = False
             feats[name] = arr
@@ -206,100 +206,77 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
     Raises ``SchemaError`` if the header is missing required columns.
     Lines that fail to parse are reported in ``errors`` together with any
     context they leave incomplete; everything else is returned as rows,
-    grouped by (query_id, context_id) in file order.
+    grouped by (query_id, context_id) in file order. Columns are found by
+    header name, the last of duplicated names winning; a short line reads
+    its missing cells as empty, extra cells are ignored and blank lines are
+    skipped, as with ``csv.DictReader``.
     """
+    columns = BASE_COLUMNS + schema.names
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError("file is empty; a header line is required")
-        missing = [c for c in BASE_COLUMNS + schema.names if c not in reader.fieldnames]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
+        where = {name: i for i, name in enumerate(header)}
+        indices = [where[c] for c in columns]
+        width = len(header)
         errors: List[LoadError] = []
-        contexts: Dict[Tuple[str, str], dict] = {}
-        order: List[Tuple[str, str]] = []
-        for record in reader:
+        # (query_id, context_id) -> [first line, broken, parsed lines], in file order
+        contexts: Dict[Tuple[str, str], list] = {}
+        for cells in reader:
+            if not cells:
+                continue
             line = reader.line_num
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            values = [cells[i] for i in indices]
+            ctx = contexts.get((values[0], values[1]))
+            if ctx is None:
+                ctx = contexts[values[0], values[1]] = [line, False, []]
             try:
-                parsed = _parse_line(record, schema, line)
+                ctx[2].append(_parse_line(values, columns, line))
             except ParseError as exc:
                 errors.append(LoadError(line_number=line, message=str(exc)))
-                key = (record.get("query_id") or "", record.get("context_id") or "")
-                ctx = contexts.get(key)
-                if ctx is not None:
-                    ctx["broken"] = True
-                else:
-                    contexts[key] = {"broken": True, "lines": [], "first_line": line}
-                    order.append(key)
-                continue
-            key = (parsed["query_id"], parsed["context_id"])
-            ctx = contexts.get(key)
-            if ctx is None:
-                ctx = contexts[key] = {"broken": False, "lines": [], "first_line": line}
-                order.append(key)
-            ctx["lines"].append(parsed)
-        rows: List[LogRow] = []
-        for key in order:
-            ctx = contexts[key]
-            if ctx["broken"]:
-                continue
-            lines = ctx["lines"]
-            if len(lines) < 2:
-                errors.append(
-                    LoadError(
-                        line_number=ctx["first_line"],
-                        message=f"context {key[1]!r} of query {key[0]!r} has fewer than two items",
-                    )
-                )
-                continue
-            try:
-                rows.append(
-                    LogRow(
-                        query_id=key[0],
-                        context_id=key[1],
-                        items=tuple(ln["item_id"] for ln in lines),
-                        positions=[ln["position"] for ln in lines],
-                        clicks=[ln["clicks"] for ln in lines],
-                        features={
-                            name: [ln["features"][name] for ln in lines]
-                            for name in schema.names
-                        },
-                    )
-                )
-            except (ValueError, ShapeError) as exc:
-                errors.append(LoadError(line_number=ctx["first_line"], message=str(exc)))
+                ctx[1] = True
+    rows: List[LogRow] = []
+    for (query_id, context_id), (first_line, broken, lines) in contexts.items():
+        if broken:
+            continue
+        if len(lines) < 2:
+            message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
+            errors.append(LoadError(line_number=first_line, message=message))
+            continue
+        items, positions, clicks, *features = zip(*lines)
+        try:
+            rows.append(LogRow(query_id, context_id, items, positions, clicks, dict(zip(schema.names, features))))
+        except (ValueError, ShapeError) as exc:
+            errors.append(LoadError(line_number=first_line, message=str(exc)))
     return LoadResult(rows=rows, errors=errors)
 
 
-def _parse_line(record: dict, schema: DatasetSchema, line: int) -> dict:
-    for column in BASE_COLUMNS + schema.names:
-        value = record.get(column)
-        if value is None or value == "":
-            raise ParseError(f"line {line}: empty {column!r} cell", line_number=line)
+def _parse_line(values: List[str], columns: Tuple[str, ...], line: int) -> tuple:
+    """``(item_id, position, clicks, *feature values)`` of one line's cells, in ``columns`` order."""
+    if "" in values:
+        column = columns[values.index("")]
+        raise ParseError(f"line {line}: empty {column!r} cell", line_number=line)
     try:
-        position = int(record["position"])
+        position = int(values[3])
     except ValueError as exc:
-        raise ParseError(f"line {line}: non-integer position {record['position']!r}", line) from exc
+        raise ParseError(f"line {line}: non-integer position {values[3]!r}", line) from exc
     try:
-        clicks = float(record["clicks"])
+        clicks = float(values[4])
     except ValueError as exc:
-        raise ParseError(f"line {line}: non-numeric clicks {record['clicks']!r}", line) from exc
-    features = {}
-    for name in schema.names:
+        raise ParseError(f"line {line}: non-numeric clicks {values[4]!r}", line) from exc
+    features = []
+    for name, value in zip(columns[5:], values[5:]):
         try:
-            features[name] = float(record[name])
+            features.append(float(value))
         except ValueError as exc:
-            raise ParseError(
-                f"line {line}: non-numeric value {record[name]!r} in feature {name!r}", line
-            ) from exc
-    return {
-        "query_id": record["query_id"],
-        "context_id": record["context_id"],
-        "item_id": record["item_id"],
-        "position": position,
-        "clicks": clicks,
-        "features": features,
-    }
+            raise ParseError(f"line {line}: non-numeric value {value!r} in feature {name!r}", line) from exc
+    return (values[2], position, clicks, *features)
 
 
 def save_csv(rows: Sequence[LogRow], path, schema: DatasetSchema) -> None:
@@ -473,10 +450,10 @@ def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, .
 
 def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
     """The row's rank topologies as one read-only ``(k, n, n)`` array, encoded once and cached."""
-    return _tensors([row], schema)[0]
+    return topology_tensors([row], schema)[0]
 
 
-def _tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
+def topology_tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
     """Each row's cached ``(k, n, n)`` tensor; rows without one are encoded one kernel call per width.
 
     A width's ``(B, k, n)`` feature values, negated where lower is better,
@@ -509,7 +486,7 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
     One target per (context, item), the within-context CTR; contexts without clicks are skipped.
     """
     clicked = [row for row in rows if row.total_clicks() > 0]
-    tensors = _tensors(clicked, schema)
+    tensors = topology_tensors(clicked, schema)
     sizes = [row.n for row in clicked]
     starts = list(accumulate(sizes, initial=0))  # each context's first slot
     by_n: Dict[int, List[int]] = {}

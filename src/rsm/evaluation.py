@@ -1,9 +1,9 @@
 """Flip-prediction experiments: repeated paired splits and significance tests.
 
 A model here is anything with a name and a ``fit(train_rows)`` method that
-returns a scorer; a scorer maps ``(row, item_id)`` to a real-valued score,
-higher meaning more preferred within that context. Accuracy is measured on
-held-out flip pairs, two comparisons per pair.
+returns a scorer; a scorer maps a list of rows to one score vector per row,
+aligned with its items, higher meaning more preferred within that context.
+Accuracy is measured on held-out flip pairs, two comparisons per pair.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .data import (
     design_from_rows,
     mine_flip_pairs,
     paired_split,
-    topology_tensor,
+    topology_tensors,
 )
 from .errors import DegenerateVariance, SplitTooSmall
 from .markov import stationary, stationary_rows  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
@@ -37,7 +37,7 @@ from .topology import Normalization, WeightVector, mix_chains
 
 log = logging.getLogger(__name__)
 
-ScorerFn = Callable[[LogRow, object], float]
+ScorerFn = Callable[[Sequence[LogRow]], Sequence[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,27 @@ def fixed_weights_model(
 
 
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
-    """Score items by stationary mass in their own context, one solve per context.
+    """Score items by stationary mass in their own context, one solve per width.
 
-    The row's cached tensor is mixed by ``combine``'s kernel; every
-    entry is at least ``lam / n`` > 0, so ``stationary_rows`` needs no
-    uniqueness check. Tables are keyed by the row object, not its ids, so a
-    scorer reused on a second dataset whose ids repeat never serves a stale table.
+    A width's cached tensors, stacked ``(k, B, n, n)``, are mixed by ``combine``'s
+    kernel; every entry is at least ``lam / n`` > 0, so ``stationary_rows`` needs
+    no uniqueness check. Up to ``DIRECT_SOLVE_MAX_N`` a context's scores do not
+    depend on its batch; above it, power iteration runs until the slowest converges.
     """
     if weights.normalization is not Normalization.SUMS_TO_ONE or weights.k != schema.k or not 0.0 < lam < 1.0:
         raise ValueError(f"the scorer needs {schema.k} reporting-form weights and lam in (0, 1)")
-    cache: Dict[LogRow, Dict[object, float]] = {}
 
-    def scorer(row: LogRow, item_id) -> float:
-        table = cache.get(row)
-        if table is None:
-            probs = stationary_rows(mix_chains(topology_tensor(row, schema), weights.values, lam))
-            table = cache[row] = dict(zip(row.items, probs))
-        return float(table[item_id])
+    def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
+        tensors = topology_tensors(rows, schema)
+        by_n: Dict[int, List[int]] = {}
+        for pos, row in enumerate(rows):
+            by_n.setdefault(row.n, []).append(pos)
+        scores: List[np.ndarray] = [None] * len(rows)
+        for group in by_n.values():
+            stack = np.stack([tensors[pos] for pos in group], axis=1)
+            for pos, probs in zip(group, stationary_rows(mix_chains(stack, weights.values, lam))):
+                scores[pos] = probs
+        return scores
 
     return scorer
 
@@ -110,22 +114,16 @@ def least_squares_model(
 ) -> Model:
     """Linear CTR regression on raw feature values (plus display position).
 
-    Fits on the rows' cached design blocks; the scorer predicts a whole
-    context at once with ``predict``'s arithmetic, keyed by the row object.
+    Fits on the rows' cached design blocks; the scorer predicts each item
+    with ``predict``'s arithmetic, ``intercept + coefficients @ x``.
     """
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         model = fit_least_squares_arrays(*design_from_rows(train_rows, schema, include_position))
-        cache: Dict[LogRow, Dict[object, float]] = {}
 
-        def scorer(row: LogRow, item_id) -> float:
-            table = cache.get(row)
-            if table is None:
-                block = design_block(row, schema, include_position)
-                table = cache[row] = {
-                    item: float(model.intercept + model.coefficients @ x) for item, x in zip(row.items, block)
-                }
-            return table[item_id]
+        def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
+            blocks = (design_block(row, schema, include_position) for row in rows)
+            return [np.array([model.intercept + model.coefficients @ x for x in block]) for block in blocks]
 
         return scorer
 
@@ -143,8 +141,8 @@ def true_ctr_model(name: str = "train_ctr") -> Model:
             for item, ctr in zip(row.items, row.ctrs())
         )
 
-        def scorer(row: LogRow, item_id) -> float:
-            return table.score(row.query_id, item_id)
+        def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
+            return [np.array([table.score(row.query_id, item) for item in row.items]) for row in rows]
 
         return scorer
 
@@ -155,7 +153,7 @@ def constant_model(name: str = "constant") -> Model:
     """Scores every item identically. Lands exactly at chance on flip pairs."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        return lambda row, item_id: 0.0
+        return lambda rows: [np.zeros(row.n) for row in rows]
 
     return Model(name=name, fit=fit_fn)
 
@@ -165,9 +163,7 @@ def constant_model(name: str = "constant") -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _credit(preferred: Optional[float], other: Optional[float]) -> float:
-    if preferred is None or other is None:
-        return 0.5
+def _credit(preferred: float, other: float) -> float:
     if preferred > other:
         return 1.0
     if preferred == other:
@@ -180,47 +176,50 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
 
     Each pair contributes two comparisons: in row_1 the preferred item is a,
     in row_2 it is b. Full credit for ranking the preferred item strictly
-    higher, half for an exact tie, none otherwise. A scorer failure on an
-    item forfeits that comparison at half credit.
+    higher, half for an exact tie, none otherwise. The pairs' distinct rows
+    are scored in one scorer call; if it raises, each row is scored alone.
+    A row whose scores raise or are not ``n`` finite floats logs a warning
+    and forfeits each of its comparisons at half credit.
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
     # keyed by row object (LogRow hashes by identity): ids repeat across datasets
-    cache: Dict[Tuple[LogRow, object], Optional[float]] = {}
-
-    def get(row: LogRow, item) -> Optional[float]:
-        key = (row, item)
-        if key not in cache:
-            try:
-                cache[key] = float(scorer(row, item))
-            except Exception as exc:  # noqa: BLE001 - scorer is user code
-                log.warning("scorer failed on %s/%s item %r: %s", row.query_id, row.context_id, item, exc)
-                cache[key] = None
-        return cache[key]
-
+    rows = list(dict.fromkeys(row for pair in pairs for row in (pair.row_1, pair.row_2)))
+    try:
+        batch = list(scorer(rows))
+        if len(batch) != len(rows):
+            raise ValueError(f"{len(batch)} score vectors for {len(rows)} rows")
+    except Exception:  # noqa: BLE001 - scorer is user code; rows are retried one by one below
+        batch = None
+    tables = {}
+    for pos, row in enumerate(rows):
+        try:
+            values = np.asarray(batch[pos] if batch is not None else scorer([row])[0], dtype=np.float64)
+            if values.shape != (row.n,) or not np.isfinite(values).all():
+                raise ValueError(f"expected {row.n} finite scores, got {values!r}")
+        except Exception as exc:  # noqa: BLE001 - scorer is user code
+            log.warning("scorer failed on %s/%s: %s", row.query_id, row.context_id, exc)
+            values = np.zeros(row.n)  # all tied: half credit on every comparison
+        tables[row] = dict(zip(row.items, values.tolist()))
     total = 0.0
     for pair in pairs:
-        total += _credit(get(pair.row_1, pair.item_a), get(pair.row_1, pair.item_b))
-        total += _credit(get(pair.row_2, pair.item_b), get(pair.row_2, pair.item_a))
+        one, two = tables[pair.row_1], tables[pair.row_2]
+        total += _credit(one[pair.item_a], one[pair.item_b])
+        total += _credit(two[pair.item_b], two[pair.item_a])
     return total / (2 * len(pairs))
 
 
 def ctr_mae(scorer: ScorerFn, rows: Sequence[LogRow]) -> float:
-    """Mean absolute gap between scores and observed CTRs.
+    """Mean absolute gap between scores and observed CTRs over the clicked rows.
 
     Diagnostic only; it treats scores as probabilities, which is meaningful
     for stationary-mass scorers and not for arbitrary ones.
     """
-    errors = []
-    for row in rows:
-        if row.total_clicks() <= 0:
-            continue
-        ctr = row.ctrs()
-        for i, item in enumerate(row.items):
-            errors.append(abs(float(scorer(row, item)) - ctr[i]))
-    if not errors:
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    if not clicked:
         raise ValueError("no clicked rows to evaluate")
-    return float(np.mean(errors))
+    errors = [np.abs(np.asarray(scores, dtype=np.float64) - row.ctrs()) for row, scores in zip(clicked, scorer(clicked))]
+    return float(np.mean(np.concatenate(errors)))
 
 
 def paired_t_test(diffs: Sequence[float]) -> Tuple[float, float]:

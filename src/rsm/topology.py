@@ -253,16 +253,18 @@ def combine(
 
 
 def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:
-    """The mixed chain ``lam / n + (1 - lam) * sum_i w_i T_i`` of a ``(k, n, n)`` stack.
+    """The mixed chains ``lam / n + (1 - lam) * sum_i w_i T_i`` of a ``(k, ..., n, n)`` stack.
 
-    The kernel behind :func:`combine` and the held-out scorer. Terms are
-    added to a zero matrix in feature order and the restart is applied last,
-    in place; this is the same IEEE arithmetic wherever it runs, so every
-    caller gets the same bits. Callers validate the weights and ``lam``.
+    The kernel behind :func:`combine` (one ``(n, n)`` matrix per feature)
+    and the held-out scorer (one ``(B, n, n)`` stack of contexts per
+    feature). Terms are added to a zero array in feature order and the
+    restart is applied last, in place; elementwise IEEE arithmetic does not
+    depend on the batch shape, so every context gets the same bits however
+    it is batched. Callers validate the weights and ``lam``.
     """
-    n = len(stack[0])
-    mix = np.zeros((n, n))
-    term = np.empty((n, n))
+    mix = np.zeros(np.shape(stack[0]))
+    term = np.empty_like(mix)
+    n = mix.shape[-1]
     for w, entries in zip(weights, stack):
         mix += np.multiply(entries, w, out=term)
     mix *= 1.0 - lam

@@ -173,6 +173,113 @@ class TestCsvRoundTrip:
         assert len(result.errors) == 1
 
 
+HEADER = "query_id,context_id,item_id,position,clicks,price,rating\n"
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    result = load_csv(path, SCHEMA)
+    return result, [(e.line_number, e.message) for e in result.errors]
+
+
+def summary(row):
+    return (row.context_id, row.items, row.positions.tolist(), row.clicks.tolist(),
+            {name: row.features[name].tolist() for name in SCHEMA.names})
+
+
+class TestMalformedCsv:
+    """Edge cases of the loader, pinned to exact line numbers, messages and surviving rows."""
+
+    def test_short_line_reports_its_first_missing_cell(self, tmp_path):
+        result, errors = load_text(
+            tmp_path,
+            HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0\nq,c2,a,1,3,1.0,2.0\nq,c2,b,2,4,2.0,3.0\nq,c3,a\n",
+        )
+        assert errors == [(3, "line 3: empty 'rating' cell"), (6, "line 6: empty 'position' cell")]
+        assert [summary(r) for r in result.rows] == [
+            ("c2", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [1.0, 2.0], "rating": [2.0, 3.0]})
+        ]
+
+    def test_extra_cells_are_ignored(self, tmp_path):
+        result, errors = load_text(tmp_path, HEADER + "q,c1,a,1,3,1.0,2.0,x,y\nq,c1,b,2,4,2.0,3.0\n")
+        assert errors == []
+        assert [summary(r) for r in result.rows] == [
+            ("c1", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [1.0, 2.0], "rating": [2.0, 3.0]})
+        ]
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        result, errors = load_text(
+            tmp_path,
+            HEADER
+            + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n\n\nq,c2,a,1,zz,1.0,2.0\nq,c2,b,2,4,2.0,3.0\n"
+            + "\nq,c3,a,1,x,1.0,2.0\nq,c3,b,2,4,2.0,3.0\n\nq,c4,a,1,1,1.0,2.0\n\nq,c4,b,2,2,2.0,3.0\n",
+        )
+        assert errors == [(6, "line 6: non-numeric clicks 'zz'"), (9, "line 9: non-numeric clicks 'x'")]
+        assert [r.context_id for r in result.rows] == ["c1", "c4"]
+        assert result.rows[1].clicks.tolist() == [1.0, 2.0]
+
+    def test_duplicated_feature_column_last_one_wins(self, tmp_path):
+        result, errors = load_text(
+            tmp_path,
+            "query_id,context_id,item_id,position,clicks,price,rating,price\n"
+            "q,c1,a,1,3,1.0,2.0,7.0\nq,c1,b,2,4,2.0,3.0,5.0\n",
+        )
+        assert errors == []
+        assert [summary(r) for r in result.rows] == [
+            ("c1", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [7.0, 5.0], "rating": [2.0, 3.0]})
+        ]
+
+    def test_quoted_item_id_keeps_its_comma(self, tmp_path):
+        result, errors = load_text(tmp_path, HEADER + 'q,c1,"a,1",1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n')
+        assert errors == []
+        assert result.rows[0].items == ("a,1", "b")
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        result, errors = load_text(tmp_path, HEADER)
+        assert result.rows == [] and errors == []
+
+    def test_empty_file_raises(self, tmp_path):
+        with pytest.raises(SchemaError, match="file is empty"):
+            load_text(tmp_path, "")
+
+    def test_byte_order_mark_hides_the_first_column(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"^missing columns: query_id$"):
+            load_text(tmp_path, "﻿" + HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n")
+
+    def test_empty_and_whitespace_lines_are_malformed(self, tmp_path):
+        result, errors = load_text(tmp_path, HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n,,,,,,\n \n")
+        assert errors == [(4, "line 4: empty 'query_id' cell"), (5, "line 5: empty 'context_id' cell")]
+        assert [r.context_id for r in result.rows] == ["c1"]
+
+    def test_nan_and_inf_cells(self, tmp_path):
+        result, errors = load_text(
+            tmp_path,
+            HEADER
+            + "q,c1,a,1,3,nan,2.0\nq,c1,b,2,4,2.0,3.0\n"
+            + "q,c2,a,1,3,1.0,-inf\nq,c2,b,2,4,2.0,3.0\n"
+            + "q,c3,a,nan,3,1.0,2.0\nq,c3,b,2,4,2.0,3.0\n"
+            + "q,c4,a,1,Infinity,1.0,2.0\nq,c4,b,2,4,2.0,3.0\n"
+            + "q,c5,a,1,3,1.0,2.0\nq,c5,b,2,4,2.0,3.0\n",
+        )
+        assert errors == [
+            (6, "line 6: non-integer position 'nan'"),
+            (2, "feature 'price' values must be finite"),
+            (4, "feature 'rating' values must be finite"),
+            (8, "clicks must be finite"),
+        ]
+        assert [summary(r) for r in result.rows] == [
+            ("c5", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [1.0, 2.0], "rating": [2.0, 3.0]})
+        ]
+
+    def test_quoted_newline_reports_the_record_end(self, tmp_path):
+        result, errors = load_text(
+            tmp_path, HEADER + 'q,c1,"a\nb",1,3,1.0,2.0\nq,c1,b,2,x,2.0,3.0\nq,c2,a,1,1,1.0,2.0\nq,c2,b,2,2,2.0,3.0\n'
+        )
+        assert errors == [(4, "line 4: non-numeric clicks 'x'")]
+        assert [r.context_id for r in result.rows] == ["c2"]
+
+
 class TestBundledSample:
     def test_shredder_csv_mines_one_pair(self):
         from importlib import resources

@@ -1,13 +1,18 @@
 """Flip accuracy, paired t-tests and the repeated-split experiment runner."""
 
 import json
+import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rsm.data
 import rsm.evaluation
+from rsm import config
 from rsm import (
     DegenerateVariance,
     FeatureRow,
@@ -31,7 +36,7 @@ from rsm import (
     topologies_from_row,
 )
 
-from conftest import make_row
+from conftest import make_row, random_reporting_weights
 
 FEATS = {"price": [1.0, 2.0], "rating": [4.0, 3.0]}
 
@@ -65,8 +70,16 @@ def random_flip_pairs(count, k, seed=0):
     return pairs
 
 
-def ctr_scorer(row, item):
+def item_ctr(row, item):
     return float(row.ctrs()[row.index_of(item)])
+
+
+def per_item(score):
+    """The row-list scorer that scores each item with ``score(row, item)``."""
+    return lambda rows: [[score(row, item) for item in row.items] for row in rows]
+
+
+ctr_scorer = per_item(item_ctr)
 
 
 class TestFlipAccuracy:
@@ -78,31 +91,31 @@ class TestFlipAccuracy:
         assert flip_accuracy(scorer, build_pairs(17)) == 0.5
 
     def test_inverted_scorer_is_zero(self):
-        inverted = lambda row, item: -ctr_scorer(row, item)
+        inverted = per_item(lambda row, item: -item_ctr(row, item))
         assert flip_accuracy(inverted, build_pairs(9)) == 0.0
 
     def test_antisymmetry_without_ties(self):
         pairs = build_pairs(15, seed=3)
         acc = flip_accuracy(ctr_scorer, pairs)
-        inv = flip_accuracy(lambda r, i: -ctr_scorer(r, i), pairs)
+        inv = flip_accuracy(per_item(lambda r, i: -item_ctr(r, i)), pairs)
         assert acc + inv == pytest.approx(1.0, abs=1e-15)
 
     def test_monotone_transform_invariance(self):
         pairs = build_pairs(12, seed=5)
         base = flip_accuracy(ctr_scorer, pairs)
         for transform in (math.exp, lambda s: 3.0 * s - 7.0, lambda s: s**3):
-            assert flip_accuracy(lambda r, i: transform(ctr_scorer(r, i)), pairs) == base
+            assert flip_accuracy(per_item(lambda r, i: transform(item_ctr(r, i))), pairs) == base
 
     def test_context_oblivious_scorer_is_half(self):
         """Any per-(query, item) table lands at exactly 0.5 on strict flips."""
         rng = np.random.default_rng(8)
         pairs = build_pairs(25, seed=8)
         table = {(p.row_1.query_id, item): float(rng.random()) for p in pairs for item in ("a", "b")}
-        oblivious = lambda row, item: table[(row.query_id, item)]
+        oblivious = per_item(lambda row, item: table[(row.query_id, item)])
         assert flip_accuracy(oblivious, pairs) == 0.5
 
     def test_failing_scorer_forfeits_at_half(self):
-        def broken(row, item):
+        def broken(rows):
             raise RuntimeError("no score")
 
         assert flip_accuracy(broken, build_pairs(4)) == 0.5
@@ -120,6 +133,114 @@ class TestFlipAccuracy:
             pairs.append(FlipPair(row_1=r1, row_2=r2, item_a=a, item_b=b, strength=0.5))
         assert [flip_accuracy(ctr_scorer, [p]) for p in pairs] == [1.0, 1.0]
         assert flip_accuracy(ctr_scorer, pairs) == 1.0
+
+
+def oracle_credit(preferred, other):
+    """``_credit`` as it was when scorers answered one item at a time; None marks a failure."""
+    if preferred is None or other is None:
+        return 0.5
+    if preferred > other:
+        return 1.0
+    if preferred == other:
+        return 0.5
+    return 0.0
+
+
+def oracle_flip_accuracy(scorer, pairs):
+    """``flip_accuracy`` as it was for ``(row, item) -> float`` scorers, one scorer call per item."""
+    if not pairs:
+        raise ValueError("flip_accuracy needs at least one pair")
+    cache = {}
+
+    def get(row, item):
+        key = (row, item)
+        if key not in cache:
+            try:
+                cache[key] = float(scorer(row, item))
+            except Exception:
+                cache[key] = None
+        return cache[key]
+
+    total = 0.0
+    for pair in pairs:
+        total += oracle_credit(get(pair.row_1, pair.item_a), get(pair.row_1, pair.item_b))
+        total += oracle_credit(get(pair.row_2, pair.item_b), get(pair.row_2, pair.item_a))
+    return total / (2 * len(pairs))
+
+
+@st.composite
+def scored_flip_pairs(draw):
+    """Flip pairs that share rows, integer scores (so exact ties occur) and a set of rows to fail on."""
+    rows = []
+    for q in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 4))
+        for c in range(draw(st.integers(2, 4))):
+            clicks = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+            rows.append(make_row(f"q{q}", f"c{c}", [f"i{j}" for j in range(n)], clicks, {"f0": np.arange(n)}))
+    candidates = [
+        FlipPair(row_1=one, row_2=two, item_a=one.items[a], item_b=one.items[b], strength=0.5)
+        for one in rows
+        for two in rows
+        if one.query_id == two.query_id
+        for a, b in combinations(range(one.n), 2)
+        if one.clicks[a] > one.clicks[b] and two.clicks[a] < two.clicks[b]
+    ]
+    assume(candidates)
+    pairs = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=12))
+    scores = {row: [float(v) for v in draw(st.lists(st.integers(-2, 2), min_size=row.n, max_size=row.n))] for row in rows}
+    failing = draw(st.sets(st.sampled_from(rows)))
+    return pairs, scores, failing
+
+
+class TestFlipAccuracyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=scored_flip_pairs(), mode=st.sampled_from(["raise", "short"]))
+    def test_equals_the_per_item_oracle(self, case, mode):
+        """A failing row raises the whole batch call, or comes back one score short."""
+        pairs, scores, failing = case
+
+        def batch(rows):
+            if mode == "raise" and failing.intersection(rows):
+                raise RuntimeError("no score")
+            return [np.array(scores[row][: row.n - (row in failing)]) for row in rows]
+
+        def per_item(row, item):
+            if row in failing:
+                raise RuntimeError("no score")
+            return scores[row][row.index_of(item)]
+
+        assert flip_accuracy(batch, pairs) == oracle_flip_accuracy(per_item, pairs)
+
+    def test_one_scorer_call_and_one_warning_per_failed_row(self, caplog):
+        pairs = build_pairs(3) + random_flip_pairs(2, 2, seed=4)
+        bad = {pairs[0].row_2, pairs[3].row_1}
+        calls = []
+
+        def scorer(rows):
+            calls.append(len(rows))
+            return [[math.nan] * row.n if row in bad else row.ctrs() for row in rows]
+
+        with caplog.at_level(logging.WARNING, logger="rsm.evaluation"):
+            assert flip_accuracy(scorer, pairs) == (2 * len(pairs) - 2 + 1.0) / (2 * len(pairs))
+        assert calls == [2 * len(pairs)]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "scorer failed on q0/c2",
+            "scorer failed on q0/c0",
+        ]
+
+    def test_a_raising_batch_is_retried_row_by_row(self):
+        pairs = build_pairs(4)
+        bad = pairs[1].row_1
+        calls = []
+
+        def scorer(rows):
+            calls.append(len(rows))
+            if bad in rows:
+                raise RuntimeError("no score")
+            return ctr_scorer(rows)
+
+        assert flip_accuracy(scorer, pairs) == 7.5 / 8
+        assert calls == [8] + [1] * 8
 
 
 def t_density(x, df):
@@ -222,6 +343,22 @@ class TestRunExperiment:
         # every row sits on one side of every split, so all rows are touched, each once
         assert sum(encoded) == 2 * len(pairs)
 
+    def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):
+        """Benchmarks count ``run_experiment``'s calls through the module attribute."""
+        calls = []
+        real = rsm.evaluation.flip_accuracy
+
+        def counting(scorer, pairs):
+            calls.append(len(pairs))
+            return real(scorer, pairs)
+
+        monkeypatch.setattr(rsm.evaluation, "flip_accuracy", counting)
+        inverted = Model(name="inverted", fit=lambda rows: per_item(lambda row, item: -item_ctr(row, item)))
+        models = [Model(name="oracle", fit=lambda rows: ctr_scorer), constant_model(), inverted]
+        report = run_experiment(build_pairs(10, seed=1), models, num_splits=4, seed=0)
+        assert len(calls) == 12
+        assert report.mean_accuracy == {"oracle": 1.0, "constant": 0.5, "inverted": 0.0}
+
     def test_accepts_raw_rows(self):
         rows = []
         for pair in build_pairs(5, seed=9):
@@ -231,11 +368,13 @@ class TestRunExperiment:
 
 
 class TestFixedWeightsModel:
-    def test_scores_are_stationary_mass_one_solve_per_context(self, monkeypatch):
+    def test_scores_are_stationary_mass_one_solve_per_width(self, monkeypatch):
         k, lam = 2, 0.2
         schema = synthetic_schema(k)
         weights = WeightVector([0.7, 0.3])
         rows = [row for pair in random_flip_pairs(3, k, seed=2) for row in (pair.row_1, pair.row_2)]
+        rows += [make_row("q", f"w{n}", [f"i{j}" for j in range(n)], [1] * n, {"f0": np.arange(n), "f1": -np.arange(n)})
+                 for n in (2, 4, 4)]
         expected = {
             id(row): stationary(combine(topologies_from_row(row, schema), weights, lam)).probs
             for row in rows
@@ -244,29 +383,47 @@ class TestFixedWeightsModel:
         real_rows = rsm.evaluation.stationary_rows
 
         def counting_stationary_rows(chains):
-            solves.append(chains)
+            solves.append(chains.shape)
             return real_rows(chains)
 
         monkeypatch.setattr(rsm.evaluation, "stationary_rows", counting_stationary_rows)
         scorer = fixed_weights_model(schema, weights, lam).fit([])
         for _ in range(2):
-            for row in rows:
-                for i, item in enumerate(row.items):
-                    assert scorer(row, item) == float(expected[id(row)][i])
-        assert len(solves) == len(rows)
+            for row, scores in zip(rows, scorer(rows)):
+                assert scores.tolist() == expected[id(row)].tolist()
+        assert solves == [(6, 3, 3), (1, 2, 2), (2, 4, 4)] * 2
+
+    @pytest.mark.parametrize("n", [5, 64, 65])
+    def test_a_mixed_width_batch_scores_like_single_rows(self, n):
+        """Bit for bit up to the direct-solve limit; above it the batch's power iteration may run longer."""
+        rng = np.random.default_rng(720 + n)
+        schema = synthetic_schema(3)
+        weights = random_reporting_weights(rng, 3)
+        rows = [
+            make_row("q", f"c{c}", [f"i{j}" for j in range(width)], rng.integers(0, 9, width),
+                     {name: rng.random(width) for name in schema.names})
+            for c, width in enumerate([n, 3, n, 2, n, 3, n])
+        ]
+        scorer = fixed_weights_model(schema, weights, 0.15).fit([])
+        batch = scorer(rows)
+        alone = [scorer([row])[0] for row in rows]
+        for row, together, single in zip(rows, batch, alone):
+            if row.n <= config.DIRECT_SOLVE_MAX_N:
+                assert together.tolist() == single.tolist()
+            else:
+                assert np.abs(together - single).sum() <= config.POWER_ITER_TOL
 
     @pytest.mark.parametrize("n", [5, 64, 65])
     def test_scores_equal_combine_then_stationary_bit_for_bit(self, n):
         """The tensor mix and direct kernel call repeat combine + stationary exactly."""
         rng = np.random.default_rng(710 + n)
         schema = synthetic_schema(3)
-        values = rng.random(3) + 0.05
-        weights = WeightVector(values / values.sum())
+        weights = random_reporting_weights(rng, 3)
         items = [f"i{j}" for j in range(n)]
         row = make_row("q", "c", items, rng.integers(0, 9, n), {name: rng.random(n) for name in schema.names})
         scorer = fixed_weights_model(schema, weights, 0.15).fit([])
         expected = stationary(combine(topologies_from_row(row, schema), weights, 0.15)).probs
-        assert [scorer(row, item) for item in items] == expected.tolist()
+        assert scorer([row])[0].tolist() == expected.tolist()
 
     def test_weights_checked_when_the_scorer_is_built(self):
         schema = synthetic_schema(3)
@@ -282,7 +439,7 @@ class TestFixedWeightsModel:
         feats = [{"f0": [0.1, 0.5, 0.9], "f1": [0.2, 0.3, 0.4]}, {"f0": [0.9, 0.5, 0.1], "f1": [0.4, 0.3, 0.2]}]
         rows = [make_row("q00000", "c00000", ["a", "b", "c"], [3, 2, 1], f) for f in feats]
         scorer = fixed_weights_model(schema, weights).fit([])
-        first, second = ([scorer(row, item) for item in row.items] for row in rows)
+        first, second = (scores.tolist() for scores in scorer(rows))
         assert first[0] < first[2]
         assert second == pytest.approx(first[::-1], rel=1e-12)
 
@@ -301,13 +458,13 @@ class TestLeastSquaresModel:
         train = rows[:10]
         scorer = least_squares_model(schema, include_position).fit(train)
         model = fit_least_squares(feature_rows_from_logs(train, schema, include_position))
-        for row in rows:
+        for row, scores in zip(rows, scorer(rows)):
             for i, item in enumerate(row.items):
                 values = [row.features[name][i] for name in schema.names]
                 if include_position:
                     values.append(float(row.positions[i]))
                 probe = FeatureRow(query_id=row.query_id, item_id=item, features=np.array(values), ctr=0.0)
-                assert scorer(row, item) == predict(model, probe)
+                assert scores[i] == predict(model, probe)
 
     def test_needs_clicked_training_rows(self):
         quiet = make_row("q", "c", ["a", "b"], [0, 0], {name: [1.0, 2.0] for name in synthetic_schema(2).names})
@@ -348,5 +505,5 @@ class TestCtrMae:
     def test_biased_scorer_measured(self):
         pairs = build_pairs(4)
         rows = [p.row_1 for p in pairs]
-        biased = lambda row, item: ctr_scorer(row, item) + 0.1
+        biased = per_item(lambda row, item: item_ctr(row, item) + 0.1)
         assert ctr_mae(biased, rows) == pytest.approx(0.1, abs=1e-12)
