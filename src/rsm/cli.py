@@ -10,6 +10,7 @@ flags and seed. Exit codes: 0 success, 2 bad configuration, 3 data problems,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import config, learner
 from .data import (
+    BASE_COLUMNS,
     DatasetSchema,
     SyntheticSpec,
     batch_from_rows,
@@ -102,7 +104,7 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
 
     A ``manifest.json`` in the same directory (written by ``synth``) names
     the features; without one, every non-base header column is treated as a
-    higher-is-better numeric feature.
+    higher-is-better numeric feature, the header read as :func:`load_csv` reads it.
     """
     manifest_path = path.parent / "manifest.json"
     if manifest_path.is_file():
@@ -116,12 +118,11 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
                     for f in features
                 )
             )
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(csv.reader(handle), None)
     if not header:
         raise SchemaError(f"{path} is empty")
-    base = {"query_id", "context_id", "item_id", "position", "clicks"}
-    names = [col for col in header.split(",") if col not in base]
+    names = [col for col in header if col not in BASE_COLUMNS]
     if not names:
         raise SchemaError(f"{path} has no feature columns")
     return DatasetSchema(
@@ -348,14 +349,17 @@ def cmd_eval(args) -> int:
 _SHREDDERS = (("A", 20.0, 7.0), ("B", 50.0, 11.0), ("C", 95.0, 12.0))
 
 
-def _context_report(item_ids, lam: float, weights: WeightVector, out) -> list:
+def _shredder_chain(item_ids, lam: float, weights: WeightVector) -> tuple:
+    """The shredders among ``item_ids``, in catalogue order, and their mixed price and capacity chain."""
     rows = [r for r in _SHREDDERS if r[0] in item_ids]
     items = tuple(r[0] for r in rows)
-    prices = [r[1] for r in rows]
-    caps = [r[2] for r in rows]
-    t_price = encode_rank_topology(prices, Direction.LOWER_IS_BETTER, items, "price")
-    t_cap = encode_rank_topology(caps, Direction.HIGHER_IS_BETTER, items, "sheet_capacity")
-    combined = combine((t_price, t_cap), weights, lam)
+    t_price = encode_rank_topology([r[1] for r in rows], Direction.LOWER_IS_BETTER, items, "price")
+    t_cap = encode_rank_topology([r[2] for r in rows], Direction.HIGHER_IS_BETTER, items, "sheet_capacity")
+    return items, combine((t_price, t_cap), weights, lam)
+
+
+def _context_report(item_ids, lam: float, weights: WeightVector, out) -> list:
+    items, combined = _shredder_chain(item_ids, lam, weights)
     ranked = rank_items(combined, items)
     order = [item for item, _ in ranked]
     out.append(f"context {{{', '.join(items)}}}:")
@@ -418,11 +422,8 @@ def _search_flip_grid(lam: float, step: float = 0.01, margin: float = 1e-9) -> d
         weights = WeightVector(np.array([wp, 1.0 - wp]))
         orders = []
         for item_ids in (("A", "B"), ("A", "B", "C")):
-            rows = [r for r in _SHREDDERS if r[0] in item_ids]
-            items = tuple(r[0] for r in rows)
-            t_price = encode_rank_topology([r[1] for r in rows], Direction.LOWER_IS_BETTER, items, "price")
-            t_cap = encode_rank_topology([r[2] for r in rows], Direction.HIGHER_IS_BETTER, items, "sheet_capacity")
-            probs = stationary(combine((t_price, t_cap), weights, lam)).probs
+            items, combined = _shredder_chain(item_ids, lam, weights)
+            probs = stationary(combined).probs
             ia, ib = items.index("A"), items.index("B")
             gap = probs[ia] - probs[ib]
             orders.append(0.0 if abs(gap) <= margin else float(np.sign(gap)))
@@ -434,11 +435,7 @@ def _search_flip_grid(lam: float, step: float = 0.01, margin: float = 1e-9) -> d
 
 def _verify_by_power(lam: float, weights: WeightVector) -> bool:
     for item_ids in (("A", "B"), ("A", "B", "C")):
-        rows = [r for r in _SHREDDERS if r[0] in item_ids]
-        items = tuple(r[0] for r in rows)
-        t_price = encode_rank_topology([r[1] for r in rows], Direction.LOWER_IS_BETTER, items, "price")
-        t_cap = encode_rank_topology([r[2] for r in rows], Direction.HIGHER_IS_BETTER, items, "sheet_capacity")
-        combined = combine((t_price, t_cap), weights, lam)
+        _, combined = _shredder_chain(item_ids, lam, weights)
         direct = stationary(combined).probs
         powered = _power_stationary(combined)
         if np.argsort(-direct).tolist() != np.argsort(-powered).tolist():

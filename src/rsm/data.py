@@ -10,6 +10,10 @@ A loaded row is validated once, at construction, and then feeds the learner
 and the baselines through arrays cached on it: its CTRs, its ``(k, n, n)``
 topology tensor (rows of one width encoded together by one
 ``rank_chain_entries`` call) and its least-squares design block.
+
+The synthetic generators draw through the same kernels, on arrays:
+``rank_chain_entries``, ``mix_chains`` and ``stationary_rows``. They build
+topology objects only for the contexts they keep, one tuple per context.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
@@ -28,17 +33,19 @@ from . import config
 from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError, SplitTooSmall
 from .learner import ContextBatch, TrainingInstance
-from .markov import StochasticMatrix, stationary
+from .markov import StochasticMatrix, stationary_rows
+from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
     FeatureSpec,
     Normalization,
     Topology,
     WeightVector,
-    combine,
-    encode_rank_topology,
+    mix_chains,
     rank_chain_entries,
 )
+
+log = logging.getLogger(__name__)
 
 BASE_COLUMNS = ("query_id", "context_id", "item_id", "position", "clicks")
 
@@ -441,11 +448,16 @@ def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, .
     """
     topologies = row._encodings.get(schema)
     if topologies is None:
-        topologies = row._encodings[schema] = tuple(
-            Topology(feature=spec.name, matrix=StochasticMatrix(entries), item_ids=row.items)
-            for spec, entries in zip(schema.features, topology_tensor(row, schema))
-        )
+        topologies = row._encodings[schema] = _topologies(schema, topology_tensor(row, schema), row.items)
     return topologies
+
+
+def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tuple[Topology, ...]:
+    """One :class:`Topology` per schema feature over ``items``, from a ``(k, n, n)`` tensor."""
+    return tuple(
+        Topology(feature=name, matrix=StochasticMatrix(entries), item_ids=items)
+        for name, entries in zip(schema.names, tensor)
+    )
 
 
 def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
@@ -627,32 +639,17 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     noise enabled, click-log rows are produced alongside.
     """
     rng = np.random.default_rng(spec.seed)
-    schema = synthetic_schema(spec.k)
-    instances: List[TrainingInstance] = []
-    rows: List[LogRow] = []
+    dataset = SyntheticDataset([], [], synthetic_schema(spec.k))
+    positions = np.arange(1, spec.n + 1)
     for q in range(spec.num_queries):
         query_id = f"q{q:05d}"
-        items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
         values = rng.random((spec.k, spec.n))
-        topologies = tuple(
-            encode_rank_topology(values[i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
-            for i in range(spec.k)
-        )
-        probs = stationary(combine(topologies, spec.weights, spec.lam)).probs
-        instances += _instances(query_id, items, topologies, probs)
-        if spec.clicks_per_context is not None:
-            clicks = rng.multinomial(spec.clicks_per_context, probs)
-            rows.append(
-                LogRow(
-                    query_id=query_id,
-                    context_id=f"c{q:05d}",
-                    items=items,
-                    positions=np.arange(1, spec.n + 1),
-                    clicks=clicks,
-                    features={schema.names[i]: values[i] for i in range(spec.k)},
-                )
-            )
-    return SyntheticDataset(instances=instances, rows=rows, schema=schema)
+        tensor = rank_chain_entries(values)
+        probs = stationary_rows(mix_chains(tensor, spec.weights.values, spec.lam))
+        clicks = None if spec.clicks_per_context is None else rng.multinomial(spec.clicks_per_context, probs)
+        items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
+        _emit_context(dataset, query_id, f"c{q:05d}", items, values, tensor, probs, clicks, positions)
+    return dataset
 
 
 def generate_flip_dataset(
@@ -674,56 +671,57 @@ def generate_flip_dataset(
     preference between a and b reverses across the two contexts with at
     least ``margin`` separation on both sides, so multinomial noise at
     ``clicks_per_context`` cannot wash the flip out. Display order is
-    shuffled per context; positions carry no signal.
+    shuffled per context; positions carry no signal. Queries that find no
+    such draw in ``max_attempts`` are dropped; one log record on
+    ``rsm.data`` counts the queries kept and the candidates drawn, a
+    warning when any query was dropped.
     """
     if not 2 <= shared_items < n:
         raise ValueError("shared_items must be at least 2 and below n")
-    k = weights.k
+    if weights.normalization is not Normalization.SUMS_TO_ONE:
+        raise ValueError("the flip generator expects reporting-form weights; convert with as_reporting()")
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    schema = synthetic_schema(k)
-    instances: List[TrainingInstance] = []
-    rows: List[LogRow] = []
+    dataset = SyntheticDataset([], [], synthetic_schema(weights.k))
     pool_size = 2 * n - shared_items
+    # the pool columns each context shows: the shared items, then its own decoys
+    index = np.array([np.arange(n), np.r_[:shared_items, n:pool_size]])
+    # batched power iteration runs until both chains converge; solve wide chains one at a time
+    direct = n <= config.DIRECT_SOLVE_MAX_N
+    candidates = 0
     for q in range(num_queries):
-        query_id = f"q{q:05d}"
-        pool_items = tuple(f"{query_id}_i{j}" for j in range(pool_size))
-        idx_1 = list(range(n))
-        idx_2 = list(range(shared_items)) + list(range(n, pool_size))
-        accepted = None
         for _ in range(max_attempts):
-            values = rng.random((k, pool_size))
-            result = []
-            for idx in (idx_1, idx_2):
-                items = tuple(pool_items[j] for j in idx)
-                subvals = values[:, idx]
-                topologies = tuple(
-                    encode_rank_topology(subvals[i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
-                    for i in range(k)
-                )
-                probs = stationary(combine(topologies, weights, lam)).probs
-                result.append((items, subvals, topologies, probs))
-            gap_1 = result[0][3][0] - result[0][3][1]
-            gap_2 = result[1][3][0] - result[1][3][1]
+            candidates += 1
+            # (k, 2, n); np.take returns it C-ordered, unlike [:, index], and the rank kernel runs ~4x faster on that
+            values = np.take(rng.random((weights.k, pool_size)), index, axis=1)
+            tensors = rank_chain_entries(values)
+            mixed = mix_chains(tensors, weights.values, lam)
+            probs = stationary_rows(mixed) if direct else np.array([stationary_rows(m) for m in mixed])
+            gap_1, gap_2 = probs[:, 0] - probs[:, 1]
             if gap_1 * gap_2 < 0 and min(abs(gap_1), abs(gap_2)) >= margin:
-                accepted = result
                 break
-        if accepted is None:
+        else:
             continue
-        for c, (items, subvals, topologies, probs) in enumerate(accepted):
-            clicks = rng.multinomial(clicks_per_context, probs)
+        query_id = f"q{q:05d}"
+        for c in range(2):
+            clicks = rng.multinomial(clicks_per_context, probs[c])
             positions = rng.permutation(n) + 1
-            rows.append(
-                LogRow(
-                    query_id=query_id,
-                    context_id=f"c{q:05d}_{c}",
-                    items=items,
-                    positions=positions,
-                    clicks=clicks,
-                    features={schema.names[i]: subvals[i] for i in range(k)},
-                )
-            )
-            instances += _instances(query_id, items, topologies, probs)
-    return SyntheticDataset(instances=instances, rows=rows, schema=schema)
+            items = tuple(f"{query_id}_i{j}" for j in index[c].tolist())
+            context_id = f"c{q:05d}_{c}"
+            _emit_context(dataset, query_id, context_id, items, values[:, c], tensors[:, c], probs[c], clicks, positions)
+    kept = len(dataset.rows) // 2
+    log.log(logging.WARNING if kept < num_queries else logging.INFO,
+            "flip generator kept %d of %d requested queries from %d candidates drawn", kept, num_queries, candidates)
+    return dataset
+
+
+def _emit_context(dataset, query_id, context_id, items, values, tensor, probs, clicks, positions) -> None:
+    """Append one kept context: its instances, sharing one topology tuple, and its row when clicks were drawn."""
+    dataset.instances.extend(_instances(query_id, items, _topologies(dataset.schema, tensor, items), probs))
+    if clicks is not None:
+        features = dict(zip(dataset.schema.names, values))
+        dataset.rows.append(LogRow(query_id, context_id, items, positions, clicks, features))
 
 
 # ---------------------------------------------------------------------------

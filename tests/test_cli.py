@@ -66,6 +66,24 @@ class TestTrain:
         header = (out / "loss.csv").read_text().splitlines()[0]
         assert header == "iteration,mse,mae,step_norm"
 
+    def test_quoted_feature_names_without_a_manifest(self, tmp_path):
+        """A feature name with a comma is written as a quoted cell and read back as one column."""
+        spec = rsm.SyntheticSpec(k=2, num_queries=20, weights=rsm.WeightVector(np.array([0.7, 0.3])),
+                                 clicks_per_context=5000, seed=3)
+        names = ("price, usd", "rating")
+        rows = [
+            rsm.LogRow(r.query_id, r.context_id, r.items, r.positions, r.clicks,
+                       {new: r.features[old] for new, old in zip(names, ("f0", "f1"))})
+            for r in rsm.generate_synthetic(spec).rows
+        ]
+        schema = rsm.DatasetSchema(features=tuple(rsm.FeatureSpec(name) for name in names))
+        path = tmp_path / "logs" / "dataset.csv"
+        path.parent.mkdir()
+        rsm.save_csv(rows, path, schema)
+        assert path.read_text().splitlines()[0].endswith(',"price, usd",rating')
+        assert run(["train", path, "--out-dir", tmp_path / "fit"]) == 0
+        assert len(json.loads((tmp_path / "fit" / "weights.json").read_text())["weights"]) == 2
+
     def test_grid_dispatch(self, synth_dir, tmp_path):
         out = tmp_path / "grid"
         assert run(["train", synth_dir / "instances.json", "--out-dir", out,

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import logging
 import pickle
 
 import numpy as np
@@ -21,8 +22,10 @@ from rsm import (
     SchemaError,
     SplitTooSmall,
     SyntheticSpec,
+    TrainingInstance,
     WeightVector,
     batch_from_rows,
+    combine,
     derive_seed,
     feature_rows_from_logs,
     generate_flip_dataset,
@@ -34,6 +37,7 @@ from rsm import (
     paired_split,
     save_csv,
     save_instances,
+    stationary,
     synthetic_schema,
     topologies_from_row,
     training_instances_from_rows,
@@ -609,6 +613,155 @@ class TestSyntheticGeneration:
         # the engineered flip is between the two shared items of each query
         shared_pairs = [p for p in pairs if p.item_a.endswith("i0") or p.item_a.endswith("i1")]
         assert shared_pairs
+
+
+# The object-path generators as they stood before they moved to the array
+# kernels: every topology through encode_rank_topology, every chain through
+# combine and stationary. The array path must reproduce them bit for bit.
+def reference_synthetic(spec):
+    rng = np.random.default_rng(spec.seed)
+    schema = synthetic_schema(spec.k)
+    instances, rows = [], []
+    for q in range(spec.num_queries):
+        query_id = f"q{q:05d}"
+        items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
+        values = rng.random((spec.k, spec.n))
+        topologies = tuple(
+            encode_rank_topology(values[i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
+            for i in range(spec.k)
+        )
+        probs = stationary(combine(topologies, spec.weights, spec.lam)).probs
+        instances += [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
+        if spec.clicks_per_context is not None:
+            clicks = rng.multinomial(spec.clicks_per_context, probs)
+            features = {schema.names[i]: values[i] for i in range(spec.k)}
+            rows.append(LogRow(query_id, f"c{q:05d}", items, np.arange(1, spec.n + 1), clicks, features))
+    return instances, rows
+
+
+def reference_flip_dataset(num_queries, weights, lam=config.DEFAULT_LAMBDA, n=5, shared_items=2,
+                           clicks_per_context=10_000, margin=0.02, seed=0, max_attempts=500):
+    k = weights.k
+    rng = np.random.default_rng(seed)
+    schema = synthetic_schema(k)
+    instances, rows = [], []
+    pool_size = 2 * n - shared_items
+    for q in range(num_queries):
+        query_id = f"q{q:05d}"
+        pool_items = tuple(f"{query_id}_i{j}" for j in range(pool_size))
+        idx_1 = list(range(n))
+        idx_2 = list(range(shared_items)) + list(range(n, pool_size))
+        accepted = None
+        for _ in range(max_attempts):
+            values = rng.random((k, pool_size))
+            result = []
+            for idx in (idx_1, idx_2):
+                items = tuple(pool_items[j] for j in idx)
+                subvals = values[:, idx]
+                topologies = tuple(
+                    encode_rank_topology(subvals[i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
+                    for i in range(k)
+                )
+                probs = stationary(combine(topologies, weights, lam)).probs
+                result.append((items, subvals, topologies, probs))
+            gap_1 = result[0][3][0] - result[0][3][1]
+            gap_2 = result[1][3][0] - result[1][3][1]
+            if gap_1 * gap_2 < 0 and min(abs(gap_1), abs(gap_2)) >= margin:
+                accepted = result
+                break
+        if accepted is None:
+            continue
+        for c, (items, subvals, topologies, probs) in enumerate(accepted):
+            clicks = rng.multinomial(clicks_per_context, probs)
+            positions = rng.permutation(n) + 1
+            features = {schema.names[i]: subvals[i] for i in range(k)}
+            rows.append(LogRow(query_id, f"c{q:05d}_{c}", items, positions, clicks, features))
+            instances += [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
+    return instances, rows
+
+
+def assert_same_dataset(data, reference):
+    instances, rows = reference
+    assert len(data.rows) == len(rows) and len(data.instances) == len(instances)
+    for got, want in zip(data.rows, rows):
+        assert (got.query_id, got.context_id, got.items) == (want.query_id, want.context_id, want.items)
+        assert got.clicks.tobytes() == want.clicks.tobytes()
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert list(got.features) == list(want.features)
+        for name in want.features:
+            assert got.features[name].tobytes() == want.features[name].tobytes()
+    tuples = {}
+    for got, want in zip(data.instances, instances):
+        assert (got.query_id, got.item_ids, got.target_index) == (want.query_id, want.item_ids, want.target_index)
+        assert np.float64(got.target_prob).tobytes() == np.float64(want.target_prob).tobytes()
+        assert [t.feature for t in got.topologies] == [t.feature for t in want.topologies]
+        for t_got, t_want in zip(got.topologies, want.topologies):
+            assert t_got.item_ids == t_want.item_ids
+            assert t_got.matrix.entries.tobytes() == t_want.matrix.entries.tobytes()
+        tuples.setdefault(got.item_ids, set()).add(id(got.topologies))
+    # one topology tuple per context, shared by all of that context's instances
+    assert all(len(ids) == 1 for ids in tuples.values())
+
+
+class TestGeneratorOracle:
+    WEIGHTS = WeightVector(np.array([0.5, 0.3, 0.2]))
+
+    def test_flip_dataset_matches_the_object_path(self):
+        kwargs = dict(num_queries=12, weights=self.WEIGHTS, clicks_per_context=2000, margin=0.02, seed=4)
+        assert_same_dataset(generate_flip_dataset(**kwargs), reference_flip_dataset(**kwargs))
+
+    def test_flip_dataset_with_three_shared_items_matches_the_object_path(self):
+        kwargs = dict(num_queries=8, weights=WeightVector(np.array([0.2, 0.3, 0.5])), lam=0.3,
+                      n=6, shared_items=3, clicks_per_context=500, margin=0.01, seed=3)
+        data = generate_flip_dataset(**kwargs)
+        assert data.rows
+        assert_same_dataset(data, reference_flip_dataset(**kwargs))
+
+    def test_wide_flip_dataset_matches_the_object_path(self):
+        """Above DIRECT_SOLVE_MAX_N each context is solved alone, as before; a batched power solve moves bits."""
+        kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=65, clicks_per_context=500, margin=0.0, seed=0)
+        assert_same_dataset(generate_flip_dataset(**kwargs), reference_flip_dataset(**kwargs))
+
+    @pytest.mark.parametrize("n", [5, 70])
+    @pytest.mark.parametrize("clicks", [None, 3000])
+    def test_synthetic_matches_the_object_path(self, n, clicks):
+        spec = SyntheticSpec(k=3, num_queries=4, weights=self.WEIGHTS, n=n, clicks_per_context=clicks, seed=n)
+        assert_same_dataset(generate_synthetic(spec), reference_synthetic(spec))
+
+    @pytest.mark.parametrize(
+        "weights, lam",
+        [(WEIGHTS, 1.5), (WEIGHTS, 0.0), (WEIGHTS.as_native(0.15), 0.15)],
+        ids=["lam_above_one", "lam_zero", "native_weights"],
+    )
+    def test_bad_mixture_rejected_before_any_draw(self, monkeypatch, weights, lam):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the generator drew before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError):
+            generate_flip_dataset(num_queries=2, weights=weights, lam=lam)
+
+
+class TestFlipGeneratorLog:
+    WEIGHTS = WeightVector(np.array([0.5, 0.3, 0.2]))
+
+    def test_dropped_queries_are_a_warning_with_counts(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rsm.data"):
+            data = generate_flip_dataset(num_queries=3, weights=self.WEIGHTS, margin=0.9, max_attempts=4, seed=1)
+        assert data.rows == [] and data.instances == []
+        records = [r for r in caplog.records if r.name == "rsm.data"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].getMessage() == "flip generator kept 0 of 3 requested queries from 12 candidates drawn"
+
+    def test_a_full_dataset_is_info(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rsm.data"):
+            data = generate_flip_dataset(num_queries=3, weights=self.WEIGHTS, margin=0.0, seed=1)
+        assert len(data.rows) == 6
+        records = [r for r in caplog.records if r.name == "rsm.data"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert records[0].getMessage().startswith("flip generator kept 3 of 3 requested queries from ")
 
 
 class TestInstanceFiles:
