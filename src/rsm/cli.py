@@ -257,6 +257,8 @@ def cmd_train(args) -> int:
             "weights": [float(v) for v in result.weights.values],
             "iterations": result.iterations,
             "converged": result.converged,
+            "qp_steps": result.qp_steps,
+            "max_kkt_residual": result.max_kkt_residual,
             "final_step_norm": final_step if np.isfinite(final_step) else None,
             "sample_error": learner.sample_error(batch, result.weights, cfg.lam),
         }

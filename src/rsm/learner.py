@@ -8,9 +8,11 @@ linearization
     p_target(u) - p(u)  ~=  sum_i x(i) * (p^T T_i Z) e_u,   Z = (I - P + 1 p^T)^-1,
 
 of the stationary shift in the weight change x. A context's k rows p^T T_i Z
-come from one LU solve of (I - P + 1 p^T)^T with k right-hand sides; the
-fundamental matrix Z itself is never formed. It then solves the
-box-constrained least-squares subproblem over sum-zero steps
+come from ``rsm.markov.fundamental_rows``: one LU solve of (I - P + 1 p^T)^T
+with k right-hand sides up to ``config.DIRECT_SOLVE_MAX_N`` items, the
+fundamental series sum_t P^t above; the fundamental matrix Z itself is never
+formed. It then solves the box-constrained least-squares subproblem over
+sum-zero steps
 
     minimize  sum_targets (residual - x . g)^2
     subject to  -min(eta, w_i) <= x_i <= min(eta, 1 - lambda - w_i),
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
-from .markov import stationary_rows
+from .markov import fundamental_rows, stationary_rows
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -127,9 +129,10 @@ class FitResult:
 #
 # Targets of one context share the combined chain, its stationary and its
 # gradient rows, so they are evaluated together. Contexts of equal size are
-# stacked for the batched stationary kernel and one batched LU solve of
-# (I - P + 1 p^T)^T with k right-hand sides, which gives the rows p^T T_i Z
-# without forming Z; results match the sequential path to roundoff.
+# stacked for the batched kernels stationary_rows and fundamental_rows; the
+# latter gives the rows p^T T_i Z without forming Z, by one batched LU solve
+# up to DIRECT_SOLVE_MAX_N items and by the fundamental series above. Results
+# match the sequential path to roundoff.
 # ---------------------------------------------------------------------------
 
 
@@ -212,10 +215,9 @@ def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: 
         probs = stationary_rows(chains)
         residuals[bucket.slots] = bucket.targets - probs[bucket.gidx, bucket.uidx]
         if gradients:
-            cores = np.eye(n) - chains + probs[:, None, :]
             hit = (probs[:, None, None, :] @ bucket.tensor)[:, :, 0, :]  # p^T T_i, (b, k, n)
-            rows = np.linalg.solve(np.swapaxes(cores, -1, -2), np.swapaxes(hit, -1, -2))  # Z^T (p^T T_i)^T
-            grads[bucket.slots] = rows[bucket.gidx, bucket.uidx, :]
+            rows = fundamental_rows(chains, probs, hit)  # p^T T_i Z, (b, k, n)
+            grads[bucket.slots] = rows[bucket.gidx, :, bucket.uidx]
     return residuals, grads
 
 

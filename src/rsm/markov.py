@@ -1,8 +1,9 @@
 """Dense Markov chain kernel.
 
 Stationary distributions, the limiting matrix, the fundamental matrix and
-first-order stationary shifts for row-stochastic transition matrices. All
-matrices are small and dense; everything is plain numpy.
+its rows for given vectors, and first-order stationary shifts for
+row-stochastic transition matrices. All matrices are small and dense;
+everything is plain numpy.
 """
 
 from __future__ import annotations
@@ -156,6 +157,44 @@ def stationary_rows(chains: np.ndarray) -> np.ndarray:
     if residual > config.STATIONARY_RESIDUAL_TOL:
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
     return probs
+
+
+def fundamental_rows(chains: np.ndarray, probs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rows ``v^T Z`` for a stack of chains, ``Z = (I - P + 1 p^T)^{-1}``.
+
+    ``chains`` has shape ``(..., n, n)``, ``probs`` their stationary rows
+    ``(..., n)`` (from :func:`stationary_rows`) and ``vectors`` a stack of
+    row vectors ``(..., m, n)``; the result has the shape of ``vectors``.
+    For ``n <= config.DIRECT_SOLVE_MAX_N`` the rows come from one LU solve
+    of ``(I - P + 1 p^T)^T`` with ``m`` right-hand sides. Above that they
+    come from the fundamental series: with ``s = sum(v)``,
+    ``v^T Z = s p^T + sum_t (v - s p)^T P^t``, since ``p^T Z = p^T`` and
+    ``Z`` acts as ``sum_t P^t`` on sum-zero rows (Kemeny & Snell, *Finite
+    Markov Chains*, ch. 4). Terms are added until the largest L1 norm of a
+    term is at most ``config.POWER_ITER_TOL``. Z itself is never formed.
+
+    Raises
+    ------
+    NoUniqueStationary
+        If the series has not converged after ``config.POWER_ITER_MAX_STEPS``
+        terms; the chain is then periodic or reducible.
+    """
+    chains = np.asarray(chains, dtype=np.float64)
+    n = chains.shape[-1]
+    if n <= config.DIRECT_SOLVE_MAX_N:
+        cores = np.eye(n) - chains + probs[..., None, :]
+        rows = np.linalg.solve(np.swapaxes(cores, -1, -2), np.swapaxes(vectors, -1, -2))  # Z^T v
+        return np.swapaxes(rows, -1, -2)
+    rows = np.array(vectors, dtype=np.float64)  # s p^T + (v - s p)^T, the t = 0 terms
+    term = rows - rows.sum(axis=-1, keepdims=True) * probs[..., None, :]
+    for _ in range(config.POWER_ITER_MAX_STEPS):
+        if np.abs(term).sum(axis=-1).max(initial=0.0) <= config.POWER_ITER_TOL:
+            return rows
+        term = np.matmul(term, chains)
+        rows += term
+    raise NoUniqueStationary(
+        "fundamental series did not converge; the chain is likely periodic or reducible"
+    )
 
 
 def _one_closed_class(entries: np.ndarray) -> bool:

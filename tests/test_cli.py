@@ -66,6 +66,16 @@ class TestTrain:
         header = (out / "loss.csv").read_text().splitlines()[0]
         assert header == "iteration,mse,mae,step_norm"
 
+    def test_writes_the_fits_counters(self, synth_dir, tmp_path):
+        """weights.json carries FitResult's qp_steps and max_kkt_residual exactly."""
+        out = tmp_path / "fit"
+        assert run(["train", synth_dir / "instances.json", "--out-dir", out]) == 0
+        payload = json.loads((out / "weights.json").read_text())
+        result = rsm.fit(rsm.load_instances(synth_dir / "instances.json"))
+        assert payload["iterations"] == result.iterations
+        assert payload["qp_steps"] == result.qp_steps >= result.iterations
+        assert payload["max_kkt_residual"] == result.max_kkt_residual <= rsm.config.DEFAULT_QP_TOL
+
     def test_quoted_feature_names_without_a_manifest(self, tmp_path):
         """A feature name with a comma is written as a quoted cell and read back as one column."""
         spec = rsm.SyntheticSpec(k=2, num_queries=20, weights=rsm.WeightVector(np.array([0.7, 0.3])),

@@ -21,6 +21,7 @@ from rsm import (
     WeightVector,
     batch_from_rows,
     combine,
+    config,
     fit,
     fundamental_matrix,
     generate_synthetic,
@@ -495,15 +496,18 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([])
 
-    def test_recovers_weights_noise_free_on_power_path(self):
-        """Contexts above DIRECT_SOLVE_MAX_N take power iteration for the stationary."""
+    @pytest.mark.parametrize("lam", [0.01, 0.15, 0.9])
+    def test_recovers_weights_noise_free_on_power_path(self, lam):
+        """Contexts above DIRECT_SOLVE_MAX_N take power iteration for the stationary
+        and the fundamental series for the gradient rows; the 64-wide ones take LU."""
         rng = np.random.default_rng(405)
         true = WeightVector(np.array([0.5, 0.3, 0.2]))
-        data = noise_free_instances(rng, 8, 65, 3, true, 0.15) + noise_free_instances(rng, 8, 120, 3, true, 0.15)
-        result = fit(data, LearnerConfig(max_iters=60))
+        data = (noise_free_instances(rng, 8, 65, 3, true, lam) + noise_free_instances(rng, 8, 120, 3, true, lam)
+                + noise_free_instances(rng, 8, 64, 3, true, lam))
+        result = fit(data, LearnerConfig(lam=lam, eta=min(config.DEFAULT_ETA, 1.0 - lam), max_iters=60))
         assert result.converged
         assert np.max(np.abs(result.weights.values - true.values)) < 1e-3
-        assert sample_error(data, result.weights, 0.15) < 1e-4
+        assert sample_error(data, result.weights, lam) < 1e-4
 
     def test_interleaved_widths_scatter_to_their_own_slots(self, monkeypatch):
         """fit's batched rows and residuals equal linearized_row, instance by instance."""
@@ -528,18 +532,25 @@ class TestFit:
             assert_allclose(grad, expected_grad, rtol=1e-10, atol=1e-14)
 
     def test_fundamental_matrix_never_formed(self, monkeypatch):
-        """fit and linearized_row never call an explicit inverse."""
+        """fit and linearized_row never call an explicit inverse, nor solve above DIRECT_SOLVE_MAX_N."""
         rng = np.random.default_rng(407)
         true = random_reporting_weights(rng, 3)
         data = noise_free_instances(rng, 3, 6, 3, true, 0.15) + noise_free_instances(rng, 1, 66, 3, true, 0.15)
+        solve, shapes = np.linalg.solve, []
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.inv called")
 
+        def recording_solve(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
         monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
         assert fit(data, LearnerConfig(max_iters=60)).converged
         for inst in (data[0], data[-1]):
             linearized_row(inst, true, 0.15)
+        assert shapes and max(shape[-1] for shape in shapes) <= config.DIRECT_SOLVE_MAX_N
 
     def test_unconverged_fit_warns_once(self, caplog):
         rng = np.random.default_rng(88)

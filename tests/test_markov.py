@@ -13,7 +13,9 @@ from rsm import (
     StochasticMatrix,
     WeightVector,
     combine,
+    config,
     fundamental_matrix,
+    fundamental_rows,
     limiting_matrix,
     stationary,
     stationary_rows,
@@ -265,6 +267,54 @@ class TestFundamentalMatrix:
             z = fundamental_matrix(matrix)
             core = np.eye(n) - matrix.entries + limiting_matrix(matrix)
             assert np.max(np.abs(z.z @ core - np.eye(n))) < 1e-8
+
+
+def cyclic_chain(n, lam):
+    """The cyclic permutation i -> i + 1 with uniform restart ``lam``: slowly mixing."""
+    return (1.0 - lam) * np.roll(np.eye(n), 1, axis=1) + lam / n
+
+
+def assert_rows_match_oracle(chains, vectors):
+    """fundamental_rows against v^T Z with Z inverted by fundamental_matrix."""
+    probs = stationary_rows(chains)
+    rows = fundamental_rows(chains, probs, vectors)
+    assert rows.shape == vectors.shape
+    for chain, vecs, got in zip(chains, vectors, rows):
+        expected = vecs @ fundamental_matrix(StochasticMatrix(chain)).z
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+class TestFundamentalRows:
+    @pytest.mark.parametrize("lam", [0.01, 0.15, 0.9])
+    @pytest.mark.parametrize("n", [5, 64, 65, 80, 200])
+    def test_matches_fundamental_matrix_oracle(self, n, lam):
+        """Both sides of DIRECT_SOLVE_MAX_N, for rows of any sum, sum-zero rows and p itself."""
+        rng = np.random.default_rng(700 + n)
+        weights = rng.random((2, 3)) + 0.05
+        chains = np.stack([
+            combine(random_topologies(rng, n, 3), WeightVector(w / w.sum()), lam).entries for w in weights
+        ])
+        vectors = rng.normal(size=(2, 4, n))
+        vectors[:, 1] -= vectors[:, 1].mean(axis=-1, keepdims=True)
+        vectors[:, 2] = stationary_rows(chains)
+        assert_rows_match_oracle(chains, vectors)
+
+    def test_slowly_mixing_chain_needs_many_terms(self, monkeypatch):
+        """A cyclic chain loses only a factor 1 - lam per term, yet matches the oracle."""
+        chains = cyclic_chain(65, 0.15)[None]
+        vectors = np.random.default_rng(9).random((1, 3, 65))
+        assert_rows_match_oracle(chains, vectors)
+        monkeypatch.setattr(config, "POWER_ITER_MAX_STEPS", 150)
+        with pytest.raises(NoUniqueStationary):
+            fundamental_rows(chains, stationary_rows(chains), vectors)
+
+    def test_periodic_chain_without_restart_raises(self, monkeypatch):
+        """Without restart the terms never shrink, so the series stops at its step cap."""
+        monkeypatch.setattr(config, "POWER_ITER_MAX_STEPS", 50)
+        chain = cyclic_chain(65, 0.0)
+        vectors = np.random.default_rng(10).random((2, 65))
+        with pytest.raises(NoUniqueStationary):
+            fundamental_rows(chain, np.full(65, 1.0 / 65), vectors)
 
 
 class TestStationaryShift:
