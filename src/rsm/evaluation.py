@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import config, learner
 from .baselines import fit_least_squares_arrays, mean_ctr_table
@@ -241,9 +240,63 @@ def paired_t_test(diffs: Sequence[float]) -> Tuple[float, float]:
             "differences are constant and nonzero; the t statistic is unbounded"
         )
     t = float(np.mean(diffs)) / (sd / math.sqrt(n))
-    p = 2.0 * float(stdtr(n - 1, -abs(t)))
-    p = min(max(p, config.P_VALUE_FLOOR), 1.0)
+    p = min(max(_t_two_sided_tail(t, n - 1), config.P_VALUE_FLOOR), 1.0)
     return t, p
+
+
+_BETA_CF_TOL = 2.0**-52  # one ulp at 1.0
+_BETA_CF_MAX_TERMS = 100_000
+_BETA_CF_TINY = 1e-300
+
+
+def _t_two_sided_tail(t: float, df: int) -> float:
+    """Two-sided Student-t tail ``P(|T| >= |t|)`` with ``df`` degrees of freedom.
+
+    Equals the regularised incomplete beta ``I_x(df/2, 1/2)`` at
+    ``x = df / (df + t^2)``; ``x`` and ``1 - x = t^2 / (df + t^2)`` are each
+    formed directly, so neither loses digits to cancellation. Underflows to
+    0.0 far in the tail.
+    """
+    t2 = t * t
+    if math.isinf(t2):
+        return 0.0
+    x, y = df / (df + t2), t2 / (df + t2)
+    if y == 0.0:  # t^2 is negligible against df
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    # log of x^a y^b / B(a, b), shared by both sides of the symmetry switch
+    log_front = a * math.log(x) + b * math.log(y) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    if x <= (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of ``I_x(a, b)`` (DLMF 8.17.22) by modified Lentz.
+
+    ``I_x(a, b) = x^a (1 - x)^b / (a B(a, b))`` times the returned value. It
+    converges quickly for ``x <= (a + 1) / (a + b + 2)``, in about
+    ``sqrt(max(a, b))`` terms; the caller uses the symmetry
+    ``I_x(a, b) = 1 - I_{1-x}(b, a)`` beyond that point.
+    """
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _BETA_CF_TINY else _BETA_CF_TINY)
+    value = d
+    for m in range(1, _BETA_CF_MAX_TERMS + 1):
+        # even step d_{2m}, then odd step d_{2m+1}
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) >= _BETA_CF_TINY else _BETA_CF_TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) >= _BETA_CF_TINY else _BETA_CF_TINY
+            step = c * d
+            value *= step
+        if abs(step - 1.0) <= _BETA_CF_TOL:
+            return value
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,17 @@ class StochasticMatrix:
         """The uniform chain U_n with every entry 1/n."""
         return cls(np.full((n, n), 1.0 / n))
 
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "StochasticMatrix":
+        """Freeze a fresh float64 ``(n, n)`` array the caller built stochastic, unchecked.
+
+        For kernels whose output meets every invariant by construction; the
+        array is taken over without a copy, so no one else may hold it.
+        """
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", _freeze(entries))
+        return matrix
+
 
 @dataclass(frozen=True, eq=False)
 class Distribution:

@@ -235,7 +235,10 @@ def combine(
 
     Returns ``lam * U_n + (1 - lam) * sum_i w_i T_i`` for reporting-form
     weights ``w``. Every entry of the result is at least ``lam / n``, so the
-    combined chain always has a unique stationary distribution.
+    combined chain always has a unique stationary distribution. Validated
+    inputs make the mixture finite, positive and row-stochastic within the
+    inputs' own tolerances, so it is frozen as built, without a second copy
+    and check.
     """
     if not topologies:
         raise ValueError("need at least one topology")
@@ -249,7 +252,7 @@ def combine(
     for top in topologies[1:]:
         if top.item_ids != first.item_ids:
             raise ShapeError("all topologies must cover the same items in the same order")
-    return StochasticMatrix(mix_chains([top.matrix.entries for top in topologies], weights.values, lam))
+    return StochasticMatrix._trusted(mix_chains([top.matrix.entries for top in topologies], weights.values, lam))
 
 
 def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:

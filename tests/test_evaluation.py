@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr  # test-only oracle; rsm does not import scipy
 
 import rsm.data
 import rsm.evaluation
@@ -35,6 +36,7 @@ from rsm import (
     synthetic_schema,
     topologies_from_row,
 )
+from rsm.evaluation import _t_two_sided_tail as two_sided_tail
 
 from conftest import make_row, random_reporting_weights
 
@@ -244,19 +246,19 @@ class TestFlipAccuracyOracle:
 
 
 def t_density(x, df):
+    """Student-t density with ``df`` degrees of freedom over an array of points."""
     log_norm = (
         math.lgamma((df + 1.0) / 2.0)
         - math.lgamma(df / 2.0)
         - 0.5 * math.log(df * math.pi)
     )
-    return math.exp(log_norm - ((df + 1.0) / 2.0) * math.log1p(x * x / df))
+    return np.exp(log_norm - ((df + 1.0) / 2.0) * np.log1p(x * x / df))
 
 
 def p_value_by_quadrature(t, df):
     """Two-sided p via trapezoid integration of the t density on [0, |t|]."""
     grid = np.linspace(0.0, abs(t), 200_001)
-    dens = np.array([t_density(x, df) for x in grid])
-    inner = float(np.trapezoid(dens, grid))
+    inner = float(np.trapezoid(t_density(grid, df), grid))
     return 2.0 * (0.5 - inner)
 
 
@@ -288,6 +290,53 @@ class TestPairedTTest:
         t, p = paired_t_test([0.5 + 1e-9 * i for i in range(50)])
         assert p >= 1e-300
         assert t > 1e6
+        assert two_sided_tail(t, 49) == 0.0  # the tail underflows; the floor is reported
+        assert p == config.P_VALUE_FLOOR
+
+    def test_zero_mean_gives_p_one(self):
+        assert paired_t_test([0.1, -0.1, 0.2, -0.2]) == (0.0, 1.0)
+
+
+T_GRID = np.logspace(-12, 3.5, 63)
+
+
+class TestTwoSidedTail:
+    """The in-house Student-t tail against closed forms and scipy as a test-only oracle."""
+
+    def test_closed_form_one_degree_of_freedom(self):
+        for t in T_GRID.tolist():
+            expected = (2.0 / math.pi) * math.atan2(1.0, t)
+            for signed in (t, -t):
+                assert two_sided_tail(signed, 1) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_closed_form_two_degrees_of_freedom(self):
+        for t in T_GRID.tolist():
+            s = math.sqrt(2.0 + t * t)
+            expected = 2.0 / (s * (s + t))  # 1 - t / s without the cancellation
+            for signed in (t, -t):
+                assert two_sided_tail(signed, 2) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dfs", [range(2, 101), range(101, 201), (499, 999)], ids=["2-100", "101-200", "499,999"])
+    def test_matches_scipy_stdtr(self, dfs):
+        for df in dfs:
+            reference = 2.0 * stdtr(df, -T_GRID)
+            for t, ref in zip(T_GRID.tolist(), reference.tolist()):
+                if ref >= 1e-290:
+                    assert two_sided_tail(t, df) == pytest.approx(ref, rel=1e-10, abs=0.0), (df, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        df=st.integers(1, 1000),
+        t=st.floats(-30.0, 30.0, allow_nan=False),
+        further=st.floats(0.0, 30.0, allow_nan=False),
+    )
+    def test_is_a_probability_even_and_falling_in_abs_t(self, df, t, further):
+        # |t| <= 30 keeps the tail above 1e-198 at every df, clear of underflow
+        p = two_sided_tail(t, df)
+        assert 0.0 < p <= 1.0
+        assert two_sided_tail(-t, df) == p
+        larger = min(abs(t) + further, 30.0)
+        assert two_sided_tail(larger, df) <= p * (1.0 + 1e-12)  # slack: the helper's own roundoff
 
 
 class TestRunExperiment:

@@ -28,6 +28,8 @@ import rsm.topology
 from rsm import StochasticMatrix, config
 from rsm.topology import rank_chain_entries
 
+from conftest import random_reporting_weights, random_topologies
+
 # Worked example used throughout: three machines with price and capacity.
 PRICES = {"A": 20.0, "B": 50.0, "C": 95.0}
 CAPS = {"A": 7.0, "B": 11.0, "C": 12.0}
@@ -253,6 +255,27 @@ class TestCombine:
             combined = combine(tops, weights, lam)
             assert np.all(combined.entries >= lam / n - 1e-15)
             assert_allclose(combined.entries.sum(axis=1), np.ones(n), atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 5, 64, 65, 200]),
+        lam=st.sampled_from([1e-3, 0.15, 0.999]),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_meets_every_stochastic_matrix_invariant(self, n, lam, k, seed):
+        """combine skips StochasticMatrix's checks, so its output must pass them by construction."""
+        rng = np.random.default_rng(seed)
+        tops = random_topologies(rng, n, k)
+        combined = combine(tops, random_reporting_weights(rng, k), lam)
+        entries = combined.entries
+        assert entries.dtype == np.float64 and entries.shape == (n, n)
+        assert not entries.flags.writeable
+        assert np.all(np.isfinite(entries))
+        assert np.all(entries >= lam / n)
+        assert np.max(np.abs(entries.sum(axis=1) - 1.0)) <= config.ROW_SUM_TOL
+        assert not any(np.shares_memory(entries, t.matrix.entries) for t in tops)
+        assert_array_equal(StochasticMatrix(entries).entries, entries)
 
     def test_closed_form_two_items(self):
         # single topology, n=2: P = lam/2 + (1-lam) * T
