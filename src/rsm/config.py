@@ -17,8 +17,9 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 FUNDAMENTAL_CHECK_TOL = 1e-8
 
 # Largest n solved by the direct augmented linear system; power iteration above.
-# It also selects the learner's gradient-row method (markov.fundamental_rows):
-# an LU solve up to this n, the fundamental series above.
+# It applies to the dense kernel (markov.stationary_rows) only: the learner
+# solves each context in the span of its ranks (markov.rank_chain_rows),
+# with no switch on n.
 DIRECT_SOLVE_MAX_N = 64
 
 POWER_ITER_TOL = 1e-12

@@ -7,9 +7,10 @@ silently dropped. A JSON format carries pre-encoded training instances with
 explicit topologies.
 
 A loaded row is validated once, at construction, and then feeds the learner
-and the baselines through arrays cached on it: its CTRs, its ``(k, n, n)``
-topology tensor (rows of one width encoded together by one
-``rank_chain_entries`` call) and its least-squares design block.
+and the baselines through arrays cached on it: its CTRs, its ``(k, n)``
+average ranks for the learner, the ``(k, n, n)`` topology tensor built from
+them for the scorer (rows of one width encoded together by one
+``average_ranks`` or ``rank_chain`` call) and its least-squares design block.
 
 The synthetic generators draw through the same kernels, on arrays:
 ``rank_chain_entries``, ``mix_chains`` and ``stationary_rows``. They build
@@ -41,7 +42,9 @@ from .topology import (
     Normalization,
     Topology,
     WeightVector,
+    average_ranks,
     mix_chains,
+    rank_chain,
     rank_chain_entries,
 )
 
@@ -93,9 +96,10 @@ class LogRow:
 
     A row is immutable: its arrays are read-only and ``features`` is a
     read-only mapping. Its click total and CTR vector are computed once, and
-    the encodings derived from it (the ``(k, n, n)`` rank tensor, the
-    least-squares design block) are arrays cached on the row, keyed by the
-    schema that produced them, living exactly as long as the row.
+    the encodings derived from it (the ``(k, n)`` average ranks, the
+    ``(k, n, n)`` rank tensor, the least-squares design block) are arrays
+    cached on the row, keyed by the schema that produced them, living
+    exactly as long as the row.
     """
 
     query_id: str
@@ -466,39 +470,57 @@ def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
 
 
 def topology_tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
-    """Each row's cached ``(k, n, n)`` tensor; rows without one are encoded one kernel call per width.
+    """Each row's cached ``(k, n, n)`` tensor, the :func:`rank_chain` of its :func:`rank_vectors`."""
 
-    A width's ``(B, k, n)`` feature values, negated where lower is better,
-    go through :func:`rank_chain_entries` at once, and each row keeps a
-    read-only view of its slice under ``(schema, "tensor")``.
+    def chain(group):
+        return rank_chain(np.concatenate(rank_vectors(group, schema)).reshape(len(group), schema.k, group[0].n))
+
+    return _per_width(rows, schema, "tensor", chain)
+
+
+def rank_vectors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
+    """Each row's cached ``(k, n)`` :func:`average_ranks`; feature values negated where lower is better."""
+    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
+
+    def rank(group):
+        values = np.array([[row.features[name] for name in schema.names] for row in group])
+        values[:, lower] = -values[:, lower]
+        return average_ranks(values)
+
+    return _per_width(rows, schema, "ranks", rank)
+
+
+def _per_width(rows: Sequence[LogRow], schema: DatasetSchema, key: str, encode) -> List[np.ndarray]:
+    """Each row's cached encoding; rows without one are encoded one ``encode`` call per width.
+
+    ``encode`` maps a list of rows of one width to an array with one slice
+    per row; each row keeps a read-only view of its slice under ``(schema, key)``.
     """
-    key = (schema, "tensor")
-    tensors = [row._encodings.get(key) for row in rows]
+    key = (schema, key)
+    encodings = [row._encodings.get(key) for row in rows]
     pending: Dict[int, Dict[LogRow, None]] = {}
-    for row, tensor in zip(rows, tensors):
-        if tensor is None:
+    for row, encoding in zip(rows, encodings):
+        if encoding is None:
             pending.setdefault(row.n, {})[row] = None
     if not pending:
-        return tensors
-    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
-    for n, group in pending.items():
-        values = np.array([[row.features[name] for name in schema.names] for row in group])
-        values = values.reshape(len(group), schema.k, n)
-        values[:, lower] = -values[:, lower]
-        tensors = rank_chain_entries(values)
-        tensors.flags.writeable = False
-        for row, tensor in zip(group, tensors):
-            row._encodings[key] = tensor
+        return encodings
+    for group in pending.values():
+        encoded = encode(list(group))
+        encoded.flags.writeable = False
+        for row, part in zip(group, encoded):
+            row._encodings[key] = part
     return [row._encodings[key] for row in rows]
 
 
 def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBatch:
     """The learner's batch of :func:`training_instances_from_rows`, built without the instances.
 
-    One target per (context, item), the within-context CTR; contexts without clicks are skipped.
+    One target per (context, item), the within-context CTR, with each
+    context's ranks taken straight from its feature values; contexts without
+    clicks are skipped.
     """
     clicked = [row for row in rows if row.total_clicks() > 0]
-    tensors = topology_tensors(clicked, schema)
+    ranks = rank_vectors(clicked, schema)
     sizes = [row.n for row in clicked]
     starts = list(accumulate(sizes, initial=0))  # each context's first slot
     by_n: Dict[int, List[int]] = {}
@@ -506,7 +528,7 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
         by_n.setdefault(n, []).append(pos)
     widths = [
         (
-            np.concatenate([tensors[p] for p in group]).reshape(len(group), schema.k, n, n),
+            np.concatenate([ranks[p] for p in group]).reshape(len(group), schema.k, n),
             np.concatenate([clicked[p].ctrs() for p in group]).reshape(len(group), n),
             np.array([starts[p] for p in group])[:, None] + np.arange(n),
         )

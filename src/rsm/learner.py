@@ -7,12 +7,12 @@ linearization
 
     p_target(u) - p(u)  ~=  sum_i x(i) * (p^T T_i Z) e_u,   Z = (I - P + 1 p^T)^-1,
 
-of the stationary shift in the weight change x. A context's k rows p^T T_i Z
-come from ``rsm.markov.fundamental_rows``: one LU solve of (I - P + 1 p^T)^T
-with k right-hand sides up to ``config.DIRECT_SOLVE_MAX_N`` items, the
-fundamental series sum_t P^t above; the fundamental matrix Z itself is never
-formed. It then solves the box-constrained least-squares subproblem over
-sum-zero steps
+of the stationary shift in the weight change x. Every chain it fits is a
+mixture of rank chains, each of rank two, so a context's stationary p and its
+k rows p^T T_i Z lie in the span of its k rank vectors and the ones vector;
+``rsm.markov.rank_chain_rows`` finds them there with two solves k + 1 wide,
+and neither Z nor P itself is ever formed. It then solves the
+box-constrained least-squares subproblem over sum-zero steps
 
     minimize  sum_targets (residual - x . g)^2
     subject to  -min(eta, w_i) <= x_i <= min(eta, 1 - lambda - w_i),
@@ -21,12 +21,13 @@ sum-zero steps
 exactly, by a primal active-set method on its k x k normal equations, and
 applies the step until its max-norm drops to the halting threshold.
 
-The learner reads its data as a :class:`ContextBatch`: per context width, one
-stacked (B, k, n, n) topology tensor with each target's context, item,
-probability and dataset-order slot. ``rsm.data.batch_from_rows`` builds one
-from click-log rows; a :class:`TrainingInstance` sequence is converted once
-by :func:`as_batch`. A brute-force grid learner over the weight simplex
-serves as an oracle.
+The learner reads its data as a :class:`ContextBatch`: per context width, the
+stacked (B, k, n) average ranks with their weight-free products, and each
+target's context, item, probability and dataset-order slot.
+``rsm.data.batch_from_rows`` ranks click-log rows straight from their feature
+values; a :class:`TrainingInstance` sequence is converted once by
+:func:`as_batch`, which accepts rank topologies only. A brute-force grid
+learner over the weight simplex serves as an oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
-from .markov import fundamental_rows, stationary_rows
+from .markov import rank_chain_rows, rank_space
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -128,16 +129,17 @@ class FitResult:
 # The context batch and its batched evaluation.
 #
 # Targets of one context share the combined chain, its stationary and its
-# gradient rows, so they are evaluated together. Contexts of equal size are
-# stacked for the batched kernels stationary_rows and fundamental_rows; the
-# latter gives the rows p^T T_i Z without forming Z, by one batched LU solve
-# up to DIRECT_SOLVE_MAX_N items and by the fundamental series above. Results
-# match the sequential path to roundoff.
+# gradient rows, so they are evaluated together. Every chain the learner sees
+# is a mixture of rank chains, so a context is its (k, n) average ranks.
+# Contexts of equal size are stacked, and their weight-free products are
+# formed once per batch (rsm.markov.rank_space); each evaluation is one call
+# of rsm.markov.rank_chain_rows, which solves every context in the (k + 1)-
+# dimensional span of its ranks and never forms an n x n matrix.
 # ---------------------------------------------------------------------------
 
 
-# one width: the (B, k, n, n) tensor, and per target its context, item, target and slot
-_Bucket = namedtuple("_Bucket", "tensor gidx uidx targets slots")
+# one width: its RankSpace, and per target its context, item, target and slot
+_Bucket = namedtuple("_Bucket", "space gidx uidx targets slots")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,30 +159,30 @@ class ContextBatch:
 
     @classmethod
     def from_contexts(cls, k: int, contexts) -> "ContextBatch":
-        """Stack ``(topology matrices, item indices, targets, slots)`` per context."""
+        """Stack ``((k, n) ranks, item indices, targets, slots)`` per context."""
         by_n = {}
         for context in contexts:
-            by_n.setdefault(len(context[0][0]), []).append(context)
+            by_n.setdefault(context[0].shape[-1], []).append(context)
         buckets = []
         for group in by_n.values():
-            matrices, uidx, targets, slots = zip(*group)
+            ranks, uidx, targets, slots = zip(*group)
             gidx = np.repeat(np.arange(len(group)), [len(u) for u in uidx])
-            tensor = np.array(matrices, dtype=np.float64)
-            buckets.append(_Bucket(tensor, gidx, *map(np.concatenate, (uidx, targets, slots))))
+            buckets.append(_Bucket(rank_space(np.stack(ranks)), gidx, *map(np.concatenate, (uidx, targets, slots))))
         return cls(k=k, buckets=tuple(buckets))
 
     @classmethod
     def from_widths(cls, k: int, widths) -> "ContextBatch":
-        """One bucket per ``(tensor, targets, slots)``: every item of every context is a target.
+        """One bucket per ``(ranks, targets, slots)``: every item of every context is a target.
 
-        ``tensor`` is a ``(B, k, n, n)`` stack and ``targets`` and ``slots``
-        are ``(B, n)``, so each target's context and item follow from its place.
+        ``ranks`` is a ``(B, k, n)`` stack of average ranks and ``targets``
+        and ``slots`` are ``(B, n)``, so each target's context and item
+        follow from its place.
         """
         buckets = []
-        for tensor, targets, slots in widths:
+        for ranks, targets, slots in widths:
             b, n = targets.shape
             gidx, uidx = np.repeat(np.arange(b), n), np.tile(np.arange(n), b)
-            buckets.append(_Bucket(tensor, gidx, uidx, targets.ravel(), slots.ravel()))
+            buckets.append(_Bucket(rank_space(ranks), gidx, uidx, targets.ravel(), slots.ravel()))
         return cls(k=k, buckets=tuple(buckets))
 
 
@@ -191,7 +193,9 @@ def as_batch(data: Data) -> ContextBatch:
     """``data`` itself if it is a batch, else the batch of an instance sequence.
 
     Instances holding one topology tuple form one context; every target
-    keeps its position in the sequence as its slot.
+    keeps its position in the sequence as its slot. Each topology enters as
+    its :attr:`~rsm.topology.Topology.ranks`, so one that is not a rank
+    chain raises ``ValueError`` naming its feature.
     """
     if isinstance(data, ContextBatch):
         return data
@@ -200,7 +204,7 @@ def as_batch(data: Data) -> ContextBatch:
         groups.setdefault(inst.topologies, []).append((inst.target_index, inst.target_prob, slot))
     if len({len(tops) for tops in groups}) > 1:
         raise ShapeError("all instances must share the same number of topologies")
-    contexts = [([t.matrix.entries for t in tops], *map(np.array, zip(*rows))) for tops, rows in groups.items()]
+    contexts = [(np.stack([t.ranks for t in tops]), *map(np.array, zip(*rows))) for tops, rows in groups.items()]
     return ContextBatch.from_contexts(len(next(iter(groups), ())), contexts)
 
 
@@ -210,13 +214,9 @@ def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: 
     residuals = np.empty(m)
     grads = np.empty((m, k)) if gradients else None
     for bucket in batch.buckets:
-        b, _, n, _ = bucket.tensor.shape
-        chains = lam / n + (w_native @ bucket.tensor.reshape(b, k, n * n)).reshape(b, n, n)
-        probs = stationary_rows(chains)
+        probs, rows = rank_chain_rows(bucket.space, w_native, lam, gradients)  # (b, n), p^T T_i Z as (b, k, n)
         residuals[bucket.slots] = bucket.targets - probs[bucket.gidx, bucket.uidx]
         if gradients:
-            hit = (probs[:, None, None, :] @ bucket.tensor)[:, :, 0, :]  # p^T T_i, (b, k, n)
-            rows = fundamental_rows(chains, probs, hit)  # p^T T_i Z, (b, k, n)
             grads[bucket.slots] = rows[bucket.gidx, :, bucket.uidx]
     return residuals, grads
 

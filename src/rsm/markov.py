@@ -1,13 +1,15 @@
-"""Dense Markov chain kernel.
+"""Markov chain kernels.
 
 Stationary distributions, the limiting matrix, the fundamental matrix and
-its rows for given vectors, and first-order stationary shifts for
-row-stochastic transition matrices. All matrices are small and dense;
-everything is plain numpy.
+first-order stationary shifts for row-stochastic transition matrices, all
+small and dense; and the learner's kernel for mixtures of rank chains, which
+works in the span of their ranks and forms no ``n x n`` matrix. Everything is
+plain numpy.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,42 +172,126 @@ def stationary_rows(chains: np.ndarray) -> np.ndarray:
     return probs
 
 
-def fundamental_rows(chains: np.ndarray, probs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Rows ``v^T Z`` for a stack of chains, ``Z = (I - P + 1 p^T)^{-1}``.
+# ---------------------------------------------------------------------------
+# Mixed rank chains in the span of their ranks.
+#
+# A rank chain is rank-2: T_i = diag(1/d_i) ((n - r_i) 1^T + 1 r_i^T) with
+# r_i the average ranks and d_i = n (n + (n + 1) / 2) - n r_i, so a row
+# vector x maps to x^T T_i = (x . alpha_i) 1^T + (x . beta_i) r_i^T with
+# alpha_i = (n - r_i) / d_i and beta_i = 1 / d_i. The mixture
+# P = lam / n 1 1^T + sum_i w_i T_i therefore maps the span of the rows of
+# V = [1; r_1; ...; r_k] into itself: (c V) P = c M V with the
+# (k + 1) x (k + 1) matrix M = V G^T, where G has rows
+# lam / n + sum_i w_i alpha_i and w_i beta_i. M s = s for s = V 1, since P
+# is row-stochastic. The stationary p and the gradient rows p^T T_i Z,
+# Z = (I - P + 1 p^T)^-1 (Kemeny & Snell, Finite Markov Chains, ch. 4), all
+# lie in that span, so each context costs O(k^2 n) and two solves k + 1
+# wide. Both systems are nonsingular whenever p is unique, even when V is
+# rank-deficient (a constant, duplicated or reversed feature): the left
+# null space of I - M is spanned by p G^T, and the column s is never zero.
+# ---------------------------------------------------------------------------
 
-    ``chains`` has shape ``(..., n, n)``, ``probs`` their stationary rows
-    ``(..., n)`` (from :func:`stationary_rows`) and ``vectors`` a stack of
-    row vectors ``(..., m, n)``; the result has the shape of ``vectors``.
-    For ``n <= config.DIRECT_SOLVE_MAX_N`` the rows come from one LU solve
-    of ``(I - P + 1 p^T)^T`` with ``m`` right-hand sides. Above that they
-    come from the fundamental series: with ``s = sum(v)``,
-    ``v^T Z = s p^T + sum_t (v - s p)^T P^t``, since ``p^T Z = p^T`` and
-    ``Z`` acts as ``sum_t P^t`` on sum-zero rows (Kemeny & Snell, *Finite
-    Markov Chains*, ch. 4). Terms are added until the largest L1 norm of a
-    term is at most ``config.POWER_ITER_TOL``. Z itself is never formed.
+
+# the (B, k, n) ranks, V 1 as (B, k + 1), the functionals [alpha; beta] as (B, 2k, n),
+# and M^T = lam / n * mixing[0] + sum_i w_i mixing[i + 1] as (k + 1, B, k + 1, k + 1)
+RankSpace = namedtuple("RankSpace", "ranks sums forms mixing")
+
+
+def rank_space(ranks: np.ndarray) -> RankSpace:
+    """The products of :func:`rank_chain_rows` that do not depend on the weights.
+
+    ``ranks`` is a ``(B, k, n)`` stack of average ranks (``rsm.topology.average_ranks``),
+    one ``(k, n)`` block per context; the denominators ``d`` are exactly
+    those of the rank chains' row sums.
+    """
+    ranks = np.asarray(ranks, dtype=np.float64)
+    b, k, n = ranks.shape
+    d = n * (n + (n + 1) / 2) - n * ranks
+    forms = np.concatenate(((n - ranks) / d, 1.0 / d), axis=1)
+    basis = np.concatenate((np.ones((b, 1, n)), ranks), axis=1)
+    sums = np.full((b, k + 1), n * (n + 1) / 2)  # average ranks sum to n (n + 1) / 2 exactly
+    sums[:, 0] = n
+    forms_v = np.swapaxes(forms @ np.swapaxes(basis, -1, -2), 0, 1)  # (2k, B, k + 1)
+    mixing = np.zeros((k + 1, b, k + 1, k + 1))
+    mixing[0, :, 0] = sums  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
+    mixing[1:, :, 0] = forms_v[:k]
+    for i in range(1, k + 1):
+        mixing[i, :, i] = forms_v[k + i - 1]  # row i of M^T is w_i beta_i V^T
+    return RankSpace(ranks, sums, forms, mixing)
+
+
+def _span(coef: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``coef V`` for ``(B, m, k + 1)`` coefficients: ``c_0 + c_1 r_1 + ... + c_k r_k``.
+
+    Summed elementwise in feature order, not through BLAS, so items with
+    equal ranks on every feature get bit-equal entries.
+    """
+    out = coef[..., :1] + coef[..., 1:2] * ranks[:, None, 0]
+    term = np.empty_like(out)
+    for i in range(1, ranks.shape[1]):
+        out += np.multiply(coef[..., i + 1, None], ranks[:, None, i], out=term)
+    return out
+
+
+def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradients: bool = True):
+    """Stationary rows, and the rows ``p^T T_i Z``, of mixed rank chains.
+
+    ``space`` comes from :func:`rank_space` over ``(B, k, n)`` ranks; each
+    context's chain is ``lam / n + sum_i w_i T_i`` for native-form weights
+    ``w_native`` (summing to ``1 - lam``). ``p = c V`` where ``c`` solves
+    ``c (I - M) = 0`` with its last column replaced by ``s``, and
+    ``p^T T_i Z = y_i V`` where ``y_i (I - M + s c^T)`` equals the
+    coefficients of ``p^T T_i``. Both are solved in transposed form. Returns
+    the ``(B, n)`` stationary rows and, if ``gradients``, the ``(B, k, n)``
+    rows; None otherwise.
 
     Raises
     ------
     NoUniqueStationary
-        If the series has not converged after ``config.POWER_ITER_MAX_STEPS``
-        terms; the chain is then periodic or reducible.
+        If the stationarity system is singular, its solution leaves the
+        probability simplex, or its fixed-point residual exceeds
+        ``config.STATIONARY_RESIDUAL_TOL``, as in :func:`stationary_rows`.
+    SingularFundamental
+        If the gradient system is singular.
     """
-    chains = np.asarray(chains, dtype=np.float64)
-    n = chains.shape[-1]
-    if n <= config.DIRECT_SOLVE_MAX_N:
-        cores = np.eye(n) - chains + probs[..., None, :]
-        rows = np.linalg.solve(np.swapaxes(cores, -1, -2), np.swapaxes(vectors, -1, -2))  # Z^T v
-        return np.swapaxes(rows, -1, -2)
-    rows = np.array(vectors, dtype=np.float64)  # s p^T + (v - s p)^T, the t = 0 terms
-    term = rows - rows.sum(axis=-1, keepdims=True) * probs[..., None, :]
-    for _ in range(config.POWER_ITER_MAX_STEPS):
-        if np.abs(term).sum(axis=-1).max(initial=0.0) <= config.POWER_ITER_TOL:
-            return rows
-        term = np.matmul(term, chains)
-        rows += term
-    raise NoUniqueStationary(
-        "fundamental series did not converge; the chain is likely periodic or reducible"
-    )
+    ranks, sums, forms, mixing = space
+    b, k, n = ranks.shape
+    w = np.asarray(w_native, dtype=np.float64)
+    mixed = mixing[0] * (lam / n)  # M^T
+    term = np.empty_like(mixed)
+    for i in range(k):
+        mixed += np.multiply(mixing[i + 1], w[i], out=term)
+    eye = np.eye(k + 1)
+    system = eye - mixed
+    system[:, -1] = sums
+    try:
+        coef = np.linalg.solve(system, np.broadcast_to(eye[:, -1:], (b, k + 1, 1)))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NoUniqueStationary("stationarity system is singular") from exc
+    probs = _span(coef[:, None], ranks)[:, 0]
+    if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
+        raise NoUniqueStationary("stationary solution leaves the probability simplex")
+    np.maximum(probs, 0.0, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    hits = (forms @ probs[..., None])[..., 0]  # p^T T_i = hits_i 1^T + hits_{k+i} r_i^T
+    moved = np.empty((b, 1, k + 1))  # the coefficients of p^T P
+    moved[:, 0, 0] = (lam / n) * probs.sum(axis=-1) + hits[:, :k] @ w
+    np.multiply(hits[:, k:], w, out=moved[:, 0, 1:])
+    residual = np.abs(_span(moved, ranks)[:, 0] - probs).max(initial=0.0)
+    if residual > config.STATIONARY_RESIDUAL_TOL:
+        raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+    if not gradients:
+        return probs, None
+    core = eye - mixed + (coef / total)[:, :, None] * sums[:, None, :]  # (I - M + s c^T)^T
+    rhs = np.zeros((b, k + 1, k))  # column i holds the coefficients of p^T T_i
+    rhs[:, 0] = hits[:, :k]
+    rhs[:, np.arange(1, k + 1), np.arange(k)] = hits[:, k:]
+    try:
+        rows = np.linalg.solve(core, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFundamental("gradient system is singular") from exc
+    return probs, _span(np.swapaxes(rows, -1, -2), ranks)
 
 
 def _one_closed_class(entries: np.ndarray) -> bool:

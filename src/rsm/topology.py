@@ -7,17 +7,19 @@ most desired; the transition weight from item i to item j is
 only on the ordering of the values, so any monotone rescaling of a feature
 yields the same topology. Tied values receive average ranks.
 
-:func:`rank_chain_entries` holds that arithmetic once, for a whole stack of
-equal-width contexts in one broadcast pass; :func:`encode_rank_topology`
-validates one value vector and wraps the kernel's output in a
-:class:`Topology`. :func:`mix_chains` likewise holds the restart mixture once,
-for :func:`combine` and the held-out scorer.
+:func:`average_ranks` and :func:`rank_chain_entries` hold that arithmetic
+once, for a whole stack of equal-width contexts in one broadcast pass;
+:func:`encode_rank_topology` validates one value vector and wraps the
+kernel's output in a :class:`Topology`, whose :attr:`Topology.ranks` reads
+the ranks back for the learner. :func:`mix_chains` likewise holds the
+restart mixture once, for :func:`combine` and the held-out scorer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,6 +70,25 @@ class Topology:
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """The average ranks of which this topology's matrix is the rank chain, read-only.
+
+        Read off the diagonal, ``T_jj = n / d_j`` with
+        ``d_j = n (n + (n + 1) / 2) - n r_j``, and accepted only if their
+        rank chain equals the matrix bit for bit; the check runs once per
+        object. Raises ``ValueError`` naming the feature for any other chain,
+        such as a :func:`restrict` output.
+        """
+        entries, n = self.matrix.entries, self.n
+        with np.errstate(divide="ignore"):
+            guess = np.round(2.0 * (n + (n + 1) / 2 - 1.0 / np.diagonal(entries))) / 2
+        ranks = average_ranks(guess)
+        if not np.array_equal(rank_chain(ranks), entries):
+            raise ValueError(f"topology {self.feature!r} is not a rank chain of its items")
+        ranks.flags.writeable = False
+        return ranks
 
 
 class Normalization(enum.Enum):
@@ -137,25 +158,38 @@ class WeightVector:
         )
 
 
+def average_ranks(desirability: np.ndarray) -> np.ndarray:
+    """Average ranks along the last axis of a ``(..., n)`` stack of desirability values.
+
+    Larger values rank higher; ties share ``#{v_j < v_i} + (#{v_j = v_i} + 1) / 2``,
+    equal to ``scipy.stats.rankdata(method="average")``. Every rank is a
+    multiple of 1/2 in ``[1, n]`` and the ranks of a vector sum to
+    ``n (n + 1) / 2``, all exactly. Callers validate: values finite.
+    """
+    values = np.asarray(desirability, dtype=np.float64)
+    below = (values[..., None, :] < values[..., :, None]).sum(axis=-1)
+    equal = (values[..., None, :] == values[..., :, None]).sum(axis=-1)
+    return below + (equal + 1) / 2
+
+
+def rank_chain(ranks: np.ndarray) -> np.ndarray:
+    """The rank chains of a ``(..., n)`` stack of :func:`average_ranks`."""
+    n = ranks.shape[-1]
+    weights = n + ranks[..., None, :] - ranks[..., :, None]
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def rank_chain_entries(desirability: np.ndarray) -> np.ndarray:
     """Rank-chain transition entries for a ``(..., n)`` stack of desirability values.
 
     The kernel behind every rank topology: each length-``n`` vector along the
     last axis becomes one ``(n, n)`` row-stochastic matrix, larger values
-    being more desirable. Ranks are averaged over ties,
-    ``#{v_j < v_i} + (#{v_j = v_i} + 1) / 2``, equal to
-    ``scipy.stats.rankdata(method="average")``; the weights
+    being more desirable, from its :func:`average_ranks`. The weights
     ``n + rank(j) - rank(i)`` are multiples of 1/2 below ``2n``, so their row
     sums are exact and every slice is bit-identical to encoding its vector
     alone. Callers validate: values finite, ``n >= 2``.
     """
-    values = np.asarray(desirability, dtype=np.float64)
-    n = values.shape[-1]
-    below = (values[..., None, :] < values[..., :, None]).sum(axis=-1)
-    equal = (values[..., None, :] == values[..., :, None]).sum(axis=-1)
-    ranks = below + (equal + 1) / 2
-    weights = n + ranks[..., None, :] - ranks[..., :, None]
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return rank_chain(average_ranks(desirability))
 
 
 def encode_rank_topology(
@@ -260,15 +294,16 @@ def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:
 
     The kernel behind :func:`combine` (one ``(n, n)`` matrix per feature)
     and the held-out scorer (one ``(B, n, n)`` stack of contexts per
-    feature). Terms are added to a zero array in feature order and the
-    restart is applied last, in place; elementwise IEEE arithmetic does not
-    depend on the batch shape, so every context gets the same bits however
-    it is batched. Callers validate the weights and ``lam``.
+    feature). The mixture starts as the first weighted term, the others are
+    added in feature order through one scratch buffer, and the restart is
+    applied last, in place; elementwise IEEE arithmetic does not depend on
+    the batch shape, so every context gets the same bits however it is
+    batched. Callers validate the weights and ``lam``.
     """
-    mix = np.zeros(np.shape(stack[0]))
+    mix = np.multiply(stack[0], weights[0], dtype=np.float64)
     term = np.empty_like(mix)
     n = mix.shape[-1]
-    for w, entries in zip(weights, stack):
+    for w, entries in zip(weights[1:], stack[1:]):
         mix += np.multiply(entries, w, out=term)
     mix *= 1.0 - lam
     mix += lam / n

@@ -183,6 +183,18 @@ class TestExitCodes:
         assert run(["train", synth_dir / "instances.json", "--out-dir", tmp_path / "o",
                     "--grid", "--grid-step", "0.0001"]) == 4
 
+    def test_edited_topology_is_refused_without_weights(self, synth_dir, tmp_path, caplog):
+        """One matrix entry moved by 1e-13 keeps the rows stochastic but breaks the rank chain."""
+        payload = json.loads((synth_dir / "instances.json").read_text())
+        topology = payload["instances"][5]["topologies"][1]
+        topology["matrix"][0][1] += 1e-13
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run(["train", edited, "--out-dir", out]) == 2
+        assert not (out / "weights.json").exists()
+        assert f"topology {topology['feature']!r} is not a rank chain" in caplog.text
+
     def test_malformed_csv_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("only,one,line\n")

@@ -42,7 +42,7 @@ from rsm import (
     topologies_from_row,
     training_instances_from_rows,
 )
-from rsm.data import topology_tensor
+from rsm.data import rank_vectors, topology_tensor
 
 from conftest import make_row
 
@@ -807,7 +807,7 @@ class TestBridges:
         quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
         batch = batch_from_rows([quiet] + two_context_rows(), SCHEMA)
         assert batch.k == 2 and len(batch) == 5
-        assert [b.tensor.shape for b in batch.buckets] == [(1, 2, 2, 2), (1, 2, 3, 3)]
+        assert [b.space.ranks.shape for b in batch.buckets] == [(1, 2, 2), (1, 2, 3)]
         assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
         assert batch.buckets[1].slots.tolist() == [2, 3, 4]
         assert len(batch_from_rows([quiet], SCHEMA)) == 0
@@ -821,24 +821,27 @@ class TestBridges:
             feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
             rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats))
         shapes = []
-        real_kernel = rsm.data.rank_chain_entries
+        real_kernel = rsm.data.average_ranks
 
         def counting_kernel(values):
             shapes.append(values.shape)
             return real_kernel(values)
 
-        monkeypatch.setattr(rsm.data, "rank_chain_entries", counting_kernel)
+        monkeypatch.setattr(rsm.data, "average_ranks", counting_kernel)
         batch = batch_from_rows(rows, SCHEMA)
         assert shapes == [(3, 2, 5), (3, 2, 70)]
         clicked = [row for row in rows if row.total_clicks() > 0]
         for bucket, n in zip(batch.buckets, (5, 70)):
-            for tensor, row in zip(bucket.tensor, [row for row in clicked if row.n == n]):
-                for entries, spec in zip(tensor, SCHEMA.features):
-                    expected = encode_rank_topology(row.features[spec.name], spec.direction).matrix.entries
-                    assert entries.tobytes() == expected.tobytes()
-                assert topology_tensor(row, SCHEMA) is topology_tensor(row, SCHEMA)
-                assert not topology_tensor(row, SCHEMA).flags.writeable
+            group = [row for row in clicked if row.n == n]
+            assert len(bucket.space.ranks) == len(group) == 3
+            for ranks, row in zip(bucket.space.ranks, group):
+                for got, spec in zip(ranks, SCHEMA.features):
+                    expected = encode_rank_topology(row.features[spec.name], spec.direction).ranks
+                    assert got.tobytes() == expected.tobytes()
+                assert rank_vectors([row], SCHEMA)[0] is rank_vectors([row], SCHEMA)[0]
+                assert not rank_vectors([row], SCHEMA)[0].flags.writeable
         assert len(shapes) == 2
+        assert all((SCHEMA, "tensor") not in row._encodings for row in rows)  # the learner needs no n x n chains
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()

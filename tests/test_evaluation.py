@@ -379,18 +379,20 @@ class TestRunExperiment:
         pairs = random_flip_pairs(12, k, seed=5)
         schema = synthetic_schema(k)
         weights = WeightVector(np.full(k, 1.0 / k))
-        encoded = []
-        real_kernel = rsm.data.rank_chain_entries
+        encoded = {"ranks": [], "tensor": []}
+        for kernel, key in (("average_ranks", "ranks"), ("rank_chain", "tensor")):
+            def counting_kernel(values, real=getattr(rsm.data, kernel), key=key):
+                encoded[key].extend(values.shape[:1])
+                return real(values)
 
-        def counting_kernel(values):
-            encoded.extend(values.shape[:1])
-            return real_kernel(values)
-
-        monkeypatch.setattr(rsm.data, "rank_chain_entries", counting_kernel)
+            monkeypatch.setattr(rsm.data, kernel, counting_kernel)
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
         run_experiment(pairs, models, num_splits=4, seed=7)
-        # every row sits on one side of every split, so all rows are touched, each once
-        assert sum(encoded) == 2 * len(pairs)
+        # every row sits on one side of every split, so all rows are ranked, each once;
+        # the scorers chain a test row's ranks into its tensor once
+        rows = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
+        assert sum(encoded["ranks"]) == 2 * len(pairs)
+        assert 0 < sum(encoded["tensor"]) == sum((schema, "tensor") in row._encodings for row in rows)
 
     def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):
         """Benchmarks count ``run_experiment``'s calls through the module attribute."""

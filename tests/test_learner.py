@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from rsm import (
     batch_from_rows,
     combine,
     config,
+    encode_rank_topology,
     fit,
     fundamental_matrix,
     generate_synthetic,
     grid_search,
     linearized_row,
+    restrict,
     sample_bound,
     sample_error,
     solve_step,
@@ -498,8 +501,8 @@ class TestFit:
 
     @pytest.mark.parametrize("lam", [0.01, 0.15, 0.9])
     def test_recovers_weights_noise_free_on_power_path(self, lam):
-        """Contexts above DIRECT_SOLVE_MAX_N take power iteration for the stationary
-        and the fundamental series for the gradient rows; the 64-wide ones take LU."""
+        """Labels from both sides of DIRECT_SOLVE_MAX_N, where the dense stationary switches
+        from LU to power iteration; the fit's rank-space kernel has no width switch."""
         rng = np.random.default_rng(405)
         true = WeightVector(np.array([0.5, 0.3, 0.2]))
         data = (noise_free_instances(rng, 8, 65, 3, true, lam) + noise_free_instances(rng, 8, 120, 3, true, lam)
@@ -532,7 +535,7 @@ class TestFit:
             assert_allclose(grad, expected_grad, rtol=1e-10, atol=1e-14)
 
     def test_fundamental_matrix_never_formed(self, monkeypatch):
-        """fit and linearized_row never call an explicit inverse, nor solve above DIRECT_SOLVE_MAX_N."""
+        """fit and linearized_row never call an explicit inverse, nor solve a system wider than k + 1."""
         rng = np.random.default_rng(407)
         true = random_reporting_weights(rng, 3)
         data = noise_free_instances(rng, 3, 6, 3, true, 0.15) + noise_free_instances(rng, 1, 66, 3, true, 0.15)
@@ -550,7 +553,48 @@ class TestFit:
         assert fit(data, LearnerConfig(max_iters=60)).converged
         for inst in (data[0], data[-1]):
             linearized_row(inst, true, 0.15)
-        assert shapes and max(shape[-1] for shape in shapes) <= config.DIRECT_SOLVE_MAX_N
+        assert shapes and max(shape[-1] for shape in shapes) <= 3 + 1
+
+    def test_fit_allocates_no_dense_tensor(self):
+        """30 contexts at n = 200: fitting allocates nothing the size of their (B, k, n, n) tensor."""
+        rng = np.random.default_rng(410)
+        true = WeightVector(np.array([0.5, 0.3, 0.2]))
+        data = noise_free_instances(rng, 30, 200, 3, true, 0.15)
+        tensor_bytes = 30 * 3 * 200 * 200 * 8
+        tracemalloc.start()
+        try:
+            result = fit(data, LearnerConfig(max_iters=60))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < tensor_bytes / 4
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_items_tied_on_every_feature_get_equal_bits(self, n):
+        """Exchangeable items get bit-equal residuals and gradient rows."""
+        rng = np.random.default_rng(411 + n)
+        items = tuple(f"i{j}" for j in range(n))
+        data = []
+        for q in range(3):
+            values = rng.random((3, n))
+            values[:, 1::3] = values[:, :1]  # every third item ties item 0 on every feature
+            topologies = tuple(encode_rank_topology(v, item_ids=items, feature=f"f{i}") for i, v in enumerate(values))
+            data += [TrainingInstance(f"q{q}", items, topologies, u, 0.0) for u in range(n)]
+        residuals, grads = linearized_row(data, WeightVector(np.array([0.5, 0.3, 0.2])))
+        residuals, grads = residuals.reshape(3, n), grads.reshape(3, n, 3)
+        assert np.all(residuals[:, 1::3] == residuals[:, :1])
+        assert np.all(grads[:, 1::3] == grads[:, :1])
+
+    def test_restricted_topology_is_refused(self):
+        """A restrict() output is no rank chain of its items; fit names the feature."""
+        rng = np.random.default_rng(412)
+        topologies = random_topologies(rng, 5, 2)
+        subset = topologies[0].item_ids[:4]
+        restricted = (restrict(topologies[0], subset), encode_rank_topology(rng.random(4), item_ids=subset, feature="f1"))
+        data = [TrainingInstance("q", subset, restricted, u, 0.25) for u in range(4)]
+        with pytest.raises(ValueError, match="'f0'"):
+            fit(data)
 
     def test_unconverged_fit_warns_once(self, caplog):
         rng = np.random.default_rng(88)

@@ -1,4 +1,4 @@
-"""Stationary distributions, limiting matrices and the fundamental matrix."""
+"""Stationary distributions, limiting matrices, the fundamental matrix and the rank-space kernel."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,16 @@ from rsm import (
     WeightVector,
     combine,
     config,
+    encode_rank_topology,
     fundamental_matrix,
-    fundamental_rows,
     limiting_matrix,
     stationary,
     stationary_rows,
     stationary_shift,
 )
+
+from rsm.markov import rank_chain_rows, rank_space
+from rsm.topology import average_ranks
 
 from conftest import random_topologies
 
@@ -269,52 +272,103 @@ class TestFundamentalMatrix:
             assert np.max(np.abs(z.z @ core - np.eye(n))) < 1e-8
 
 
-def cyclic_chain(n, lam):
-    """The cyclic permutation i -> i + 1 with uniform restart ``lam``: slowly mixing."""
-    return (1.0 - lam) * np.roll(np.eye(n), 1, axis=1) + lam / n
+def rank_case(values, w_report, lam):
+    """Dense oracle for one context: its ranks, stationary and rows ``p^T T_i Z``."""
+    ranks = average_ranks(values)
+    topologies = tuple(encode_rank_topology(v) for v in values)
+    assert all(np.array_equal(top.ranks, r) for top, r in zip(topologies, ranks))
+    fm = fundamental_matrix(combine(topologies, WeightVector(w_report), lam))
+    p = fm.stationary.probs
+    rows = np.stack([p @ top.matrix.entries @ fm.z for top in topologies])
+    return ranks, p, rows
 
 
-def assert_rows_match_oracle(chains, vectors):
-    """fundamental_rows against v^T Z with Z inverted by fundamental_matrix."""
-    probs = stationary_rows(chains)
-    rows = fundamental_rows(chains, probs, vectors)
-    assert rows.shape == vectors.shape
-    for chain, vecs, got in zip(chains, vectors, rows):
-        expected = vecs @ fundamental_matrix(StochasticMatrix(chain)).z
-        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+def assert_kernel_matches_oracle(values, w_report, lam):
+    """rank_chain_rows on a stack of contexts against the dense kernels, 1e-10 relative.
+
+    Each context solved alone gives the same bits as in the stack.
+    """
+    cases = [rank_case(v, w_report, lam) for v in values]
+    space = rank_space(np.stack([ranks for ranks, _, _ in cases]))
+    native = w_report * (1.0 - lam)
+    probs, rows = rank_chain_rows(space, native, lam)
+    assert rows.shape == space.ranks.shape
+    assert np.array_equal(rank_chain_rows(space, native, lam, gradients=False)[0], probs)
+    for (ranks, p, expected), got_p, got_rows in zip(cases, probs, rows):
+        assert np.max(np.abs(got_p - p)) <= 1e-10 * np.max(p)
+        assert np.max(np.abs(got_rows - expected)) <= 1e-10 * np.max(np.abs(expected))
+        alone_p, alone_rows = rank_chain_rows(rank_space(ranks[None]), native, lam)
+        assert np.array_equal(alone_p[0], got_p) and np.array_equal(alone_rows[0], got_rows)
+
+
+def degenerate_values(rng, kinds, n):
+    """One feature per kind: random, constant, a duplicate or reversal of the first, or partial ties."""
+    first = rng.random(n)
+    make = {
+        "random": lambda: rng.random(n),
+        "constant": lambda: np.full(n, 3.0),
+        "duplicate": lambda: first.copy(),
+        "reversed": lambda: -first,
+        "ties": lambda: rng.integers(0, 3, n).astype(float),
+    }
+    return np.stack([first] + [make[kind]() for kind in kinds[1:]])
 
 
 class TestFundamentalRows:
+    """The rows ``p^T T_i Z`` of ``rank_chain_rows`` against ``fundamental_matrix``."""
+
     @pytest.mark.parametrize("lam", [0.01, 0.15, 0.9])
     @pytest.mark.parametrize("n", [5, 64, 65, 80, 200])
     def test_matches_fundamental_matrix_oracle(self, n, lam):
-        """Both sides of DIRECT_SOLVE_MAX_N, for rows of any sum, sum-zero rows and p itself."""
+        """Both sides of DIRECT_SOLVE_MAX_N, where the dense oracle switches from LU to power iteration."""
         rng = np.random.default_rng(700 + n)
-        weights = rng.random((2, 3)) + 0.05
-        chains = np.stack([
-            combine(random_topologies(rng, n, 3), WeightVector(w / w.sum()), lam).entries for w in weights
-        ])
-        vectors = rng.normal(size=(2, 4, n))
-        vectors[:, 1] -= vectors[:, 1].mean(axis=-1, keepdims=True)
-        vectors[:, 2] = stationary_rows(chains)
-        assert_rows_match_oracle(chains, vectors)
+        w = rng.random(3) + 0.05
+        values = rng.random((2, 3, n))
+        assert_kernel_matches_oracle(values, w / w.sum(), lam)
 
-    def test_slowly_mixing_chain_needs_many_terms(self, monkeypatch):
-        """A cyclic chain loses only a factor 1 - lam per term, yet matches the oracle."""
-        chains = cyclic_chain(65, 0.15)[None]
-        vectors = np.random.default_rng(9).random((1, 3, 65))
-        assert_rows_match_oracle(chains, vectors)
-        monkeypatch.setattr(config, "POWER_ITER_MAX_STEPS", 150)
-        with pytest.raises(NoUniqueStationary):
-            fundamental_rows(chains, stationary_rows(chains), vectors)
 
-    def test_periodic_chain_without_restart_raises(self, monkeypatch):
-        """Without restart the terms never shrink, so the series stops at its step cap."""
-        monkeypatch.setattr(config, "POWER_ITER_MAX_STEPS", 50)
-        chain = cyclic_chain(65, 0.0)
-        vectors = np.random.default_rng(10).random((2, 65))
+class TestRankChainRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from(list(range(2, 13)) + [63, 64, 65, 200]),
+        kinds=st.lists(st.sampled_from(["random", "constant", "duplicate", "reversed", "ties"]), min_size=1, max_size=5),
+        lam=st.sampled_from([0.01, 0.15, 0.9]),
+        zero_weight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degenerate_bases_match_the_dense_oracle(self, n, kinds, lam, zero_weight, seed):
+        """Constant, duplicated and reversed features and ties leave V = [1; r_1; ...; r_k] rank-deficient."""
+        rng = np.random.default_rng(seed)
+        k = len(kinds)
+        w = rng.random(k) + 0.05
+        if zero_weight and k > 1:
+            w[rng.integers(k)] = 0.0
+        values = np.stack([degenerate_values(rng, kinds, n) for _ in range(2)])
+        assert_kernel_matches_oracle(values, w / w.sum(), lam)
+
+    def test_more_features_than_items(self):
+        """n = 2 with k = 5: V has rank at most 2, yet both systems stay nonsingular."""
+        rng = np.random.default_rng(71)
+        values = rng.random((3, 5, 2))
+        w = rng.random(5) + 0.05
+        assert_kernel_matches_oracle(values, w / w.sum(), 0.15)
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_items_tied_on_every_feature_get_equal_bits(self, n):
+        rng = np.random.default_rng(72 + n)
+        values = rng.random((4, 3, n))
+        values[..., 1::3] = values[..., :1]  # every third item ties item 0 on every feature
+        space = rank_space(average_ranks(values))
+        probs, rows = rank_chain_rows(space, np.array([0.5, 0.2, 0.15]), 0.15)
+        assert np.all(probs[:, 1::3] == probs[:, :1])
+        assert np.all(rows[..., 1::3] == rows[..., :1])
+
+    def test_residual_check_refuses_a_wrong_space(self):
+        """Ranks that do not sum to n (n + 1) / 2 give no stochastic chain, and the check says so."""
+        ranks = np.array([[[1.0, 2.0, 3.0, 4.0]]])
+        space = rank_space(ranks)._replace(ranks=ranks + 0.5)
         with pytest.raises(NoUniqueStationary):
-            fundamental_rows(chain, np.full(65, 1.0 / 65), vectors)
+            rank_chain_rows(space, np.array([0.85]), 0.15)
 
 
 class TestStationaryShift:

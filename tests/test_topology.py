@@ -26,7 +26,7 @@ from rsm import (
 )
 import rsm.topology
 from rsm import StochasticMatrix, config
-from rsm.topology import rank_chain_entries
+from rsm.topology import average_ranks, rank_chain_entries
 
 from conftest import random_reporting_weights, random_topologies
 
@@ -185,7 +185,31 @@ class TestRankKernel:
         assert rank_chain_entries(values[..., perm]).tobytes() == expected.tobytes()
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(**STACKS)
+    def test_topology_ranks_read_back_from_the_diagonal(self, shape, levels, seed):
+        values = tied_values(seed, shape, levels)
+        ranks = average_ranks(values)
+        for b, i in np.ndindex(*shape[:2]):
+            assert_array_equal(ranks[b, i], rankdata(values[b, i], method="average"))
+            top = encode_rank_topology(values[b, i])
+            assert top.ranks.tobytes() == ranks[b, i].tobytes() and not top.ranks.flags.writeable
+            assert top.ranks is top.ranks  # read and checked once per object
+
+    def test_a_chain_one_ulp_off_has_no_ranks(self):
+        entries = price_topology(("A", "B", "C")).matrix.entries.copy()
+        entries[1, 2] = np.nextafter(entries[1, 2], 1.0)
+        edited = rsm.topology.Topology(feature="price", matrix=StochasticMatrix(entries), item_ids=("A", "B", "C"))
+        with pytest.raises(ValueError, match="topology 'price' is not a rank chain"):
+            edited.ranks
+
+
 class TestRestrict:
+    def test_restricted_topology_has_no_ranks(self):
+        sub = restrict(price_topology(("A", "B", "C")), ("A", "B"))
+        with pytest.raises(ValueError, match="'price'"):
+            sub.ranks
+
     def test_restriction_renormalizes(self):
         t = price_topology(("A", "B", "C"))
         sub = restrict(t, ("A", "C"))
