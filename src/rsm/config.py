@@ -18,8 +18,8 @@ FUNDAMENTAL_CHECK_TOL = 1e-8
 
 # Largest n solved by the direct augmented linear system; power iteration above.
 # It applies to the dense kernel (markov.stationary_rows) only: the learner
-# solves each context in the span of its ranks (markov.rank_chain_rows),
-# with no switch on n.
+# and the held-out scorer solve each context in the span of its ranks
+# (markov.rank_chain_rows), with no switch on n.
 DIRECT_SOLVE_MAX_N = 64
 
 POWER_ITER_TOL = 1e-12

@@ -6,15 +6,16 @@ per feature. Malformed lines are collected into an error report rather than
 silently dropped. A JSON format carries pre-encoded training instances with
 explicit topologies.
 
-A loaded row is validated once, at construction, and then feeds the learner
-and the baselines through arrays cached on it: its CTRs, its ``(k, n)``
-average ranks for the learner, the ``(k, n, n)`` topology tensor built from
-them for the scorer (rows of one width encoded together by one
-``average_ranks`` or ``rank_chain`` call) and its least-squares design block.
+A loaded row is validated once, at construction, and then feeds the learner,
+the scorer and the baselines through arrays cached on it: its CTRs, its
+``(k, n)`` average ranks (rows of one width ranked together by one
+``average_ranks`` call), from which the learner and the scorer both solve
+in rank space, and its least-squares design block.
 
-The synthetic generators draw through the same kernels, on arrays:
-``rank_chain_entries``, ``mix_chains`` and ``stationary_rows``. They build
-topology objects only for the contexts they keep, one tuple per context.
+The synthetic generators draw through the dense kernels behind ``combine``
+and ``stationary``, on arrays: ``rank_chain_entries``, ``mix_chains`` and
+``stationary_rows``. They build topology objects only for the contexts they
+keep, one tuple per context.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class LogRow:
     A row is immutable: its arrays are read-only and ``features`` is a
     read-only mapping. Its click total and CTR vector are computed once, and
     the encodings derived from it (the ``(k, n)`` average ranks, the
-    ``(k, n, n)`` rank tensor, the least-squares design block) are arrays
+    least-squares design block, and the topology tuple when asked for) are
     cached on the row, keyed by the schema that produced them, living
     exactly as long as the row.
     """
@@ -447,12 +448,13 @@ def paired_split(
 def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, ...]:
     """Rank-encode every schema feature of one context as :class:`Topology` objects.
 
-    The tuple is built from the row's cached tensor on first use and cached
+    The tuple is built from the row's cached ranks on first use and cached
     on the row under the schema, so every caller shares one object.
     """
     topologies = row._encodings.get(schema)
     if topologies is None:
-        topologies = row._encodings[schema] = _topologies(schema, topology_tensor(row, schema), row.items)
+        tensor = rank_chain(rank_vectors([row], schema)[0])
+        topologies = row._encodings[schema] = _topologies(schema, tensor, row.items)
     return topologies
 
 
@@ -464,50 +466,24 @@ def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tupl
     )
 
 
-def topology_tensor(row: LogRow, schema: DatasetSchema) -> np.ndarray:
-    """The row's rank topologies as one read-only ``(k, n, n)`` array, encoded once and cached."""
-    return topology_tensors([row], schema)[0]
-
-
-def topology_tensors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
-    """Each row's cached ``(k, n, n)`` tensor, the :func:`rank_chain` of its :func:`rank_vectors`."""
-
-    def chain(group):
-        return rank_chain(np.concatenate(rank_vectors(group, schema)).reshape(len(group), schema.k, group[0].n))
-
-    return _per_width(rows, schema, "tensor", chain)
-
-
 def rank_vectors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
-    """Each row's cached ``(k, n)`` :func:`average_ranks`; feature values negated where lower is better."""
-    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
+    """Each row's cached ``(k, n)`` :func:`average_ranks`; feature values negated where lower is better.
 
-    def rank(group):
+    Rows not yet ranked under ``schema`` are ranked one ``average_ranks``
+    call per width; each keeps a read-only view of its slice.
+    """
+    key = (schema, "ranks")
+    pending: Dict[int, Dict[LogRow, None]] = {}
+    for row in rows:
+        if key not in row._encodings:
+            pending.setdefault(row.n, {})[row] = None
+    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
+    for group in pending.values():
         values = np.array([[row.features[name] for name in schema.names] for row in group])
         values[:, lower] = -values[:, lower]
-        return average_ranks(values)
-
-    return _per_width(rows, schema, "ranks", rank)
-
-
-def _per_width(rows: Sequence[LogRow], schema: DatasetSchema, key: str, encode) -> List[np.ndarray]:
-    """Each row's cached encoding; rows without one are encoded one ``encode`` call per width.
-
-    ``encode`` maps a list of rows of one width to an array with one slice
-    per row; each row keeps a read-only view of its slice under ``(schema, key)``.
-    """
-    key = (schema, key)
-    encodings = [row._encodings.get(key) for row in rows]
-    pending: Dict[int, Dict[LogRow, None]] = {}
-    for row, encoding in zip(rows, encodings):
-        if encoding is None:
-            pending.setdefault(row.n, {})[row] = None
-    if not pending:
-        return encodings
-    for group in pending.values():
-        encoded = encode(list(group))
-        encoded.flags.writeable = False
-        for row, part in zip(group, encoded):
+        ranks = average_ranks(values)
+        ranks.flags.writeable = False
+        for row, part in zip(group, ranks):
             row._encodings[key] = part
     return [row._encodings[key] for row in rows]
 

@@ -28,11 +28,12 @@ from .data import (
     design_from_rows,
     mine_flip_pairs,
     paired_split,
-    topology_tensors,
+    rank_vectors,
 )
 from .errors import DegenerateVariance, SplitTooSmall
-from .markov import stationary, stationary_rows  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
-from .topology import Normalization, WeightVector, mix_chains
+from .markov import rank_chain_rows, rank_space
+from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
+from .topology import Normalization, WeightVector
 
 log = logging.getLogger(__name__)
 
@@ -85,23 +86,25 @@ def fixed_weights_model(
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
     """Score items by stationary mass in their own context, one solve per width.
 
-    A width's cached tensors, stacked ``(k, B, n, n)``, are mixed by ``combine``'s
-    kernel; every entry is at least ``lam / n`` > 0, so ``stationary_rows`` needs
-    no uniqueness check. Up to ``DIRECT_SOLVE_MAX_N`` a context's scores do not
-    depend on its batch; above it, power iteration runs until the slowest converges.
+    Every chain scored is a mixture of rank chains, so each width's cached
+    ranks, stacked ``(B, k, n)``, go to the learner's kernel
+    ``rank_chain_rows``, which solves each context in the span of its ranks.
+    A context's scores do not depend on its batch, and items tied on every
+    feature get bit-equal scores.
     """
     if weights.normalization is not Normalization.SUMS_TO_ONE or weights.k != schema.k or not 0.0 < lam < 1.0:
         raise ValueError(f"the scorer needs {schema.k} reporting-form weights and lam in (0, 1)")
+    native = weights.values * (1.0 - lam)
 
     def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
-        tensors = topology_tensors(rows, schema)
+        ranks = rank_vectors(rows, schema)
         by_n: Dict[int, List[int]] = {}
         for pos, row in enumerate(rows):
             by_n.setdefault(row.n, []).append(pos)
         scores: List[np.ndarray] = [None] * len(rows)
         for group in by_n.values():
-            stack = np.stack([tensors[pos] for pos in group], axis=1)
-            for pos, probs in zip(group, stationary_rows(mix_chains(stack, weights.values, lam))):
+            space = rank_space(np.stack([ranks[pos] for pos in group]))
+            for pos, probs in zip(group, rank_chain_rows(space, native, lam, gradients=False)[0]):
                 scores[pos] = probs
         return scores
 

@@ -2,9 +2,10 @@
 
 Stationary distributions, the limiting matrix, the fundamental matrix and
 first-order stationary shifts for row-stochastic transition matrices, all
-small and dense; and the learner's kernel for mixtures of rank chains, which
-works in the span of their ranks and forms no ``n x n`` matrix. Everything is
-plain numpy.
+small and dense; and the kernel for mixtures of rank chains, which works in
+the span of their ranks and forms no ``n x n`` matrix: the learner fits
+through it and the held-out scorer scores through it. Everything is plain
+numpy.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ once, for a whole stack of equal-width contexts in one broadcast pass;
 :func:`encode_rank_topology` validates one value vector and wraps the
 kernel's output in a :class:`Topology`, whose :attr:`Topology.ranks` reads
 the ranks back for the learner. :func:`mix_chains` likewise holds the
-restart mixture once, for :func:`combine` and the held-out scorer.
+restart mixture once, for :func:`combine` and the synthetic generators.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:
     """The mixed chains ``lam / n + (1 - lam) * sum_i w_i T_i`` of a ``(k, ..., n, n)`` stack.
 
     The kernel behind :func:`combine` (one ``(n, n)`` matrix per feature)
-    and the held-out scorer (one ``(B, n, n)`` stack of contexts per
+    and the synthetic generators (one ``(B, n, n)`` stack of contexts per
     feature). The mixture starts as the first weighted term, the others are
     added in feature order through one scratch buffer, and the restart is
     applied last, in place; elementwise IEEE arithmetic does not depend on

@@ -42,7 +42,7 @@ from rsm import (
     topologies_from_row,
     training_instances_from_rows,
 )
-from rsm.data import rank_vectors, topology_tensor
+from rsm.data import rank_vectors
 
 from conftest import make_row
 
@@ -841,7 +841,7 @@ class TestBridges:
                 assert rank_vectors([row], SCHEMA)[0] is rank_vectors([row], SCHEMA)[0]
                 assert not rank_vectors([row], SCHEMA)[0].flags.writeable
         assert len(shapes) == 2
-        assert all((SCHEMA, "tensor") not in row._encodings for row in rows)  # the learner needs no n x n chains
+        assert all(set(row._encodings) == {(SCHEMA, "ranks")} for row in clicked)  # the learner needs no n x n chains
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()
@@ -891,7 +891,7 @@ class TestEncodingCache:
         """Cache lookups reuse the schema's hash; equal schemas share one entry."""
         row = two_context_rows()[1]
         specs = [(spec.name, spec.direction) for spec in SCHEMA.features]
-        tensor = topology_tensor(row, SCHEMA)
+        topologies = topologies_from_row(row, SCHEMA)
         calls = []
         real_hash = FeatureSpec.__hash__
 
@@ -902,29 +902,36 @@ class TestEncodingCache:
         monkeypatch.setattr(FeatureSpec, "__hash__", counting_hash)
         for _ in range(3):
             topologies_from_row(row, SCHEMA)
-            topology_tensor(row, SCHEMA)
+            rank_vectors([row], SCHEMA)
             feature_rows_from_logs([row], SCHEMA)
         assert calls == []
         equal = DatasetSchema(features=tuple(FeatureSpec(name, d) for name, d in specs))
         assert len(calls) == 2  # hashed once, when built
         assert equal == SCHEMA and hash(equal) == hash(SCHEMA)
-        assert topology_tensor(row, equal) is tensor
-        assert topologies_from_row(row, equal) is topologies_from_row(row, SCHEMA)
+        assert topologies_from_row(row, equal) is topologies
         flipped = DatasetSchema(
             features=(FeatureSpec("price", Direction.HIGHER_IS_BETTER), FeatureSpec("rating", Direction.HIGHER_IS_BETTER))
         )
         assert flipped != SCHEMA
-        assert not np.array_equal(topology_tensor(row, flipped)[0], tensor[0])
-        assert np.array_equal(topology_tensor(row, flipped)[1], tensor[1])
+        assert not np.array_equal(topologies_from_row(row, flipped)[0].matrix.entries, topologies[0].matrix.entries)
+        assert np.array_equal(topologies_from_row(row, flipped)[1].matrix.entries, topologies[1].matrix.entries)
         restored = pickle.loads(pickle.dumps(SCHEMA))
         assert restored == SCHEMA and hash(restored) == hash(SCHEMA)
 
-    def test_tensor_stacks_the_cached_topologies(self):
-        row = two_context_rows()[1]
-        tensor = topology_tensor(row, SCHEMA)
-        assert tensor.shape == (2, 3, 3) and not tensor.flags.writeable
-        for entries, top in zip(tensor, topologies_from_row(row, SCHEMA)):
-            assert np.array_equal(entries, top.matrix.entries)
+    @pytest.mark.parametrize("n", [3, 65])
+    def test_topologies_equal_encode_rank_topology_bit_for_bit(self, n):
+        """Built from the row's cached ranks, once per schema, with no tensor cached beside them."""
+        rng = np.random.default_rng(930 + n)
+        feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
+        row = make_row("q", "c", [f"i{j}" for j in range(n)], rng.integers(0, 9, n), feats)
+        topologies = topologies_from_row(row, SCHEMA)
+        assert topologies_from_row(row, SCHEMA) is topologies
+        assert row._encodings[SCHEMA] is topologies
+        assert set(row._encodings) == {SCHEMA, (SCHEMA, "ranks")}
+        for top, spec in zip(topologies, SCHEMA.features):
+            fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
+            assert (top.feature, top.item_ids) == (fresh.feature, fresh.item_ids)
+            assert top.matrix.entries.tobytes() == fresh.matrix.entries.tobytes()
 
 
 class TestDeriveSeed:

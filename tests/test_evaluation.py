@@ -3,19 +3,24 @@
 import json
 import logging
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.special import stdtr  # test-only oracle; rsm does not import scipy
 
 import rsm.data
 import rsm.evaluation
 from rsm import config
 from rsm import (
+    DatasetSchema,
     DegenerateVariance,
+    Direction,
+    FeatureSpec,
     FeatureRow,
     FlipPair,
     Model,
@@ -379,20 +384,21 @@ class TestRunExperiment:
         pairs = random_flip_pairs(12, k, seed=5)
         schema = synthetic_schema(k)
         weights = WeightVector(np.full(k, 1.0 / k))
-        encoded = {"ranks": [], "tensor": []}
-        for kernel, key in (("average_ranks", "ranks"), ("rank_chain", "tensor")):
-            def counting_kernel(values, real=getattr(rsm.data, kernel), key=key):
-                encoded[key].extend(values.shape[:1])
+        encoded = {"average_ranks": [], "rank_chain": []}
+        for kernel in encoded:
+            def counting_kernel(values, real=getattr(rsm.data, kernel), kernel=kernel):
+                encoded[kernel].extend(values.shape[:1])
                 return real(values)
 
             monkeypatch.setattr(rsm.data, kernel, counting_kernel)
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
         run_experiment(pairs, models, num_splits=4, seed=7)
         # every row sits on one side of every split, so all rows are ranked, each once;
-        # the scorers chain a test row's ranks into its tensor once
+        # the scorers solve in rank space and chain no ranks into n x n tensors
         rows = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
-        assert sum(encoded["ranks"]) == 2 * len(pairs)
-        assert 0 < sum(encoded["tensor"]) == sum((schema, "tensor") in row._encodings for row in rows)
+        assert sum(encoded["average_ranks"]) == 2 * len(pairs)
+        assert encoded["rank_chain"] == []
+        assert all((schema, "tensor") not in row._encodings for row in rows)
 
     def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):
         """Benchmarks count ``run_experiment``'s calls through the module attribute."""
@@ -418,6 +424,24 @@ class TestRunExperiment:
         assert report.num_pairs == 5
 
 
+def mixed_direction_schema():
+    """Three features, the middle one lower-is-better."""
+    directions = (Direction.HIGHER_IS_BETTER, Direction.LOWER_IS_BETTER, Direction.HIGHER_IS_BETTER)
+    return DatasetSchema(features=tuple(FeatureSpec(f"f{i}", d) for i, d in enumerate(directions)))
+
+
+def random_rows(rng, schema, widths, tie=False):
+    """One row per width with random features; with ``tie``, items 0 and 1 are tied on every feature."""
+    rows = []
+    for c, n in enumerate(widths):
+        feats = {name: rng.random(n) for name in schema.names}
+        if tie:
+            for values in feats.values():
+                values[1] = values[0]
+        rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], rng.integers(0, 9, n), feats))
+    return rows
+
+
 class TestFixedWeightsModel:
     def test_scores_are_stationary_mass_one_solve_per_width(self, monkeypatch):
         k, lam = 2, 0.2
@@ -431,50 +455,69 @@ class TestFixedWeightsModel:
             for row in rows
         }
         solves = []
-        real_rows = rsm.evaluation.stationary_rows
+        real_rows = rsm.evaluation.rank_chain_rows
 
-        def counting_stationary_rows(chains):
-            solves.append(chains.shape)
-            return real_rows(chains)
+        def counting_rank_chain_rows(space, w_native, lam, gradients=True):
+            solves.append((space.ranks.shape, gradients))
+            return real_rows(space, w_native, lam, gradients)
 
-        monkeypatch.setattr(rsm.evaluation, "stationary_rows", counting_stationary_rows)
+        monkeypatch.setattr(rsm.evaluation, "rank_chain_rows", counting_rank_chain_rows)
         scorer = fixed_weights_model(schema, weights, lam).fit([])
         for _ in range(2):
             for row, scores in zip(rows, scorer(rows)):
-                assert scores.tolist() == expected[id(row)].tolist()
-        assert solves == [(6, 3, 3), (1, 2, 2), (2, 4, 4)] * 2
+                assert_allclose(scores, expected[id(row)], rtol=1e-12, atol=0.0)
+        assert solves == [((6, 2, 3), False), ((1, 2, 2), False), ((2, 2, 4), False)] * 2
 
-    @pytest.mark.parametrize("n", [5, 64, 65])
+    @pytest.mark.parametrize("n", [2, 5, 64, 65, 200])
+    def test_scores_match_combine_then_stationary(self, n):
+        """The rank-space solve agrees with the dense mixture and solve on both sides of the direct-solve limit."""
+        rng = np.random.default_rng(710 + n)
+        schema = mixed_direction_schema()
+        weights = random_reporting_weights(rng, 3)
+        scorer = fixed_weights_model(schema, weights, 0.15).fit([])
+        rows = random_rows(rng, schema, [n] * 4)
+        for row, scores in zip(rows, scorer(rows)):
+            expected = stationary(combine(topologies_from_row(row, schema), weights, 0.15)).probs
+            assert_allclose(scores, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
     def test_a_mixed_width_batch_scores_like_single_rows(self, n):
-        """Bit for bit up to the direct-solve limit; above it the batch's power iteration may run longer."""
+        """Bit for bit at every width: a context's scores do not depend on its batch."""
         rng = np.random.default_rng(720 + n)
         schema = synthetic_schema(3)
         weights = random_reporting_weights(rng, 3)
-        rows = [
-            make_row("q", f"c{c}", [f"i{j}" for j in range(width)], rng.integers(0, 9, width),
-                     {name: rng.random(width) for name in schema.names})
-            for c, width in enumerate([n, 3, n, 2, n, 3, n])
-        ]
+        rows = random_rows(rng, schema, [n, 3, n, 2, n, 3, n])
         scorer = fixed_weights_model(schema, weights, 0.15).fit([])
         batch = scorer(rows)
         alone = [scorer([row])[0] for row in rows]
-        for row, together, single in zip(rows, batch, alone):
-            if row.n <= config.DIRECT_SOLVE_MAX_N:
-                assert together.tolist() == single.tolist()
-            else:
-                assert np.abs(together - single).sum() <= config.POWER_ITER_TOL
+        for together, single in zip(batch, alone):
+            assert together.tobytes() == single.tobytes()
 
-    @pytest.mark.parametrize("n", [5, 64, 65])
-    def test_scores_equal_combine_then_stationary_bit_for_bit(self, n):
-        """The tensor mix and direct kernel call repeat combine + stationary exactly."""
-        rng = np.random.default_rng(710 + n)
-        schema = synthetic_schema(3)
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_items_tied_on_every_feature_score_bit_equal(self, n):
+        """Exchangeable items have exactly equal stationary mass, and score so."""
+        rng = np.random.default_rng(730 + n)
+        schema = mixed_direction_schema()
         weights = random_reporting_weights(rng, 3)
-        items = [f"i{j}" for j in range(n)]
-        row = make_row("q", "c", items, rng.integers(0, 9, n), {name: rng.random(n) for name in schema.names})
-        scorer = fixed_weights_model(schema, weights, 0.15).fit([])
-        expected = stationary(combine(topologies_from_row(row, schema), weights, 0.15)).probs
-        assert scorer([row])[0].tolist() == expected.tolist()
+        rows = random_rows(rng, schema, [n] * 40, tie=True)
+        for scores in fixed_weights_model(schema, weights, 0.15).fit([])(rows):
+            assert scores[0] == scores[1]
+
+    def test_scoring_allocates_no_dense_tensor(self):
+        """30 contexts at n = 200: scoring allocates nothing the size of their (B, k, n, n) tensor."""
+        rng = np.random.default_rng(740)
+        schema = synthetic_schema(3)
+        scorer = fixed_weights_model(schema, WeightVector([0.5, 0.3, 0.2]), 0.15).fit([])
+        rows = random_rows(rng, schema, [200] * 30)
+        tensor_bytes = 30 * 3 * 200 * 200 * 8
+        tracemalloc.start()
+        try:
+            scores = scorer(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == 30
+        assert peak < tensor_bytes / 4
 
     def test_weights_checked_when_the_scorer_is_built(self):
         schema = synthetic_schema(3)
