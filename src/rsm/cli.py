@@ -197,6 +197,8 @@ def cmd_synth(args) -> int:
         "num_rows": len(dataset.rows),
         "num_instances": len(dataset.instances),
     }
+    if args.flips:
+        manifest.update(queries_kept=len(dataset.rows) // 2, candidates_drawn=dataset.candidates_drawn)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")

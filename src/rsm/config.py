@@ -16,10 +16,10 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 # Construction check on the fundamental matrix: Z (I - (P - 1 p^T)) = I.
 FUNDAMENTAL_CHECK_TOL = 1e-8
 
-# Largest n solved by the direct augmented linear system; power iteration above.
-# It applies to the dense kernel (markov.stationary_rows) only: the learner
-# and the held-out scorer solve each context in the span of its ranks
-# (markov.rank_chain_rows), with no switch on n.
+# Largest n that markov.stationary solves by the direct augmented linear
+# system; power iteration above. Nothing else switches on n: the generators,
+# the learner and the held-out scorer solve each context in the span of its
+# ranks (markov.rank_chain_rows).
 DIRECT_SOLVE_MAX_N = 64
 
 POWER_ITER_TOL = 1e-12

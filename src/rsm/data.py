@@ -12,10 +12,10 @@ the scorer and the baselines through arrays cached on it: its CTRs, its
 ``average_ranks`` call), from which the learner and the scorer both solve
 in rank space, and its least-squares design block.
 
-The synthetic generators draw through the dense kernels behind ``combine``
-and ``stationary``, on arrays: ``rank_chain_entries``, ``mix_chains`` and
-``stationary_rows``. They build topology objects only for the contexts they
-keep, one tuple per context.
+The synthetic generators rank their drawn feature values and take each
+context's targets from the learner's and the scorer's kernel,
+``rsm.markov.rank_chain_rows``, which forms no ``n x n`` chain. They build
+topology objects only for the contexts they keep, one tuple per context.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -35,7 +35,7 @@ from . import config
 from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError, SplitTooSmall
 from .learner import ContextBatch, TrainingInstance
-from .markov import StochasticMatrix, stationary_rows
+from .markov import StochasticMatrix, rank_chain_rows, rank_space
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -44,9 +44,7 @@ from .topology import (
     Topology,
     WeightVector,
     average_ranks,
-    mix_chains,
     rank_chain,
-    rank_chain_entries,
 )
 
 log = logging.getLogger(__name__)
@@ -459,9 +457,13 @@ def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, .
 
 
 def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tuple[Topology, ...]:
-    """One :class:`Topology` per schema feature over ``items``, from a ``(k, n, n)`` tensor."""
+    """One :class:`Topology` per schema feature over ``items``, from a fresh ``(k, n, n)`` :func:`rank_chain` tensor.
+
+    Rank chains are stochastic by construction and no one else holds the
+    tensor, so its slices are frozen without a copy and check.
+    """
     return tuple(
-        Topology(feature=name, matrix=StochasticMatrix(entries), item_ids=items)
+        Topology(feature=name, matrix=StochasticMatrix._trusted(entries), item_ids=items)
         for name, entries in zip(schema.names, tensor)
     )
 
@@ -623,9 +625,23 @@ class SyntheticSpec:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
+    """A generator's output; ``candidates_drawn`` counts its candidate draws, kept or not."""
+
     instances: List[TrainingInstance]
     rows: List[LogRow]
     schema: DatasetSchema
+    candidates_drawn: int = 0
+
+
+# Flip candidates are drawn and solved this many at a time; the output does not depend on it.
+CANDIDATE_BLOCK = 64
+
+
+def _targets(values: np.ndarray, weights: WeightVector, lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The ranks of a ``(B, k, n)`` value stack and its ``(B, n)`` stationary targets, the same bits in any batch."""
+    ranks = average_ranks(values)
+    probs, _ = rank_chain_rows(rank_space(ranks), weights.values * (1.0 - lam), lam, gradients=False)
+    return ranks, probs
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
@@ -633,20 +649,22 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 
     Per query: n items with k independent Uniform(0, 1) feature values, one
     rank topology per feature, and one instance per item whose target is the
-    stationary probability under the requested weights. With multinomial
-    noise enabled, click-log rows are produced alongside.
+    stationary probability under the requested weights. All values are drawn
+    in one call and solved in one kernel call; with multinomial noise
+    enabled, the clicks are drawn after them and click-log rows are produced.
     """
     rng = np.random.default_rng(spec.seed)
-    dataset = SyntheticDataset([], [], synthetic_schema(spec.k))
+    dataset = SyntheticDataset([], [], synthetic_schema(spec.k), spec.num_queries)
+    values = rng.random((spec.num_queries, spec.k, spec.n))
+    ranks, probs = _targets(values, spec.weights, spec.lam)
+    clicks = [None] * spec.num_queries
+    if spec.clicks_per_context is not None:
+        clicks = rng.multinomial(spec.clicks_per_context, probs)
     positions = np.arange(1, spec.n + 1)
     for q in range(spec.num_queries):
         query_id = f"q{q:05d}"
-        values = rng.random((spec.k, spec.n))
-        tensor = rank_chain_entries(values)
-        probs = stationary_rows(mix_chains(tensor, spec.weights.values, spec.lam))
-        clicks = None if spec.clicks_per_context is None else rng.multinomial(spec.clicks_per_context, probs)
         items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
-        _emit_context(dataset, query_id, f"c{q:05d}", items, values, tensor, probs, clicks, positions)
+        _emit_context(dataset, query_id, f"c{q:05d}", items, values[q], ranks[q], probs[q], clicks[q], positions)
     return dataset
 
 
@@ -659,7 +677,7 @@ def generate_flip_dataset(
     clicks_per_context: int = 10_000,
     margin: float = 0.02,
     seed: int = 0,
-    max_attempts: int = 500,
+    max_attempts: int = 20_000,
 ) -> SyntheticDataset:
     """Synthesize click logs rich in genuine preference flips.
 
@@ -669,10 +687,13 @@ def generate_flip_dataset(
     preference between a and b reverses across the two contexts with at
     least ``margin`` separation on both sides, so multinomial noise at
     ``clicks_per_context`` cannot wash the flip out. Display order is
-    shuffled per context; positions carry no signal. Queries that find no
-    such draw in ``max_attempts`` are dropped; one log record on
-    ``rsm.data`` counts the queries kept and the candidates drawn, a
-    warning when any query was dropped.
+    shuffled per context; positions carry no signal. Query ``q`` draws its
+    candidates from the stream ``derive_seed(seed, f"query:{q}")`` and its
+    positions and clicks from ``derive_seed(seed, f"clicks:{q}")``. It keeps
+    its first candidate that flips and is dropped if none of the first
+    ``max_attempts`` does; candidates are counted up to the kept one. One
+    log record on ``rsm.data`` counts the queries kept and the candidates
+    drawn, a warning when any query was dropped.
     """
     if not 2 <= shared_items < n:
         raise ValueError("shared_items must be at least 2 and below n")
@@ -680,43 +701,45 @@ def generate_flip_dataset(
         raise ValueError("the flip generator expects reporting-form weights; convert with as_reporting()")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
     dataset = SyntheticDataset([], [], synthetic_schema(weights.k))
-    pool_size = 2 * n - shared_items
+    k, pool_size = weights.k, 2 * n - shared_items
     # the pool columns each context shows: the shared items, then its own decoys
     index = np.array([np.arange(n), np.r_[:shared_items, n:pool_size]])
-    # batched power iteration runs until both chains converge; solve wide chains one at a time
-    direct = n <= config.DIRECT_SOLVE_MAX_N
-    candidates = 0
+    drawn = 0
     for q in range(num_queries):
-        for _ in range(max_attempts):
-            candidates += 1
-            # (k, 2, n); np.take returns it C-ordered, unlike [:, index], and the rank kernel runs ~4x faster on that
-            values = np.take(rng.random((weights.k, pool_size)), index, axis=1)
-            tensors = rank_chain_entries(values)
-            mixed = mix_chains(tensors, weights.values, lam)
-            probs = stationary_rows(mixed) if direct else np.array([stationary_rows(m) for m in mixed])
-            gap_1, gap_2 = probs[:, 0] - probs[:, 1]
-            if gap_1 * gap_2 < 0 and min(abs(gap_1), abs(gap_2)) >= margin:
+        rng = np.random.default_rng(derive_seed(seed, f"query:{q}"))
+        for start in range(0, max_attempts, CANDIDATE_BLOCK):
+            block = min(CANDIDATE_BLOCK, max_attempts - start)
+            # each candidate's two contexts, (2 * block, k, n) and C-ordered by the reshape
+            values = np.take(rng.random((block, k, pool_size)), index, axis=2).swapaxes(1, 2).reshape(-1, k, n)
+            ranks, probs = _targets(values, weights, lam)
+            gaps = (probs[:, 0] - probs[:, 1]).reshape(block, 2)
+            flips = np.flatnonzero((gaps[:, 0] * gaps[:, 1] < 0) & (np.abs(gaps).min(axis=1) >= margin))
+            if flips.size:
                 break
         else:
+            drawn += max_attempts
             continue
+        drawn += start + int(flips[0]) + 1
+        pick = slice(2 * flips[0], 2 * flips[0] + 2)
+        values, ranks, probs = values[pick], ranks[pick], probs[pick]
         query_id = f"q{q:05d}"
+        rng = np.random.default_rng(derive_seed(seed, f"clicks:{q}"))
+        positions = [rng.permutation(n) + 1 for _ in range(2)]
+        clicks = rng.multinomial(clicks_per_context, probs)
         for c in range(2):
-            clicks = rng.multinomial(clicks_per_context, probs[c])
-            positions = rng.permutation(n) + 1
             items = tuple(f"{query_id}_i{j}" for j in index[c].tolist())
-            context_id = f"c{q:05d}_{c}"
-            _emit_context(dataset, query_id, context_id, items, values[:, c], tensors[:, c], probs[c], clicks, positions)
+            context = (values[c], ranks[c], probs[c], clicks[c], positions[c])
+            _emit_context(dataset, query_id, f"c{q:05d}_{c}", items, *context)
     kept = len(dataset.rows) // 2
     log.log(logging.WARNING if kept < num_queries else logging.INFO,
-            "flip generator kept %d of %d requested queries from %d candidates drawn", kept, num_queries, candidates)
-    return dataset
+            "flip generator kept %d of %d requested queries from %d candidates drawn", kept, num_queries, drawn)
+    return replace(dataset, candidates_drawn=drawn)
 
 
-def _emit_context(dataset, query_id, context_id, items, values, tensor, probs, clicks, positions) -> None:
+def _emit_context(dataset, query_id, context_id, items, values, ranks, probs, clicks, positions) -> None:
     """Append one kept context: its instances, sharing one topology tuple, and its row when clicks were drawn."""
-    dataset.instances.extend(_instances(query_id, items, _topologies(dataset.schema, tensor, items), probs))
+    dataset.instances.extend(_instances(query_id, items, _topologies(dataset.schema, rank_chain(ranks), items), probs))
     if clicks is not None:
         features = dict(zip(dataset.schema.names, values))
         dataset.rows.append(LogRow(query_id, context_id, items, positions, clicks, features))

@@ -3,9 +3,9 @@
 Stationary distributions, the limiting matrix, the fundamental matrix and
 first-order stationary shifts for row-stochastic transition matrices, all
 small and dense; and the kernel for mixtures of rank chains, which works in
-the span of their ranks and forms no ``n x n`` matrix: the learner fits
-through it and the held-out scorer scores through it. Everything is plain
-numpy.
+the span of their ranks and forms no ``n x n`` matrix: the generators draw
+their targets, the learner fits and the held-out scorer scores through it.
+Everything is plain numpy.
 """
 
 from __future__ import annotations
@@ -122,11 +122,10 @@ class FundamentalMatrix:
         return self.z.shape[0]
 
 
-def stationary_rows(chains: np.ndarray) -> np.ndarray:
-    """Stationary rows of a stack of chains with unique stationary vectors.
+def _stationary_probs(entries: np.ndarray) -> np.ndarray:
+    """The stationary vector of an ``(n, n)`` chain whose stationary vector is unique.
 
-    ``chains`` has shape ``(..., n, n)``; the result has shape ``(..., n)``.
-    For ``n <= config.DIRECT_SOLVE_MAX_N`` each chain is solved by LU on
+    For ``n <= config.DIRECT_SOLVE_MAX_N`` it is solved by LU on
     ``p^T (I - P) = 0`` with the last equation replaced by ``sum(p) = 1``;
     above that, by power iteration from the uniform vector. Uniqueness is
     the caller's to establish (:func:`stationary` checks it).
@@ -139,22 +138,21 @@ def stationary_rows(chains: np.ndarray) -> np.ndarray:
         ``config.STATIONARY_RESIDUAL_TOL``, or power iteration does not
         converge.
     """
-    chains = np.asarray(chains, dtype=np.float64)
-    n = chains.shape[-1]
+    n = entries.shape[0]
     if n <= config.DIRECT_SOLVE_MAX_N:
-        systems = np.swapaxes(np.eye(n) - chains, -1, -2).copy()
-        systems[..., -1, :] = 1.0
-        rhs = np.zeros(chains.shape[:-1] + (1,))
-        rhs[..., -1, 0] = 1.0
+        system = (np.eye(n) - entries).T.copy()
+        system[-1] = 1.0
+        rhs = np.zeros(n)
+        rhs[-1] = 1.0
         try:
-            probs = np.linalg.solve(systems, rhs)[..., 0]
+            probs = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
             raise NoUniqueStationary("stationarity system is singular") from exc
     else:
-        probs = np.full(chains.shape[:-1], 1.0 / n)
+        probs = np.full(n, 1.0 / n)
         for _ in range(config.POWER_ITER_MAX_STEPS):
-            nxt = np.matmul(probs[..., None, :], chains)[..., 0, :]
-            change = np.abs(nxt - probs).sum(axis=-1).max(initial=0.0)
+            nxt = probs @ entries
+            change = np.abs(nxt - probs).sum()
             probs = nxt
             if change <= config.POWER_ITER_TOL:
                 break
@@ -165,9 +163,8 @@ def stationary_rows(chains: np.ndarray) -> np.ndarray:
     if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
         raise NoUniqueStationary("stationary solution leaves the probability simplex")
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum(axis=-1, keepdims=True)
-    moved = np.matmul(probs[..., None, :], chains)[..., 0, :]
-    residual = np.abs(moved - probs).max(initial=0.0)
+    probs = probs / probs.sum()
+    residual = np.abs(probs @ entries - probs).max()
     if residual > config.STATIONARY_RESIDUAL_TOL:
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
     return probs
@@ -251,7 +248,7 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
     NoUniqueStationary
         If the stationarity system is singular, its solution leaves the
         probability simplex, or its fixed-point residual exceeds
-        ``config.STATIONARY_RESIDUAL_TOL``, as in :func:`stationary_rows`.
+        ``config.STATIONARY_RESIDUAL_TOL``, as in :func:`stationary`.
     SingularFundamental
         If the gradient system is singular.
     """
@@ -306,7 +303,7 @@ def _one_closed_class(entries: np.ndarray) -> bool:
 
 
 def stationary(matrix: StochasticMatrix) -> Distribution:
-    """Solve ``p^T P = p^T`` with ``sum(p) = 1`` through :func:`stationary_rows`.
+    """Solve ``p^T P = p^T`` with ``sum(p) = 1``.
 
     A chain with every entry positive has a unique stationary distribution
     (Perron-Frobenius); any other chain is first checked to have exactly
@@ -321,7 +318,7 @@ def stationary(matrix: StochasticMatrix) -> Distribution:
     entries = matrix.entries
     if entries.min() <= 0.0 and not _one_closed_class(entries):
         raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
-    return Distribution(stationary_rows(entries))
+    return Distribution(_stationary_probs(entries))
 
 
 def limiting_matrix(matrix: StochasticMatrix) -> np.ndarray:

@@ -7,12 +7,13 @@ most desired; the transition weight from item i to item j is
 only on the ordering of the values, so any monotone rescaling of a feature
 yields the same topology. Tied values receive average ranks.
 
-:func:`average_ranks` and :func:`rank_chain_entries` hold that arithmetic
-once, for a whole stack of equal-width contexts in one broadcast pass;
-:func:`encode_rank_topology` validates one value vector and wraps the
-kernel's output in a :class:`Topology`, whose :attr:`Topology.ranks` reads
-the ranks back for the learner. :func:`mix_chains` likewise holds the
-restart mixture once, for :func:`combine` and the synthetic generators.
+:func:`average_ranks` and :func:`rank_chain` hold that arithmetic once, for
+a whole stack of equal-width contexts in one broadcast pass;
+:func:`encode_rank_topology` validates one value vector and wraps its chain
+in a :class:`Topology`, whose :attr:`Topology.ranks` reads the ranks back
+for the learner. The ranks alone are what the generators, the learner and
+the scorer solve from (``rsm.markov.rank_chain_rows``); :func:`combine`
+mixes explicit topology matrices for the object API.
 """
 
 from __future__ import annotations
@@ -173,23 +174,14 @@ def average_ranks(desirability: np.ndarray) -> np.ndarray:
 
 
 def rank_chain(ranks: np.ndarray) -> np.ndarray:
-    """The rank chains of a ``(..., n)`` stack of :func:`average_ranks`."""
+    """The ``(..., n, n)`` rank chains of a ``(..., n)`` stack of :func:`average_ranks`.
+
+    The weights ``n + rank(j) - rank(i)`` are multiples of 1/2 below ``2n``, so
+    their row sums are exact and every slice is the chain of its vector alone.
+    """
     n = ranks.shape[-1]
     weights = n + ranks[..., None, :] - ranks[..., :, None]
     return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def rank_chain_entries(desirability: np.ndarray) -> np.ndarray:
-    """Rank-chain transition entries for a ``(..., n)`` stack of desirability values.
-
-    The kernel behind every rank topology: each length-``n`` vector along the
-    last axis becomes one ``(n, n)`` row-stochastic matrix, larger values
-    being more desirable, from its :func:`average_ranks`. The weights
-    ``n + rank(j) - rank(i)`` are multiples of 1/2 below ``2n``, so their row
-    sums are exact and every slice is bit-identical to encoding its vector
-    alone. Callers validate: values finite, ``n >= 2``.
-    """
-    return rank_chain(average_ranks(desirability))
 
 
 def encode_rank_topology(
@@ -225,7 +217,7 @@ def encode_rank_topology(
         raise ContextTooSmall(f"a context needs at least two items, got {n}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("feature values must be finite")
-    entries = rank_chain_entries(vals if direction is Direction.HIGHER_IS_BETTER else -vals)
+    entries = rank_chain(average_ranks(vals if direction is Direction.HIGHER_IS_BETTER else -vals))
     if item_ids is None:
         item_ids = tuple(f"item{i}" for i in range(n))
     return Topology(feature=feature, matrix=StochasticMatrix(entries), item_ids=tuple(item_ids))
@@ -286,28 +278,14 @@ def combine(
     for top in topologies[1:]:
         if top.item_ids != first.item_ids:
             raise ShapeError("all topologies must cover the same items in the same order")
-    return StochasticMatrix._trusted(mix_chains([top.matrix.entries for top in topologies], weights.values, lam))
-
-
-def mix_chains(stack, weights: np.ndarray, lam: float) -> np.ndarray:
-    """The mixed chains ``lam / n + (1 - lam) * sum_i w_i T_i`` of a ``(k, ..., n, n)`` stack.
-
-    The kernel behind :func:`combine` (one ``(n, n)`` matrix per feature)
-    and the synthetic generators (one ``(B, n, n)`` stack of contexts per
-    feature). The mixture starts as the first weighted term, the others are
-    added in feature order through one scratch buffer, and the restart is
-    applied last, in place; elementwise IEEE arithmetic does not depend on
-    the batch shape, so every context gets the same bits however it is
-    batched. Callers validate the weights and ``lam``.
-    """
-    mix = np.multiply(stack[0], weights[0], dtype=np.float64)
+    # the first weighted term, the others added in feature order through one scratch buffer, the restart last
+    mix = np.multiply(first.matrix.entries, weights.values[0])
     term = np.empty_like(mix)
-    n = mix.shape[-1]
-    for w, entries in zip(weights[1:], stack[1:]):
-        mix += np.multiply(entries, w, out=term)
+    for w, top in zip(weights.values[1:], topologies[1:]):
+        mix += np.multiply(top.matrix.entries, w, out=term)
     mix *= 1.0 - lam
-    mix += lam / n
-    return mix
+    mix += lam / first.n
+    return StochasticMatrix._trusted(mix)
 
 
 def rank_items(combined: StochasticMatrix, item_ids: Sequence) -> list:

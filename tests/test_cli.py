@@ -44,6 +44,15 @@ class TestSynth:
         # noise-free: no click rows, hence no CSV
         assert not (synth_dir / "dataset.csv").exists()
 
+    def test_flip_manifest_counts_queries_and_candidates(self, flip_dir):
+        manifest = json.loads((flip_dir / "manifest.json").read_text())
+        dataset = rsm.generate_flip_dataset(
+            num_queries=10, weights=rsm.WeightVector(np.array([0.5, 0.3, 0.2])), n=5,
+            clicks_per_context=5000, seed=rsm.derive_seed(2, "synth"),
+        )
+        assert manifest["queries_kept"] == manifest["num_rows"] // 2 == 10
+        assert manifest["candidates_drawn"] == dataset.candidates_drawn >= 10
+
     def test_identical_files_for_fixed_seed(self, tmp_path):
         args = ["synth", "--queries", "6", "--k", "2", "--n", "3", "--clicks", "40",
                 "--seed", "5", "--out-dir"]

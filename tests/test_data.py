@@ -615,44 +615,48 @@ class TestSyntheticGeneration:
         assert shared_pairs
 
 
-# The object-path generators as they stood before they moved to the array
-# kernels: every topology through encode_rank_topology, every chain through
-# combine and stationary. The array path must reproduce them bit for bit.
+# The generators through the object path: every topology through
+# encode_rank_topology, every chain through combine and stationary, one
+# candidate at a time, on the same random streams. Items, features,
+# positions, topologies and counts must match bit for bit and targets within
+# roundoff; clicks are drawn from each side's own targets, so a target moved
+# in its last bits may move a click.
 def reference_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     schema = synthetic_schema(spec.k)
+    values = rng.random((spec.num_queries, spec.k, spec.n))
     instances, rows = [], []
     for q in range(spec.num_queries):
         query_id = f"q{q:05d}"
         items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
-        values = rng.random((spec.k, spec.n))
         topologies = tuple(
-            encode_rank_topology(values[i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
+            encode_rank_topology(values[q, i], Direction.HIGHER_IS_BETTER, items, schema.names[i])
             for i in range(spec.k)
         )
         probs = stationary(combine(topologies, spec.weights, spec.lam)).probs
         instances += [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
         if spec.clicks_per_context is not None:
             clicks = rng.multinomial(spec.clicks_per_context, probs)
-            features = {schema.names[i]: values[i] for i in range(spec.k)}
+            features = {schema.names[i]: values[q, i] for i in range(spec.k)}
             rows.append(LogRow(query_id, f"c{q:05d}", items, np.arange(1, spec.n + 1), clicks, features))
-    return instances, rows
+    return instances, rows, spec.num_queries
 
 
 def reference_flip_dataset(num_queries, weights, lam=config.DEFAULT_LAMBDA, n=5, shared_items=2,
-                           clicks_per_context=10_000, margin=0.02, seed=0, max_attempts=500):
+                           clicks_per_context=10_000, margin=0.02, seed=0, max_attempts=20_000):
     k = weights.k
-    rng = np.random.default_rng(seed)
     schema = synthetic_schema(k)
-    instances, rows = [], []
+    instances, rows, drawn = [], [], 0
     pool_size = 2 * n - shared_items
     for q in range(num_queries):
+        rng = np.random.default_rng(derive_seed(seed, f"query:{q}"))
         query_id = f"q{q:05d}"
         pool_items = tuple(f"{query_id}_i{j}" for j in range(pool_size))
         idx_1 = list(range(n))
         idx_2 = list(range(shared_items)) + list(range(n, pool_size))
         accepted = None
         for _ in range(max_attempts):
+            drawn += 1
             values = rng.random((k, pool_size))
             result = []
             for idx in (idx_1, idx_2):
@@ -671,29 +675,32 @@ def reference_flip_dataset(num_queries, weights, lam=config.DEFAULT_LAMBDA, n=5,
                 break
         if accepted is None:
             continue
+        rng = np.random.default_rng(derive_seed(seed, f"clicks:{q}"))
+        positions = [rng.permutation(n) + 1 for _ in accepted]
         for c, (items, subvals, topologies, probs) in enumerate(accepted):
             clicks = rng.multinomial(clicks_per_context, probs)
-            positions = rng.permutation(n) + 1
             features = {schema.names[i]: subvals[i] for i in range(k)}
-            rows.append(LogRow(query_id, f"c{q:05d}_{c}", items, positions, clicks, features))
+            rows.append(LogRow(query_id, f"c{q:05d}_{c}", items, positions[c], clicks, features))
             instances += [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
-    return instances, rows
+    return instances, rows, drawn
 
 
 def assert_same_dataset(data, reference):
-    instances, rows = reference
+    instances, rows, drawn = reference
+    assert data.candidates_drawn == drawn
     assert len(data.rows) == len(rows) and len(data.instances) == len(instances)
     for got, want in zip(data.rows, rows):
         assert (got.query_id, got.context_id, got.items) == (want.query_id, want.context_id, want.items)
-        assert got.clicks.tobytes() == want.clicks.tobytes()
         assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.total_clicks() == want.total_clicks()
+        assert np.abs(got.clicks - want.clicks).sum() <= 2
         assert list(got.features) == list(want.features)
         for name in want.features:
             assert got.features[name].tobytes() == want.features[name].tobytes()
     tuples = {}
     for got, want in zip(data.instances, instances):
         assert (got.query_id, got.item_ids, got.target_index) == (want.query_id, want.item_ids, want.target_index)
-        assert np.float64(got.target_prob).tobytes() == np.float64(want.target_prob).tobytes()
+        assert abs(got.target_prob - want.target_prob) <= 1e-12
         assert [t.feature for t in got.topologies] == [t.feature for t in want.topologies]
         for t_got, t_want in zip(got.topologies, want.topologies):
             assert t_got.item_ids == t_want.item_ids
@@ -701,6 +708,17 @@ def assert_same_dataset(data, reference):
         tuples.setdefault(got.item_ids, set()).add(id(got.topologies))
     # one topology tuple per context, shared by all of that context's instances
     assert all(len(ids) == 1 for ids in tuples.values())
+
+
+def dataset_bytes(data):
+    """Every bit of a generated dataset: rows, targets, topologies and the candidate count."""
+    parts = [str(data.candidates_drawn).encode()]
+    for row in data.rows:
+        parts += [repr((row.query_id, row.context_id, row.items)).encode(), row.clicks.tobytes(), row.positions.tobytes()]
+        parts += [values.tobytes() for values in row.features.values()]
+    for inst in data.instances:
+        parts += [np.float64(inst.target_prob).tobytes()] + [t.matrix.entries.tobytes() for t in inst.topologies]
+    return b"".join(parts)
 
 
 class TestGeneratorOracle:
@@ -718,7 +736,7 @@ class TestGeneratorOracle:
         assert_same_dataset(data, reference_flip_dataset(**kwargs))
 
     def test_wide_flip_dataset_matches_the_object_path(self):
-        """Above DIRECT_SOLVE_MAX_N each context is solved alone, as before; a batched power solve moves bits."""
+        """Above DIRECT_SOLVE_MAX_N the object path solves by power iteration; the kernel has no switch on n."""
         kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=65, clicks_per_context=500, margin=0.0, seed=0)
         assert_same_dataset(generate_flip_dataset(**kwargs), reference_flip_dataset(**kwargs))
 
@@ -727,6 +745,19 @@ class TestGeneratorOracle:
     def test_synthetic_matches_the_object_path(self, n, clicks):
         spec = SyntheticSpec(k=3, num_queries=4, weights=self.WEIGHTS, n=n, clicks_per_context=clicks, seed=n)
         assert_same_dataset(generate_synthetic(spec), reference_synthetic(spec))
+
+    @pytest.mark.parametrize("n, margin", [(5, 0.02), (65, 0.0)])
+    def test_candidate_block_size_changes_no_bit(self, monkeypatch, n, margin):
+        """150 attempts, a multiple of neither block, drop some of the queries at n = 5."""
+        kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=n, clicks_per_context=5000, margin=margin,
+                      seed=9, max_attempts=150)
+        default = generate_flip_dataset(**kwargs)
+        assert default.rows
+        if n == 5:
+            assert len(default.rows) < 2 * 6
+        for block in (1, 7):
+            monkeypatch.setattr(rsm.data, "CANDIDATE_BLOCK", block)
+            assert dataset_bytes(generate_flip_dataset(**kwargs)) == dataset_bytes(default)
 
     @pytest.mark.parametrize(
         "weights, lam",

@@ -26,7 +26,7 @@ from rsm import (
 )
 import rsm.topology
 from rsm import StochasticMatrix, config
-from rsm.topology import average_ranks, rank_chain_entries
+from rsm.topology import average_ranks, rank_chain
 
 from conftest import random_reporting_weights, random_topologies
 
@@ -154,14 +154,14 @@ STACKS = dict(
 
 
 class TestRankKernel:
-    """``rank_chain_entries`` on ``(B, k, n)`` stacks, n crossing ``DIRECT_SOLVE_MAX_N``."""
+    """``rank_chain(average_ranks(...))`` on ``(B, k, n)`` stacks, n crossing ``DIRECT_SOLVE_MAX_N``."""
 
     @settings(max_examples=60, deadline=None)
     @given(**STACKS)
     def test_every_slice_is_the_scalar_encoding_bit_for_bit(self, shape, levels, seed):
         values = tied_values(seed, shape, levels)
         for direction, desirability in ((Direction.HIGHER_IS_BETTER, values), (Direction.LOWER_IS_BETTER, -values)):
-            entries = rank_chain_entries(desirability)
+            entries = rank_chain(average_ranks(desirability))
             assert entries.shape == shape + shape[-1:]
             for b, i in np.ndindex(*shape[:2]):
                 expected = encode_rank_topology(values[b, i], direction).matrix.entries
@@ -171,9 +171,9 @@ class TestRankKernel:
     @given(**STACKS)
     def test_invariant_under_increasing_maps(self, shape, levels, seed):
         values = tied_values(seed, shape, levels)
-        base = rank_chain_entries(values)
+        base = rank_chain(average_ranks(values))
         for transform in (lambda v: np.exp(v / 4.0), lambda v: v**3 + 10.0 * v - 2.0):
-            assert rank_chain_entries(transform(values)).tobytes() == base.tobytes()
+            assert rank_chain(average_ranks(transform(values))).tobytes() == base.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(**STACKS)
@@ -181,8 +181,8 @@ class TestRankKernel:
         values = tied_values(seed, shape, levels)
         perm = np.random.default_rng(seed + 1).permutation(shape[-1])
         P = np.eye(shape[-1])[perm]  # (P v)_i = v[perm[i]]
-        expected = P @ rank_chain_entries(values) @ P.T
-        assert rank_chain_entries(values[..., perm]).tobytes() == expected.tobytes()
+        expected = P @ rank_chain(average_ranks(values)) @ P.T
+        assert rank_chain(average_ranks(values[..., perm])).tobytes() == expected.tobytes()
 
 
     @settings(max_examples=40, deadline=None)
@@ -414,8 +414,6 @@ class TestMixChains:
         ids = tuple(range(n))
         topologies = [rsm.topology.Topology(feature=f"f{i}", matrix=m, item_ids=ids) for i, m in enumerate(tops)]
         assert combine(topologies, weights, lam).entries.tobytes() == expected.tobytes()
-        stack = np.array([t.entries for t in tops])
-        assert rsm.topology.mix_chains(stack, weights.values, lam).tobytes() == expected.tobytes()
 
 
 def oracle_rank_order(probs, item_ids, tie_tol=1e-12):
@@ -434,7 +432,7 @@ def oracle_rank_order(probs, item_ids, tie_tol=1e-12):
 
 
 def oracle_combine_entries(stack, weights, lam):
-    """``combine``'s mixing arithmetic before it moved into ``mix_chains``, copied verbatim."""
+    """``combine``'s mixing arithmetic before it mixed in place, copied verbatim."""
     n = stack[0].shape[0]
     mix = np.zeros((n, n))
     for w, entries in zip(weights, stack):
