@@ -774,8 +774,9 @@ def save_instances(instances: Sequence[TrainingInstance], path) -> None:
 def load_instances(path) -> List[TrainingInstance]:
     """Read a JSON instance file written by :func:`save_instances`.
 
-    Topology tuples are shared between instances of the same context so the
-    learner can group them.
+    Instances with equal query id, items and topology matrices share one
+    topology tuple, wherever they appear in the file, so the learner can
+    group them; matrices are compared as parsed, never re-serialised.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -784,13 +785,14 @@ def load_instances(path) -> List[TrainingInstance]:
             raise ParseError(f"invalid JSON: {exc}", line_number=exc.lineno) from exc
     if not isinstance(payload, dict) or "instances" not in payload:
         raise SchemaError("instance file must be an object with an 'instances' array")
-    cache: Dict[str, Tuple] = {}
+    seen: Dict[tuple, list] = {}  # (query id, items) -> [(matrices, topology tuple)] of its contexts so far
     out: List[TrainingInstance] = []
     for i, entry in enumerate(payload["instances"]):
         try:
             items = tuple(entry["items"])
-            key = json.dumps([entry["query_id"], list(items)] + [t["matrix"] for t in entry["topologies"]])
-            topologies = cache.get(key)
+            matrices = [t["matrix"] for t in entry["topologies"]]
+            contexts = seen.setdefault((entry["query_id"], items), [])
+            topologies = next((tops for known, tops in contexts if known == matrices), None)
             if topologies is None:
                 topologies = tuple(
                     Topology(
@@ -800,11 +802,11 @@ def load_instances(path) -> List[TrainingInstance]:
                     )
                     for t in entry["topologies"]
                 )
-                cache[key] = topologies
+                contexts.append((matrices, topologies))
             out.append(
                 TrainingInstance(
                     query_id=entry["query_id"],
-                    item_ids=items,
+                    item_ids=topologies[0].item_ids,  # the context's own tuple, so the item check is by identity
                     topologies=topologies,
                     target_index=int(entry["target_index"]),
                     target_prob=float(entry["target_prob"]),

@@ -23,17 +23,21 @@ applies the step until its max-norm drops to the halting threshold.
 
 The learner reads its data as a :class:`ContextBatch`: per context width, the
 stacked (B, k, n) average ranks with their weight-free products, and each
-target's context, item, probability and dataset-order slot.
-``rsm.data.batch_from_rows`` ranks click-log rows straight from their feature
-values; a :class:`TrainingInstance` sequence is converted once by
-:func:`as_batch`, which accepts rank topologies only. A brute-force grid
-learner over the weight simplex serves as an oracle.
+target's probability, dataset-order slot and flat places in the kernel's
+outputs, so every evaluation gathers a width's targets with one ``take`` per
+output. ``rsm.data.batch_from_rows`` ranks click-log rows straight from their
+feature values; a :class:`TrainingInstance` sequence is converted once by
+:func:`as_batch`, in array passes over the instances and one Python step per
+context, and accepts rank topologies only. A brute-force grid learner over
+the weight simplex serves as an oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -95,9 +99,9 @@ class TrainingInstance:
         if not self.topologies:
             raise ValueError("an instance needs at least one topology")
         for top in self.topologies:
-            if top.item_ids != self.item_ids:
+            if top.item_ids is not self.item_ids and top.item_ids != self.item_ids:
                 raise ShapeError("topology items must match the instance items")
-        if not 0 <= self.target_index < len(self.item_ids):
+        if not 0 <= operator.index(self.target_index) < len(self.item_ids):  # TypeError unless an integer
             raise ValueError("target_index out of range")
         if not 0.0 <= self.target_prob <= 1.0:
             raise ValueError("target_prob must lie in [0, 1]")
@@ -138,17 +142,25 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-# one width: its RankSpace, and per target its context, item, target and slot
-_Bucket = namedtuple("_Bucket", "space gidx uidx targets slots")
+# one width: its RankSpace, and per target its probability, its dataset-order
+# slot and its flat places in the kernel's (b, n) stationary and (b, k, n) rows
+_Bucket = namedtuple("_Bucket", "space targets slots at rows_at")
+
+
+def _bucket(ranks: np.ndarray, gidx: np.ndarray, uidx: np.ndarray, targets: np.ndarray, slots: np.ndarray) -> _Bucket:
+    """One width's bucket: ``(b, k, n)`` ranks and each target's context, item, probability and slot."""
+    _, k, n = ranks.shape
+    at = gidx * n + uidx
+    rows_at = (gidx * (k * n) + uidx)[:, None] + n * np.arange(k)
+    return _Bucket(rank_space(ranks), targets, slots, at, rows_at)
 
 
 @dataclass(frozen=True, eq=False)
 class ContextBatch:
     """Training targets grouped by context width; ``len(batch)`` counts targets.
 
-    Build one with :meth:`from_contexts`, :meth:`from_widths`,
-    ``rsm.data.batch_from_rows`` or :func:`as_batch`. Widths keep their
-    order of first appearance.
+    Build one with :meth:`from_widths`, ``rsm.data.batch_from_rows`` or
+    :func:`as_batch`. Widths keep their order of first appearance.
     """
 
     k: int
@@ -156,19 +168,6 @@ class ContextBatch:
 
     def __len__(self) -> int:
         return sum(bucket.slots.size for bucket in self.buckets)
-
-    @classmethod
-    def from_contexts(cls, k: int, contexts) -> "ContextBatch":
-        """Stack ``((k, n) ranks, item indices, targets, slots)`` per context."""
-        by_n = {}
-        for context in contexts:
-            by_n.setdefault(context[0].shape[-1], []).append(context)
-        buckets = []
-        for group in by_n.values():
-            ranks, uidx, targets, slots = zip(*group)
-            gidx = np.repeat(np.arange(len(group)), [len(u) for u in uidx])
-            buckets.append(_Bucket(rank_space(np.stack(ranks)), gidx, *map(np.concatenate, (uidx, targets, slots))))
-        return cls(k=k, buckets=tuple(buckets))
 
     @classmethod
     def from_widths(cls, k: int, widths) -> "ContextBatch":
@@ -182,30 +181,51 @@ class ContextBatch:
         for ranks, targets, slots in widths:
             b, n = targets.shape
             gidx, uidx = np.repeat(np.arange(b), n), np.tile(np.arange(n), b)
-            buckets.append(_Bucket(rank_space(ranks), gidx, uidx, targets.ravel(), slots.ravel()))
+            buckets.append(_bucket(ranks, gidx, uidx, targets.ravel(), slots.ravel()))
         return cls(k=k, buckets=tuple(buckets))
 
 
 Data = Union[ContextBatch, Sequence[TrainingInstance]]
 
 
+def _positions(ids: np.ndarray, count: int) -> list:
+    """For each id below ``count``, the ascending positions that hold it, from one stable argsort."""
+    return np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids, minlength=count))[:-1])
+
+
 def as_batch(data: Data) -> ContextBatch:
     """``data`` itself if it is a batch, else the batch of an instance sequence.
 
-    Instances holding one topology tuple form one context; every target
-    keeps its position in the sequence as its slot. Each topology enters as
-    its :attr:`~rsm.topology.Topology.ranks`, so one that is not a rank
-    chain raises ``ValueError`` naming its feature.
+    Instances holding equal topology tuples form one context, numbered in
+    order of first appearance; every target keeps its position in the
+    sequence as its slot. The instances are read in a few array passes, and
+    only the contexts are visited one by one. Each topology enters as its
+    :attr:`~rsm.topology.Topology.ranks`, so one that is not a rank chain
+    raises ``ValueError`` naming its feature.
     """
     if isinstance(data, ContextBatch):
         return data
-    groups = {}
-    for slot, inst in enumerate(data):
-        groups.setdefault(inst.topologies, []).append((inst.target_index, inst.target_prob, slot))
-    if len({len(tops) for tops in groups}) > 1:
+    m = len(data)
+    groups = {}  # topology tuple -> slot of its first instance
+    topologies = map(operator.attrgetter("topologies"), data)
+    first = np.fromiter(map(groups.setdefault, topologies, itertools.count()), np.intp, m)
+    if len(set(map(len, groups))) > 1:
         raise ShapeError("all instances must share the same number of topologies")
-    contexts = [(np.stack([t.ranks for t in tops]), *map(np.array, zip(*rows))) for tops, rows in groups.items()]
-    return ContextBatch.from_contexts(len(next(iter(groups), ())), contexts)
+    if not groups:
+        return ContextBatch(k=0, buckets=())
+    contexts = list(groups)
+    _, context = np.unique(first, return_inverse=True)  # each target's context
+    widths = {}  # context width -> bucket, in order of first appearance
+    bucket_of = np.array([widths.setdefault(tops[0].n, len(widths)) for tops in contexts], dtype=np.intp)
+    uidx = np.fromiter(map(operator.attrgetter("target_index"), data), np.intp, m)
+    targets = np.fromiter(map(operator.attrgetter("target_prob"), data), np.float64, m)
+    place = np.empty(len(contexts), np.intp)  # each context's place in its bucket
+    buckets = []
+    for members, slots in zip(_positions(bucket_of, len(widths)), _positions(bucket_of[context], len(widths))):
+        place[members] = np.arange(members.size)
+        ranks = np.array([[top.ranks for top in contexts[c]] for c in members.tolist()])
+        buckets.append(_bucket(ranks, place[context[slots]], uidx[slots], targets[slots], slots))
+    return ContextBatch(k=len(contexts[0]), buckets=tuple(buckets))
 
 
 def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: bool):
@@ -215,9 +235,9 @@ def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: 
     grads = np.empty((m, k)) if gradients else None
     for bucket in batch.buckets:
         probs, rows = rank_chain_rows(bucket.space, w_native, lam, gradients)  # (b, n), p^T T_i Z as (b, k, n)
-        residuals[bucket.slots] = bucket.targets - probs[bucket.gidx, bucket.uidx]
+        residuals[bucket.slots] = bucket.targets - probs.ravel().take(bucket.at)
         if gradients:
-            grads[bucket.slots] = rows[bucket.gidx, :, bucket.uidx]
+            grads[bucket.slots] = rows.ravel().take(bucket.rows_at)
     return residuals, grads
 
 

@@ -165,12 +165,25 @@ def average_ranks(desirability: np.ndarray) -> np.ndarray:
     Larger values rank higher; ties share ``#{v_j < v_i} + (#{v_j = v_i} + 1) / 2``,
     equal to ``scipy.stats.rankdata(method="average")``. Every rank is a
     multiple of 1/2 in ``[1, n]`` and the ranks of a vector sum to
-    ``n (n + 1) / 2``, all exactly. Callers validate: values finite.
+    ``n (n + 1) / 2``, all exactly. One sort per vector finds the runs
+    of equal values, and a run over sorted places ``[start, stop)`` shares
+    ``(start + 1 + stop) / 2``; no ``(..., n, n)`` array is formed. Callers
+    validate: values finite.
     """
     values = np.asarray(desirability, dtype=np.float64)
-    below = (values[..., None, :] < values[..., :, None]).sum(axis=-1)
-    equal = (values[..., None, :] == values[..., :, None]).sum(axis=-1)
-    return below + (equal + 1) / 2
+    order = np.argsort(values, axis=-1)  # the order within a tie run does not matter
+    ordered = np.take_along_axis(values, order, axis=-1)
+    n = values.shape[-1]
+    place = np.arange(n)
+    opens = np.ones(values.shape, dtype=bool)  # a sorted place that starts a run of equal values
+    opens[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    closes = np.ones(values.shape, dtype=bool)
+    closes[..., :-1] = opens[..., 1:]
+    start = np.maximum.accumulate(np.where(opens, place, 0), axis=-1)
+    stop = np.minimum.accumulate(np.where(closes, place + 1, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty_like(ordered)
+    np.put_along_axis(ranks, order, (start + 1 + stop) / 2, axis=-1)
+    return ranks
 
 
 def rank_chain(ranks: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from rsm import (
     training_instances_from_rows,
 )
 from rsm.data import rank_vectors
+from rsm.learner import as_batch
 
 from conftest import make_row
 
@@ -813,6 +814,31 @@ class TestInstanceFiles:
                 assert_allclose(t_copy.matrix.entries, t_orig.matrix.entries, atol=1e-15)
         # instances of one context share one topology tuple after loading
         assert back[0].topologies is back[1].topologies
+
+    @staticmethod
+    def context_file(tmp_path, order):
+        """Instances of the contexts ``order`` names: 0 and 1 share query and items but not matrices."""
+        items = ("a", "b", "c")
+        contexts = [
+            tuple(encode_rank_topology(v, item_ids=items, feature=f"f{i}") for i, v in enumerate(values))
+            for values in ([[1, 2, 3], [3, 1, 2]], [[3, 2, 1], [3, 1, 2]])
+        ]
+        instances = [TrainingInstance("q", items, contexts[c], u % 3, 1 / 3) for u, c in enumerate(order)]
+        path = tmp_path / "contexts.json"
+        save_instances(instances, path)
+        return load_instances(path)
+
+    def test_equal_items_with_other_matrices_load_as_two_contexts(self, tmp_path):
+        back = self.context_file(tmp_path, [0, 1])
+        assert back[0].topologies is not back[1].topologies
+        assert [t.ranks.tolist() for t in back[1].topologies] == [[3.0, 2.0, 1.0], [3.0, 1.0, 2.0]]
+        assert len(as_batch(back).buckets[0].space.ranks) == 2
+
+    def test_scattered_instances_of_one_context_share_one_tuple(self, tmp_path):
+        back = self.context_file(tmp_path, [0, 1, 0, 1, 0])
+        assert back[0].topologies is back[2].topologies is back[4].topologies
+        assert back[1].topologies is back[3].topologies is not back[0].topologies
+        assert back[2].item_ids is back[0].topologies[0].item_ids
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

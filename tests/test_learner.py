@@ -37,7 +37,8 @@ from rsm import (
     training_instances_from_rows,
 )
 import rsm.learner
-from rsm.learner import as_batch
+from rsm.learner import ContextBatch, as_batch
+from rsm.markov import rank_chain_rows, rank_space
 
 from conftest import noise_free_instances, random_reporting_weights, random_topologies
 
@@ -105,6 +106,21 @@ class TestLinearizedRow:
             expected = np.array([p @ top.matrix.entries @ fm.z[:, u] for top in topologies])
             assert residual == pytest.approx(0.5 - p[u], abs=1e-12)
             assert np.max(np.abs(grad - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_topology_over_other_items_is_refused(self):
+        rng = np.random.default_rng(415)
+        topologies = random_topologies(rng, 4, 2)
+        others = ("a", "b", "c", "d")
+        with pytest.raises(ShapeError, match="topology items must match the instance items"):
+            TrainingInstance("q", others, topologies, 0, 0.25)
+        same = TrainingInstance("q", list(topologies[0].item_ids), topologies, 0, 0.25)  # equal, not identical
+        assert same.item_ids == topologies[0].item_ids
+
+    def test_fractional_target_index_is_refused(self):
+        topologies = random_topologies(np.random.default_rng(416), 4, 2)
+        with pytest.raises(TypeError):
+            TrainingInstance("q", topologies[0].item_ids, topologies, 1.5, 0.25)
+        assert TrainingInstance("q", topologies[0].item_ids, topologies, np.int64(1), 0.25).target_index == 1
 
     def test_weight_arity_guard(self):
         rng = np.random.default_rng(2)
@@ -695,6 +711,116 @@ class TestContextBatch:
         assert result.converged
         assert result.iterations <= result.qp_steps <= 3 * result.iterations
         assert 0.0 <= result.max_kkt_residual <= LearnerConfig().qp_tol
+
+
+def oracle_contexts(data):
+    """The instance grouping ``as_batch`` used to run, copied verbatim: one Python tuple per instance.
+
+    Returns ``k`` and per context its ``(k, n)`` ranks, items, targets and
+    slots, contexts in order of first appearance.
+    """
+    groups = {}
+    for slot, inst in enumerate(data):
+        groups.setdefault(inst.topologies, []).append((inst.target_index, inst.target_prob, slot))
+    if len({len(tops) for tops in groups}) > 1:
+        raise ShapeError("all instances must share the same number of topologies")
+    contexts = [(np.stack([t.ranks for t in tops]), *map(np.array, zip(*rows))) for tops, rows in groups.items()]
+    return len(next(iter(groups), ())), contexts
+
+
+def oracle_widths(contexts):
+    """The old ``ContextBatch.from_contexts`` stacking: per width, ranks and each target's context, item, target and slot."""
+    by_n = {}
+    for context in contexts:
+        by_n.setdefault(context[0].shape[-1], []).append(context)
+    out = []
+    for group in by_n.values():
+        ranks, uidx, targets, slots = zip(*group)
+        gidx = np.repeat(np.arange(len(group)), [len(u) for u in uidx])
+        out.append((np.stack(ranks), gidx, *map(np.concatenate, (uidx, targets, slots))))
+    return out
+
+
+def oracle_batch(data):
+    k, contexts = oracle_contexts(data)
+    return ContextBatch(k=k, buckets=tuple(rsm.learner._bucket(*width) for width in oracle_widths(contexts)))
+
+
+def oracle_linearized_rows(data, weights, lam=config.DEFAULT_LAMBDA):
+    """Residuals and rows by the old grouping and the old two-array gathers."""
+    k, contexts = oracle_contexts(data)
+    native = weights.as_native(lam).values
+    residuals, grads = np.empty(len(data)), np.empty((len(data), k))
+    for ranks, gidx, uidx, targets, slots in oracle_widths(contexts):
+        probs, rows = rank_chain_rows(rank_space(ranks), native, lam)
+        residuals[slots] = targets - probs[gidx, uidx]
+        grads[slots] = rows[gidx, :, uidx]
+    return residuals, grads
+
+
+def mixed_width_instances():
+    """Instances of 5 + 3 contexts at widths 5 and 70, every context's instances dealt out round-robin."""
+    rows, schema = interleaved_rows()
+    instances = training_instances_from_rows(rows, schema)
+    by_context = {}
+    for inst in instances:
+        by_context.setdefault(id(inst.topologies), []).append(inst)
+    hands = list(by_context.values())
+    return [hand[i] for i in range(max(map(len, hands))) for hand in hands if i < len(hand)]
+
+
+def distinct_tuple_instances():
+    """Noise-free instances at widths 4 and 66 whose contexts hold one new, equal topology tuple per instance."""
+    rng = np.random.default_rng(413)
+    true = WeightVector(np.array([0.5, 0.3, 0.2]))
+    data = noise_free_instances(rng, 3, 4, 3, true, 0.15) + noise_free_instances(rng, 2, 66, 3, true, 0.15)
+    return [
+        TrainingInstance(inst.query_id, inst.item_ids, list(inst.topologies), inst.target_index, inst.target_prob)
+        for inst in data
+    ]
+
+
+def shuffled_instances():
+    data = mixed_width_instances()
+    return [data[i] for i in np.random.default_rng(414).permutation(len(data))]
+
+
+class TestAsBatch:
+    """``as_batch`` against the per-instance grouping it replaced."""
+
+    @pytest.mark.parametrize("make", [mixed_width_instances, shuffled_instances, distinct_tuple_instances])
+    def test_fit_and_rows_equal_the_old_grouping_bit_for_bit(self, make):
+        data = make()
+        cfg = LearnerConfig(max_iters=60)
+        new, old = fit(data, cfg), fit(oracle_batch(data), cfg)
+        assert new.converged and old.converged
+        assert new.weights.values.tobytes() == old.weights.values.tobytes()
+        assert new.per_iteration_loss == old.per_iteration_loss
+        assert (new.iterations, new.qp_steps) == (old.iterations, old.qp_steps)
+        weights = WeightVector(np.array([0.2, 0.5, 0.3]))
+        residuals, grads = linearized_row(data, weights)
+        expected_residuals, expected_grads = oracle_linearized_rows(data, weights)
+        assert residuals.tobytes() == expected_residuals.tobytes()
+        assert grads.tobytes() == expected_grads.tobytes()
+
+    def test_equal_tuples_form_one_context(self):
+        data = distinct_tuple_instances()
+        assert len({id(inst.topologies) for inst in data}) == len(data)
+        batch = as_batch(data)
+        assert [b.space.ranks.shape for b in batch.buckets] == [(3, 3, 4), (2, 3, 66)]
+        assert np.array_equal(np.sort(np.concatenate([b.slots for b in batch.buckets])), np.arange(len(data)))
+
+    def test_targets_keep_their_dataset_order(self):
+        data = mixed_width_instances()
+        batch = as_batch(data)
+        for bucket in batch.buckets:
+            assert np.all(np.diff(bucket.slots) > 0)
+            assert bucket.targets.tolist() == [data[s].target_prob for s in bucket.slots]
+
+    def test_an_empty_list_is_no_dataset(self):
+        assert len(as_batch([])) == 0
+        with pytest.raises(ValueError, match="dataset must be nonempty"):
+            fit([])
 
 
 class TestGridSearch:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import rankdata  # test-only oracle; rsm does not import scipy.stats
 
@@ -184,6 +185,18 @@ class TestRankKernel:
         expected = P @ rank_chain(average_ranks(values)) @ P.T
         assert rank_chain(average_ranks(values[..., perm])).tobytes() == expected.tobytes()
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, max_side=70),
+            elements=st.sampled_from([-2.5, -0.0, 0.0, 1.0, 7.0]) | st.floats(-1e6, 1e6),
+        )
+    )
+    def test_average_ranks_equal_rankdata_bit_for_bit(self, values):
+        """Values drawn half from five levels (0.0 and -0.0 among them) force long tie runs."""
+        assert average_ranks(values).tobytes() == rankdata(values, method="average", axis=-1).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(**STACKS)
