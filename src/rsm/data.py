@@ -6,8 +6,12 @@ per feature. Malformed lines are collected into an error report rather than
 silently dropped. A JSON format carries pre-encoded training instances with
 explicit topologies.
 
-A loaded row is validated once, at construction, and then feeds the learner,
-the scorer and the baselines through arrays cached on it: its CTRs, its
+Rows are validated once, where they enter: ``load_csv`` checks a file's
+cells and contexts in bulk at the CSV boundary and builds its rows without a
+second check, and the public ``LogRow`` and ``FlipPair`` constructors check
+everything built any other way. ``mine_flip_pairs`` builds its pairs
+unchecked too, from rows already valid. A row then feeds the learner, the
+scorer and the baselines through arrays cached on it: its CTRs, its
 ``(k, n)`` average ranks (rows of one width ranked together by one
 ``average_ranks`` call), from which the learner and the scorer both solve
 in rank space, and its least-squares design block.
@@ -24,8 +28,9 @@ import csv
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -94,7 +99,11 @@ class LogRow:
     """One displayed context: a query, its items, clicks and feature values.
 
     A row is immutable: its arrays are read-only and ``features`` is a
-    read-only mapping. Its click total and CTR vector are computed once, and
+    read-only mapping. The constructor validates its arguments; rows from
+    :func:`load_csv` were validated in bulk at the CSV boundary and are
+    built without a second check, their arrays read-only views of arrays
+    shared by the file's rows of one width. Its click total and CTR vector
+    are computed once, and
     the encodings derived from it (the ``(k, n)`` average ranks, the
     least-squares design block, and the topology tuple when asked for) are
     cached on the row, keyed by the schema that produced them, living
@@ -162,6 +171,23 @@ class LogRow:
             raise ValueError("ctrs are undefined for a context with no clicks")
         return self._ctrs
 
+    @classmethod
+    def _trusted(cls, query_id, context_id, items: tuple, positions, clicks, features, total: float, ctrs) -> "LogRow":
+        """A row from read-only arrays the caller has already validated, unchecked.
+
+        For :func:`load_csv`, which checks a whole file's cells in bulk: the
+        arrays are taken over without a copy, and ``features`` must already
+        be a read-only mapping in schema order.
+        """
+        row = object.__new__(cls)
+        # set in the constructor's order, so the row shares its attribute keys with every other row
+        for name, value in (
+            ("query_id", query_id), ("context_id", context_id), ("items", items), ("positions", positions),
+            ("clicks", clicks), ("features", features), ("_encodings", {}), ("_total", total), ("_ctrs", ctrs),
+        ):
+            object.__setattr__(row, name, value)
+        return row
+
     def index_of(self, item_id) -> int:
         return self.items.index(item_id)
 
@@ -195,6 +221,14 @@ class FlipPair:
         if not (gap_1 > 0 and gap_2 < 0):
             raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
 
+    @classmethod
+    def _trusted(cls, row_1: LogRow, row_2: LogRow, item_a, item_b, strength: float) -> "FlipPair":
+        """A pair :func:`mine_flip_pairs` has already found to flip, unchecked."""
+        pair = object.__new__(cls)
+        for name, value in (("row_1", row_1), ("row_2", row_2), ("item_a", item_a), ("item_b", item_b), ("strength", strength)):
+            object.__setattr__(pair, name, value)
+        return pair
+
 
 @dataclass(frozen=True)
 class LoadError:
@@ -220,6 +254,14 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
     header name, the last of duplicated names winning; a short line reads
     its missing cells as empty, extra cells are ignored and blank lines are
     skipped, as with ``csv.DictReader``.
+
+    This is where a file's rows are validated, once: cells are converted
+    with ``int`` and ``float`` a chunk of lines at a time, and the contexts
+    are checked in bulk (at least two items, unique items, finite and
+    nonnegative clicks, finite features). A line with a cell that does not
+    convert is parsed again alone, for its own error; a context that fails a
+    check goes to the public :class:`LogRow` constructor, whose error is
+    reported. The other contexts become rows without a second check.
     """
     columns = BASE_COLUMNS + schema.names
     with open(path, newline="", encoding="utf-8") as handle:
@@ -231,43 +273,139 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
         where = {name: i for i, name in enumerate(header)}
-        indices = [where[c] for c in columns]
-        width = len(header)
-        errors: List[LoadError] = []
-        # (query_id, context_id) -> [first line, broken, parsed lines], in file order
-        contexts: Dict[Tuple[str, str], list] = {}
+        loader = _CsvLines(columns, [where[c] for c in columns], len(header))
+        records: List[List[str]] = []
+        numbers: List[int] = []
         for cells in reader:
-            if not cells:
-                continue
-            line = reader.line_num
-            if len(cells) < width:
-                cells += [""] * (width - len(cells))
-            values = [cells[i] for i in indices]
-            ctx = contexts.get((values[0], values[1]))
-            if ctx is None:
-                ctx = contexts[values[0], values[1]] = [line, False, []]
-            try:
-                ctx[2].append(_parse_line(values, columns, line))
-            except ParseError as exc:
-                errors.append(LoadError(line_number=line, message=str(exc)))
-                ctx[1] = True
-    rows: List[LogRow] = []
-    for (query_id, context_id), (first_line, broken, lines) in contexts.items():
-        if broken:
-            continue
-        if len(lines) < 2:
-            message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
-            errors.append(LoadError(line_number=first_line, message=message))
-            continue
-        items, positions, clicks, *features = zip(*lines)
+            if cells:
+                records.append(cells)
+                numbers.append(reader.line_num)
+                if len(records) == _CSV_CHUNK:
+                    loader.add(records, numbers)
+                    records, numbers = [], []
+        loader.add(records, numbers)
+    return loader.result(schema)
+
+
+# CSV lines converted per pass; bounds the raw cell strings held at once
+_CSV_CHUNK = 512
+
+
+class _CsvLines:
+    """The lines of one click-log CSV, converted a chunk at a time, then grouped into rows."""
+
+    def __init__(self, columns: Tuple[str, ...], indices: List[int], width: int):
+        self.columns = columns
+        self.pick = operator.itemgetter(*indices)
+        self.width = width
+        self.contexts: Dict[Tuple[str, str], int] = {}  # (query_id, context_id) -> index of its first line
+        self.line_index = count()  # hands each line its index, the code of a context it opens
+        self.items: List[str] = []
+        self.positions: List[int] = []  # Python ints: a row's constructor rejects one beyond int64
+        self.chunks: List[tuple] = []  # per chunk: context codes, line numbers, clicks and features, failed lines
+        self.errors: List[LoadError] = []
+
+    def add(self, records: List[List[str]], numbers: List[int]) -> None:
+        """Convert one chunk of records column by column, or line by line if a cell does not convert."""
+        if not records:
+            return
+        if min(map(len, records)) < self.width:  # a short line reads its missing cells as empty
+            records = [cells + [""] * (self.width - len(cells)) for cells in records]
+        picked = list(map(self.pick, records))
+        query, context, items, positions, *numeric = zip(*picked)
+        codes = np.fromiter(map(self.contexts.setdefault, zip(query, context), self.line_index), np.int64, len(picked))
+        values = np.zeros((len(numeric), len(picked)))  # clicks, then the features in schema order
+        failed = np.zeros(len(picked), dtype=bool)
         try:
-            rows.append(LogRow(query_id, context_id, items, positions, clicks, dict(zip(schema.names, features))))
-        except (ValueError, ShapeError) as exc:
-            errors.append(LoadError(line_number=first_line, message=str(exc)))
-    return LoadResult(rows=rows, errors=errors)
+            if "" in query or "" in context or "" in items:
+                raise ValueError("empty cell")
+            positions = list(map(int, positions))
+            for row, cells in zip(values, numeric):
+                row[:] = list(map(float, cells))
+        except ValueError:
+            positions = [0] * len(picked)
+            for i, (cells, line) in enumerate(zip(picked, numbers)):
+                try:
+                    parsed = _parse_line(cells, self.columns, line)
+                except ParseError as exc:
+                    self.errors.append(LoadError(line_number=line, message=str(exc)))
+                    failed[i] = True
+                else:
+                    positions[i] = parsed[1]
+                    values[:, i] = parsed[2:]
+        self.items += items
+        self.positions += positions
+        self.chunks.append((codes, np.array(numbers), values, failed))
+
+    def result(self, schema: DatasetSchema) -> LoadResult:
+        """Group the lines into contexts, check them in bulk and build the rows in file order."""
+        rows: List[LogRow] = []
+        if not self.chunks:
+            return LoadResult(rows=rows, errors=self.errors)
+        codes, numbers, values, failed = (np.concatenate(part, axis=-1) for part in zip(*self.chunks))
+        self.chunks = []
+        first, context, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        clicks, features = values[0], values[1:]
+        broken = np.bincount(context, weights=failed, minlength=first.size) > 0
+        bad = ~np.isfinite(values).all(axis=0) | (clicks < 0)
+        flagged = np.bincount(context, weights=bad, minlength=first.size) > 0
+        item_codes = np.fromiter(map({}.setdefault, self.items, count()), np.int64, len(self.items))
+        by_item = np.lexsort((item_codes, context))
+        shown, item_codes = context[by_item], item_codes[by_item]
+        flagged[shown[1:][(shown[1:] == shown[:-1]) & (item_codes[1:] == item_codes[:-1])]] = True
+        order = np.argsort(context, kind="stable")  # each context's lines together, in file order
+        starts = np.cumsum(counts) - counts
+        keys = list(self.contexts)  # in first-line order, as ``first`` is
+        valid = ~broken & ~flagged & (counts >= 2)
+        built = {}
+        for n in set(counts[valid].tolist()):
+            members = np.flatnonzero(valid & (counts == n))
+            index = order[starts[members][:, None] + np.arange(n)]
+            built.update(zip(members.tolist(), self._rows(keys, members, index, clicks, features, schema.names)))
+        for c, (key, is_broken, size, line) in enumerate(
+            zip(keys, broken.tolist(), counts.tolist(), numbers[first].tolist())
+        ):
+            query_id, context_id = key
+            if is_broken:
+                continue
+            if size < 2:
+                message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
+                self.errors.append(LoadError(line_number=line, message=message))
+            elif c in built:
+                rows.append(built[c])
+            else:  # failed a bulk check: the public constructor says how
+                at = order[starts[c]:starts[c] + size].tolist()
+                feats = {name: values[j, at] for j, name in enumerate(schema.names, start=1)}
+                items, positions = [self.items[i] for i in at], [self.positions[i] for i in at]
+                try:
+                    rows.append(LogRow(query_id, context_id, items, positions, clicks[at], feats))
+                except (ValueError, ShapeError) as exc:
+                    self.errors.append(LoadError(line_number=line, message=str(exc)))
+        return LoadResult(rows=rows, errors=self.errors)
+
+    def _rows(self, keys, members, index, clicks, features, names):
+        """Trusted rows of one width: ``index`` holds each member context's ``(R, n)`` line indices.
+
+        Each row's arrays are read-only views of the width's stacked arrays;
+        its CTRs divide its clicks by their sum, as the constructor does.
+        """
+        positions = np.array(operator.itemgetter(*index.ravel().tolist())(self.positions), dtype=np.int64)
+        positions = positions.reshape(index.shape)
+        clicks, features = clicks[index], features[:, index]
+        totals = clicks.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row without clicks keeps no CTRs
+            ctrs = clicks / totals[:, None]
+        for array in (positions, clicks, features, ctrs):
+            array.flags.writeable = False
+        for r, (member, lines, total) in enumerate(zip(members.tolist(), index.tolist(), totals.tolist())):
+            query_id, context_id = keys[member]
+            yield LogRow._trusted(
+                query_id, context_id, tuple(map(self.items.__getitem__, lines)), positions[r], clicks[r],
+                MappingProxyType(dict(zip(names, features[:, r]))), total, ctrs[r] if total > 0 else None,
+            )
 
 
-def _parse_line(values: List[str], columns: Tuple[str, ...], line: int) -> tuple:
+def _parse_line(values: Sequence[str], columns: Tuple[str, ...], line: int) -> tuple:
     """``(item_id, position, clicks, *feature values)`` of one line's cells, in ``columns`` order."""
     if "" in values:
         column = columns[values.index("")]
@@ -322,35 +460,77 @@ def mine_flip_pairs(
     the one with the largest CTR gap is chosen (ties by context id). Output
     is sorted by (query, item_a, item_b); item_a precedes item_b
     lexicographically and row_1 is the context preferring item_a.
+
+    Every item pair of the qualifying contexts is enumerated with index
+    arrays, one width at a time, and grouped by an integer code of (query,
+    item, item); only the chosen pairs' items are compared as strings.
     """
-    by_query: Dict[str, List[LogRow]] = {}
-    for row in rows:
-        by_query.setdefault(row.query_id, []).append(row)
+    rows = [row for row in rows if row.total_clicks() > min_total_clicks]
+    if not rows:
+        return []
+    # an item's code names it within its query; one counter, so no two queries share a code
+    item_codes: Dict[str, Dict[str, int]] = {}
+    fresh = count()
+    # contexts are ranked in id order, for the tie-break
+    context_rank = {c: i for i, c in enumerate(sorted({row.context_id for row in rows}))}
+    by_n: Dict[int, List[int]] = {}
+    for pos, row in enumerate(rows):
+        by_n.setdefault(row.n, []).append(pos)
+    lo_code, hi_code, side, gap, tie, row, lo, hi = (
+        np.concatenate(column)
+        for column in zip(*[
+            _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) for group in by_n.values()
+        ])
+    )
+    if not side.size:
+        return []
+    # per pair and side, the entry with the largest gap, then the best tie rank
+    key = (lo_code * next(fresh) + hi_code) * 2 + side
+    order = np.lexsort((tie, -gap, key))
+    best = order[np.r_[True, key[order][1:] != key[order][:-1]]]
+    # a pair with both sides has its two best entries as neighbours: side False (lower code preferred), then True
+    both = np.flatnonzero(key[best][1:] // 2 == key[best][:-1] // 2)
+    ones, twos = best[both], best[both + 1]
     pairs: List[FlipPair] = []
-    for query in sorted(by_query):
-        qrows = [r for r in by_query[query] if r.total_clicks() > min_total_clicks]
-        seen: Dict[Tuple[str, str], List[Tuple[LogRow, float, float]]] = {}
-        for row in qrows:
-            items, clicks, ctr = row.items, row.clicks.tolist(), row.ctrs().tolist()
-            for i in range(row.n):
-                for j in range(i + 1, row.n):
-                    # name the pair by item id, so it reads the same in every context
-                    ia, ib = (i, j) if items[i] < items[j] else (j, i)
-                    diff = clicks[ia] - clicks[ib]
-                    if abs(diff) < min_click_diff:
-                        continue
-                    seen.setdefault((items[ia], items[ib]), []).append((row, diff, abs(ctr[ia] - ctr[ib])))
-        for (a, b), entries in sorted(seen.items()):
-            prefer_a = [(row, gap) for row, diff, gap in entries if diff > 0]
-            prefer_b = [(row, gap) for row, diff, gap in entries if diff < 0]
-            if not prefer_a or not prefer_b:
-                continue
-            row_1, gap_1 = max(prefer_a, key=lambda e: (e[1], e[0].context_id))
-            row_2, gap_2 = max(prefer_b, key=lambda e: (e[1], e[0].context_id))
-            pairs.append(
-                FlipPair(row_1=row_1, row_2=row_2, item_a=a, item_b=b, strength=gap_1 + gap_2)
-            )
+    for one, two, first, second, strength in zip(
+        row[ones].tolist(), row[twos].tolist(), lo[ones].tolist(), hi[ones].tolist(), (gap[ones] + gap[twos]).tolist()
+    ):
+        row_lo, row_hi = rows[one], rows[two]  # the contexts preferring the lower-coded item and the other
+        item_lo, item_hi = row_lo.items[first], row_lo.items[second]
+        if item_lo < item_hi:
+            pairs.append(FlipPair._trusted(row_lo, row_hi, item_lo, item_hi, strength))
+        else:
+            pairs.append(FlipPair._trusted(row_hi, row_lo, item_hi, item_lo, strength))
+    pairs.sort(key=lambda pair: (pair.row_1.query_id, pair.item_a, pair.item_b))
     return pairs
+
+
+def _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) -> tuple:
+    """The item pairs of ``rows[group]``, all of one width, whose click gap counts, as columns.
+
+    Columns: the pair's lower and higher item code, its side (True when the
+    higher-coded item has more clicks), its CTR gap, the row's tie rank
+    (larger context id first, then earlier row), the row's position and the
+    two items' indices in the row, lower code first.
+    """
+    members = [rows[pos] for pos in group]
+    n = members[0].n
+    clicks = np.array([row.clicks for row in members])
+    ctrs = np.array([row.ctrs() for row in members])
+    codes = np.fromiter(
+        chain.from_iterable(map(item_codes.setdefault(row.query_id, {}).setdefault, row.items, fresh) for row in members),
+        np.int64, len(members) * n,
+    ).reshape(-1, n)
+    tie = np.array(group) - len(rows) * np.array([context_rank[row.context_id] for row in members])
+    i, j = np.triu_indices(n, 1)
+    # name the pair by item code, so it reads the same in every context
+    swap = codes[:, i] > codes[:, j]
+    lo, hi = np.where(swap, j, i), np.where(swap, i, j)
+    r = np.arange(len(members))[:, None]
+    diff = clicks[r, lo] - clicks[r, hi]
+    r, c = np.nonzero(~(np.abs(diff) < min_click_diff) & (diff != 0))
+    lo, hi = lo[r, c], hi[r, c]
+    return codes[r, lo], codes[r, hi], diff[r, c] < 0, np.abs(ctrs[r, lo] - ctrs[r, hi]), tie[r], np.array(group)[r], lo, hi
 
 
 def _row_key(row: LogRow) -> Tuple[str, str]:

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,14 +166,6 @@ def constant_model(name: str = "constant") -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _credit(preferred: float, other: float) -> float:
-    if preferred > other:
-        return 1.0
-    if preferred == other:
-        return 0.5
-    return 0.0
-
-
 def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     """Fraction of flip comparisons a scorer gets right.
 
@@ -180,8 +173,10 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     in row_2 it is b. Full credit for ranking the preferred item strictly
     higher, half for an exact tie, none otherwise. The pairs' distinct rows
     are scored in one scorer call; if it raises, each row is scored alone.
-    A row whose scores raise or are not ``n`` finite floats logs a warning
-    and forfeits each of its comparisons at half credit.
+    The scores are checked here, the scorer's output being outside input: a
+    row whose scores raise or are not ``n`` finite floats logs a warning and
+    forfeits each of its comparisons at half credit. The comparisons are
+    then credited together, from the checked scores gathered by index.
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
@@ -193,22 +188,49 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
             raise ValueError(f"{len(batch)} score vectors for {len(rows)} rows")
     except Exception:  # noqa: BLE001 - scorer is user code; rows are retried one by one below
         batch = None
-    tables = {}
+    scores = _checked_scores(scorer, rows, batch)
+    offset = dict(zip(rows, accumulate((row.n for row in rows), initial=0)))
+    index = np.array(
+        [
+            (offset[row] + row.items.index(preferred), offset[row] + row.items.index(other))
+            for pair in pairs
+            for row, preferred, other in ((pair.row_1, pair.item_a, pair.item_b), (pair.row_2, pair.item_b, pair.item_a))
+        ]
+    )
+    preferred, other = scores[index[:, 0]], scores[index[:, 1]]
+    credit = int(np.count_nonzero(preferred > other)) + 0.5 * int(np.count_nonzero(preferred == other))
+    return credit / (2 * len(pairs))
+
+
+def _checked_scores(scorer: ScorerFn, rows: List[LogRow], batch: Optional[list]) -> np.ndarray:
+    """The rows' scores end to end: the batch's, or each row's own call when there is no batch.
+
+    One pass converts each row's scores and checks its shape, one check over
+    all of them finds the non-finite ones. A failed row logs one warning, in
+    row order, and scores all zero: tied, half credit on every comparison.
+    """
+    values, failures = [], {}
     for pos, row in enumerate(rows):
         try:
-            values = np.asarray(batch[pos] if batch is not None else scorer([row])[0], dtype=np.float64)
-            if values.shape != (row.n,) or not np.isfinite(values).all():
-                raise ValueError(f"expected {row.n} finite scores, got {values!r}")
+            row_scores = np.asarray(batch[pos] if batch is not None else scorer([row])[0], dtype=np.float64)
+            if row_scores.shape != (row.n,):
+                raise ValueError(f"expected {row.n} finite scores, got {row_scores!r}")
         except Exception as exc:  # noqa: BLE001 - scorer is user code
-            log.warning("scorer failed on %s/%s: %s", row.query_id, row.context_id, exc)
-            values = np.zeros(row.n)  # all tied: half credit on every comparison
-        tables[row] = dict(zip(row.items, values.tolist()))
-    total = 0.0
-    for pair in pairs:
-        one, two = tables[pair.row_1], tables[pair.row_2]
-        total += _credit(one[pair.item_a], one[pair.item_b])
-        total += _credit(two[pair.item_b], two[pair.item_a])
-    return total / (2 * len(pairs))
+            failures[pos] = exc
+            row_scores = np.zeros(row.n)
+        values.append(row_scores)
+    scores = np.concatenate(values)
+    if not np.isfinite(scores).all():
+        start = 0
+        for pos, row in enumerate(rows):
+            part = scores[start:start + row.n]  # a view: zeroing it zeroes the row's scores
+            if not np.isfinite(part).all():
+                failures[pos] = ValueError(f"expected {row.n} finite scores, got {values[pos]!r}")
+                part[:] = 0.0
+            start += row.n
+    for pos in sorted(failures):
+        log.warning("scorer failed on %s/%s: %s", rows[pos].query_id, rows[pos].context_id, failures[pos])
+    return scores
 
 
 def ctr_mae(scorer: ScorerFn, rows: Sequence[LogRow]) -> float:

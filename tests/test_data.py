@@ -1,9 +1,15 @@
 """Click-log parsing, flip mining, splitting and synthetic generation."""
 
+import csv
 import hashlib
+import io
 import itertools
 import logging
 import pickle
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +48,8 @@ from rsm import (
     topologies_from_row,
     training_instances_from_rows,
 )
-from rsm.data import rank_vectors
+from rsm.data import LoadError, LoadResult, rank_vectors
+from rsm.errors import ParseError, ShapeError
 from rsm.learner import as_batch
 
 from conftest import make_row
@@ -285,6 +292,192 @@ class TestMalformedCsv:
         assert [r.context_id for r in result.rows] == ["c2"]
 
 
+def reference_load_csv(path, schema):
+    """``load_csv`` as it was when every line was parsed alone and every row built by ``LogRow(...)``."""
+    columns = rsm.data.BASE_COLUMNS + schema.names
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("file is empty; a header line is required")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise SchemaError(f"missing columns: {', '.join(missing)}")
+        where = {name: i for i, name in enumerate(header)}
+        indices = [where[c] for c in columns]
+        width = len(header)
+        errors = []
+        contexts = {}
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            values = [cells[i] for i in indices]
+            ctx = contexts.get((values[0], values[1]))
+            if ctx is None:
+                ctx = contexts[values[0], values[1]] = [line, False, []]
+            try:
+                ctx[2].append(reference_parse_line(values, columns, line))
+            except ParseError as exc:
+                errors.append(LoadError(line_number=line, message=str(exc)))
+                ctx[1] = True
+    rows = []
+    for (query_id, context_id), (first_line, broken, lines) in contexts.items():
+        if broken:
+            continue
+        if len(lines) < 2:
+            message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
+            errors.append(LoadError(line_number=first_line, message=message))
+            continue
+        items, positions, clicks, *features = zip(*lines)
+        try:
+            rows.append(LogRow(query_id, context_id, items, positions, clicks, dict(zip(schema.names, features))))
+        except (ValueError, ShapeError) as exc:
+            errors.append(LoadError(line_number=first_line, message=str(exc)))
+    return LoadResult(rows=rows, errors=errors)
+
+
+def reference_parse_line(values, columns, line):
+    if "" in values:
+        column = columns[values.index("")]
+        raise ParseError(f"line {line}: empty {column!r} cell", line_number=line)
+    try:
+        position = int(values[3])
+    except ValueError as exc:
+        raise ParseError(f"line {line}: non-integer position {values[3]!r}", line) from exc
+    try:
+        clicks = float(values[4])
+    except ValueError as exc:
+        raise ParseError(f"line {line}: non-numeric clicks {values[4]!r}", line) from exc
+    features = []
+    for name, value in zip(columns[5:], values[5:]):
+        try:
+            features.append(float(value))
+        except ValueError as exc:
+            raise ParseError(f"line {line}: non-numeric value {value!r} in feature {name!r}", line) from exc
+    return (values[2], position, clicks, *features)
+
+
+def array_state(array):
+    """Everything of an array a reader could tell apart: dtype, shape, bytes and writeability."""
+    return (array.dtype.str, array.shape, array.tobytes(), array.flags.writeable)
+
+
+def row_state(row):
+    """A row bit for bit: ids, items, arrays with their flags, features in order, total and CTRs."""
+    ctrs = None if row._ctrs is None else array_state(row._ctrs)
+    features = [(name, array_state(values)) for name, values in row.features.items()]
+    return (row.query_id, row.context_id, row.items, array_state(row.positions), array_state(row.clicks),
+            type(row.features), features, type(row._total), row._total, ctrs)
+
+
+def rebuilt_row(row):
+    return LogRow(row.query_id, row.context_id, row.items, row.positions, row.clicks, dict(row.features))
+
+
+BAD_CELLS = ["", "x", "nan", "inf", "-inf", "1e999", "NaN", " "]
+
+
+@st.composite
+def click_log_texts(draw):
+    """CSV text with interleaved contexts and injected defects, and the chunk size to load it with."""
+    columns = list(rsm.data.BASE_COLUMNS + SCHEMA.names) + draw(st.sampled_from([[], ["note"]]))
+    columns = draw(st.permutations(columns))
+    lines = []
+    for q in range(draw(st.integers(1, 3))):
+        for c in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 4))
+            items = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "a,b", "e f"]), min_size=n, max_size=n))
+            for position, item in enumerate(items, start=1):
+                cells = {
+                    "query_id": f"q{q}", "context_id": f"c{c}", "item_id": item,
+                    "position": draw(st.sampled_from([str(position), f" {position}", f"+{position}", "1_0", "-2"])),
+                    "clicks": draw(st.sampled_from(["0", "3", "7", "12", "2.5", "-1", " 4", "1_0", "1e1"])),
+                    "price": repr(draw(st.floats(-1e3, 1e3))), "rating": draw(st.sampled_from(["1", "2.0", "3.5", "4"])),
+                    "note": "x",
+                }
+                if draw(st.integers(0, 9)) == 0:  # one defective cell
+                    cells[draw(st.sampled_from(columns))] = draw(st.sampled_from(BAD_CELLS))
+                lines.append([cells[name] for name in columns])
+    lines = draw(st.permutations(lines))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for cells in lines:
+        shape = draw(st.integers(0, 12))
+        if shape == 0:
+            buffer.write("\n")  # a blank line
+        elif shape == 1:
+            cells = cells[: draw(st.integers(1, len(cells) - 1))]  # a short line
+        elif shape == 2:
+            cells = cells + ["extra", "9"]  # extra cells
+        writer.writerow(cells)
+    return buffer.getvalue(), draw(st.integers(1, 6))
+
+
+class TestLoaderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=click_log_texts())
+    def test_equals_the_per_line_loader(self, case):
+        """Same rows bit for bit and the same errors, whatever the chunk size."""
+        text, chunk = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_text(text, encoding="utf-8")
+            with mock.patch.object(rsm.data, "_CSV_CHUNK", chunk):
+                got = load_csv(path, SCHEMA)
+            want = reference_load_csv(path, SCHEMA)
+        assert got.errors == want.errors
+        assert [row_state(row) for row in got.rows] == [row_state(row) for row in want.rows]
+        assert [row_state(rebuilt_row(row)) for row in got.rows] == [row_state(row) for row in got.rows]
+
+    def test_a_position_beyond_int64_raises_as_before(self, tmp_path):
+        """Only a context that would become a row converts its positions to int64."""
+        path = tmp_path / "log.csv"
+        big = str(2**63)
+        path.write_text(HEADER + f"q,c1,a,{big},3,1.0,2.0\nq,c1,b,x,4,2.0,3.0\nq,c2,a,{big},3,1.0,2.0\n")
+        assert load_csv(path, SCHEMA).errors == reference_load_csv(path, SCHEMA).errors
+        path.write_text(HEADER + f"q,c1,a,{big},3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n")
+        for loader in (load_csv, reference_load_csv):
+            with pytest.raises(OverflowError):
+                loader(path, SCHEMA)
+
+    def test_rows_and_pairs_pass_the_public_constructors(self, tmp_path):
+        """The trusted paths build nothing the validating constructors would change."""
+        dataset = generate_flip_dataset(40, WeightVector(np.array([0.5, 0.3, 0.2])), margin=0.01, seed=3)
+        path = tmp_path / "flips.csv"
+        save_csv(dataset.rows, path, dataset.schema)
+        rows = load_csv(path, dataset.schema).rows
+        assert len(rows) == 80
+        assert [row_state(rebuilt_row(row)) for row in rows] == [row_state(row) for row in rows]
+        pairs = mine_flip_pairs(rows)
+        assert len(pairs) == 38  # two of the 40 queries' flips do not survive the click noise
+        for pair in pairs:
+            again = FlipPair(pair.row_1, pair.row_2, pair.item_a, pair.item_b, pair.strength)
+            assert vars(again) == vars(pair)
+            assert type(pair.strength) is float
+
+    def test_a_large_file_loads_in_bounded_memory(self, tmp_path):
+        """Cells are converted a chunk at a time: the peak stays within twice what the rows keep."""
+        spec = SyntheticSpec(k=3, num_queries=4000, weights=WeightVector(np.array([0.5, 0.3, 0.2])),
+                             clicks_per_context=100, seed=5)
+        dataset = generate_synthetic(spec)
+        path = tmp_path / "large.csv"
+        save_csv(dataset.rows, path, dataset.schema)
+        del dataset
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = load_csv(path, synthetic_schema(3))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 4000 and not result.errors
+        assert peak - before <= 2 * (kept - before)
+
+
 class TestBundledSample:
     def test_shredder_csv_mines_one_pair(self):
         from importlib import resources
@@ -363,6 +556,7 @@ class TestMining:
         close = make_row("q", "c1", ["a", "b"], [4, 3], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
         other = make_row("q", "c2", ["a", "b"], [2, 6], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
         assert mine_flip_pairs([close, other]) == []
+        assert mine_flip_pairs([close]) == []  # no pair's gap counts anywhere
 
     def test_strongest_contexts_chosen(self):
         """With several qualifying contexts per side, the largest CTR gaps win."""
@@ -432,6 +626,25 @@ class TestMining:
             for g, w in zip(got, want):
                 assert (g.row_1, g.row_2, g.item_a, g.item_b) == (w.row_1, w.row_2, w.item_a, w.item_b)
                 assert g.strength == w.strength
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_index_of_miner_with_ties(self, data):
+        """Mixed widths, repeated context ids, equal CTR gaps and items shown out of id order."""
+        rows = []
+        for q in range(data.draw(st.integers(1, 3))):
+            for _ in range(data.draw(st.integers(1, 5))):
+                n = data.draw(st.integers(2, 5))
+                items = data.draw(st.permutations(["b", "a", "d", "c", "e", "a b"]))[:n]
+                clicks = data.draw(st.lists(st.sampled_from([0, 1, 2, 4, 8]), min_size=n, max_size=n))
+                context = data.draw(st.sampled_from(["c0", "c1", "c2", "c10"]))
+                rows.append(make_row(f"q{q}", context, items, clicks, {"price": np.arange(n), "rating": np.ones(n)}))
+        thresholds = data.draw(st.sampled_from([(), (0.0, 0.0), (3.0, 1.0), (1.0, 0.5)]))
+        got, want = mine_flip_pairs(rows, *thresholds), oracle_mine_flip_pairs(rows, *thresholds)
+        assert [(p.row_1, p.row_2, p.item_a, p.item_b, p.strength) for p in got] == [
+            (p.row_1, p.row_2, p.item_a, p.item_b, p.strength) for p in want
+        ]
+        assert all(type(p.strength) is float for p in got)
 
     def test_output_sorted_and_items_ordered(self):
         feats3 = {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]}

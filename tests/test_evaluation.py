@@ -15,6 +15,7 @@ from scipy.special import stdtr  # test-only oracle; rsm does not import scipy
 
 import rsm.data
 import rsm.evaluation
+import rsm.learner
 from rsm import config
 from rsm import (
     DatasetSchema,
@@ -415,6 +416,38 @@ class TestRunExperiment:
         report = run_experiment(build_pairs(10, seed=1), models, num_splits=4, seed=0)
         assert len(calls) == 12
         assert report.mean_accuracy == {"oracle": 1.0, "constant": 0.5, "inverted": 0.0}
+
+    def test_the_counts_benchmarks_rely_on(self, monkeypatch, caplog):
+        """One ``learner.fit`` per split and one ``flip_accuracy`` per model per split, both looked up
+        on their modules, and exactly one ``scorer failed on`` warning per failed row."""
+        fits, scored, failed = [], [], []
+        real_fit, real_accuracy = rsm.learner.fit, rsm.evaluation.flip_accuracy
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        def counting_accuracy(scorer, pairs):
+            scored.append(len(pairs))
+            return real_accuracy(scorer, pairs)
+
+        def flaky_scorer(rows):
+            failed.extend(f"{row.query_id}/{row.context_id}" for row in rows if row.context_id == "c0")
+            return [np.full(row.n, math.nan) if row.context_id == "c0" else row.ctrs() for row in rows]
+
+        monkeypatch.setattr(rsm.learner, "fit", counting_fit)
+        monkeypatch.setattr(rsm.evaluation, "flip_accuracy", counting_accuracy)
+        schema = synthetic_schema(2)
+        models = [rsm_model(schema), least_squares_model(schema), Model(name="flaky", fit=lambda rows: flaky_scorer)]
+        with caplog.at_level(logging.WARNING, logger="rsm.evaluation"):
+            report = run_experiment(random_flip_pairs(12, 2, seed=6), models, num_splits=3, seed=2)
+        assert len(fits) == 3
+        assert len(scored) == 9
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert all(message.startswith("scorer failed on ") for message in warnings)
+        assert [message.split(":")[0].removeprefix("scorer failed on ") for message in warnings] == failed
+        assert len(failed) == sum(scored[2::3]) > 0  # each held-out pair has one c0 row
+        assert all(type(acc) is float for accs in report.per_split.values() for acc in accs)
 
     def test_accepts_raw_rows(self):
         rows = []
