@@ -10,11 +10,8 @@ Rows are validated once, where they enter: ``load_csv`` checks a file's
 cells and contexts in bulk at the CSV boundary and builds its rows without a
 second check, and the public ``LogRow`` and ``FlipPair`` constructors check
 everything built any other way. ``mine_flip_pairs`` builds its pairs
-unchecked too, from rows already valid. A row then feeds the learner, the
-scorer and the baselines through arrays cached on it: its CTRs, its
-``(k, n)`` average ranks (rows of one width ranked together by one
-``average_ranks`` call), from which the learner and the scorer both solve
-in rank space, and its least-squares design block.
+unchecked too, from rows already valid. Rows reach the learner, the scorers
+and the baselines through the arrays of a ``rsm.record.ContextRecord``.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -30,7 +27,7 @@ import json
 import logging
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,6 +38,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError, SplitTooSmall
 from .learner import ContextBatch, TrainingInstance
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
+from .record import ContextRecord, RecordView, feature_ranks, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -103,11 +101,9 @@ class LogRow:
     :func:`load_csv` were validated in bulk at the CSV boundary and are
     built without a second check, their arrays read-only views of arrays
     shared by the file's rows of one width. Its click total and CTR vector
-    are computed once, and
-    the encodings derived from it (the ``(k, n)`` average ranks, the
-    least-squares design block, and the topology tuple when asked for) are
-    cached on the row, keyed by the schema that produced them, living
-    exactly as long as the row.
+    are computed once. Its topology tuple, when asked for, is cached on the
+    row under the schema; its ranks and least-squares design live in the
+    :class:`ContextRecord` of each run or call that needs them.
     """
 
     query_id: str
@@ -128,7 +124,10 @@ class LogRow:
             raise ValueError("a context needs at least two items")
         if len(set(items)) != n:
             raise ValueError("context items must be unique")
-        positions = np.array(self.positions, dtype=np.int64)
+        try:
+            positions = np.array(self.positions, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("positions must fit in 64-bit integers") from exc
         clicks = np.array(self.clicks, dtype=np.float64)
         if positions.shape != (n,) or clicks.shape != (n,):
             raise ShapeError("positions and clicks must have one entry per item")
@@ -348,6 +347,9 @@ class _CsvLines:
         clicks, features = values[0], values[1:]
         broken = np.bincount(context, weights=failed, minlength=first.size) > 0
         bad = ~np.isfinite(values).all(axis=0) | (clicks < 0)
+        int64 = np.iinfo(np.int64)
+        if self.positions and not int64.min <= min(self.positions) <= max(self.positions) <= int64.max:
+            bad |= np.array([not int64.min <= p <= int64.max for p in self.positions])
         flagged = np.bincount(context, weights=bad, minlength=first.size) > 0
         item_codes = np.fromiter(map({}.setdefault, self.items, count()), np.int64, len(self.items))
         by_item = np.lexsort((item_codes, context))
@@ -533,10 +535,6 @@ def _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) 
     return codes[r, lo], codes[r, hi], diff[r, c] < 0, np.abs(ctrs[r, lo] - ctrs[r, hi]), tie[r], np.array(group)[r], lo, hi
 
 
-def _row_key(row: LogRow) -> Tuple[str, str]:
-    return (row.query_id, row.context_id)
-
-
 def paired_split(
     pairs: Sequence[FlipPair],
     train_fraction: float = config.DEFAULT_TRAIN_FRACTION,
@@ -547,75 +545,11 @@ def paired_split(
     A pair's two rows always land on the same side, and no row appears on
     both sides: pairs sharing a row are clustered first and clusters are
     assigned whole. The split is deterministic in (pairs, seed) and
-    insensitive to input order. Returns ``(train_rows, test_pairs)``.
+    insensitive to input order. Returns ``(train_rows, test_pairs)``, the
+    lists of what :meth:`ContextRecord.split` gives.
     """
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise SplitTooSmall(f"need at least two flip pairs, got {len(pairs)}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
-    indexed = sorted(
-        range(len(pairs)),
-        key=lambda i: (
-            pairs[i].row_1.query_id,
-            pairs[i].item_a,
-            pairs[i].item_b,
-            pairs[i].row_1.context_id,
-            pairs[i].row_2.context_id,
-        ),
-    )
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: Dict[Tuple[str, str], int] = {}
-    for i in indexed:
-        for row in (pairs[i].row_1, pairs[i].row_2):
-            key = _row_key(row)
-            if key in owner:
-                ra, rb = find(owner[key]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owner[key] = i
-    clusters: Dict[int, List[int]] = {}
-    cluster_order: List[int] = []
-    for i in indexed:
-        root = find(i)
-        if root not in clusters:
-            clusters[root] = []
-            cluster_order.append(root)
-        clusters[root].append(i)
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(cluster_order))
-    target = int(round(train_fraction * len(pairs)))
-    target = min(max(target, 1), len(pairs) - 1)
-    train_idx: List[int] = []
-    test_idx: List[int] = []
-    count = 0
-    for pos in perm:
-        members = clusters[cluster_order[pos]]
-        if count < target:
-            train_idx.extend(members)
-            count += len(members)
-        else:
-            test_idx.extend(members)
-    if not test_idx:
-        raise SplitTooSmall("pairs are too entangled to produce a nonempty test set")
-    train_rows: List[LogRow] = []
-    seen_rows = set()
-    for i in train_idx:
-        for row in (pairs[i].row_1, pairs[i].row_2):
-            key = _row_key(row)
-            if key not in seen_rows:
-                seen_rows.add(key)
-                train_rows.append(row)
-    return train_rows, [pairs[i] for i in sorted(test_idx)]
+    train_rows, test_pairs = ContextRecord.of_pairs(pairs).split(train_fraction, seed)
+    return list(train_rows), list(test_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +560,12 @@ def paired_split(
 def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, ...]:
     """Rank-encode every schema feature of one context as :class:`Topology` objects.
 
-    The tuple is built from the row's cached ranks on first use and cached
-    on the row under the schema, so every caller shares one object.
+    The tuple is built on first use and cached on the row under the schema,
+    so every caller shares one object.
     """
     topologies = row._encodings.get(schema)
     if topologies is None:
-        tensor = rank_chain(rank_vectors([row], schema)[0])
+        tensor = rank_chain(feature_ranks([row], schema)[1][0])
         topologies = row._encodings[schema] = _topologies(schema, tensor, row.items)
     return topologies
 
@@ -648,50 +582,22 @@ def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tupl
     )
 
 
-def rank_vectors(rows: Sequence[LogRow], schema: DatasetSchema) -> List[np.ndarray]:
-    """Each row's cached ``(k, n)`` :func:`average_ranks`; feature values negated where lower is better.
-
-    Rows not yet ranked under ``schema`` are ranked one ``average_ranks``
-    call per width; each keeps a read-only view of its slice.
-    """
-    key = (schema, "ranks")
-    pending: Dict[int, Dict[LogRow, None]] = {}
-    for row in rows:
-        if key not in row._encodings:
-            pending.setdefault(row.n, {})[row] = None
-    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
-    for group in pending.values():
-        values = np.array([[row.features[name] for name in schema.names] for row in group])
-        values[:, lower] = -values[:, lower]
-        ranks = average_ranks(values)
-        ranks.flags.writeable = False
-        for row, part in zip(group, ranks):
-            row._encodings[key] = part
-    return [row._encodings[key] for row in rows]
-
-
 def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBatch:
     """The learner's batch of :func:`training_instances_from_rows`, built without the instances.
 
     One target per (context, item), the within-context CTR, with each
     context's ranks taken straight from its feature values; contexts without
-    clicks are skipped.
+    clicks are skipped. Gathered from the record of a record's view, else from a new record.
     """
-    clicked = [row for row in rows if row.total_clicks() > 0]
-    ranks = rank_vectors(clicked, schema)
-    sizes = [row.n for row in clicked]
-    starts = list(accumulate(sizes, initial=0))  # each context's first slot
-    by_n: Dict[int, List[int]] = {}
-    for pos, n in enumerate(sizes):
-        by_n.setdefault(n, []).append(pos)
-    widths = [
-        (
-            np.concatenate([ranks[p] for p in group]).reshape(len(group), schema.k, n),
-            np.concatenate([clicked[p].ctrs() for p in group]).reshape(len(group), n),
-            np.array([starts[p] for p in group])[:, None] + np.arange(n),
-        )
-        for n, group in by_n.items()
-    ]
+    view = rows if isinstance(rows, RecordView) else record_view([row for row in rows if row.total_clicks() > 0])
+    record = view.record
+    index = view.index[record.clicked[view.index]]
+    sizes = record.sizes[index]
+    slots = np.cumsum(sizes) - sizes  # each context's first slot
+    widths = []
+    for at, space in record.rank_spaces(index, schema):
+        places = np.arange(space.ranks.shape[2])
+        widths.append((space, record.ctrs[record.starts[index[at], None] + places], slots[at, None] + places))
     return ContextBatch.from_widths(schema.k, widths)
 
 
@@ -713,32 +619,14 @@ def _instances(query_id, items, topologies, probs) -> List[TrainingInstance]:
     return [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
 
 
-def design_block(row: LogRow, schema: DatasetSchema, include_position: bool) -> np.ndarray:
-    """The row's least-squares regressors: a read-only ``(n, d)`` array, built once and cached.
-
-    Columns are the schema features in order, then the display position
-    when ``include_position`` is set.
-    """
-    key = (schema, include_position)
-    block = row._encodings.get(key)
-    if block is None:
-        columns = [row.features[name] for name in schema.names]
-        if include_position:
-            columns.append(row.positions)
-        block = row._encodings[key] = np.column_stack(columns) if columns else np.empty((row.n, 0))
-        block.flags.writeable = False
-    return block
-
-
 def design_from_rows(
     rows: Sequence[LogRow], schema: DatasetSchema, include_position: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The stacked design blocks and CTRs of the clicked rows, ``(m, d)`` and ``(m,)``."""
-    clicked = [row for row in rows if row.total_clicks() > 0]
-    if not clicked:
-        return np.empty((0, schema.k + int(include_position))), np.empty(0)
-    design = np.concatenate([design_block(row, schema, include_position) for row in clicked])
-    return design, np.concatenate([row.ctrs() for row in clicked])
+    """The clicked rows' items' least-squares regressors, ``(m, d)``, and CTRs, ``(m,)``, rows in order:
+    the schema features in order, then the display position when ``include_position`` is set."""
+    view = record_view(rows)
+    items = view.record.items(view.index[view.record.clicked[view.index]])
+    return view.record.design(schema, include_position)[items], view.record.ctrs[items]
 
 
 def feature_rows_from_logs(
@@ -747,18 +635,13 @@ def feature_rows_from_logs(
     """Flatten contexts into per-item rows for the score-based baselines.
 
     The display position is appended as the last feature when
-    ``include_position`` is set. Contexts without clicks are skipped. Each
-    row's features are its cached :func:`design_block`.
+    ``include_position`` is set. Contexts without clicks are skipped. The
+    features and CTRs are those of :func:`design_from_rows`.
     """
-    out: List[FeatureRow] = []
-    for row in rows:
-        if row.total_clicks() > 0:
-            block = design_block(row, schema, include_position)
-            out += [
-                FeatureRow(query_id=row.query_id, item_id=item, features=x, ctr=float(ctr))
-                for item, x, ctr in zip(row.items, block, row.ctrs())
-            ]
-    return out
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    design, ctrs = design_from_rows(clicked, schema, include_position)
+    names = ((row.query_id, item) for row in clicked for item in row.items)
+    return [FeatureRow(query_id=q, item_id=i, features=x, ctr=float(c)) for (q, i), x, c in zip(names, design, ctrs)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ A model here is anything with a name and a ``fit(train_rows)`` method that
 returns a scorer; a scorer maps a list of rows to one score vector per row,
 aligned with its items, higher meaning more preferred within that context.
 Accuracy is measured on held-out flip pairs, two comparisons per pair.
+
+A run builds one ``rsm.record.ContextRecord`` of its pairs; each split is
+index arrays into it, and the built-in models and scorers gather its arrays.
 """
 
 from __future__ import annotations
@@ -12,27 +15,17 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import config, learner
 from .baselines import fit_least_squares_arrays, mean_ctr_table
-from .data import (
-    DatasetSchema,
-    FlipPair,
-    LogRow,
-    batch_from_rows,
-    derive_seed,
-    design_block,
-    design_from_rows,
-    mine_flip_pairs,
-    paired_split,
-    rank_vectors,
-)
+from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows, mine_flip_pairs
 from .errors import DegenerateVariance, SplitTooSmall
-from .markov import rank_chain_rows, rank_space
+from .markov import rank_chain_rows
+from .record import ContextRecord, RecordView, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
 from .topology import Normalization, WeightVector
 
@@ -87,25 +80,20 @@ def fixed_weights_model(
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
     """Score items by stationary mass in their own context, one solve per width.
 
-    Every chain scored is a mixture of rank chains, so each width's cached
-    ranks, stacked ``(B, k, n)``, go to the learner's kernel
+    Every chain scored is a mixture of rank chains, so each width's products,
+    gathered from the rows' record, go to the learner's kernel
     ``rank_chain_rows``, which solves each context in the span of its ranks.
-    A context's scores do not depend on its batch, and items tied on every
-    feature get bit-equal scores.
+    Scores do not depend on the batch; items tied on every feature tie exactly.
     """
     if weights.normalization is not Normalization.SUMS_TO_ONE or weights.k != schema.k or not 0.0 < lam < 1.0:
         raise ValueError(f"the scorer needs {schema.k} reporting-form weights and lam in (0, 1)")
     native = weights.values * (1.0 - lam)
 
     def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
-        ranks = rank_vectors(rows, schema)
-        by_n: Dict[int, List[int]] = {}
-        for pos, row in enumerate(rows):
-            by_n.setdefault(row.n, []).append(pos)
-        scores: List[np.ndarray] = [None] * len(rows)
-        for group in by_n.values():
-            space = rank_space(np.stack([ranks[pos] for pos in group]))
-            for pos, probs in zip(group, rank_chain_rows(space, native, lam, gradients=False)[0]):
+        view = record_view(rows)
+        scores: List[np.ndarray] = [None] * len(view)
+        for at, space in view.record.rank_spaces(view.index, schema):
+            for pos, probs in zip(at.tolist(), rank_chain_rows(space, native, lam, gradients=False)[0]):
                 scores[pos] = probs
         return scores
 
@@ -117,16 +105,18 @@ def least_squares_model(
 ) -> Model:
     """Linear CTR regression on raw feature values (plus display position).
 
-    Fits on the rows' cached design blocks; the scorer predicts each item
-    with ``predict``'s arithmetic, ``intercept + coefficients @ x``.
+    Fits on ``design_from_rows``; the scorer predicts with one product,
+    ``intercept + design @ coefficients``, equal to ``predict`` up to roundoff.
     """
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         model = fit_least_squares_arrays(*design_from_rows(train_rows, schema, include_position))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
-            blocks = (design_block(row, schema, include_position) for row in rows)
-            return [np.array([model.intercept + model.coefficients @ x for x in block]) for block in blocks]
+            view = record_view(rows)
+            design = view.record.design(schema, include_position)[view.record.items(view.index)]
+            predictions, ends = model.intercept + design @ model.coefficients, np.cumsum(view.record.sizes[view.index]).tolist()
+            return [predictions[start:end] for start, end in zip([0] + ends, ends)]
 
         return scorer
 
@@ -172,7 +162,8 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     Each pair contributes two comparisons: in row_1 the preferred item is a,
     in row_2 it is b. Full credit for ranking the preferred item strictly
     higher, half for an exact tie, none otherwise. The pairs' distinct rows
-    are scored in one scorer call; if it raises, each row is scored alone.
+    (by identity), as a record's view, are scored in one scorer call; if it
+    raises, each row is scored alone.
     The scores are checked here, the scorer's output being outside input: a
     row whose scores raise or are not ``n`` finite floats logs a warning and
     forfeits each of its comparisons at half credit. The comparisons are
@@ -180,8 +171,9 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
-    # keyed by row object (LogRow hashes by identity): ids repeat across datasets
-    rows = list(dict.fromkeys(row for pair in pairs for row in (pair.row_1, pair.row_2)))
+    if not isinstance(pairs, RecordView):  # plain pairs get a record of their own
+        pairs = RecordView(ContextRecord.of_pairs(pairs), np.arange(len(pairs)), pairs)
+    rows, index = pairs.record.comparisons(pairs.index)
     try:
         batch = list(scorer(rows))
         if len(batch) != len(rows):
@@ -189,14 +181,6 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     except Exception:  # noqa: BLE001 - scorer is user code; rows are retried one by one below
         batch = None
     scores = _checked_scores(scorer, rows, batch)
-    offset = dict(zip(rows, accumulate((row.n for row in rows), initial=0)))
-    index = np.array(
-        [
-            (offset[row] + row.items.index(preferred), offset[row] + row.items.index(other))
-            for pair in pairs
-            for row, preferred, other in ((pair.row_1, pair.item_a, pair.item_b), (pair.row_2, pair.item_b, pair.item_a))
-        ]
-    )
     preferred, other = scores[index[:, 0]], scores[index[:, 1]]
     credit = int(np.count_nonzero(preferred > other)) + 0.5 * int(np.count_nonzero(preferred == other))
     return credit / (2 * len(pairs))
@@ -393,15 +377,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _as_pairs(rows_or_pairs) -> List[FlipPair]:
-    items = list(rows_or_pairs)
-    if not items:
-        raise SplitTooSmall("no data: neither rows nor flip pairs were provided")
-    if isinstance(items[0], FlipPair):
-        return items
-    return mine_flip_pairs(items)
-
-
 def run_experiment(
     rows_or_pairs,
     models: Sequence[Model],
@@ -413,11 +388,15 @@ def run_experiment(
     """Repeated paired-split evaluation of several models on one dataset.
 
     Accepts either click-log rows (pairs are mined first) or pre-mined flip
-    pairs. Every split re-fits every model on that split's training rows.
-    Split seeds derive from ``seed``. ``on_split(s, accuracies)`` is invoked
-    after each split when given.
+    pairs, recorded and clustered once. Every split (``paired_split`` with a
+    seed derived from ``seed``) re-fits every model on its training rows.
+    ``on_split(s, accuracies)`` is invoked after each split when given.
     """
-    pairs = _as_pairs(rows_or_pairs)
+    pairs = list(rows_or_pairs)
+    if not pairs:
+        raise SplitTooSmall("no data: neither rows nor flip pairs were provided")
+    if not isinstance(pairs[0], FlipPair):
+        pairs = mine_flip_pairs(pairs)
     models = list(models)
     if not models:
         raise ValueError("at least one model is required")
@@ -427,10 +406,10 @@ def run_experiment(
     if num_splits < 1:
         raise ValueError("num_splits must be positive")
 
+    record = ContextRecord.of_pairs(pairs)
     split_accs = []
     for s in range(num_splits):
-        split_seed = derive_seed(seed, f"split:{s}")
-        train_rows, test_pairs = paired_split(pairs, train_fraction, split_seed)
+        train_rows, test_pairs = record.split(train_fraction, derive_seed(seed, f"split:{s}"))
         accs = {model.name: flip_accuracy(model.fit(train_rows), test_pairs) for model in models}
         split_accs.append(accs)
         if on_split is not None:
@@ -438,31 +417,16 @@ def run_experiment(
 
     per_split = {name: tuple(accs[name] for accs in split_accs) for name in names}
     mean_accuracy = {name: float(np.mean(per_split[name])) for name in names}
-    std_accuracy = {
-        name: float(np.std(per_split[name], ddof=1)) if num_splits > 1 else 0.0
-        for name in names
-    }
+    std_accuracy = {name: float(np.std(per_split[name], ddof=1)) if num_splits > 1 else 0.0 for name in names}
     t_tests: Dict[str, dict] = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            diffs = np.array(per_split[names[i]]) - np.array(per_split[names[j]])
-            key = f"{names[i]}|{names[j]}"
-            if diffs.size < 2:
-                continue
-            try:
-                t, p = paired_t_test(diffs)
-                t_tests[key] = {"t": t, "p": p, "degenerate": False}
-            except DegenerateVariance:
-                t_tests[key] = {"t": None, "p": None, "degenerate": True}
+    for first, second in combinations(names if num_splits > 1 else (), 2):
+        try:
+            t, p = paired_t_test(np.array(per_split[first]) - np.array(per_split[second]))
+            t_tests[f"{first}|{second}"] = {"t": t, "p": p, "degenerate": False}
+        except DegenerateVariance:
+            t_tests[f"{first}|{second}"] = {"t": None, "p": None, "degenerate": True}
     return ExperimentReport(
-        model_names=tuple(names),
-        num_pairs=len(pairs),
-        num_splits=num_splits,
-        train_fraction=train_fraction,
-        seed=seed,
-        mean_accuracy=mean_accuracy,
-        std_accuracy=std_accuracy,
-        per_split=per_split,
-        t_tests=t_tests,
+        model_names=tuple(names), num_pairs=len(pairs), num_splits=num_splits, train_fraction=train_fraction,
+        seed=seed, mean_accuracy=mean_accuracy, std_accuracy=std_accuracy, per_split=per_split, t_tests=t_tests,
     )
 

@@ -25,8 +25,8 @@ The learner reads its data as a :class:`ContextBatch`: per context width, the
 stacked (B, k, n) average ranks with their weight-free products, and each
 target's probability, dataset-order slot and flat places in the kernel's
 outputs, so every evaluation gathers a width's targets with one ``take`` per
-output. ``rsm.data.batch_from_rows`` ranks click-log rows straight from their
-feature values; a :class:`TrainingInstance` sequence is converted once by
+output. ``rsm.data.batch_from_rows`` gathers click-log rows' products from
+their ``ContextRecord``; a :class:`TrainingInstance` sequence is converted by
 :func:`as_batch`, in array passes over the instances and one Python step per
 context, and accepts rank topologies only. A brute-force grid learner over
 the weight simplex serves as an oracle.
@@ -34,6 +34,7 @@ the weight simplex serves as an oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
-from .markov import rank_chain_rows, rank_space
+from .markov import RankSpace, rank_chain_rows, rank_space
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -135,8 +136,9 @@ class FitResult:
 # Targets of one context share the combined chain, its stationary and its
 # gradient rows, so they are evaluated together. Every chain the learner sees
 # is a mixture of rank chains, so a context is its (k, n) average ranks.
-# Contexts of equal size are stacked, and their weight-free products are
-# formed once per batch (rsm.markov.rank_space); each evaluation is one call
+# Contexts of equal size are stacked with their weight-free products
+# (rsm.markov.rank_space), formed once per batch, or gathered by index from
+# an rsm.record.ContextRecord that formed them once. Each evaluation is one call
 # of rsm.markov.rank_chain_rows, which solves every context in the (k + 1)-
 # dimensional span of its ranks and never forms an n x n matrix.
 # ---------------------------------------------------------------------------
@@ -147,12 +149,13 @@ class FitResult:
 _Bucket = namedtuple("_Bucket", "space targets slots at rows_at")
 
 
-def _bucket(ranks: np.ndarray, gidx: np.ndarray, uidx: np.ndarray, targets: np.ndarray, slots: np.ndarray) -> _Bucket:
-    """One width's bucket: ``(b, k, n)`` ranks and each target's context, item, probability and slot."""
-    _, k, n = ranks.shape
+def _bucket(ranks, gidx: np.ndarray, uidx: np.ndarray, targets: np.ndarray, slots: np.ndarray) -> _Bucket:
+    """One width's bucket: ``(b, k, n)`` ranks or their RankSpace, and each target's context, item, probability and slot."""
+    space = ranks if isinstance(ranks, RankSpace) else rank_space(ranks)
+    _, k, n = space.ranks.shape
     at = gidx * n + uidx
     rows_at = (gidx * (k * n) + uidx)[:, None] + n * np.arange(k)
-    return _Bucket(rank_space(ranks), targets, slots, at, rows_at)
+    return _Bucket(space, targets, slots, at, rows_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +176,9 @@ class ContextBatch:
     def from_widths(cls, k: int, widths) -> "ContextBatch":
         """One bucket per ``(ranks, targets, slots)``: every item of every context is a target.
 
-        ``ranks`` is a ``(B, k, n)`` stack of average ranks and ``targets``
-        and ``slots`` are ``(B, n)``, so each target's context and item
-        follow from its place.
+        ``ranks`` is a ``(B, k, n)`` stack of average ranks or their gathered
+        ``RankSpace``; ``targets`` and ``slots`` are ``(B, n)``, so each
+        target's context and item follow from its place.
         """
         buckets = []
         for ranks, targets, slots in widths:
@@ -279,6 +282,15 @@ def linearized_row(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(nf: int) -> np.ndarray:
+    """Columns 2..nf of the Householder reflection that maps the ones vector onto e_1, built once per size; read-only."""
+    root = math.sqrt(nf)
+    basis = np.vstack([np.full(nf - 1, -1.0 / root), np.eye(nf - 1) - 1.0 / (root * (root + 1.0))])
+    basis.flags.writeable = False
+    return basis
+
+
 def _free_minimizer(gram, lin, x, free):
     """Minimizer with the held coordinates fixed and sum(x) = 0.
 
@@ -293,10 +305,8 @@ def _free_minimizer(gram, lin, x, free):
     out[idx] = -x[~free].sum() / nf
     if nf == 1:
         return out
-    root = math.sqrt(nf)
-    # columns 2..nf of the Householder reflection that maps the ones vector onto e_1
-    basis = np.vstack([np.full(nf - 1, -1.0 / root), np.eye(nf - 1) - 1.0 / (root * (root + 1.0))])
-    vals, vecs = np.linalg.eigh(basis.T @ gram[np.ix_(idx, idx)] @ basis)
+    basis = _basis(nf)
+    vals, vecs = np.linalg.eigh(basis.T @ (gram if nf == gram.shape[0] else gram[np.ix_(idx, idx)]) @ basis)
     keep = vals > (nf - 1) * np.finfo(np.float64).eps * max(vals[-1], 0.0)
     vecs = vecs[:, keep]
     slope = basis.T @ (gram @ out - lin)[idx]

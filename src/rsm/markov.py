@@ -191,8 +191,8 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
 
 
 # the (B, k, n) ranks, V 1 as (B, k + 1), the functionals [alpha; beta] as (B, 2k, n),
-# and M^T = lam / n * mixing[0] + sum_i w_i mixing[i + 1] as (k + 1, B, k + 1, k + 1)
-RankSpace = namedtuple("RankSpace", "ranks sums forms mixing")
+# and [alpha; beta] V^T as (2k, B, k + 1): the rows of M^T without their weights
+RankSpace = namedtuple("RankSpace", "ranks sums forms forms_v")
 
 
 def rank_space(ranks: np.ndarray) -> RankSpace:
@@ -209,13 +209,8 @@ def rank_space(ranks: np.ndarray) -> RankSpace:
     basis = np.concatenate((np.ones((b, 1, n)), ranks), axis=1)
     sums = np.full((b, k + 1), n * (n + 1) / 2)  # average ranks sum to n (n + 1) / 2 exactly
     sums[:, 0] = n
-    forms_v = np.swapaxes(forms @ np.swapaxes(basis, -1, -2), 0, 1)  # (2k, B, k + 1)
-    mixing = np.zeros((k + 1, b, k + 1, k + 1))
-    mixing[0, :, 0] = sums  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
-    mixing[1:, :, 0] = forms_v[:k]
-    for i in range(1, k + 1):
-        mixing[i, :, i] = forms_v[k + i - 1]  # row i of M^T is w_i beta_i V^T
-    return RankSpace(ranks, sums, forms, mixing)
+    forms_v = np.ascontiguousarray(np.swapaxes(forms @ np.swapaxes(basis, -1, -2), 0, 1))  # (2k, B, k + 1)
+    return RankSpace(ranks, sums, forms, forms_v)
 
 
 def _span(coef: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -252,13 +247,14 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
     SingularFundamental
         If the gradient system is singular.
     """
-    ranks, sums, forms, mixing = space
+    ranks, sums, forms, forms_v = space
     b, k, n = ranks.shape
     w = np.asarray(w_native, dtype=np.float64)
-    mixed = mixing[0] * (lam / n)  # M^T
-    term = np.empty_like(mixed)
-    for i in range(k):
-        mixed += np.multiply(mixing[i + 1], w[i], out=term)
+    scaled = forms_v * np.concatenate((w, w))[:, None, None]  # w_i alpha_i V^T, then w_i beta_i V^T
+    row = sums * (lam / n)  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
+    for part in scaled[:k]:
+        row += part
+    mixed = np.concatenate((row[:, None], np.swapaxes(scaled[k:], 0, 1)), axis=1)  # M^T; row i is w_i beta_i V^T
     eye = np.eye(k + 1)
     system = eye - mixed
     system[:, -1] = sums

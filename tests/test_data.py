@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rsm.data
+import rsm.learner
+import rsm.record
 from rsm import config
 from rsm import (
     DatasetSchema,
@@ -48,7 +50,13 @@ from rsm import (
     topologies_from_row,
     training_instances_from_rows,
 )
-from rsm.data import LoadError, LoadResult, rank_vectors
+from rsm.baselines import fit_least_squares_arrays
+from rsm.data import LoadError, LoadResult, design_from_rows
+from rsm.record import ContextRecord
+from rsm.evaluation import Model, constant_model, flip_accuracy, least_squares_model, rsm_model, run_experiment
+from rsm.learner import ContextBatch, LearnerConfig
+from rsm.markov import rank_chain_rows, rank_space
+from rsm.topology import average_ranks
 from rsm.errors import ParseError, ShapeError
 from rsm.learner import as_batch
 
@@ -433,16 +441,24 @@ class TestLoaderOracle:
         assert [row_state(row) for row in got.rows] == [row_state(row) for row in want.rows]
         assert [row_state(rebuilt_row(row)) for row in got.rows] == [row_state(row) for row in got.rows]
 
-    def test_a_position_beyond_int64_raises_as_before(self, tmp_path):
-        """Only a context that would become a row converts its positions to int64."""
+    def test_a_position_beyond_int64_is_a_load_error(self, tmp_path):
+        """A position ``int`` accepts but int64 cannot hold fails its context, reported at the context's line."""
         path = tmp_path / "log.csv"
         big = str(2**63)
         path.write_text(HEADER + f"q,c1,a,{big},3,1.0,2.0\nq,c1,b,x,4,2.0,3.0\nq,c2,a,{big},3,1.0,2.0\n")
         assert load_csv(path, SCHEMA).errors == reference_load_csv(path, SCHEMA).errors
-        path.write_text(HEADER + f"q,c1,a,{big},3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n")
+        lines = ["q,c0,a,1,3,1.0,2.0", "q,c0,b,2,4,2.0,3.0", f"q,c1,a,{big},3,1.0,2.0", "q,c1,b,2,4,2.0,3.0",
+                 "q,c2,a,1,3,1.0,2.0", f"q,c2,b,-{2**63 + 1},4,2.0,3.0", f"q,c3,a,{big},3,1.0,2.0", "q,c3,b,3,x,2.0,3.0"]
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        message = "positions must fit in 64-bit integers"
         for loader in (load_csv, reference_load_csv):
-            with pytest.raises(OverflowError):
-                loader(path, SCHEMA)
+            result = loader(path, SCHEMA)
+            assert [row.context_id for row in result.rows] == ["c0"]
+            assert [(e.line_number, e.message) for e in result.errors] == [
+                (9, "line 9: non-numeric clicks 'x'"), (4, message), (6, message),
+            ]
+        with pytest.raises(ValueError, match=message):
+            LogRow("q", "c", ["a", "b"], [1, 2**63], [1.0, 2.0], {})
 
     def test_rows_and_pairs_pass_the_public_constructors(self, tmp_path):
         """The trusted paths build nothing the validating constructors would change."""
@@ -763,6 +779,219 @@ def random_shared_row_pairs(rng, queries, contexts):
                 if row_1.clicks[a] > row_1.clicks[b] and row_2.clicks[a] < row_2.clicks[b] and rng.random() < 0.25:
                     pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a="abc"[a], item_b="abc"[b], strength=1.0))
     return pairs
+
+
+def oracle_rank_vectors(rows, schema):
+    """Each row's ``(k, n)`` average ranks, feature values negated where lower is better, ranked alone."""
+    lower = [i for i, spec in enumerate(schema.features) if spec.direction is Direction.LOWER_IS_BETTER]
+    out = []
+    for row in rows:
+        values = np.array([row.features[name] for name in schema.names])
+        values[lower] = -values[lower]
+        out.append(average_ranks(values))
+    return out
+
+
+def oracle_batch_from_rows(rows, schema):
+    """``batch_from_rows`` as it was before the context record: per-row ranks stacked per width."""
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    ranks = oracle_rank_vectors(clicked, schema)
+    sizes = [row.n for row in clicked]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    by_n = {}
+    for pos, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(pos)
+    widths = [
+        (
+            np.concatenate([ranks[p] for p in group]).reshape(len(group), schema.k, n),
+            np.concatenate([clicked[p].ctrs() for p in group]).reshape(len(group), n),
+            np.array([starts[p] for p in group])[:, None] + np.arange(n),
+        )
+        for n, group in by_n.items()
+    ]
+    return ContextBatch.from_widths(schema.k, widths)
+
+
+def oracle_design_from_rows(rows, schema, include_position):
+    """``design_from_rows`` as it was before the context record: one stacked block per clicked row."""
+    clicked = [row for row in rows if row.total_clicks() > 0]
+    if not clicked:
+        return np.empty((0, schema.k + int(include_position))), np.empty(0)
+    blocks = []
+    for row in clicked:
+        columns = [row.features[name] for name in schema.names] + ([row.positions] if include_position else [])
+        blocks.append(np.column_stack(columns))
+    return np.concatenate(blocks), np.concatenate([row.ctrs() for row in clicked])
+
+
+def oracle_paired_split(pairs, train_fraction=config.DEFAULT_TRAIN_FRACTION, seed=0):
+    """``paired_split`` as it was before the context record: union-find over row keys on every call."""
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        raise SplitTooSmall(f"need at least two flip pairs, got {len(pairs)}")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    indexed = sorted(range(len(pairs)), key=lambda i: (
+        pairs[i].row_1.query_id, pairs[i].item_a, pairs[i].item_b, pairs[i].row_1.context_id, pairs[i].row_2.context_id,
+    ))
+    parent = list(range(len(pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    key = lambda row: (row.query_id, row.context_id)
+    owner = {}
+    for i in indexed:
+        for row in (pairs[i].row_1, pairs[i].row_2):
+            if key(row) in owner:
+                ra, rb = find(owner[key(row)]), find(i)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                owner[key(row)] = i
+    clusters, cluster_order = {}, []
+    for i in indexed:
+        root = find(i)
+        if root not in clusters:
+            clusters[root] = []
+            cluster_order.append(root)
+        clusters[root].append(i)
+    perm = np.random.default_rng(seed).permutation(len(cluster_order))
+    target = min(max(int(round(train_fraction * len(pairs))), 1), len(pairs) - 1)
+    train_idx, test_idx, count = [], [], 0
+    for pos in perm:
+        members = clusters[cluster_order[pos]]
+        if count < target:
+            train_idx.extend(members)
+            count += len(members)
+        else:
+            test_idx.extend(members)
+    if not test_idx:
+        raise SplitTooSmall("pairs are too entangled to produce a nonempty test set")
+    train_rows, seen = [], set()
+    for i in train_idx:
+        for row in (pairs[i].row_1, pairs[i].row_2):
+            if key(row) not in seen:
+                seen.add(key(row))
+                train_rows.append(row)
+    return train_rows, [pairs[i] for i in sorted(test_idx)]
+
+
+def oracle_models(schema, cfg):
+    """The rsm and least-squares models fitted through the oracles, scoring as the record-based models do."""
+
+    def rsm_fit(train_rows):
+        native = rsm.learner.fit(oracle_batch_from_rows(train_rows, schema), cfg).weights.values * (1.0 - cfg.lam)
+
+        def scorer(rows):
+            ranks, scores, by_n = oracle_rank_vectors(rows, schema), [None] * len(rows), {}
+            for pos, row in enumerate(rows):
+                by_n.setdefault(row.n, []).append(pos)
+            for group in by_n.values():
+                probs, _ = rank_chain_rows(rank_space(np.stack([ranks[p] for p in group])), native, cfg.lam, gradients=False)
+                for p, values in zip(group, probs):
+                    scores[p] = values
+            return scores
+
+        return scorer
+
+    def least_squares_fit(train_rows):
+        model = fit_least_squares_arrays(*oracle_design_from_rows(train_rows, schema, True))
+
+        def scorer(rows):
+            blocks = [np.column_stack([row.features[name] for name in schema.names] + [row.positions]) for row in rows]
+            design = np.concatenate(blocks)
+            return np.split(model.intercept + design @ model.coefficients, np.cumsum([row.n for row in rows]))[:-1]
+
+        return scorer
+
+    return [Model("rsm", rsm_fit), Model("least_squares", least_squares_fit), constant_model()]
+
+
+def record_case(rng, queries, contexts, loaded):
+    """Random click-log rows of widths 2 to 7 over a pool of eight items per query, and flip pairs among them.
+
+    About a third of the pairs of each query's contexts that flip are kept,
+    so rows are shared by several pairs. The rows of queries where
+    ``loaded`` is set come back through ``save_csv`` and ``load_csv``.
+    Returns ``(pairs, quiet)``, ``quiet`` holding rows without clicks.
+    """
+    rows = []
+    for q in range(queries):
+        for c in range(contexts):
+            n = int(rng.integers(2, 8))
+            clicks = rng.integers(0, 6, n) * (rng.random() > 0.15)
+            feats = {"price": rng.integers(0, 3, n).astype(float), "rating": rng.random(n).round(1)}
+            items = [f"i{j}" for j in rng.choice(8, n, replace=False)]
+            rows.append(make_row(f"q{q}", f"c{c}", items, clicks, feats, rng.permutation(n) + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_csv(rows, Path(tmp) / "log.csv", SCHEMA)
+        result = load_csv(Path(tmp) / "log.csv", SCHEMA)
+    assert not result.errors and len(result.rows) == len(rows)
+    rows = [back if loaded[int(row.query_id[1:]) % len(loaded)] else row for row, back in zip(rows, result.rows)]
+    pairs = []
+    for row_1, row_2 in itertools.permutations(rows, 2):
+        if row_1.query_id != row_2.query_id:
+            continue
+        for a, b in itertools.permutations(sorted(set(row_1.items) & set(row_2.items)), 2):
+            ctr_1 = row_1.clicks[row_1.index_of(a)] - row_1.clicks[row_1.index_of(b)]
+            ctr_2 = row_2.clicks[row_2.index_of(a)] - row_2.clicks[row_2.index_of(b)]
+            if ctr_1 > 0 > ctr_2 and rng.random() < 0.3:
+                pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a=a, item_b=b, strength=1.0))
+    return pairs, [row for row in rows if row.total_clicks() == 0]
+
+
+def assert_same_batch(got, want):
+    assert got.k == want.k and len(got.buckets) == len(want.buckets)
+    for mine, theirs in zip(got.buckets, want.buckets):
+        for a, b in zip((*mine.space, *mine[1:]), (*theirs.space, *theirs[1:])):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestRecordOracle:
+    """The context record's gathers against the per-split rebuilds it replaced, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 4), contexts=st.integers(2, 4),
+           loaded=st.lists(st.booleans(), min_size=1, max_size=3))
+    def test_splits_batches_designs_and_reports_equal_the_oracles(self, seed, queries, contexts, loaded):
+        rng = np.random.default_rng(seed)
+        pairs, quiet = record_case(rng, queries, contexts, loaded)
+        assume(len(pairs) >= 2)
+        record = ContextRecord.of_pairs(pairs)
+        for split_seed in range(3):
+            try:
+                want_train, want_test = oracle_paired_split(pairs, 0.7, split_seed)
+            except SplitTooSmall:
+                for split in (lambda: paired_split(pairs, 0.7, split_seed), lambda: record.split(0.7, split_seed)):
+                    with pytest.raises(SplitTooSmall):
+                        split()
+                continue
+            for train, test in (paired_split(pairs, 0.7, split_seed), record.split(0.7, split_seed)):
+                assert list(map(id, train)) == list(map(id, want_train))
+                assert list(map(id, test)) == list(map(id, want_test))
+            train, _ = record.split(0.7, split_seed)
+            for rows in (train, quiet + list(train) + quiet):
+                assert_same_batch(batch_from_rows(rows, SCHEMA), oracle_batch_from_rows(list(rows), SCHEMA))
+                for include_position in (True, False):
+                    got, want = design_from_rows(rows, SCHEMA, include_position), oracle_design_from_rows(list(rows), SCHEMA, include_position)
+                    for a, b in zip(got, want):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        cfg = LearnerConfig(max_iters=6)
+        models = [rsm_model(SCHEMA, cfg), least_squares_model(SCHEMA), constant_model()]
+        try:
+            report = run_experiment(pairs, models, num_splits=3, seed=seed % 1000)
+        except SplitTooSmall:
+            return
+        for name, model in zip(report.model_names, oracle_models(SCHEMA, cfg)):
+            want = []
+            for s in range(3):
+                train, test = oracle_paired_split(pairs, config.DEFAULT_TRAIN_FRACTION, derive_seed(seed % 1000, f"split:{s}"))
+                want.append(flip_accuracy(model.fit(train), test))
+            assert report.per_split[name] == tuple(want)
 
 
 class TestSyntheticGeneration:
@@ -1091,13 +1320,13 @@ class TestBridges:
             feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
             rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats))
         shapes = []
-        real_kernel = rsm.data.average_ranks
+        real_kernel = rsm.record.average_ranks
 
         def counting_kernel(values):
             shapes.append(values.shape)
             return real_kernel(values)
 
-        monkeypatch.setattr(rsm.data, "average_ranks", counting_kernel)
+        monkeypatch.setattr(rsm.record, "average_ranks", counting_kernel)
         batch = batch_from_rows(rows, SCHEMA)
         assert shapes == [(3, 2, 5), (3, 2, 70)]
         clicked = [row for row in rows if row.total_clicks() > 0]
@@ -1108,10 +1337,8 @@ class TestBridges:
                 for got, spec in zip(ranks, SCHEMA.features):
                     expected = encode_rank_topology(row.features[spec.name], spec.direction).ranks
                     assert got.tobytes() == expected.tobytes()
-                assert rank_vectors([row], SCHEMA)[0] is rank_vectors([row], SCHEMA)[0]
-                assert not rank_vectors([row], SCHEMA)[0].flags.writeable
         assert len(shapes) == 2
-        assert all(set(row._encodings) == {(SCHEMA, "ranks")} for row in clicked)  # the learner needs no n x n chains
+        assert all(not row._encodings for row in rows)  # nothing is cached on the rows, and no n x n chain is built
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()
@@ -1172,7 +1399,7 @@ class TestEncodingCache:
         monkeypatch.setattr(FeatureSpec, "__hash__", counting_hash)
         for _ in range(3):
             topologies_from_row(row, SCHEMA)
-            rank_vectors([row], SCHEMA)
+            batch_from_rows([row], SCHEMA)
             feature_rows_from_logs([row], SCHEMA)
         assert calls == []
         equal = DatasetSchema(features=tuple(FeatureSpec(name, d) for name, d in specs))
@@ -1190,14 +1417,14 @@ class TestEncodingCache:
 
     @pytest.mark.parametrize("n", [3, 65])
     def test_topologies_equal_encode_rank_topology_bit_for_bit(self, n):
-        """Built from the row's cached ranks, once per schema, with no tensor cached beside them."""
+        """Built once per schema and cached on the row, with nothing else cached beside them."""
         rng = np.random.default_rng(930 + n)
         feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
         row = make_row("q", "c", [f"i{j}" for j in range(n)], rng.integers(0, 9, n), feats)
         topologies = topologies_from_row(row, SCHEMA)
         assert topologies_from_row(row, SCHEMA) is topologies
         assert row._encodings[SCHEMA] is topologies
-        assert set(row._encodings) == {SCHEMA, (SCHEMA, "ranks")}
+        assert set(row._encodings) == {SCHEMA}
         for top, spec in zip(topologies, SCHEMA.features):
             fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
             assert (top.feature, top.item_ids) == (fresh.feature, fresh.item_ids)

@@ -16,6 +16,7 @@ from scipy.special import stdtr  # test-only oracle; rsm does not import scipy
 import rsm.data
 import rsm.evaluation
 import rsm.learner
+import rsm.record
 from rsm import config
 from rsm import (
     DatasetSchema,
@@ -62,18 +63,18 @@ def build_pairs(count, seed=0):
     return pairs
 
 
-def random_flip_pairs(count, k, seed=0):
-    """Flip pairs over three-item contexts with random features and clicks."""
+def random_flip_pairs(count, k, seed=0, widths=(3,)):
+    """Flip pairs with random features and clicks, pair ``i``'s contexts ``widths[i % len(widths)]`` items wide."""
     rng = np.random.default_rng(seed)
     names = synthetic_schema(k).names
     pairs = []
     for i in range(count):
-        rows = []
+        rows, n = [], widths[i % len(widths)]
         for c, (hi, lo) in enumerate([(0, 1), (1, 0)]):
-            clicks = rng.integers(1, 20, size=3).astype(float)
+            clicks = rng.integers(1, 20, size=n).astype(float)
             clicks[hi] = clicks[lo] + rng.integers(5, 20)
-            feats = {name: rng.random(3) for name in names}
-            rows.append(make_row(f"q{i}", f"c{c}", ["a", "b", f"x{c}"], clicks, feats))
+            feats = {name: rng.random(n) for name in names}
+            rows.append(make_row(f"q{i}", f"c{c}", ["a", "b"] + [f"x{c}_{j}" for j in range(n - 2)], clicks, feats))
         pairs.append(FlipPair(row_1=rows[0], row_2=rows[1], item_a="a", item_b="b", strength=0.5))
     return pairs
 
@@ -381,25 +382,40 @@ class TestRunExperiment:
             run_experiment(pairs, [constant_model(), constant_model()], num_splits=2)
 
     def test_each_row_encoded_once_across_splits(self, monkeypatch):
+        """Counts, not timings: the run's record ranks each row once, one call per width, before
+        the first split ends; later splits call no encoder, and the pairs are clustered once."""
         k = 3
-        pairs = random_flip_pairs(12, k, seed=5)
+        pairs = random_flip_pairs(12, k, seed=5, widths=(3, 5, 3, 2))
         schema = synthetic_schema(k)
         weights = WeightVector(np.full(k, 1.0 / k))
-        encoded = {"average_ranks": [], "rank_chain": []}
-        for kernel in encoded:
-            def counting_kernel(values, real=getattr(rsm.data, kernel), kernel=kernel):
-                encoded[kernel].extend(values.shape[:1])
-                return real(values)
+        encoded = {(rsm.record, "average_ranks"): [], (rsm.data, "rank_chain"): [], (rsm.record, "rank_space"): [],
+                   (rsm.learner, "rank_space"): [], (rsm.data, "paired_split"): []}
+        for module, kernel in encoded:
+            def counting_kernel(*args, real=getattr(module, kernel), calls=encoded[module, kernel]):
+                calls.append(getattr(args[0], "shape", (None,))[:1])
+                return real(*args)
 
-            monkeypatch.setattr(rsm.data, kernel, counting_kernel)
+            monkeypatch.setattr(module, kernel, counting_kernel)
+        real_of_pairs, clustered = rsm.record.ContextRecord.of_pairs.__func__, []
+
+        def counting_of_pairs(cls, pairs):
+            clustered.append(len(pairs))
+            return real_of_pairs(cls, pairs)
+
+        monkeypatch.setattr(rsm.record.ContextRecord, "of_pairs", classmethod(counting_of_pairs))
+        after_first = {}
+        on_split = lambda s, accs: after_first or after_first.update({key: len(calls) for key, calls in encoded.items()})
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
-        run_experiment(pairs, models, num_splits=4, seed=7)
-        # every row sits on one side of every split, so all rows are ranked, each once;
+        run_experiment(pairs, models, num_splits=4, seed=7, on_split=on_split)
+        # every row sits on one side of every split, so all rows are ranked, each once, one call per width;
         # the scorers solve in rank space and chain no ranks into n x n tensors
         rows = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
-        assert sum(encoded["average_ranks"]) == 2 * len(pairs)
-        assert encoded["rank_chain"] == []
-        assert all((schema, "tensor") not in row._encodings for row in rows)
+        assert sorted(encoded[rsm.record, "average_ranks"]) == [(6,), (6,), (12,)]
+        assert sorted(encoded[rsm.record, "rank_space"]) == [(6,), (6,), (12,)]
+        assert encoded[rsm.data, "rank_chain"] == encoded[rsm.learner, "rank_space"] == []
+        assert after_first == {key: len(calls) for key, calls in encoded.items()}
+        assert clustered == [len(pairs)] and encoded[rsm.data, "paired_split"] == []
+        assert all(not row._encodings for row in rows)
 
     def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):
         """Benchmarks count ``run_experiment``'s calls through the module attribute."""
@@ -573,7 +589,8 @@ class TestFixedWeightsModel:
 
 class TestLeastSquaresModel:
     @pytest.mark.parametrize("include_position", [True, False])
-    def test_scores_equal_predict_on_feature_rows_bit_for_bit(self, include_position):
+    def test_scores_equal_predict_to_roundoff(self, include_position):
+        """The scorer's one product per call agrees with ``predict`` item by item, up to roundoff."""
         rng = np.random.default_rng(99)
         schema = synthetic_schema(3)
         rows = []
@@ -591,7 +608,7 @@ class TestLeastSquaresModel:
                 if include_position:
                     values.append(float(row.positions[i]))
                 probe = FeatureRow(query_id=row.query_id, item_id=item, features=np.array(values), ctr=0.0)
-                assert scores[i] == predict(model, probe)
+                assert scores[i] == pytest.approx(predict(model, probe), rel=1e-13, abs=1e-15)
 
     def test_needs_clicked_training_rows(self):
         quiet = make_row("q", "c", ["a", "b"], [0, 0], {name: [1.0, 2.0] for name in synthetic_schema(2).names})
