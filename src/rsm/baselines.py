@@ -130,17 +130,12 @@ class ConstantScores:
         return self.table.get((query_id, item_id), 0.0)
 
 
-def constant_scorer(rows: Sequence[FeatureRow]) -> ConstantScores:
-    """Build the per-(query, item) mean-CTR table.
-
-    The score of a pair is identical in every context, so this scorer can
-    never predict a preference flip.
-    """
-    return mean_ctr_table(((row.query_id, row.item_id), row.ctr) for row in rows)
-
-
 def mean_ctr_table(observations: Iterable[Tuple[Tuple[str, str], float]]) -> ConstantScores:
-    """The mean CTR per ``(query, item)`` key of ``(key, ctr)`` observations, summed in order."""
+    """The mean CTR per ``(query, item)`` key of ``(key, ctr)`` observations, summed in order.
+
+    A key's score is the same in every context, so this table can never
+    predict a preference flip.
+    """
     sums: Dict[Tuple[str, str], list] = {}
     for key, ctr in observations:
         bucket = sums.setdefault(key, [0.0, 0])

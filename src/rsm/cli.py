@@ -30,6 +30,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_instances,
+    mine_flip_pairs,
     save_csv,
     save_instances,
 )
@@ -160,26 +161,13 @@ def cmd_synth(args) -> int:
     if weights.k != args.k:
         raise ValueError(f"--weights has {weights.k} entries but --k is {args.k}")
     synth_seed = derive_seed(args.seed, "synth")
+    clicks = args.clicks or (10_000 if args.flips else None)  # the clicks drawn per context, if any
     if args.flips:
-        dataset = generate_flip_dataset(
-            num_queries=args.queries,
-            weights=weights,
-            lam=args.lam,
-            n=args.n,
-            clicks_per_context=args.clicks or 10_000,
-            seed=synth_seed,
-        )
+        dataset = generate_flip_dataset(num_queries=args.queries, weights=weights, lam=args.lam, n=args.n,
+                                        clicks_per_context=clicks, seed=synth_seed)
     else:
-        spec = SyntheticSpec(
-            k=args.k,
-            num_queries=args.queries,
-            weights=weights,
-            n=args.n,
-            lam=args.lam,
-            clicks_per_context=args.clicks if args.clicks else None,
-            seed=synth_seed,
-        )
-        dataset = generate_synthetic(spec)
+        dataset = generate_synthetic(SyntheticSpec(k=args.k, num_queries=args.queries, weights=weights, n=args.n,
+                                                   lam=args.lam, clicks_per_context=clicks, seed=synth_seed))
     schema = dataset.schema
     manifest = {
         "command": "synth",
@@ -189,7 +177,7 @@ def cmd_synth(args) -> int:
         "queries": args.queries,
         "lam": args.lam,
         "true_weights": [float(v) for v in weights.values],
-        "clicks_per_context": args.clicks if args.clicks else None,
+        "clicks_per_context": clicks,
         "flips": bool(args.flips),
         "features": [
             {"name": f.name, "direction": f.direction.value} for f in schema.features
@@ -220,7 +208,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if data_path.suffix == ".json":
-        batch = learner.as_batch(load_instances(data_path))
+        batch = load_instances(data_path)
     else:
         schema = _schema_for_csv(data_path)
         batch = batch_from_rows(_load_rows(data_path, schema), schema)
@@ -301,20 +289,14 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = _schema_for_csv(data_path)
-    rows = _load_rows(data_path, schema)
+    pairs = mine_flip_pairs(_load_rows(data_path, schema))  # once for every rate of a sweep
     names = [part.strip() for part in args.models.split(",") if part.strip()]
     if not names:
         raise ValueError("--models must name at least one model")
 
     def run_at(lam: float):
         models = _build_models(names, schema, args, lam)
-        return run_experiment(
-            rows,
-            models,
-            num_splits=args.splits,
-            seed=args.seed,
-            train_fraction=args.train_frac,
-        )
+        return run_experiment(pairs, models, num_splits=args.splits, seed=args.seed, train_fraction=args.train_frac)
 
     if args.lambda_sweep:
         lambdas = _parse_lambdas(args.lambda_sweep)
@@ -488,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="learn topology weights from a dataset")
-    p_train.add_argument("data", help="dataset.csv or instances.json")
+    p_train.add_argument("data", help="dataset.csv, or an instances.json of format 2 as rsm synth writes it")
     p_train.add_argument("--out-dir", required=True)
     _add_learner_flags(p_train)
     p_train.add_argument("--grid", action="store_true", help="brute-force grid search instead")

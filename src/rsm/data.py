@@ -3,8 +3,10 @@
 The on-disk format is a CSV with one line per (query, context, item):
 ``query_id, context_id, item_id, position, clicks`` followed by one column
 per feature. Malformed lines are collected into an error report rather than
-silently dropped. A JSON format carries pre-encoded training instances with
-explicit topologies.
+silently dropped. A JSON instance file (format 2) stores each context of
+some training instances once, as its ``k`` average-rank vectors, and reads
+straight into the learner's ``ContextBatch``; format 1 (per-instance
+matrices) is refused.
 
 Rows are validated once, where they enter: ``load_csv`` checks a file's
 cells and contexts in bulk at the CSV boundary and builds its rows without a
@@ -35,8 +37,8 @@ import numpy as np
 
 from . import config
 from .baselines import FeatureRow
-from .errors import ParseError, SchemaError, ShapeError, SplitTooSmall
-from .learner import ContextBatch, TrainingInstance
+from .errors import ParseError, SchemaError, ShapeError
+from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
 from .record import ContextRecord, RecordView, feature_ranks, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
@@ -809,72 +811,73 @@ def _emit_context(dataset, query_id, context_id, items, values, ranks, probs, cl
 
 
 # ---------------------------------------------------------------------------
-# JSON instance files (pre-encoded topologies).
+# JSON instance files: each context once, as its ranks.
 # ---------------------------------------------------------------------------
+
+INSTANCE_FORMAT = 2
 
 
 def save_instances(instances: Sequence[TrainingInstance], path) -> None:
-    """Write training instances with explicit topology matrices as JSON."""
-    payload = []
-    for inst in instances:
-        payload.append(
-            {
-                "query_id": inst.query_id,
-                "items": list(inst.item_ids),
-                "target_index": inst.target_index,
-                "target_prob": inst.target_prob,
-                "topologies": [
-                    {"feature": top.feature, "matrix": top.matrix.entries.tolist()}
-                    for top in inst.topologies
-                ],
-            }
-        )
+    """Write training instances as JSON: each context of :func:`rsm.learner.group_instances` once, with its
+    first instance's query id and items, its feature names and ranks; each target as ``[context, index, prob]``."""
+    heads, ranks, context, index, prob = group_instances(instances)
+    contexts = [{"query_id": head.query_id, "items": list(head.item_ids), "ranks": r.tolist(),
+                 "features": [top.feature for top in head.topologies]} for head, r in zip(heads, ranks)]
+    targets = list(map(list, zip(context.tolist(), index.tolist(), prob.tolist())))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"instances": payload}, handle, indent=1, sort_keys=True)
+        json.dump({"format": INSTANCE_FORMAT, "contexts": contexts, "targets": targets}, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-def load_instances(path) -> List[TrainingInstance]:
-    """Read a JSON instance file written by :func:`save_instances`.
+def load_instances(path) -> ContextBatch:
+    """Read a file of :func:`save_instances` into the learner's batch, whose ``len`` counts its targets.
 
-    Instances with equal query id, items and topology matrices share one
-    topology tuple, wherever they appear in the file, so the learner can
-    group them; matrices are compared as parsed, never re-serialised.
+    The file is checked here, and anything malformed raises ``SchemaError``:
+    each context needs at least two distinct items and per feature a rank
+    vector over them equal bit for bit to its own ``average_ranks``, all
+    contexts the same features count; each target an integer context and
+    index in range and a probability in [0, 1]. Format 1 is refused.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", line_number=exc.lineno) from exc
-    if not isinstance(payload, dict) or "instances" not in payload:
-        raise SchemaError("instance file must be an object with an 'instances' array")
-    seen: Dict[tuple, list] = {}  # (query id, items) -> [(matrices, topology tuple)] of its contexts so far
-    out: List[TrainingInstance] = []
-    for i, entry in enumerate(payload["instances"]):
+    if not isinstance(payload, dict):
+        raise SchemaError("an instance file must be a JSON object")
+    if payload.get("format", 1) != INSTANCE_FORMAT:
+        raise SchemaError(f"{path} is an instance file of format {payload.get('format', 1)!r}, and only format "
+                          f"{INSTANCE_FORMAT} is read; regenerate it with `rsm synth`")
+    contexts, targets = payload.get("contexts"), payload.get("targets")
+    if not isinstance(contexts, list) or not isinstance(targets, list):
+        raise SchemaError("an instance file needs a 'contexts' array and a 'targets' array")
+    ranks: List[np.ndarray] = []
+    for c, entry in enumerate(contexts):
         try:
-            items = tuple(entry["items"])
-            matrices = [t["matrix"] for t in entry["topologies"]]
-            contexts = seen.setdefault((entry["query_id"], items), [])
-            topologies = next((tops for known, tops in contexts if known == matrices), None)
-            if topologies is None:
-                topologies = tuple(
-                    Topology(
-                        feature=t["feature"],
-                        matrix=StochasticMatrix(np.array(t["matrix"], dtype=np.float64)),
-                        item_ids=items,
-                    )
-                    for t in entry["topologies"]
-                )
-                contexts.append((matrices, topologies))
-            out.append(
-                TrainingInstance(
-                    query_id=entry["query_id"],
-                    item_ids=topologies[0].item_ids,  # the context's own tuple, so the item check is by identity
-                    topologies=topologies,
-                    target_index=int(entry["target_index"]),
-                    target_prob=float(entry["target_prob"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"instance {i} is malformed: {exc}") from exc
-    return out
+            ranks.append(_context_ranks(entry, ranks[0].shape[0] if ranks else None))
+        except KeyError as exc:
+            raise SchemaError(f"context {c} has no {exc} entry") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"context {c} is malformed: {exc}") from exc
+    for t, target in enumerate(targets):
+        if not (isinstance(target, list) and len(target) == 3 and type(target[0]) is type(target[1]) is int
+                and type(target[2]) in (int, float) and 0 <= target[0] < len(ranks)
+                and 0 <= target[1] < ranks[target[0]].shape[1] and 0.0 <= target[2] <= 1.0):
+            raise SchemaError(f"target {t} is not [context, index, probability] with the context and index in range "
+                              f"and the probability in [0, 1]: {target!r}")
+    context, index, prob = zip(*targets) if targets else ((), (), ())
+    return ContextBatch.from_targets(ranks, np.array(context, np.intp), np.array(index, np.intp), np.array(prob, np.float64))
+
+
+def _context_ranks(entry: dict, k: Optional[int]) -> np.ndarray:
+    """A stored context's ``(k, n)`` ranks, checked against its items, ``k`` when given and its own ``average_ranks``."""
+    items, features, ranks = entry["items"], entry["features"], np.array(entry["ranks"], dtype=np.float64)
+    if not isinstance(items, list) or len(items) < 2 or len(set(items)) != len(items):
+        raise ValueError("a context needs a list of at least two distinct items")
+    if (not features or not isinstance(features, list) or k not in (None, len(features))
+            or ranks.shape != (len(features), len(items))):
+        raise ValueError(f"expected {k or 'one or more'} rank vectors over its {len(items)} items, got shape {ranks.shape}")
+    bad = ~(average_ranks(ranks) == ranks).all(axis=1)
+    if bad.any():
+        raise ValueError(f"the ranks of feature {features[np.argmax(bad)]!r} are not the average ranks of their values")
+    return ranks

@@ -23,7 +23,7 @@ import numpy as np
 from . import config, learner
 from .baselines import fit_least_squares_arrays, mean_ctr_table
 from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows, mine_flip_pairs
-from .errors import DegenerateVariance, SplitTooSmall
+from .errors import DegenerateVariance
 from .markov import rank_chain_rows
 from .record import ContextRecord, RecordView, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
@@ -388,14 +388,13 @@ def run_experiment(
     """Repeated paired-split evaluation of several models on one dataset.
 
     Accepts either click-log rows (pairs are mined first) or pre-mined flip
-    pairs, recorded and clustered once. Every split (``paired_split`` with a
-    seed derived from ``seed``) re-fits every model on its training rows.
-    ``on_split(s, accuracies)`` is invoked after each split when given.
+    pairs, recorded and clustered once; fewer than two raise ``SplitTooSmall``.
+    Every split (``paired_split`` with a seed derived from ``seed``) re-fits
+    every model on its training rows. ``on_split(s, accuracies)`` is invoked
+    after each split when given.
     """
     pairs = list(rows_or_pairs)
-    if not pairs:
-        raise SplitTooSmall("no data: neither rows nor flip pairs were provided")
-    if not isinstance(pairs[0], FlipPair):
+    if pairs and not isinstance(pairs[0], FlipPair):
         pairs = mine_flip_pairs(pairs)
     models = list(models)
     if not models:

@@ -26,10 +26,10 @@ stacked (B, k, n) average ranks with their weight-free products, and each
 target's probability, dataset-order slot and flat places in the kernel's
 outputs, so every evaluation gathers a width's targets with one ``take`` per
 output. ``rsm.data.batch_from_rows`` gathers click-log rows' products from
-their ``ContextRecord``; a :class:`TrainingInstance` sequence is converted by
-:func:`as_batch`, in array passes over the instances and one Python step per
-context, and accepts rank topologies only. A brute-force grid learner over
-the weight simplex serves as an oracle.
+their ``ContextRecord``; ``rsm.data.load_instances`` and :func:`as_batch`
+build theirs with :meth:`ContextBatch.from_targets`, from per-context ranks
+and per-target arrays. A brute-force grid learner over the weight simplex
+serves as an oracle.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ def _bucket(ranks, gidx: np.ndarray, uidx: np.ndarray, targets: np.ndarray, slot
 class ContextBatch:
     """Training targets grouped by context width; ``len(batch)`` counts targets.
 
-    Build one with :meth:`from_widths`, ``rsm.data.batch_from_rows`` or
-    :func:`as_batch`. Widths keep their order of first appearance.
+    Build one with :meth:`from_widths`, :meth:`from_targets` or a caller of
+    theirs. Widths keep their order of first appearance.
     """
 
     k: int
@@ -187,6 +187,25 @@ class ContextBatch:
             buckets.append(_bucket(ranks, gidx, uidx, targets.ravel(), slots.ravel()))
         return cls(k=k, buckets=tuple(buckets))
 
+    @classmethod
+    def from_targets(cls, ranks: Sequence[np.ndarray], context: np.ndarray, index: np.ndarray, prob: np.ndarray) -> "ContextBatch":
+        """Target ``i`` in slot ``i``: ``prob[i]`` at item ``index[i]`` of the context with ``(k, n)`` ranks ``ranks[context[i]]``.
+
+        Contexts of one width are stacked in order. Callers validate: every
+        context has the same ``k``, every target's context and index are in range.
+        """
+        if not ranks:
+            return cls(k=0, buckets=())
+        widths = {}  # context width -> bucket, in order of first appearance
+        bucket_of = np.array([widths.setdefault(r.shape[1], len(widths)) for r in ranks], dtype=np.intp)
+        place = np.empty(len(ranks), np.intp)  # each context's place in its bucket
+        buckets = []
+        for members, slots in zip(_positions(bucket_of, len(widths)), _positions(bucket_of[context], len(widths))):
+            place[members] = np.arange(members.size)
+            stack = np.array([ranks[c] for c in members.tolist()])
+            buckets.append(_bucket(stack, place[context[slots]], index[slots], prob[slots], slots))
+        return cls(k=ranks[0].shape[0], buckets=tuple(buckets))
+
 
 Data = Union[ContextBatch, Sequence[TrainingInstance]]
 
@@ -196,39 +215,29 @@ def _positions(ids: np.ndarray, count: int) -> list:
     return np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids, minlength=count))[:-1])
 
 
-def as_batch(data: Data) -> ContextBatch:
-    """``data`` itself if it is a batch, else the batch of an instance sequence.
+def group_instances(instances: Sequence[TrainingInstance]) -> tuple:
+    """Per context, its first instance and ``(k, n)`` ranks; per instance, its context, target index and probability.
 
     Instances holding equal topology tuples form one context, numbered in
-    order of first appearance; every target keeps its position in the
-    sequence as its slot. The instances are read in a few array passes, and
-    only the contexts are visited one by one. Each topology enters as its
-    :attr:`~rsm.topology.Topology.ranks`, so one that is not a rank chain
-    raises ``ValueError`` naming its feature.
+    order of first appearance, in a few array passes and one Python step per
+    context. A topology enters as its :attr:`~rsm.topology.Topology.ranks`,
+    so one that is not a rank chain raises ``ValueError`` naming its feature.
     """
-    if isinstance(data, ContextBatch):
-        return data
-    m = len(data)
+    m = len(instances)
     groups = {}  # topology tuple -> slot of its first instance
-    topologies = map(operator.attrgetter("topologies"), data)
-    first = np.fromiter(map(groups.setdefault, topologies, itertools.count()), np.intp, m)
+    first = np.fromiter(map(groups.setdefault, map(operator.attrgetter("topologies"), instances), itertools.count()), np.intp, m)
     if len(set(map(len, groups))) > 1:
         raise ShapeError("all instances must share the same number of topologies")
-    if not groups:
-        return ContextBatch(k=0, buckets=())
-    contexts = list(groups)
-    _, context = np.unique(first, return_inverse=True)  # each target's context
-    widths = {}  # context width -> bucket, in order of first appearance
-    bucket_of = np.array([widths.setdefault(tops[0].n, len(widths)) for tops in contexts], dtype=np.intp)
-    uidx = np.fromiter(map(operator.attrgetter("target_index"), data), np.intp, m)
-    targets = np.fromiter(map(operator.attrgetter("target_prob"), data), np.float64, m)
-    place = np.empty(len(contexts), np.intp)  # each context's place in its bucket
-    buckets = []
-    for members, slots in zip(_positions(bucket_of, len(widths)), _positions(bucket_of[context], len(widths))):
-        place[members] = np.arange(members.size)
-        ranks = np.array([[top.ranks for top in contexts[c]] for c in members.tolist()])
-        buckets.append(_bucket(ranks, place[context[slots]], uidx[slots], targets[slots], slots))
-    return ContextBatch(k=len(contexts[0]), buckets=tuple(buckets))
+    heads, context = np.unique(first, return_inverse=True)
+    index = np.fromiter(map(operator.attrgetter("target_index"), instances), np.intp, m)
+    prob = np.fromiter(map(operator.attrgetter("target_prob"), instances), np.float64, m)
+    ranks = [np.array([top.ranks for top in tops]) for tops in groups]
+    return [instances[h] for h in heads.tolist()], ranks, context, index, prob
+
+
+def as_batch(data: Data) -> ContextBatch:
+    """``data`` itself if it is a batch, else the batch of an instance sequence's :func:`group_instances`."""
+    return data if isinstance(data, ContextBatch) else ContextBatch.from_targets(*group_instances(data)[1:])
 
 
 def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: bool):

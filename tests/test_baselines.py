@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rsm import FeatureRow, ShapeError, constant_scorer, fit_least_squares, predict
-from rsm.baselines import fit_least_squares_arrays
+from rsm import FeatureRow, ShapeError, fit_least_squares, predict
+from rsm.baselines import fit_least_squares_arrays, mean_ctr_table
 
 
 def rows_from_design(design, targets):
@@ -124,24 +124,20 @@ class TestLeastSquares:
                 fit_least_squares_arrays(np.where(design > 0.9, bad, design), target)
 
 class TestConstantScorer:
+    """The context-oblivious mean-CTR table of the ``train_ctr`` model, from ``mean_ctr_table``."""
+
     def test_averages_repeated_observations(self):
-        rows = [
-            FeatureRow("q1", "a", np.array([0.0]), 0.2),
-            FeatureRow("q1", "a", np.array([0.0]), 0.4),
-            FeatureRow("q1", "b", np.array([0.0]), 0.7),
-        ]
-        table = constant_scorer(rows)
+        table = mean_ctr_table([(("q1", "a"), 0.2), (("q1", "a"), 0.4), (("q1", "b"), 0.7)])
         assert abs(table.score("q1", "a") - 0.3) < 1e-15
         assert abs(table.score("q1", "b") - 0.7) < 1e-15
 
     def test_unseen_pairs_score_zero(self):
-        table = constant_scorer([FeatureRow("q1", "a", np.array([0.0]), 0.5)])
+        table = mean_ctr_table([(("q1", "a"), 0.5)])
         assert table.score("q1", "zz") == 0.0
         assert table.score("q9", "a") == 0.0
 
     def test_same_item_same_score_everywhere(self):
-        # the table has no notion of context: one score per (query, item)
-        rows = [FeatureRow("q", "a", np.array([float(i)]), 0.25) for i in range(4)]
-        table = constant_scorer(rows)
+        # the table has no notion of context: one score per (query, item), however many contexts showed it
+        table = mean_ctr_table((("q", "a"), 0.25) for _ in range(4))
         assert table.score("q", "a") == table.score("q", "a")
         assert abs(table.score("q", "a") - 0.25) < 1e-15

@@ -53,6 +53,22 @@ class TestSynth:
         assert manifest["queries_kept"] == manifest["num_rows"] // 2 == 10
         assert manifest["candidates_drawn"] == dataset.candidates_drawn >= 10
 
+    def test_flip_manifest_records_the_default_clicks(self, tmp_path):
+        """Without --clicks the flip generator draws 10,000 clicks per context, and the manifest says so."""
+        out = tmp_path / "flips"
+        assert run(["synth", "--out-dir", out, "--queries", "3", "--flips", "--seed", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["clicks_per_context"] == 10_000
+        loaded = rsm.load_csv(out / "dataset.csv", rsm.synthetic_schema(3))
+        assert [row.total_clicks() for row in loaded.rows] == [10_000.0] * 6
+
+    def test_wide_instance_file_stays_small(self, tmp_path):
+        """Each context is stored once, as its ranks: 20 contexts of 70 items take well under 1 MB."""
+        out = tmp_path / "wide"
+        assert run(["synth", "--out-dir", out, "--n", "70", "--queries", "20", "--seed", "5",
+                    "--weights", "0.2,0.5,0.3"]) == 0
+        assert (out / "instances.json").stat().st_size < 1_000_000
+        assert len(rsm.load_instances(out / "instances.json")) == 20 * 70
+
     def test_identical_files_for_fixed_seed(self, tmp_path):
         args = ["synth", "--queries", "6", "--k", "2", "--n", "3", "--clicks", "40",
                 "--seed", "5", "--out-dir"]
@@ -121,6 +137,22 @@ class TestTrain:
         assert payload["iterations"] == 0
         assert payload["weights"] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
+    def test_loads_instances_without_chain_or_topology_objects(self, synth_dir, tmp_path, monkeypatch):
+        """instances.json goes straight to the learner's batch: no chain or topology object is built."""
+        built = []
+        for cls in (rsm.StochasticMatrix, rsm.Topology):
+            def counting(self, _real=cls.__post_init__):
+                built.append(type(self).__name__)
+                _real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(rsm.StochasticMatrix, "_trusted", lambda *args: built.append("StochasticMatrix._trusted"))
+        assert len(rsm.load_instances(synth_dir / "instances.json")) == 30 * 4
+        assert run(["train", synth_dir / "instances.json", "--out-dir", tmp_path / "fit"]) == 0
+        assert built == []
+        rsm.encode_rank_topology([1.0, 2.0])  # the counters do see a construction
+        assert built == ["StochasticMatrix", "Topology"]
+
     def test_trains_from_csv_logs(self, flip_dir, tmp_path):
         out = tmp_path / "csvfit"
         assert run(["train", flip_dir / "dataset.csv", "--out-dir", out,
@@ -159,6 +191,32 @@ class TestEval:
         csv_head = (out / "report_splits.csv").read_text().splitlines()[0]
         assert csv_head.startswith("lambda,split,")
 
+    def test_lambda_sweep_mines_the_pairs_once(self, flip_dir, tmp_path, monkeypatch):
+        """A three-rate sweep mines its flip pairs once and writes the reports of three separate runs."""
+        calls = []
+        real = rsm.data.mine_flip_pairs
+
+        def counting(rows, *args, **kwargs):
+            calls.append(len(rows))
+            return real(rows, *args, **kwargs)
+
+        for module in (rsm.data, rsm.cli, rsm.evaluation):
+            monkeypatch.setattr(module, "mine_flip_pairs", counting)
+        common = ["--models", "rsm,constant,train_ctr", "--splits", "3", "--max-iters", "6", "--out-dir"]
+        assert run(["eval", flip_dir / "dataset.csv", "--lambda-sweep", "0.05,0.15,0.3"] + common + [tmp_path / "sweep"]) == 0
+        assert calls == [20]
+        sweep = json.loads((tmp_path / "sweep" / "report.json").read_text())["lambda_sweep"]
+        for lam in ("0.05", "0.15", "0.3"):
+            assert run(["eval", flip_dir / "dataset.csv", "--lambda", lam] + common + [tmp_path / lam]) == 0
+            assert sweep[lam] == json.loads((tmp_path / lam / "report.json").read_text())
+
+    @pytest.mark.parametrize("sweep", [[], ["--lambda-sweep", "0.1,0.2"]])
+    def test_a_csv_without_flip_pairs_is_a_data_error(self, sweep, tmp_path, caplog):
+        path = tmp_path / "calm.csv"
+        path.write_text("query_id,context_id,item_id,position,clicks,f0\nq,c1,a,1,10,1\nq,c1,b,2,5,2\n")
+        assert run(["eval", path, "--out-dir", tmp_path / "o"] + sweep) == 3
+        assert "need at least two flip pairs, got 0" in caplog.text
+
     def test_builds_no_per_item_objects(self, flip_dir, tmp_path, monkeypatch):
         """Rows are encoded as arrays: no chain, topology or feature-row objects per context."""
         built = []
@@ -193,16 +251,15 @@ class TestExitCodes:
                     "--grid", "--grid-step", "0.0001"]) == 4
 
     def test_edited_topology_is_refused_without_weights(self, synth_dir, tmp_path, caplog):
-        """One matrix entry moved by 1e-13 keeps the rows stochastic but breaks the rank chain."""
+        """One stored rank moved by 1e-13 is no longer an average rank: a data error naming context and feature."""
         payload = json.loads((synth_dir / "instances.json").read_text())
-        topology = payload["instances"][5]["topologies"][1]
-        topology["matrix"][0][1] += 1e-13
+        payload["contexts"][5]["ranks"][1][0] += 1e-13
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(payload))
         out = tmp_path / "o"
-        assert run(["train", edited, "--out-dir", out]) == 2
+        assert run(["train", edited, "--out-dir", out]) == 3
         assert not (out / "weights.json").exists()
-        assert f"topology {topology['feature']!r} is not a rank chain" in caplog.text
+        assert "context 5 is malformed: the ranks of feature 'f1' are not the average ranks" in caplog.text
 
     def test_malformed_csv_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import logging
 import pickle
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import rsm.cli
 import rsm.data
 import rsm.learner
 import rsm.record
@@ -54,7 +56,7 @@ from rsm.baselines import fit_least_squares_arrays
 from rsm.data import LoadError, LoadResult, design_from_rows
 from rsm.record import ContextRecord
 from rsm.evaluation import Model, constant_model, flip_accuracy, least_squares_model, rsm_model, run_experiment
-from rsm.learner import ContextBatch, LearnerConfig
+from rsm.learner import ContextBatch, LearnerConfig, fit, linearized_row
 from rsm.markov import rank_chain_rows, rank_space
 from rsm.topology import average_ranks
 from rsm.errors import ParseError, ShapeError
@@ -1238,28 +1240,41 @@ class TestFlipGeneratorLog:
         assert records[0].getMessage().startswith("flip generator kept 3 of 3 requested queries from ")
 
 
+def assert_same_batch(got: ContextBatch, want: ContextBatch) -> None:
+    """Two batches hold the same arrays, bit for bit: ranks and their products, targets, slots and places."""
+    assert (got.k, len(got.buckets)) == (want.k, len(want.buckets))
+    for a, b in zip(got.buckets, want.buckets):
+        for x, y in zip((*a.space, a.targets, a.slots, a.at, a.rows_at), (*b.space, b.targets, b.slots, b.at, b.rows_at)):
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+
+
 class TestInstanceFiles:
     def test_round_trip_and_topology_sharing(self, tmp_path):
-        rng = np.random.default_rng(15)
         spec = SyntheticSpec(k=2, num_queries=3, weights=WeightVector(np.array([0.6, 0.4])), seed=2)
         data = generate_synthetic(spec)
         path = tmp_path / "inst.json"
         save_instances(data.instances, path)
         back = load_instances(path)
         assert len(back) == len(data.instances)
-        for orig, copy in zip(data.instances, back):
-            assert copy.query_id == orig.query_id
-            assert copy.item_ids == orig.item_ids
-            assert copy.target_index == orig.target_index
-            assert copy.target_prob == pytest.approx(orig.target_prob, abs=1e-15)
-            for t_orig, t_copy in zip(orig.topologies, copy.topologies):
-                assert_allclose(t_copy.matrix.entries, t_orig.matrix.entries, atol=1e-15)
-        # instances of one context share one topology tuple after loading
-        assert back[0].topologies is back[1].topologies
+        assert_same_batch(back, as_batch(data.instances))
+        # each context is stored once, as its ranks, and its instances' targets point at it
+        payload = json.loads(path.read_text())
+        assert payload["format"] == 2 and len(payload["contexts"]) == 3
+        first = data.instances[0]
+        assert payload["contexts"][0] == {
+            "query_id": first.query_id, "items": list(first.item_ids), "features": ["f0", "f1"],
+            "ranks": [top.ranks.tolist() for top in first.topologies],
+        }
+        assert payload["targets"] == [
+            [q, u, inst.target_prob] for q in range(3) for u, inst in enumerate(data.instances[5 * q:5 * q + 5])
+        ]
 
     @staticmethod
     def context_file(tmp_path, order):
-        """Instances of the contexts ``order`` names: 0 and 1 share query and items but not matrices."""
+        """Instances of the contexts ``order`` names, their saved payload and their loaded batch.
+
+        Contexts 0 and 1 share query and items but not ranks.
+        """
         items = ("a", "b", "c")
         contexts = [
             tuple(encode_rank_topology(v, item_ids=items, feature=f"f{i}") for i, v in enumerate(values))
@@ -1268,25 +1283,148 @@ class TestInstanceFiles:
         instances = [TrainingInstance("q", items, contexts[c], u % 3, 1 / 3) for u, c in enumerate(order)]
         path = tmp_path / "contexts.json"
         save_instances(instances, path)
-        return load_instances(path)
+        return instances, json.loads(path.read_text()), load_instances(path)
 
-    def test_equal_items_with_other_matrices_load_as_two_contexts(self, tmp_path):
-        back = self.context_file(tmp_path, [0, 1])
-        assert back[0].topologies is not back[1].topologies
-        assert [t.ranks.tolist() for t in back[1].topologies] == [[3.0, 2.0, 1.0], [3.0, 1.0, 2.0]]
-        assert len(as_batch(back).buckets[0].space.ranks) == 2
+    def test_equal_items_with_other_ranks_load_as_two_contexts(self, tmp_path):
+        instances, payload, back = self.context_file(tmp_path, [0, 1])
+        assert [c["ranks"] for c in payload["contexts"]] == [[[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]],
+                                                              [[3.0, 2.0, 1.0], [3.0, 1.0, 2.0]]]
+        assert len(back.buckets[0].space.ranks) == 2
+        assert_same_batch(back, as_batch(instances))
 
-    def test_scattered_instances_of_one_context_share_one_tuple(self, tmp_path):
-        back = self.context_file(tmp_path, [0, 1, 0, 1, 0])
-        assert back[0].topologies is back[2].topologies is back[4].topologies
-        assert back[1].topologies is back[3].topologies is not back[0].topologies
-        assert back[2].item_ids is back[0].topologies[0].item_ids
+    def test_scattered_instances_of_one_context_are_stored_once(self, tmp_path):
+        instances, payload, back = self.context_file(tmp_path, [0, 1, 0, 1, 0])
+        assert len(payload["contexts"]) == 2
+        assert [target[:2] for target in payload["targets"]] == [[0, 0], [1, 1], [0, 2], [1, 0], [0, 1]]
+        assert back.buckets[0].slots.tolist() == [0, 1, 2, 3, 4]
+        assert_same_batch(back, as_batch(instances))
 
     def test_malformed_file_rejected(self, tmp_path):
+        """A format 1 file, which stored every instance's topology matrices, is refused with a way out."""
         path = tmp_path / "junk.json"
         path.write_text('{"instances": [{"query_id": "q"}]}')
+        with pytest.raises(SchemaError, match="format 1.*regenerate it with `rsm synth`"):
+            load_instances(path)
+
+
+def valid_instance_payload() -> dict:
+    """A small valid format 2 payload: contexts of widths 3 and 2 (with tied ranks), three targets."""
+    return {
+        "format": 2,
+        "contexts": [
+            {"query_id": "q", "items": ["a", "b", "c"], "features": ["f0", "f1"], "ranks": [[1.0, 2.0, 3.0], [2.5, 2.5, 1.0]]},
+            {"query_id": "q", "items": ["a", "d"], "features": ["f0", "f1"], "ranks": [[1.0, 2.0], [1.5, 1.5]]},
+        ],
+        "targets": [[0, 0, 0.25], [1, 1, 0.5], [0, 2, 1]],
+    }
+
+
+_DROP = object()
+
+
+def _set(path, value):
+    """An edit that sets the payload entry at ``path`` (keys and indices) to ``value``, or drops it for ``_DROP``."""
+    def edit(payload):
+        entry = payload
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is _DROP:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+        return payload
+    return edit
+
+
+# each entry makes the file's JSON value from the valid payload
+MALFORMED_INSTANCE_FILES = {
+    "not an object": lambda payload: [payload],
+    "format 1": lambda payload: {"instances": []},
+    "format 3": _set(["format"], 3),
+    "no targets": _set(["targets"], _DROP),
+    "contexts not an array": _set(["contexts"], {"0": {}}),
+    "context without ranks": _set(["contexts", 0, "ranks"], _DROP),
+    "context not an object": _set(["contexts", 0], [["a", "b"]]),
+    "repeated item": _set(["contexts", 0, "items"], ["a", "b", "a"]),
+    "one item": _set(["contexts", 1], {"query_id": "q", "items": ["a"], "features": ["f0", "f1"], "ranks": [[1.0], [1.0]]}),
+    "items not a list": _set(["contexts", 1, "items"], "ad"),
+    "ranks not average ranks": _set(["contexts", 0, "ranks", 1], [2.0, 2.0, 1.0]),
+    "rank moved by roundoff": _set(["contexts", 0, "ranks", 0, 0], 1.0 + 1e-13),
+    "NaN rank": _set(["contexts", 0, "ranks", 0, 0], float("nan")),
+    "ranks over other items": _set(["contexts", 0, "ranks"], [[1.0, 2.0], [1.0, 2.0]]),
+    "fewer rank vectors than features": _set(["contexts", 0, "ranks"], [[1.0, 2.0, 3.0]]),
+    "ragged ranks": _set(["contexts", 0, "ranks", 1], [1.0, 2.0]),
+    "non-numeric rank": _set(["contexts", 0, "ranks", 0, 1], "two"),
+    "contexts disagree on k": _set(["contexts", 1], {"query_id": "q", "items": ["a", "d"], "features": ["f0"], "ranks": [[1.0, 2.0]]}),
+    "target not a triple": _set(["targets", 0], [0, 0]),
+    "context out of range": _set(["targets", 1, 0], 2),
+    "negative context": _set(["targets", 1, 0], -1),
+    "huge context": _set(["targets", 1, 0], 2**70),
+    "index out of range": _set(["targets", 1, 1], 2),
+    "negative index": _set(["targets", 0, 1], -1),
+    "float context": _set(["targets", 0, 0], 0.0),
+    "boolean index": _set(["targets", 0, 1], True),
+    "string probability": _set(["targets", 0, 2], "0.5"),
+    "probability above one": _set(["targets", 0, 2], 1.5),
+    "negative probability": _set(["targets", 0, 2], -0.1),
+    "NaN probability": _set(["targets", 0, 2], float("nan")),
+}
+
+
+class TestMalformedInstanceFiles:
+    def test_the_valid_payload_loads(self, tmp_path):
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(valid_instance_payload()))
+        batch = load_instances(path)
+        assert len(batch) == 3 and batch.k == 2
+        assert [b.slots.tolist() for b in batch.buckets] == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCE_FILES))
+    def test_is_refused(self, case, tmp_path):
+        """Each file raises SchemaError at load, and ``rsm train`` exits 3 on it without writing weights."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_INSTANCE_FILES[case](valid_instance_payload())))
         with pytest.raises(SchemaError):
             load_instances(path)
+        assert rsm.cli.main(["train", str(path), "--out-dir", str(tmp_path / "fit")]) == 3
+        assert not (tmp_path / "fit" / "weights.json").exists()
+
+
+@st.composite
+def instance_sets(draw):
+    """Instances of 2 to 4 contexts, at widths on both sides of 64, with tied ranks, part of their targets, interleaved."""
+    k = draw(st.integers(1, 3))
+    widths = [draw(st.integers(2, 8)), draw(st.integers(63, 70))]
+    widths += draw(st.lists(st.sampled_from([2, 5, 64, 65]), max_size=2))
+    instances = []
+    for c, n in enumerate(widths):
+        items = tuple(f"c{c}_i{j}" for j in range(n))
+        top = draw(st.sampled_from([2, 1000]))  # few distinct values force ties
+        topologies = tuple(
+            encode_rank_topology(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), item_ids=items, feature=f"f{i}")
+            for i in range(k)
+        )
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        instances += [TrainingInstance(f"q{c % 2}", items, topologies, u, draw(st.floats(0.0, 1.0))) for u in targets]
+    return draw(st.permutations(instances))
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances=instance_sets())
+def test_a_saved_file_fits_bit_equal_to_its_instances(instances):
+    """The batch ``load_instances`` reads back gives ``fit`` and ``linearized_row`` the bits of the instances' own batch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instances.json"
+        save_instances(instances, path)
+        back = load_instances(path)
+    assert_same_batch(back, as_batch(instances))
+    cfg = LearnerConfig(max_iters=5)
+    got, want = fit(back, cfg), fit(instances, cfg)
+    assert got.weights.values.tobytes() == want.weights.values.tobytes()
+    assert (got.per_iteration_loss, got.qp_steps) == (want.per_iteration_loss, want.qp_steps)
+    weights = WeightVector(np.arange(1.0, back.k + 1.0) / sum(range(1, back.k + 1)))
+    for a, b in zip(linearized_row(back, weights), linearized_row(instances, weights)):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestBridges:
