@@ -12,15 +12,10 @@ import numpy as np
 
 from rsm import (
     LearnerConfig,
-    TrainingInstance,
     WeightVector,
-    combine,
     fit,
     grid_search,
     sample_error,
-    stationary,
-    synthetic_schema,
-    topologies_from_row,
     generate_synthetic,
     SyntheticSpec,
 )

@@ -65,10 +65,7 @@ def derive_seed(base: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """Ordered feature columns of a dataset; compared by value.
-
-    Its hash (for the row caches) and ``names`` are computed once, at construction.
-    """
+    """Ordered feature columns of a dataset, compared, hashed and pickled by value; ``names`` are computed once."""
 
     features: Tuple[FeatureSpec, ...]
 
@@ -81,13 +78,6 @@ class DatasetSchema:
             if name in BASE_COLUMNS:
                 raise SchemaError(f"feature name {name!r} collides with a base column")
         object.__setattr__(self, "names", tuple(names))  # the column names, in feature order
-        object.__setattr__(self, "_hash", hash(self.features))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):  # string hashes differ between interpreters: rehash on unpickling
-        return (type(self), (self.features,))
 
     @property
     def k(self) -> int:
@@ -103,9 +93,9 @@ class LogRow:
     :func:`load_csv` were validated in bulk at the CSV boundary and are
     built without a second check, their arrays read-only views of arrays
     shared by the file's rows of one width. Its click total and CTR vector
-    are computed once. Its topology tuple, when asked for, is cached on the
-    row under the schema; its ranks and least-squares design live in the
-    :class:`ContextRecord` of each run or call that needs them.
+    are computed once. A row holds only its data: its ranks and
+    least-squares design live in the :class:`ContextRecord` of each run or
+    call that needs them.
     """
 
     query_id: str
@@ -114,7 +104,6 @@ class LogRow:
     positions: np.ndarray
     clicks: np.ndarray
     features: Mapping[str, np.ndarray]
-    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _total: float = field(init=False, repr=False, compare=False)
     _ctrs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -184,7 +173,7 @@ class LogRow:
         # set in the constructor's order, so the row shares its attribute keys with every other row
         for name, value in (
             ("query_id", query_id), ("context_id", context_id), ("items", items), ("positions", positions),
-            ("clicks", clicks), ("features", features), ("_encodings", {}), ("_total", total), ("_ctrs", ctrs),
+            ("clicks", clicks), ("features", features), ("_total", total), ("_ctrs", ctrs),
         ):
             object.__setattr__(row, name, value)
         return row
@@ -560,16 +549,12 @@ def paired_split(
 
 
 def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, ...]:
-    """Rank-encode every schema feature of one context as :class:`Topology` objects.
+    """Rank-encode every schema feature of one context as :class:`Topology` objects, afresh on every call.
 
-    The tuple is built on first use and cached on the row under the schema,
-    so every caller shares one object.
+    Bit-equal to ``encode_rank_topology`` of each feature. The pipeline itself
+    ranks through a :class:`ContextRecord` and forms no ``n x n`` chain.
     """
-    topologies = row._encodings.get(schema)
-    if topologies is None:
-        tensor = rank_chain(feature_ranks([row], schema)[1][0])
-        topologies = row._encodings[schema] = _topologies(schema, tensor, row.items)
-    return topologies
+    return _topologies(schema, rank_chain(feature_ranks([row], schema)[1][0]), row.items)
 
 
 def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tuple[Topology, ...]:

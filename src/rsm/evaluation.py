@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config, learner
 from .baselines import fit_least_squares_arrays, mean_ctr_table
-from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows, mine_flip_pairs
+from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows
 from .errors import DegenerateVariance
 from .markov import rank_chain_rows
 from .record import ContextRecord, RecordView, record_view
@@ -217,19 +217,6 @@ def _checked_scores(scorer: ScorerFn, rows: List[LogRow], batch: Optional[list])
     return scores
 
 
-def ctr_mae(scorer: ScorerFn, rows: Sequence[LogRow]) -> float:
-    """Mean absolute gap between scores and observed CTRs over the clicked rows.
-
-    Diagnostic only; it treats scores as probabilities, which is meaningful
-    for stationary-mass scorers and not for arbitrary ones.
-    """
-    clicked = [row for row in rows if row.total_clicks() > 0]
-    if not clicked:
-        raise ValueError("no clicked rows to evaluate")
-    errors = [np.abs(np.asarray(scores, dtype=np.float64) - row.ctrs()) for row, scores in zip(clicked, scorer(clicked))]
-    return float(np.mean(np.concatenate(errors)))
-
-
 def paired_t_test(diffs: Sequence[float]) -> Tuple[float, float]:
     """Two-sided paired t-test on per-split accuracy differences.
 
@@ -378,7 +365,7 @@ class ExperimentReport:
 
 
 def run_experiment(
-    rows_or_pairs,
+    pairs: Sequence[FlipPair],
     models: Sequence[Model],
     num_splits: int = config.DEFAULT_NUM_SPLITS,
     seed: int = 0,
@@ -387,15 +374,14 @@ def run_experiment(
 ) -> ExperimentReport:
     """Repeated paired-split evaluation of several models on one dataset.
 
-    Accepts either click-log rows (pairs are mined first) or pre-mined flip
-    pairs, recorded and clustered once; fewer than two raise ``SplitTooSmall``.
+    Takes flip pairs (``mine_flip_pairs`` of click-log rows), recorded and
+    clustered once; fewer than two raise ``SplitTooSmall``.
     Every split (``paired_split`` with a seed derived from ``seed``) re-fits
     every model on its training rows. ``on_split(s, accuracies)`` is invoked
     after each split when given.
     """
-    pairs = list(rows_or_pairs)
-    if pairs and not isinstance(pairs[0], FlipPair):
-        pairs = mine_flip_pairs(pairs)
+    if len(pairs) and not isinstance(pairs[0], FlipPair):
+        raise TypeError("run_experiment takes flip pairs: mine click-log rows with mine_flip_pairs first")
     models = list(models)
     if not models:
         raise ValueError("at least one model is required")

@@ -190,27 +190,26 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# the (B, k, n) ranks, V 1 as (B, k + 1), the functionals [alpha; beta] as (B, 2k, n),
+# the (B, k, n) ranks, the functionals [alpha; beta] as (B, 2k, n),
 # and [alpha; beta] V^T as (2k, B, k + 1): the rows of M^T without their weights
-RankSpace = namedtuple("RankSpace", "ranks sums forms forms_v")
+RankSpace = namedtuple("RankSpace", "ranks forms forms_v")
 
 
 def rank_space(ranks: np.ndarray) -> RankSpace:
-    """The products of :func:`rank_chain_rows` that do not depend on the weights.
+    """The products of :func:`rank_chain_rows` that depend on the ranks but not on the weights.
 
     ``ranks`` is a ``(B, k, n)`` stack of average ranks (``rsm.topology.average_ranks``),
     one ``(k, n)`` block per context; the denominators ``d`` are exactly
-    those of the rank chains' row sums.
+    those of the rank chains' row sums. ``V 1`` depends on ``n`` alone, so
+    :func:`rank_chain_rows` forms it itself.
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     b, k, n = ranks.shape
     d = n * (n + (n + 1) / 2) - n * ranks
     forms = np.concatenate(((n - ranks) / d, 1.0 / d), axis=1)
     basis = np.concatenate((np.ones((b, 1, n)), ranks), axis=1)
-    sums = np.full((b, k + 1), n * (n + 1) / 2)  # average ranks sum to n (n + 1) / 2 exactly
-    sums[:, 0] = n
     forms_v = np.ascontiguousarray(np.swapaxes(forms @ np.swapaxes(basis, -1, -2), 0, 1))  # (2k, B, k + 1)
-    return RankSpace(ranks, sums, forms, forms_v)
+    return RankSpace(ranks, forms, forms_v)
 
 
 def _span(coef: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -247,12 +246,13 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
     SingularFundamental
         If the gradient system is singular.
     """
-    ranks, sums, forms, forms_v = space
+    ranks, forms, forms_v = space
     b, k, n = ranks.shape
+    sums = np.array([n] + [n * (n + 1) / 2] * k, dtype=np.float64)  # s = V 1: average ranks sum to n (n + 1) / 2
     w = np.asarray(w_native, dtype=np.float64)
     scaled = forms_v * np.concatenate((w, w))[:, None, None]  # w_i alpha_i V^T, then w_i beta_i V^T
-    row = sums * (lam / n)  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
-    for part in scaled[:k]:
+    row = scaled[0] + sums * (lam / n)  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
+    for part in scaled[1:k]:
         row += part
     mixed = np.concatenate((row[:, None], np.swapaxes(scaled[k:], 0, 1)), axis=1)  # M^T; row i is w_i beta_i V^T
     eye = np.eye(k + 1)
@@ -277,7 +277,7 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
     if not gradients:
         return probs, None
-    core = eye - mixed + (coef / total)[:, :, None] * sums[:, None, :]  # (I - M + s c^T)^T
+    core = eye - mixed + (coef / total)[:, :, None] * sums  # (I - M + s c^T)^T
     rhs = np.zeros((b, k + 1, k))  # column i holds the coefficients of p^T T_i
     rhs[:, 0] = hits[:, :k]
     rhs[:, np.arange(1, k + 1), np.arange(k)] = hits[:, k:]

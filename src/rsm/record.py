@@ -129,7 +129,7 @@ class ContextRecord:
         for j, n in enumerate(sizes[first].tolist()):
             at = np.flatnonzero(width == j)
             rows = place[index[at]]  # gathered, the same bits as rank_space of their ranks
-            yield at, RankSpace(*(part.take(rows, axis=axis) for part, axis in zip(spaces[n], (0, 0, 0, 1))))
+            yield at, RankSpace(*(part.take(rows, axis=axis) for part, axis in zip(spaces[n], (0, 0, 1))))
 
     def comparisons(self, index: np.ndarray) -> Tuple["RecordView", np.ndarray]:
         """The distinct rows of the pairs at ``index``, in order of first appearance, and the pairs' comparisons:

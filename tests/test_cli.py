@@ -200,7 +200,7 @@ class TestEval:
             calls.append(len(rows))
             return real(rows, *args, **kwargs)
 
-        for module in (rsm.data, rsm.cli, rsm.evaluation):
+        for module in (rsm.data, rsm.cli):
             monkeypatch.setattr(module, "mine_flip_pairs", counting)
         common = ["--models", "rsm,constant,train_ctr", "--splits", "3", "--max-iters", "6", "--out-dir"]
         assert run(["eval", flip_dir / "dataset.csv", "--lambda-sweep", "0.05,0.15,0.3"] + common + [tmp_path / "sweep"]) == 0

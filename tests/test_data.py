@@ -1476,14 +1476,13 @@ class TestBridges:
                     expected = encode_rank_topology(row.features[spec.name], spec.direction).ranks
                     assert got.tobytes() == expected.tobytes()
         assert len(shapes) == 2
-        assert all(not row._encodings for row in rows)  # nothing is cached on the rows, and no n x n chain is built
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()
         rows = feature_rows_from_logs(logs, SCHEMA, include_position=True)
         assert rows[0].features.size == 3
         assert rows[0].features[-1] == 1.0
-        # the same rows again, so each setting must find its own cached entry
+        # the same rows again: each setting builds its own design, and the order of the calls does not matter
         for include_position, arity in [(False, 2), (True, 3), (False, 2)]:
             out = feature_rows_from_logs(logs, SCHEMA, include_position=include_position)
             assert [r.features.size for r in out] == [arity] * 5
@@ -1491,22 +1490,11 @@ class TestBridges:
 
 
 class TestEncodingCache:
-    def test_topologies_shared_across_equal_schemas(self):
-        row = two_context_rows()[1]
-        first = topologies_from_row(row, SCHEMA)
-        equal = DatasetSchema(
-            features=(
-                FeatureSpec("price", Direction.LOWER_IS_BETTER),
-                FeatureSpec("rating", Direction.HIGHER_IS_BETTER),
-            )
-        )
-        assert topologies_from_row(row, equal) is first
-        instances = training_instances_from_rows([row], equal)
-        assert all(inst.topologies is first for inst in instances)
+    """``topologies_from_row`` encodes afresh on every call and leaves nothing on the row."""
 
     def test_direction_change_encodes_afresh(self):
         row = two_context_rows()[1]
-        cached_price = topologies_from_row(row, SCHEMA)[0].matrix.entries
+        price = topologies_from_row(row, SCHEMA)[0].matrix.entries
         flipped = DatasetSchema(
             features=(
                 FeatureSpec("price", Direction.HIGHER_IS_BETTER),
@@ -1518,55 +1506,24 @@ class TestEncodingCache:
             fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
             assert top.feature == spec.name
             assert np.array_equal(top.matrix.entries, fresh.matrix.entries)
-        assert not np.array_equal(got[0].matrix.entries, cached_price)
-        assert topologies_from_row(row, SCHEMA)[0].matrix.entries is cached_price
-
-
-    def test_schema_hash_is_computed_once(self, monkeypatch):
-        """Cache lookups reuse the schema's hash; equal schemas share one entry."""
-        row = two_context_rows()[1]
-        specs = [(spec.name, spec.direction) for spec in SCHEMA.features]
-        topologies = topologies_from_row(row, SCHEMA)
-        calls = []
-        real_hash = FeatureSpec.__hash__
-
-        def counting_hash(spec):
-            calls.append(spec)
-            return real_hash(spec)
-
-        monkeypatch.setattr(FeatureSpec, "__hash__", counting_hash)
-        for _ in range(3):
-            topologies_from_row(row, SCHEMA)
-            batch_from_rows([row], SCHEMA)
-            feature_rows_from_logs([row], SCHEMA)
-        assert calls == []
-        equal = DatasetSchema(features=tuple(FeatureSpec(name, d) for name, d in specs))
-        assert len(calls) == 2  # hashed once, when built
-        assert equal == SCHEMA and hash(equal) == hash(SCHEMA)
-        assert topologies_from_row(row, equal) is topologies
-        flipped = DatasetSchema(
-            features=(FeatureSpec("price", Direction.HIGHER_IS_BETTER), FeatureSpec("rating", Direction.HIGHER_IS_BETTER))
-        )
-        assert flipped != SCHEMA
-        assert not np.array_equal(topologies_from_row(row, flipped)[0].matrix.entries, topologies[0].matrix.entries)
-        assert np.array_equal(topologies_from_row(row, flipped)[1].matrix.entries, topologies[1].matrix.entries)
-        restored = pickle.loads(pickle.dumps(SCHEMA))
-        assert restored == SCHEMA and hash(restored) == hash(SCHEMA)
+        assert not np.array_equal(got[0].matrix.entries, price)
+        assert np.array_equal(topologies_from_row(row, SCHEMA)[0].matrix.entries, price)
 
     @pytest.mark.parametrize("n", [3, 65])
     def test_topologies_equal_encode_rank_topology_bit_for_bit(self, n):
-        """Built once per schema and cached on the row, with nothing else cached beside them."""
+        """Under both directions of every feature, and the row's attributes are its data alone."""
         rng = np.random.default_rng(930 + n)
         feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
         row = make_row("q", "c", [f"i{j}" for j in range(n)], rng.integers(0, 9, n), feats)
-        topologies = topologies_from_row(row, SCHEMA)
-        assert topologies_from_row(row, SCHEMA) is topologies
-        assert row._encodings[SCHEMA] is topologies
-        assert set(row._encodings) == {SCHEMA}
-        for top, spec in zip(topologies, SCHEMA.features):
-            fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
-            assert (top.feature, top.item_ids) == (fresh.feature, fresh.item_ids)
-            assert top.matrix.entries.tobytes() == fresh.matrix.entries.tobytes()
+        attributes = dict(vars(row))
+        for direction in Direction:
+            schema = DatasetSchema(features=tuple(FeatureSpec(spec.name, direction) for spec in SCHEMA.features))
+            topologies = topologies_from_row(row, schema)
+            for top, spec in zip(topologies, schema.features):
+                fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
+                assert (top.feature, top.item_ids) == (fresh.feature, fresh.item_ids)
+                assert top.matrix.entries.tobytes() == fresh.matrix.entries.tobytes()
+        assert vars(row).keys() == attributes.keys() and all(vars(row)[key] is value for key, value in attributes.items())
 
 
 class TestDeriveSeed:
@@ -1590,6 +1547,11 @@ class TestSchema:
     def test_base_column_collision_rejected(self):
         with pytest.raises(SchemaError):
             DatasetSchema(features=(FeatureSpec("clicks"),))
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        restored = pickle.loads(pickle.dumps(SCHEMA))
+        assert restored == SCHEMA and hash(restored) == hash(SCHEMA)
+        assert restored.names == SCHEMA.names
 
     def test_synthetic_schema_names(self):
         schema = synthetic_schema(3)

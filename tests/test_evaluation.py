@@ -29,12 +29,12 @@ from rsm import (
     WeightVector,
     combine,
     constant_model,
-    ctr_mae,
     feature_rows_from_logs,
     fit_least_squares,
     fixed_weights_model,
     flip_accuracy,
     least_squares_model,
+    mine_flip_pairs,
     paired_t_test,
     predict,
     rsm_model,
@@ -409,13 +409,11 @@ class TestRunExperiment:
         run_experiment(pairs, models, num_splits=4, seed=7, on_split=on_split)
         # every row sits on one side of every split, so all rows are ranked, each once, one call per width;
         # the scorers solve in rank space and chain no ranks into n x n tensors
-        rows = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
         assert sorted(encoded[rsm.record, "average_ranks"]) == [(6,), (6,), (12,)]
         assert sorted(encoded[rsm.record, "rank_space"]) == [(6,), (6,), (12,)]
         assert encoded[rsm.data, "rank_chain"] == encoded[rsm.learner, "rank_space"] == []
         assert after_first == {key: len(calls) for key, calls in encoded.items()}
         assert clustered == [len(pairs)] and encoded[rsm.data, "paired_split"] == []
-        assert all(not row._encodings for row in rows)
 
     def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):
         """Benchmarks count ``run_experiment``'s calls through the module attribute."""
@@ -466,11 +464,14 @@ class TestRunExperiment:
         assert all(type(acc) is float for accs in report.per_split.values() for acc in accs)
 
     def test_accepts_raw_rows(self):
-        rows = []
-        for pair in build_pairs(5, seed=9):
-            rows.extend([pair.row_1, pair.row_2])
-        report = run_experiment(rows, [constant_model()], num_splits=3, seed=0)
-        assert report.num_pairs == 5
+        """Once mined: ``run_experiment`` takes flip pairs, and the pairs of raw rows give their pairs' report."""
+        pairs = build_pairs(5, seed=9)
+        mined = mine_flip_pairs([row for pair in pairs for row in (pair.row_1, pair.row_2)])
+        report = run_experiment(mined, [constant_model()], num_splits=3, seed=0)
+        assert report.num_pairs == len(mined) == 5
+        assert report.to_json() == run_experiment(pairs, [constant_model()], num_splits=3, seed=0).to_json()
+        with pytest.raises(TypeError, match="mine_flip_pairs"):
+            run_experiment([pair.row_1 for pair in pairs], [constant_model()], num_splits=3, seed=0)
 
 
 def mixed_direction_schema():
@@ -638,16 +639,3 @@ class TestReportSerialization:
     def test_text_mentions_every_model(self):
         text = self.report().to_text()
         assert "oracle" in text and "constant" in text
-
-
-class TestCtrMae:
-    def test_perfect_scorer_has_zero_error(self):
-        pairs = build_pairs(4)
-        rows = [p.row_1 for p in pairs] + [p.row_2 for p in pairs]
-        assert ctr_mae(ctr_scorer, rows) == 0.0
-
-    def test_biased_scorer_measured(self):
-        pairs = build_pairs(4)
-        rows = [p.row_1 for p in pairs]
-        biased = per_item(lambda row, item: item_ctr(row, item) + 0.1)
-        assert ctr_mae(biased, rows) == pytest.approx(0.1, abs=1e-12)

@@ -22,7 +22,7 @@ from rsm import (
 )
 
 from rsm.markov import _stationary_probs, rank_chain_rows, rank_space
-from rsm.topology import average_ranks
+from rsm.topology import average_ranks, rank_chain
 
 from conftest import random_topologies
 
@@ -353,6 +353,27 @@ class TestRankChainRows:
         probs, rows = rank_chain_rows(space, np.array([0.5, 0.2, 0.15]), 0.15)
         assert np.all(probs[:, 1::3] == probs[:, :1])
         assert np.all(rows[..., 1::3] == rows[..., :1])
+
+    @pytest.mark.parametrize("lam", [1e-9, 1 - 1e-6])
+    @pytest.mark.parametrize("n", [5, 200, 2000])
+    def test_restart_rates_near_0_and_1_match_least_squares_and_inverse(self, n, lam):
+        """A tied feature, a random one and a duplicate of the first, against an oracle built from the dense
+        ``rank_chain`` slices: the stationary by ``lstsq`` of ``p (I - P) = 0, p 1 = 1`` and the rows
+        ``p^T T_i inv(I - P + 1 p^T)``, one slice at a time so that n = 2000 holds few ``n x n`` arrays."""
+        rng = np.random.default_rng(880 + n)
+        ties = rng.integers(0, max(2, n // 40), n).astype(float)
+        ranks = average_ranks(np.stack([ties, rng.random(n), ties]))
+        native = np.array([0.5, 0.3, 0.2]) * (1.0 - lam)
+        chain = np.full((n, n), lam / n)
+        for weight, r in zip(native, ranks):
+            chain += weight * rank_chain(r)
+        system = np.vstack(((np.eye(n) - chain).T, np.ones((1, n))))
+        p = np.linalg.lstsq(system, np.eye(n + 1)[-1], rcond=None)[0]
+        z = np.linalg.inv(np.eye(n) - chain + p)
+        expected = np.stack([(p @ rank_chain(r)) @ z for r in ranks])
+        probs, rows = rank_chain_rows(rank_space(ranks[None]), native, lam)
+        assert np.max(np.abs(probs[0] - p)) <= 1e-10 * np.max(p)
+        assert np.max(np.abs(rows[0] - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_residual_check_refuses_a_wrong_space(self):
         """Ranks that do not sum to n (n + 1) / 2 give no stochastic chain, and the check says so."""
