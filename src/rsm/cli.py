@@ -55,6 +55,7 @@ from .evaluation import (
     true_ctr_model,
 )
 from .markov import StochasticMatrix, stationary
+from .record import pairs_view
 from .topology import Direction, FeatureSpec, WeightVector, combine, encode_rank_topology, rank_items
 
 log = logging.getLogger(__name__)
@@ -289,7 +290,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = _schema_for_csv(data_path)
-    pairs = mine_flip_pairs(_load_rows(data_path, schema))  # once for every rate of a sweep
+    pairs = pairs_view(mine_flip_pairs(_load_rows(data_path, schema)))  # once for every rate of a sweep
     names = [part.strip() for part in args.models.split(",") if part.strip()]
     if not names:
         raise ValueError("--models must name at least one model")

@@ -13,7 +13,8 @@ cells and contexts in bulk at the CSV boundary and builds its rows without a
 second check, and the public ``LogRow`` and ``FlipPair`` constructors check
 everything built any other way. ``mine_flip_pairs`` builds its pairs
 unchecked too, from rows already valid. Rows reach the learner, the scorers
-and the baselines through the arrays of a ``rsm.record.ContextRecord``.
+and the baselines through the arrays of a ``rsm.record.ContextRecord``,
+which derives their CTRs once.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -28,7 +29,7 @@ import hashlib
 import json
 import logging
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, count
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -40,7 +41,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import ContextRecord, RecordView, feature_ranks, record_view
+from .record import RecordView, by_width, feature_ranks, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -92,10 +93,9 @@ class LogRow:
     read-only mapping. The constructor validates its arguments; rows from
     :func:`load_csv` were validated in bulk at the CSV boundary and are
     built without a second check, their arrays read-only views of arrays
-    shared by the file's rows of one width. Its click total and CTR vector
-    are computed once. A row holds only its data: its ranks and
-    least-squares design live in the :class:`ContextRecord` of each run or
-    call that needs them.
+    shared by the file's rows of one width. A row holds only its data: its
+    CTRs, ranks and least-squares design live in the :class:`ContextRecord`
+    of each run or call that needs them.
     """
 
     query_id: str
@@ -104,8 +104,6 @@ class LogRow:
     positions: np.ndarray
     clicks: np.ndarray
     features: Mapping[str, np.ndarray]
-    _total: float = field(init=False, repr=False, compare=False)
-    _ctrs: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -137,32 +135,26 @@ class LogRow:
             feats[name] = arr
         positions.flags.writeable = False
         clicks.flags.writeable = False
-        total = clicks.sum()
-        ctrs = None
-        if total > 0:
-            ctrs = clicks / total
-            ctrs.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "clicks", clicks)
         object.__setattr__(self, "features", MappingProxyType(feats))
-        object.__setattr__(self, "_total", float(total))
-        object.__setattr__(self, "_ctrs", ctrs)
 
     @property
     def n(self) -> int:
         return len(self.items)
 
     def total_clicks(self) -> float:
-        return self._total
+        return float(self.clicks.sum())
 
     def ctrs(self) -> np.ndarray:
-        """Within-context click-through rates (clicks normalized to sum 1), read-only."""
-        if self._ctrs is None:
+        """Within-context click-through rates: the clicks divided by their sum, a new array."""
+        total = self.clicks.sum()
+        if total <= 0:
             raise ValueError("ctrs are undefined for a context with no clicks")
-        return self._ctrs
+        return self.clicks / total
 
     @classmethod
-    def _trusted(cls, query_id, context_id, items: tuple, positions, clicks, features, total: float, ctrs) -> "LogRow":
+    def _trusted(cls, query_id, context_id, items: tuple, positions, clicks, features) -> "LogRow":
         """A row from read-only arrays the caller has already validated, unchecked.
 
         For :func:`load_csv`, which checks a whole file's cells in bulk: the
@@ -173,7 +165,7 @@ class LogRow:
         # set in the constructor's order, so the row shares its attribute keys with every other row
         for name, value in (
             ("query_id", query_id), ("context_id", context_id), ("items", items), ("positions", positions),
-            ("clicks", clicks), ("features", features), ("_total", total), ("_ctrs", ctrs),
+            ("clicks", clicks), ("features", features),
         ):
             object.__setattr__(row, name, value)
         return row
@@ -349,10 +341,10 @@ class _CsvLines:
         order = np.argsort(context, kind="stable")  # each context's lines together, in file order
         starts = np.cumsum(counts) - counts
         keys = list(self.contexts)  # in first-line order, as ``first`` is
-        valid = ~broken & ~flagged & (counts >= 2)
+        valid = np.flatnonzero(~broken & ~flagged & (counts >= 2))
         built = {}
-        for n in set(counts[valid].tolist()):
-            members = np.flatnonzero(valid & (counts == n))
+        for n, members in by_width(counts[valid]):
+            members = valid[members]
             index = order[starts[members][:, None] + np.arange(n)]
             built.update(zip(members.tolist(), self._rows(keys, members, index, clicks, features, schema.names)))
         for c, (key, is_broken, size, line) in enumerate(
@@ -379,22 +371,18 @@ class _CsvLines:
     def _rows(self, keys, members, index, clicks, features, names):
         """Trusted rows of one width: ``index`` holds each member context's ``(R, n)`` line indices.
 
-        Each row's arrays are read-only views of the width's stacked arrays;
-        its CTRs divide its clicks by their sum, as the constructor does.
+        Each row's arrays are read-only views of the width's stacked arrays.
         """
         positions = np.array(operator.itemgetter(*index.ravel().tolist())(self.positions), dtype=np.int64)
         positions = positions.reshape(index.shape)
         clicks, features = clicks[index], features[:, index]
-        totals = clicks.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a row without clicks keeps no CTRs
-            ctrs = clicks / totals[:, None]
-        for array in (positions, clicks, features, ctrs):
+        for array in (positions, clicks, features):
             array.flags.writeable = False
-        for r, (member, lines, total) in enumerate(zip(members.tolist(), index.tolist(), totals.tolist())):
+        for r, (member, lines) in enumerate(zip(members.tolist(), index.tolist())):
             query_id, context_id = keys[member]
             yield LogRow._trusted(
                 query_id, context_id, tuple(map(self.items.__getitem__, lines)), positions[r], clicks[r],
-                MappingProxyType(dict(zip(names, features[:, r]))), total, ctrs[r] if total > 0 else None,
+                MappingProxyType(dict(zip(names, features[:, r]))),
             )
 
 
@@ -458,23 +446,19 @@ def mine_flip_pairs(
     arrays, one width at a time, and grouped by an integer code of (query,
     item, item); only the chosen pairs' items are compared as strings.
     """
-    rows = [row for row in rows if row.total_clicks() > min_total_clicks]
-    if not rows:
-        return []
+    rows = list(rows)
     # an item's code names it within its query; one counter, so no two queries share a code
     item_codes: Dict[str, Dict[str, int]] = {}
     fresh = count()
     # contexts are ranked in id order, for the tie-break
     context_rank = {c: i for i, c in enumerate(sorted({row.context_id for row in rows}))}
-    by_n: Dict[int, List[int]] = {}
-    for pos, row in enumerate(rows):
-        by_n.setdefault(row.n, []).append(pos)
-    lo_code, hi_code, side, gap, tie, row, lo, hi = (
-        np.concatenate(column)
-        for column in zip(*[
-            _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) for group in by_n.values()
-        ])
-    )
+    entries = [
+        _pair_entries(rows, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff)
+        for _, group in by_width(np.array([row.n for row in rows], dtype=np.intp))
+    ]
+    if not entries:
+        return []
+    lo_code, hi_code, side, gap, tie, row, lo, hi = map(np.concatenate, zip(*entries))
     if not side.size:
         return []
     # per pair and side, the entry with the largest gap, then the best tie rank
@@ -498,23 +482,26 @@ def mine_flip_pairs(
     return pairs
 
 
-def _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) -> tuple:
-    """The item pairs of ``rows[group]``, all of one width, whose click gap counts, as columns.
+def _pair_entries(rows, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff) -> tuple:
+    """The item pairs of the rows at ``group``, all of one width, with more than ``min_total_clicks``
+    clicks, whose click gap counts, as columns.
 
     Columns: the pair's lower and higher item code, its side (True when the
     higher-coded item has more clicks), its CTR gap, the row's tie rank
     (larger context id first, then earlier row), the row's position and the
     two items' indices in the row, lower code first.
     """
-    members = [rows[pos] for pos in group]
-    n = members[0].n
-    clicks = np.array([row.clicks for row in members])
-    ctrs = np.array([row.ctrs() for row in members])
+    clicks = np.array([rows[pos].clicks for pos in group.tolist()])
+    totals = clicks.sum(axis=1)  # each row's own total_clicks(), bit for bit
+    keep = totals > min_total_clicks
+    group, clicks, n = group[keep], clicks[keep], clicks.shape[1]
+    members = [rows[pos] for pos in group.tolist()]
+    ctrs = clicks / totals[keep, None]
     codes = np.fromiter(
         chain.from_iterable(map(item_codes.setdefault(row.query_id, {}).setdefault, row.items, fresh) for row in members),
         np.int64, len(members) * n,
     ).reshape(-1, n)
-    tie = np.array(group) - len(rows) * np.array([context_rank[row.context_id] for row in members])
+    tie = group - len(rows) * np.array([context_rank[row.context_id] for row in members], dtype=np.intp)
     i, j = np.triu_indices(n, 1)
     # name the pair by item code, so it reads the same in every context
     swap = codes[:, i] > codes[:, j]
@@ -523,7 +510,7 @@ def _pair_entries(rows, group, item_codes, fresh, context_rank, min_click_diff) 
     diff = clicks[r, lo] - clicks[r, hi]
     r, c = np.nonzero(~(np.abs(diff) < min_click_diff) & (diff != 0))
     lo, hi = lo[r, c], hi[r, c]
-    return codes[r, lo], codes[r, hi], diff[r, c] < 0, np.abs(ctrs[r, lo] - ctrs[r, hi]), tie[r], np.array(group)[r], lo, hi
+    return codes[r, lo], codes[r, hi], diff[r, c] < 0, np.abs(ctrs[r, lo] - ctrs[r, hi]), tie[r], group[r], lo, hi
 
 
 def paired_split(
@@ -539,7 +526,7 @@ def paired_split(
     insensitive to input order. Returns ``(train_rows, test_pairs)``, the
     lists of what :meth:`ContextRecord.split` gives.
     """
-    train_rows, test_pairs = ContextRecord.of_pairs(pairs).split(train_fraction, seed)
+    train_rows, test_pairs = pairs_view(pairs).record.split(train_fraction, seed)
     return list(train_rows), list(test_pairs)
 
 
@@ -606,27 +593,23 @@ def _instances(query_id, items, topologies, probs) -> List[TrainingInstance]:
     return [TrainingInstance(query_id, items, topologies, u, float(p)) for u, p in enumerate(probs)]
 
 
-def design_from_rows(
-    rows: Sequence[LogRow], schema: DatasetSchema, include_position: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The clicked rows' items' least-squares regressors, ``(m, d)``, and CTRs, ``(m,)``, rows in order:
-    the schema features in order, then the display position when ``include_position`` is set."""
+def design_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.ndarray, np.ndarray]:
+    """The clicked rows' items' least-squares regressors, ``(m, k + 1)``, and CTRs, ``(m,)``, rows in order:
+    the schema features in order, then the display position."""
     view = record_view(rows)
     items = view.record.items(view.index[view.record.clicked[view.index]])
-    return view.record.design(schema, include_position)[items], view.record.ctrs[items]
+    return view.record.design(schema)[items], view.record.ctrs[items]
 
 
-def feature_rows_from_logs(
-    rows: Sequence[LogRow], schema: DatasetSchema, include_position: bool = True
-) -> List[FeatureRow]:
+def feature_rows_from_logs(rows: Sequence[LogRow], schema: DatasetSchema) -> List[FeatureRow]:
     """Flatten contexts into per-item rows for the score-based baselines.
 
-    The display position is appended as the last feature when
-    ``include_position`` is set. Contexts without clicks are skipped. The
-    features and CTRs are those of :func:`design_from_rows`.
+    The display position is appended as the last feature. Contexts without
+    clicks are skipped. The features and CTRs are those of
+    :func:`design_from_rows`.
     """
     clicked = [row for row in rows if row.total_clicks() > 0]
-    design, ctrs = design_from_rows(clicked, schema, include_position)
+    design, ctrs = design_from_rows(clicked, schema)
     names = ((row.query_id, item) for row in clicked for item in row.items)
     return [FeatureRow(query_id=q, item_id=i, features=x, ctr=float(c)) for (q, i), x, c in zip(names, design, ctrs)]
 

@@ -5,8 +5,8 @@ returns a scorer; a scorer maps a list of rows to one score vector per row,
 aligned with its items, higher meaning more preferred within that context.
 Accuracy is measured on held-out flip pairs, two comparisons per pair.
 
-A run builds one ``rsm.record.ContextRecord`` of its pairs; each split is
-index arrays into it, and the built-in models and scorers gather its arrays.
+A run records its pairs once, in ``rsm.record.pairs_view``; each split is
+index arrays into the record, and the built-in models and scorers gather its arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .baselines import fit_least_squares_arrays, mean_ctr_table
 from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows
 from .errors import DegenerateVariance
 from .markov import rank_chain_rows
-from .record import ContextRecord, RecordView, record_view
+from .record import RecordView, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
 from .topology import Normalization, WeightVector
 
@@ -100,9 +100,7 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
     return scorer
 
 
-def least_squares_model(
-    schema: DatasetSchema, include_position: bool = True, name: str = "least_squares"
-) -> Model:
+def least_squares_model(schema: DatasetSchema, name: str = "least_squares") -> Model:
     """Linear CTR regression on raw feature values (plus display position).
 
     Fits on ``design_from_rows``; the scorer predicts with one product,
@@ -110,11 +108,11 @@ def least_squares_model(
     """
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        model = fit_least_squares_arrays(*design_from_rows(train_rows, schema, include_position))
+        model = fit_least_squares_arrays(*design_from_rows(train_rows, schema))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
             view = record_view(rows)
-            design = view.record.design(schema, include_position)[view.record.items(view.index)]
+            design = view.record.design(schema)[view.record.items(view.index)]
             predictions, ends = model.intercept + design @ model.coefficients, np.cumsum(view.record.sizes[view.index]).tolist()
             return [predictions[start:end] for start, end in zip([0] + ends, ends)]
 
@@ -124,15 +122,13 @@ def least_squares_model(
 
 
 def true_ctr_model(name: str = "train_ctr") -> Model:
-    """Memorizes each (query, item) mean training CTR. Context-oblivious."""
+    """Memorizes each (query, item) mean training CTR, read from the rows' record. Context-oblivious."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        table = mean_ctr_table(
-            ((row.query_id, item), float(ctr))
-            for row in train_rows
-            if row.total_clicks() > 0
-            for item, ctr in zip(row.items, row.ctrs())
-        )
+        view = record_view(train_rows)
+        clicked = view.index[view.record.clicked[view.index]]
+        keys = ((row.query_id, item) for row in map(view.record.rows.__getitem__, clicked.tolist()) for item in row.items)
+        table = mean_ctr_table(zip(keys, view.record.ctrs[view.record.items(clicked)].tolist()))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
             return [np.array([table.score(row.query_id, item) for item in row.items]) for row in rows]
@@ -171,8 +167,7 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
-    if not isinstance(pairs, RecordView):  # plain pairs get a record of their own
-        pairs = RecordView(ContextRecord.of_pairs(pairs), np.arange(len(pairs)), pairs)
+    pairs = pairs if isinstance(pairs, RecordView) else pairs_view(pairs)  # a split's side keeps its record
     rows, index = pairs.record.comparisons(pairs.index)
     try:
         batch = list(scorer(rows))
@@ -374,8 +369,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Repeated paired-split evaluation of several models on one dataset.
 
-    Takes flip pairs (``mine_flip_pairs`` of click-log rows), recorded and
-    clustered once; fewer than two raise ``SplitTooSmall``.
+    Takes flip pairs (``mine_flip_pairs`` of click-log rows) or their ``pairs_view``,
+    recorded and clustered once; fewer than two raise ``SplitTooSmall``.
     Every split (``paired_split`` with a seed derived from ``seed``) re-fits
     every model on its training rows. ``on_split(s, accuracies)`` is invoked
     after each split when given.
@@ -391,7 +386,7 @@ def run_experiment(
     if num_splits < 1:
         raise ValueError("num_splits must be positive")
 
-    record = ContextRecord.of_pairs(pairs)
+    record = pairs_view(pairs).record
     split_accs = []
     for s in range(num_splits):
         train_rows, test_pairs = record.split(train_fraction, derive_seed(seed, f"split:{s}"))

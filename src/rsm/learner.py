@@ -48,6 +48,7 @@ import numpy as np
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
 from .markov import RankSpace, rank_chain_rows, rank_space
+from .record import by_width
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -196,23 +197,17 @@ class ContextBatch:
         """
         if not ranks:
             return cls(k=0, buckets=())
-        widths = {}  # context width -> bucket, in order of first appearance
-        bucket_of = np.array([widths.setdefault(r.shape[1], len(widths)) for r in ranks], dtype=np.intp)
-        place = np.empty(len(ranks), np.intp)  # each context's place in its bucket
+        sizes = np.array([r.shape[1] for r in ranks], dtype=np.intp)
+        place, width = np.empty(len(ranks), np.intp), sizes[context]  # contexts' places in their buckets, targets' widths
         buckets = []
-        for members, slots in zip(_positions(bucket_of, len(widths)), _positions(bucket_of[context], len(widths))):
-            place[members] = np.arange(members.size)
+        for n, members in by_width(sizes):
+            place[members], slots = np.arange(members.size), np.flatnonzero(width == n)
             stack = np.array([ranks[c] for c in members.tolist()])
             buckets.append(_bucket(stack, place[context[slots]], index[slots], prob[slots], slots))
         return cls(k=ranks[0].shape[0], buckets=tuple(buckets))
 
 
 Data = Union[ContextBatch, Sequence[TrainingInstance]]
-
-
-def _positions(ids: np.ndarray, count: int) -> list:
-    """For each id below ``count``, the ascending positions that hold it, from one stable argsort."""
-    return np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids, minlength=count))[:-1])
 
 
 def group_instances(instances: Sequence[TrainingInstance]) -> tuple:

@@ -1,9 +1,11 @@
 """The context record: rows, and flip pairs over them, as arrays built once and gathered by index.
 
-A flip experiment records its pairs' distinct rows and clusters the pairs once; each split is index
-arrays into the record. Models receive rows as a :class:`RecordView`, a tuple that also carries their
-indices, so the learner's batch, the design and the scorers gather the record's arrays. Integer arrays
-are sorted stably: numpy's default integer sort is a kernel of its own, 0.3 MB of code a run never needs.
+A record is where the pipeline derives its rows' CTRs. An ``rsm eval`` run records its flip pairs' rows
+and clusters the pairs once, for every rate of a sweep; each split is index arrays into the record. Models
+receive rows as a :class:`RecordView`, a tuple that also carries their indices, so the learner's batch, the
+design and the scorers gather the record's arrays. Integer arrays are sorted stably and ``np.unique`` always
+returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique``
+imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def _first_seen(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order, kind="stable")[inverse]
 
 
+def by_width(sizes: np.ndarray) -> list:
+    """Each distinct width of ``sizes``, in order of first appearance, with the positions that hold it, ascending."""
+    first, width = _first_seen(sizes)
+    return [(n, np.flatnonzero(width == j)) for j, n in enumerate(sizes[first].tolist())]
+
+
 def feature_ranks(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.ndarray, np.ndarray]:
     """The ``(R, k, n)`` feature values of rows of one width and their :func:`average_ranks`, negated where lower is better."""
     values = np.array([[row.features[name] for name in schema.names] for row in rows])
@@ -42,7 +50,8 @@ def feature_ranks(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.nda
 
 class ContextRecord:
     """Rows as arrays: row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]`` of the flat CTRs (zero
-    without clicks) and designs. Per schema, on first use, each width is ranked by one :func:`average_ranks`
+    without clicks) and designs. Each width's clicks are stacked once, and each row's sum divides them, the
+    same bits as ``LogRow.ctrs``. Per schema, on first use, each width is ranked by one :func:`average_ranks`
     call and one ``rank_space``. A record lives as long as the run or call that made it.
     """
 
@@ -50,8 +59,12 @@ class ContextRecord:
         self.rows = list(rows)
         self.sizes = np.array([row.n for row in self.rows], dtype=np.intp)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.clicked = np.array([row._ctrs is not None for row in self.rows], dtype=bool)
-        self.ctrs = np.concatenate([np.empty(0)] + [np.zeros(row.n) if row._ctrs is None else row._ctrs for row in self.rows])
+        self.clicked, self.ctrs = np.zeros(len(self.rows), dtype=bool), np.zeros(int(self.sizes.sum()))
+        for _, members in by_width(self.sizes):
+            clicks = np.array([self.rows[r].clicks for r in members.tolist()])  # C-contiguous: each row sums as it does alone
+            totals = clicks.sum(axis=1)
+            self.clicked[members] = hit = totals > 0
+            self.ctrs[self.items(members[hit])] = (clicks[hit] / totals[hit, None]).ravel()
         self._encodings: Dict[DatasetSchema, tuple] = {}
 
     @classmethod
@@ -109,8 +122,7 @@ class ContextRecord:
         """Per width a RankSpace, each row's place in its width, and the flat (N, k + 1) design: features, position."""
         if schema not in self._encodings:
             spaces, place, design = {}, np.empty(len(self.rows), dtype=np.intp), np.empty((self.ctrs.size, schema.k + 1))
-            for n in set(self.sizes.tolist()):  # not np.unique, which would import numpy.ma
-                members = np.flatnonzero(self.sizes == n)
+            for n, members in by_width(self.sizes):
                 values, ranks = feature_ranks([self.rows[r] for r in members.tolist()], schema)
                 positions = np.array([self.rows[r].positions for r in members.tolist()])[..., None]
                 design[self.items(members)] = np.concatenate((values.swapaxes(1, 2), positions), 2).reshape(-1, schema.k + 1)
@@ -118,16 +130,13 @@ class ContextRecord:
             self._encodings[schema] = (spaces, place, design)
         return self._encodings[schema]
 
-    def design(self, schema: DatasetSchema, include_position: bool) -> np.ndarray:
-        return self.encoding(schema)[2][:, :schema.k + include_position]  # a view, to gather by items()
+    def design(self, schema: DatasetSchema) -> np.ndarray:
+        return self.encoding(schema)[2]  # gathered by items()
 
     def rank_spaces(self, index: np.ndarray, schema: DatasetSchema):
         """Per width of the rows at ``index``, in order of first appearance: their places in ``index`` and their RankSpace."""
         spaces, place, _ = self.encoding(schema)
-        sizes = self.sizes[index]
-        first, width = _first_seen(sizes)
-        for j, n in enumerate(sizes[first].tolist()):
-            at = np.flatnonzero(width == j)
+        for n, at in by_width(self.sizes[index]):
             rows = place[index[at]]  # gathered, the same bits as rank_space of their ranks
             yield at, RankSpace(*(part.take(rows, axis=axis) for part, axis in zip(spaces[n], (0, 0, 1))))
 
@@ -156,3 +165,12 @@ def record_view(rows: Sequence[LogRow]) -> RecordView:
         return rows
     record = ContextRecord(rows)
     return RecordView(record, np.arange(len(record.rows)), record.rows)
+
+
+def pairs_view(pairs: Sequence[FlipPair]) -> RecordView:
+    """``pairs`` itself if it is a view of all of a record's pairs, else the view of :meth:`ContextRecord.of_pairs`
+    of them; so its record splits exactly these pairs, and one view serves every run over them."""
+    if isinstance(pairs, RecordView) and len(pairs) == len(pairs.record.pairs):
+        return pairs
+    record = ContextRecord.of_pairs(pairs)
+    return RecordView(record, np.arange(len(record.pairs)), record.pairs)

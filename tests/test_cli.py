@@ -192,19 +192,24 @@ class TestEval:
         assert csv_head.startswith("lambda,split,")
 
     def test_lambda_sweep_mines_the_pairs_once(self, flip_dir, tmp_path, monkeypatch):
-        """A three-rate sweep mines its flip pairs once and writes the reports of three separate runs."""
-        calls = []
-        real = rsm.data.mine_flip_pairs
+        """A three-rate sweep mines and records its flip pairs once and writes the reports of three separate runs."""
+        calls, recorded = [], []
+        real, real_record = rsm.data.mine_flip_pairs, rsm.record.ContextRecord.of_pairs.__func__
 
         def counting(rows, *args, **kwargs):
             calls.append(len(rows))
             return real(rows, *args, **kwargs)
 
+        def recording(cls, pairs):
+            recorded.append(len(pairs))
+            return real_record(cls, pairs)
+
         for module in (rsm.data, rsm.cli):
             monkeypatch.setattr(module, "mine_flip_pairs", counting)
+        monkeypatch.setattr(rsm.record.ContextRecord, "of_pairs", classmethod(recording))
         common = ["--models", "rsm,constant,train_ctr", "--splits", "3", "--max-iters", "6", "--out-dir"]
         assert run(["eval", flip_dir / "dataset.csv", "--lambda-sweep", "0.05,0.15,0.3"] + common + [tmp_path / "sweep"]) == 0
-        assert calls == [20]
+        assert calls == [20] and len(recorded) == 1
         sweep = json.loads((tmp_path / "sweep" / "report.json").read_text())["lambda_sweep"]
         for lam in ("0.05", "0.15", "0.3"):
             assert run(["eval", flip_dir / "dataset.csv", "--lambda", lam] + common + [tmp_path / lam]) == 0
@@ -294,3 +299,28 @@ def test_import_loads_no_scipy_module():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    """``numpy.ma`` is a large import no command needs; a plain ``np.unique`` would load it.
+
+    One fresh interpreter runs a flip synth, a four-model ``rsm eval`` sweep and an ``rsm train``.
+    """
+    src = Path(rsm.__file__).resolve().parent.parent
+    flips, out = tmp_path / "flips", tmp_path / "out"
+    commands = [
+        ["synth", "--out-dir", flips, "--queries", "8", "--flips", "--seed", "2"],
+        ["eval", flips / "dataset.csv", "--out-dir", out / "eval", "--models", "rsm,least_squares,constant,train_ctr",
+         "--splits", "2", "--max-iters", "6", "--lambda-sweep", "0.05,0.3"],
+        ["train", flips / "dataset.csv", "--out-dir", out / "train", "--max-iters", "6"],
+    ]
+    probe = (
+        "import sys; from rsm.cli import main; "
+        f"codes = [main(argv) for argv in {[[str(a) for a in c] for c in commands]!r}]; "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"

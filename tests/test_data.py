@@ -91,13 +91,15 @@ class TestLogRow:
         with pytest.raises(ValueError):
             row.ctrs()
 
-    def test_click_total_and_ctrs_computed_once(self):
+    def test_click_total_and_ctrs_are_computed_from_the_clicks(self):
+        """A row holds only its data: its total and CTRs are the clicks' sum and the clicks divided by it, bit for bit."""
         row = make_row("q", "c", ["a", "b", "c"], [3, 0, 1], {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]})
         assert row.total_clicks() == 4.0 and isinstance(row.total_clicks(), float)
-        assert row.ctrs() is row.ctrs()
         assert row.ctrs().tolist() == [0.75, 0.0, 0.25]
-        with pytest.raises(ValueError):
-            row.ctrs()[0] = 0.5
+        clicks = np.random.default_rng(5).random(70) * 1e3
+        row = LogRow("q", "c", [f"i{j}" for j in range(70)], np.arange(70), clicks, {})
+        assert row.ctrs().tobytes() == (clicks / clicks.sum()).tobytes()
+        assert sorted(vars(row)) == ["clicks", "context_id", "features", "items", "positions", "query_id"]
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError):
@@ -376,11 +378,12 @@ def array_state(array):
 
 
 def row_state(row):
-    """A row bit for bit: ids, items, arrays with their flags, features in order, total and CTRs."""
-    ctrs = None if row._ctrs is None else array_state(row._ctrs)
+    """A row bit for bit: ids, items, arrays with their flags, features in order, click total and CTRs."""
+    total = row.total_clicks()
+    ctrs = array_state(row.ctrs()) if total > 0 else None
     features = [(name, array_state(values)) for name, values in row.features.items()]
     return (row.query_id, row.context_id, row.items, array_state(row.positions), array_state(row.clicks),
-            type(row.features), features, type(row._total), row._total, ctrs)
+            type(row.features), features, type(total), np.float64(total).tobytes(), ctrs)
 
 
 def rebuilt_row(row):
@@ -814,14 +817,14 @@ def oracle_batch_from_rows(rows, schema):
     return ContextBatch.from_widths(schema.k, widths)
 
 
-def oracle_design_from_rows(rows, schema, include_position):
+def oracle_design_from_rows(rows, schema):
     """``design_from_rows`` as it was before the context record: one stacked block per clicked row."""
     clicked = [row for row in rows if row.total_clicks() > 0]
     if not clicked:
-        return np.empty((0, schema.k + int(include_position))), np.empty(0)
+        return np.empty((0, schema.k + 1)), np.empty(0)
     blocks = []
     for row in clicked:
-        columns = [row.features[name] for name in schema.names] + ([row.positions] if include_position else [])
+        columns = [row.features[name] for name in schema.names] + [row.positions]
         blocks.append(np.column_stack(columns))
     return np.concatenate(blocks), np.concatenate([row.ctrs() for row in clicked])
 
@@ -901,7 +904,7 @@ def oracle_models(schema, cfg):
         return scorer
 
     def least_squares_fit(train_rows):
-        model = fit_least_squares_arrays(*oracle_design_from_rows(train_rows, schema, True))
+        model = fit_least_squares_arrays(*oracle_design_from_rows(train_rows, schema))
 
         def scorer(rows):
             blocks = [np.column_stack([row.features[name] for name in schema.names] + [row.positions]) for row in rows]
@@ -978,10 +981,8 @@ class TestRecordOracle:
             train, _ = record.split(0.7, split_seed)
             for rows in (train, quiet + list(train) + quiet):
                 assert_same_batch(batch_from_rows(rows, SCHEMA), oracle_batch_from_rows(list(rows), SCHEMA))
-                for include_position in (True, False):
-                    got, want = design_from_rows(rows, SCHEMA, include_position), oracle_design_from_rows(list(rows), SCHEMA, include_position)
-                    for a, b in zip(got, want):
-                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                for a, b in zip(design_from_rows(rows, SCHEMA), oracle_design_from_rows(list(rows), SCHEMA)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         cfg = LearnerConfig(max_iters=6)
         models = [rsm_model(SCHEMA, cfg), least_squares_model(SCHEMA), constant_model()]
         try:
@@ -994,6 +995,38 @@ class TestRecordOracle:
                 train, test = oracle_paired_split(pairs, config.DEFAULT_TRAIN_FRACTION, derive_seed(seed % 1000, f"split:{s}"))
                 want.append(flip_accuracy(model.fit(train), test))
             assert report.per_split[name] == tuple(want)
+
+
+class TestRecordArrays:
+    """The record derives every row's CTRs, and groups contexts by width through ``by_width``."""
+
+    def test_ctrs_and_clicked_equal_each_rows_own(self, tmp_path):
+        """Fractional clicks at n = 5, 9 and 70 (numpy sums nine or more in pairs), rows without clicks
+        interleaved, built by the constructor and by the loader: the record's CTRs are each row's ``ctrs()``."""
+        rng = np.random.default_rng(17)
+        rows = []
+        for c, n in enumerate([9, 5, 70, 5, 9, 70, 5, 70, 9]):
+            clicks = rng.random(n) * 10 ** rng.integers(0, 6) if c % 4 != 3 else np.zeros(n)
+            feats = {name: rng.random(n) for name in SCHEMA.names}
+            rows.append(make_row(f"q{c % 2}", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats))
+        save_csv(rows, tmp_path / "log.csv", SCHEMA)
+        for source in (rows, load_csv(tmp_path / "log.csv", SCHEMA).rows):
+            record = ContextRecord(source)
+            assert record.clicked.tolist() == [row.total_clicks() > 0 for row in source] == [c % 4 != 3 for c in range(9)]
+            for row, start, clicked in zip(source, record.starts.tolist(), record.clicked.tolist()):
+                want = row.ctrs() if clicked else np.zeros(row.n)
+                assert record.ctrs[start:start + row.n].tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 6), max_size=30))
+    def test_by_width_equals_a_dict_oracle(self, sizes):
+        """Widths in order of first appearance, each with its positions ascending, every position exactly once."""
+        want = {}
+        for pos, n in enumerate(sizes):
+            want.setdefault(n, []).append(pos)
+        got = rsm.record.by_width(np.array(sizes, dtype=np.intp))
+        assert [(n, members.tolist()) for n, members in got] == list(want.items())
+        assert all(members.dtype == np.intp for _, members in got)
 
 
 class TestSyntheticGeneration:
@@ -1440,9 +1473,13 @@ class TestBridges:
         instances = training_instances_from_rows([quiet] + two_context_rows(), SCHEMA)
         assert len(instances) == 5
 
-    def test_batch_from_rows_skips_quiet_contexts(self):
+    def test_batch_from_rows_skips_quiet_contexts(self, monkeypatch):
+        """A context without clicks has no targets, and it is never ranked."""
         quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
+        ranked, real = [], rsm.record.feature_ranks
+        monkeypatch.setattr(rsm.record, "feature_ranks", lambda rows, schema: ranked.extend(rows) or real(rows, schema))
         batch = batch_from_rows([quiet] + two_context_rows(), SCHEMA)
+        assert len(ranked) == 2 and quiet not in ranked
         assert batch.k == 2 and len(batch) == 5
         assert [b.space.ranks.shape for b in batch.buckets] == [(1, 2, 2), (1, 2, 3)]
         assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
@@ -1479,14 +1516,10 @@ class TestBridges:
 
     def test_feature_rows_append_position(self):
         logs = two_context_rows()
-        rows = feature_rows_from_logs(logs, SCHEMA, include_position=True)
-        assert rows[0].features.size == 3
+        rows = feature_rows_from_logs(logs, SCHEMA)
+        assert [r.features.size for r in rows] == [3] * 5
         assert rows[0].features[-1] == 1.0
-        # the same rows again: each setting builds its own design, and the order of the calls does not matter
-        for include_position, arity in [(False, 2), (True, 3), (False, 2)]:
-            out = feature_rows_from_logs(logs, SCHEMA, include_position=include_position)
-            assert [r.features.size for r in out] == [arity] * 5
-            assert [r.ctr for r in out] == pytest.approx([2 / 3, 1 / 3, 2 / 9, 6 / 9, 1 / 9])
+        assert [r.ctr for r in rows] == pytest.approx([2 / 3, 1 / 3, 2 / 9, 6 / 9, 1 / 9])
 
 
 class TestEncodingCache:

@@ -376,6 +376,20 @@ class TestRunExperiment:
         assert r_other.seed == 13
         assert r_other.to_json() != r1.to_json()
 
+    def test_a_pairs_view_is_shared_and_a_splits_side_recorded_alone(self):
+        """A view of all of a record's pairs serves every run over them; a split's test side, a view of some
+        of them, runs as its own pairs and scores as a view of its record."""
+        pairs = build_pairs(12, seed=6)
+        view = rsm.record.pairs_view(pairs)
+        assert rsm.record.pairs_view(view) is view and list(view) == pairs
+        models = [Model(name="oracle", fit=lambda rows: ctr_scorer), constant_model()]
+        assert run_experiment(view, models, num_splits=4, seed=2).to_json() == run_experiment(pairs, models, num_splits=4, seed=2).to_json()
+        _, test = view.record.split(0.5, 3)
+        alone = rsm.record.pairs_view(test)
+        assert alone.record is not view.record and list(alone) == list(test) and len(alone.record.pairs) == len(test)
+        assert run_experiment(test, models, num_splits=3, seed=1).to_json() == run_experiment(list(test), models, num_splits=3, seed=1).to_json()
+        assert flip_accuracy(ctr_scorer, test) == flip_accuracy(ctr_scorer, list(test)) == 1.0
+
     def test_duplicate_model_names_rejected(self):
         pairs = build_pairs(4)
         with pytest.raises(ValueError):
@@ -589,8 +603,7 @@ class TestFixedWeightsModel:
 
 
 class TestLeastSquaresModel:
-    @pytest.mark.parametrize("include_position", [True, False])
-    def test_scores_equal_predict_to_roundoff(self, include_position):
+    def test_scores_equal_predict_to_roundoff(self):
         """The scorer's one product per call agrees with ``predict`` item by item, up to roundoff."""
         rng = np.random.default_rng(99)
         schema = synthetic_schema(3)
@@ -601,13 +614,11 @@ class TestLeastSquaresModel:
             feats = {name: rng.random(n) * 10 for name in schema.names}
             rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats, rng.permutation(n) + 1))
         train = rows[:10]
-        scorer = least_squares_model(schema, include_position).fit(train)
-        model = fit_least_squares(feature_rows_from_logs(train, schema, include_position))
+        scorer = least_squares_model(schema).fit(train)
+        model = fit_least_squares(feature_rows_from_logs(train, schema))
         for row, scores in zip(rows, scorer(rows)):
             for i, item in enumerate(row.items):
-                values = [row.features[name][i] for name in schema.names]
-                if include_position:
-                    values.append(float(row.positions[i]))
+                values = [row.features[name][i] for name in schema.names] + [float(row.positions[i])]
                 probe = FeatureRow(query_id=row.query_id, item_id=item, features=np.array(values), ctr=0.0)
                 assert scores[i] == pytest.approx(predict(model, probe), rel=1e-13, abs=1e-15)
 
