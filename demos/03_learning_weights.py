@@ -25,16 +25,12 @@ spec = SyntheticSpec(k=3, num_queries=25, weights=WeightVector(np.array(true_wei
 dataset = generate_synthetic(spec)
 print(f"{len(dataset.instances)} noise-free training instances, true weights {true_weights}")
 
-trace = []
-result = fit(
-    dataset.instances,
-    LearnerConfig(lam=0.15),
-    on_iteration=lambda it, w, loss, err, step: trace.append((it, loss, err, step)),
-)
+result = fit(dataset.instances, LearnerConfig(lam=0.15))
+trace = zip(result.per_iteration_loss, result.per_iteration_error, result.per_iteration_step)
 
 print("\niterative learner:")
 print("  iter   mse          mae          step")
-for it, loss, err, step in trace:
+for it, (loss, err, step) in enumerate(trace):
     print(f"  {it:4d}   {loss:.3e}    {err:.3e}    {step:.3e}")
 print(f"  converged: {result.converged} after {result.iterations} iterations")
 print(f"  weights: {np.round(result.weights.values, 6)}")

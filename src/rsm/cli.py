@@ -157,7 +157,6 @@ def _learner_config(args, lam: Optional[float] = None) -> learner.LearnerConfig:
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     weights = _parse_weights(args.weights) if args.weights else WeightVector(np.full(args.k, 1.0 / args.k))
     if weights.k != args.k:
         raise ValueError(f"--weights has {weights.k} entries but --k is {args.k}")
@@ -188,6 +187,7 @@ def cmd_synth(args) -> int:
     }
     if args.flips:
         manifest.update(queries_kept=len(dataset.rows) // 2, candidates_drawn=dataset.candidates_drawn)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -230,13 +230,7 @@ def cmd_train(args) -> int:
         log.info("grid best error %.6g", err)
     else:
         cfg = _learner_config(args)
-        trace: List[tuple] = []
-
-        def record(it, w, mse, mae, step_norm):
-            trace.append((it, mse, mae, step_norm))
-            log.info("iteration %d: mse %.6g mae %.6g step %.3g", it, mse, mae, step_norm)
-
-        result = learner.fit(batch, cfg, on_iteration=record)
+        result = learner.fit(batch, cfg)
         final_step = result.final_step_norm
         payload = {
             "method": "iterative",
@@ -255,7 +249,9 @@ def cmd_train(args) -> int:
         }
         with open(out_dir / "loss.csv", "w", encoding="utf-8") as handle:
             handle.write("iteration,mse,mae,step_norm\n")
-            for it, mse, mae, step_norm in trace:
+            figures = zip(result.per_iteration_loss, result.per_iteration_error, result.per_iteration_step)
+            for it, (mse, mae, step_norm) in enumerate(figures):
+                log.info("iteration %d: mse %.6g mae %.6g step %.3g", it, mse, mae, step_norm)
                 handle.write(f"{it},{mse!r},{mae!r},{step_norm!r}\n")
     with open(out_dir / "weights.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -39,7 +39,10 @@ DEFAULT_LAMBDA = 0.15
 DEFAULT_ETA = 0.05
 DEFAULT_HALT_EPS = 1e-6
 DEFAULT_MAX_ITERS = 500
-DEFAULT_QP_TOL = 1e-10
+
+# The learner's step subproblem releases a held bound whose multiplier has the
+# wrong sign by more than this, and warns when its KKT residual ends above it.
+QP_TOL = 1e-10
 
 # Brute-force grid enumeration refuses to exceed this many points by default.
 GRID_POINT_CAP = 10**6

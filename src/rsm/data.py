@@ -726,8 +726,11 @@ def generate_flip_dataset(
     its first candidate that flips and is dropped if none of the first
     ``max_attempts`` does; candidates are counted up to the kept one. One
     log record on ``rsm.data`` counts the queries kept and the candidates
-    drawn, a warning when any query was dropped.
+    drawn, a warning when any query was dropped. A count below 1 or a
+    negative ``margin`` raises ``ValueError``.
     """
+    if min(num_queries, max_attempts, clicks_per_context) < 1 or not margin >= 0.0:
+        raise ValueError("num_queries, max_attempts and clicks_per_context must be positive and margin nonnegative")
     if not 2 <= shared_items < n:
         raise ValueError("shared_items must be at least 2 and below n")
     if weights.normalization is not Normalization.SUMS_TO_ONE:

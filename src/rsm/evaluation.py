@@ -365,15 +365,14 @@ def run_experiment(
     num_splits: int = config.DEFAULT_NUM_SPLITS,
     seed: int = 0,
     train_fraction: float = config.DEFAULT_TRAIN_FRACTION,
-    on_split: Optional[Callable[[int, Dict[str, float]], None]] = None,
 ) -> ExperimentReport:
     """Repeated paired-split evaluation of several models on one dataset.
 
     Takes flip pairs (``mine_flip_pairs`` of click-log rows) or their ``pairs_view``,
     recorded and clustered once; fewer than two raise ``SplitTooSmall``.
     Every split (``paired_split`` with a seed derived from ``seed``) re-fits
-    every model on its training rows. ``on_split(s, accuracies)`` is invoked
-    after each split when given.
+    every model on its training rows. The report's ``per_split`` holds each
+    model's accuracy on every split, in split order.
     """
     if len(pairs) and not isinstance(pairs[0], FlipPair):
         raise TypeError("run_experiment takes flip pairs: mine click-log rows with mine_flip_pairs first")
@@ -390,10 +389,7 @@ def run_experiment(
     split_accs = []
     for s in range(num_splits):
         train_rows, test_pairs = record.split(train_fraction, derive_seed(seed, f"split:{s}"))
-        accs = {model.name: flip_accuracy(model.fit(train_rows), test_pairs) for model in models}
-        split_accs.append(accs)
-        if on_split is not None:
-            on_split(s, accs)
+        split_accs.append({model.name: flip_accuracy(model.fit(train_rows), test_pairs) for model in models})
 
     per_split = {name: tuple(accs[name] for accs in split_accs) for name in names}
     mean_accuracy = {name: float(np.mean(per_split[name])) for name in names}

@@ -41,7 +41,7 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,18 +55,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Knobs of the iterative learner.
-
-    ``init`` of None means the uniform start ``(1 - lam) / k`` per feature;
-    a given :class:`WeightVector` (either normalization) is converted.
-    """
+    """Knobs of the iterative learner; every fit starts at the uniform ``(1 - lam) / k``."""
 
     lam: float = config.DEFAULT_LAMBDA
     eta: float = config.DEFAULT_ETA
     halt_eps: float = config.DEFAULT_HALT_EPS
     max_iters: int = config.DEFAULT_MAX_ITERS
-    qp_tol: float = config.DEFAULT_QP_TOL
-    init: Optional[WeightVector] = None
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -77,8 +71,6 @@ class LearnerConfig:
             raise ValueError("halt_eps must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.qp_tol <= 0.0:
-            raise ValueError("qp_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +109,29 @@ class TrainingInstance:
 class FitResult:
     """Outcome of :func:`fit`. ``weights`` is in reporting form.
 
-    ``qp_steps`` counts the active-set steps of all step subproblems and
-    ``max_kkt_residual`` is the largest KKT residual a step ended with.
+    Iteration ``i`` evaluated the mean squared and mean absolute residual
+    ``per_iteration_loss[i]`` and ``per_iteration_error[i]`` and took a step
+    of max-norm ``per_iteration_step[i]``. ``qp_steps`` counts the
+    active-set steps of all step subproblems and ``max_kkt_residual`` is the
+    largest KKT residual a step ended with.
     """
 
     weights: WeightVector
-    iterations: int
-    final_step_norm: float
     per_iteration_loss: tuple
     per_iteration_error: tuple
+    per_iteration_step: tuple
     converged: bool
     qp_steps: int
     max_kkt_residual: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.per_iteration_loss)
+
+    @property
+    def final_step_norm(self) -> float:
+        """The last step's max-norm; ``inf`` when no iteration ran."""
+        return self.per_iteration_step[-1] if self.per_iteration_step else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +283,9 @@ def linearized_row(
 # minimizer with the held bounds fixed and sum(x) = 0. If the way there
 # leaves the box, the step stops at the first bound and holds it. At the
 # minimizer, the held bound whose multiplier has the wrong sign by more than
-# qp_tol is released; if there is none, x is optimal. The KKT residual is the
-# largest violation of stationarity (free coordinates) or of a multiplier's
-# sign (held ones).
+# config.QP_TOL is released; if there is none, x is optimal. The KKT residual
+# is the largest violation of stationarity (free coordinates) or of a
+# multiplier's sign (held ones).
 # ---------------------------------------------------------------------------
 
 
@@ -355,7 +358,7 @@ def _solve_step_arrays(
         grad = 2.0 * (gram @ x - lin)
         wrong = held * (grad - grad[free].mean())  # > 0 where a multiplier has the wrong sign
         j = int(np.argmax(wrong))
-        if wrong[j] <= cfg.qp_tol:
+        if wrong[j] <= config.QP_TOL:
             break
         held[j] = 0.0
     else:
@@ -364,32 +367,9 @@ def _solve_step_arrays(
     slack = 2.0 * (gram @ x - lin)
     slack -= slack[free].mean()  # gradient plus the sum constraint's multiplier
     residual = float(np.max(np.where(free, np.abs(slack), held * slack)))
-    if residual > cfg.qp_tol:
-        logger.warning("step QP ended with KKT residual %.3e > qp_tol %.3e", residual, cfg.qp_tol)
+    if residual > config.QP_TOL:
+        logger.warning("step QP ended with KKT residual %.3e > QP_TOL %.3e", residual, config.QP_TOL)
     return x, steps, residual
-
-
-def solve_step(
-    rows: Sequence[Tuple[float, np.ndarray]],
-    weights: WeightVector,
-    cfg: Optional[LearnerConfig] = None,
-) -> np.ndarray:
-    """Minimize the linearized loss over feasible sum-zero steps.
-
-    ``rows`` holds ``(residual, g)`` pairs from :func:`linearized_row`.
-    The solution satisfies the box constraints, sums to zero, and meets the
-    projected-gradient fixed-point condition within ``cfg.qp_tol``; its
-    objective never exceeds the objective at ``x = 0``.
-    """
-    cfg = cfg or LearnerConfig()
-    native = weights.as_native(cfg.lam).values
-    if not rows:
-        raise ValueError("need at least one row")
-    grads = np.vstack([np.asarray(g, dtype=np.float64) for _, g in rows])
-    residuals = np.array([r for r, _ in rows], dtype=np.float64)
-    if grads.shape[1] != native.size:
-        raise ShapeError("gradient rows and weights disagree on k")
-    return _solve_step_arrays(grads, residuals, native, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,45 +384,35 @@ def _nonempty_batch(data: Data) -> ContextBatch:
     return batch
 
 
-def fit(
-    data: Data,
-    cfg: Optional[LearnerConfig] = None,
-    on_iteration: Optional[Callable] = None,
-) -> FitResult:
+def fit(data: Data, cfg: Optional[LearnerConfig] = None) -> FitResult:
     """Learn feature weights by iterated linearization.
 
     ``data`` is a :class:`ContextBatch` or a :class:`TrainingInstance`
-    sequence. Each iteration evaluates every target at the current weights,
-    solves the constrained least-squares step and applies it; the loop
-    halts when the step max-norm drops to ``cfg.halt_eps``. If ``max_iters``
-    runs out, the best iterate by mean absolute residual is returned, flagged
-    unconverged. ``on_iteration(iteration, weights_native, mse, mae,
-    step_norm)`` is invoked once per iteration when given.
+    sequence. Starting from the uniform weights, each iteration evaluates
+    every target at the current weights, solves the constrained
+    least-squares step and applies it; the loop halts when the step
+    max-norm drops to ``cfg.halt_eps``. If ``max_iters`` runs out, the best
+    iterate by mean absolute residual is returned, flagged unconverged. The
+    result carries every iteration's mean squared and mean absolute
+    residual and step max-norm.
     """
     cfg = cfg or LearnerConfig()
     batch = _nonempty_batch(data)
     k, lam = batch.k, cfg.lam
-    if cfg.init is None:
-        w = np.full(k, (1.0 - lam) / k)
-    else:
-        if cfg.init.k != k:
-            raise ShapeError(f"init has {cfg.init.k} weights but the data has {k} topologies")
-        w = cfg.init.as_native(lam).values.copy()
+    w = np.full(k, (1.0 - lam) / k)
 
     losses: List[float] = []
     errors: List[float] = []
+    step_norms: List[float] = []
     best_err = math.inf
     best_w = w.copy()
     converged = False
-    final_step = math.inf
-    iterations = 0
     qp_steps = 0
     max_kkt = 0.0
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         residuals, grads = _evaluate(batch, w, lam, gradients=True)
-        mse = float(np.mean(residuals**2))
         mae = float(np.mean(np.abs(residuals)))
-        losses.append(mse)
+        losses.append(float(np.mean(residuals**2)))
         errors.append(mae)
         if mae < best_err:
             best_err = mae
@@ -450,11 +420,8 @@ def fit(
         x, steps, kkt = _solve_step_arrays(grads, residuals, w, cfg)
         qp_steps += steps
         max_kkt = max(max_kkt, kkt)
-        final_step = float(np.max(np.abs(x)))
-        iterations = it + 1
-        if on_iteration is not None:
-            on_iteration(it, w.copy(), mse, mae, final_step)
-        if final_step <= cfg.halt_eps:
+        step_norms.append(float(np.max(np.abs(x))))
+        if step_norms[-1] <= cfg.halt_eps:
             converged = True
             break
         w = np.clip(w + x, 0.0, 1.0 - lam)
@@ -464,14 +431,12 @@ def fit(
         if float(np.mean(np.abs(residuals))) >= best_err:
             w = best_w
         logger.warning("fit stopped unconverged after %d iterations: final step norm %.3e > halt_eps %.3e",
-                       iterations, final_step, cfg.halt_eps)
-    reporting = WeightVector(w / (1.0 - lam))
+                       len(step_norms), step_norms[-1], cfg.halt_eps)
     return FitResult(
-        weights=reporting,
-        iterations=iterations,
-        final_step_norm=final_step,
+        weights=WeightVector(w / (1.0 - lam)),
         per_iteration_loss=tuple(losses),
         per_iteration_error=tuple(errors),
+        per_iteration_step=tuple(step_norms),
         converged=converged,
         qp_steps=qp_steps,
         max_kkt_residual=max_kkt,
@@ -493,13 +458,15 @@ def sample_error(
 
 
 def _compositions(total: int, parts: int):
-    """Nonnegative integer compositions in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Nonnegative integer compositions in ascending lexicographic order.
+
+    By stars and bars: the gaps around ``parts - 1`` bars placed among
+    ``total + parts - 1`` slots, bar placements taken in lexicographic order.
+    """
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        edges = (-1,) + bars + (end,)
+        yield tuple(right - left - 1 for left, right in zip(edges, edges[1:]))
 
 
 def grid_search(

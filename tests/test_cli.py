@@ -1,6 +1,7 @@
 """End-to-end command tests, all run in process through cli.main."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,12 @@ class TestSynth:
         for name in ("manifest.json", "instances.json", "dataset.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    @pytest.mark.parametrize("flag", [["--queries", "0"], ["--queries", "-2"], ["--clicks", "-5"]])
+    def test_flip_counts_below_one_exit_two_and_write_nothing(self, tmp_path, flag):
+        out = tmp_path / "flips"
+        assert run(["synth", "--out-dir", out, "--flips", "--seed", "3"] + flag) == 2
+        assert not out.exists()
+
 
 class TestTrain:
     def test_recovers_manifest_weights(self, synth_dir, tmp_path):
@@ -99,7 +106,21 @@ class TestTrain:
         result = rsm.fit(rsm.load_instances(synth_dir / "instances.json"))
         assert payload["iterations"] == result.iterations
         assert payload["qp_steps"] == result.qp_steps >= result.iterations
-        assert payload["max_kkt_residual"] == result.max_kkt_residual <= rsm.config.DEFAULT_QP_TOL
+        assert payload["max_kkt_residual"] == result.max_kkt_residual <= rsm.config.QP_TOL
+
+    def test_loss_csv_and_log_lines_come_from_the_result(self, synth_dir, tmp_path, caplog):
+        """loss.csv holds the fit's per-iteration figures bit for bit, logged in the same order."""
+        out = tmp_path / "fit"
+        with caplog.at_level(logging.INFO, logger="rsm.cli"):
+            assert run(["train", synth_dir / "instances.json", "--out-dir", out, "--halt-eps", "1e-9"]) == 0
+        result = rsm.fit(rsm.load_instances(synth_dir / "instances.json"), rsm.LearnerConfig(halt_eps=1e-9))
+        figures = list(zip(result.per_iteration_loss, result.per_iteration_error, result.per_iteration_step))
+        assert len(figures) == result.iterations > 1
+        lines = (out / "loss.csv").read_text().splitlines()
+        assert lines[1:] == [f"{it},{mse!r},{mae!r},{step!r}" for it, (mse, mae, step) in enumerate(figures)]
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration ")]
+        assert logged == [f"iteration {it}: mse {mse:.6g} mae {mae:.6g} step {step:.3g}"
+                          for it, (mse, mae, step) in enumerate(figures)]
 
     def test_quoted_feature_names_without_a_manifest(self, tmp_path):
         """A feature name with a comma is written as a quoted cell and read back as one column."""

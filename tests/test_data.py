@@ -1250,6 +1250,17 @@ class TestGeneratorOracle:
         with pytest.raises(ValueError):
             generate_flip_dataset(num_queries=2, weights=weights, lam=lam)
 
+    @pytest.mark.parametrize("bad", [{"num_queries": 0}, {"num_queries": -2}, {"max_attempts": 0}, {"max_attempts": -5},
+                                     {"clicks_per_context": 0}, {"margin": -0.01}, {"margin": float("nan")}])
+    def test_bad_counts_rejected_before_any_draw(self, monkeypatch, bad):
+        """Counts below 1 or a negative margin raise, as SyntheticSpec's do, and draw nothing."""
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the generator drew before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="must be positive and margin nonnegative"):
+            generate_flip_dataset(**{"num_queries": 2, "weights": self.WEIGHTS, **bad})
+
 
 class TestFlipGeneratorLog:
     WEIGHTS = WeightVector(np.array([0.5, 0.3, 0.2]))

@@ -417,16 +417,23 @@ class TestRunExperiment:
             return real_of_pairs(cls, pairs)
 
         monkeypatch.setattr(rsm.record.ContextRecord, "of_pairs", classmethod(counting_of_pairs))
-        after_first = {}
-        on_split = lambda s, accs: after_first or after_first.update({key: len(calls) for key, calls in encoded.items()})
+        real_split, splits, after_first = rsm.record.ContextRecord.split, [], {}
+
+        def snapshot_split(record, *args):
+            splits.append(1)
+            if len(splits) == 2:  # the second split starts: the first has ended
+                after_first.update({key: len(calls) for key, calls in encoded.items()})
+            return real_split(record, *args)
+
+        monkeypatch.setattr(rsm.record.ContextRecord, "split", snapshot_split)
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
-        run_experiment(pairs, models, num_splits=4, seed=7, on_split=on_split)
+        run_experiment(pairs, models, num_splits=4, seed=7)
         # every row sits on one side of every split, so all rows are ranked, each once, one call per width;
         # the scorers solve in rank space and chain no ranks into n x n tensors
         assert sorted(encoded[rsm.record, "average_ranks"]) == [(6,), (6,), (12,)]
         assert sorted(encoded[rsm.record, "rank_space"]) == [(6,), (6,), (12,)]
         assert encoded[rsm.data, "rank_chain"] == encoded[rsm.learner, "rank_space"] == []
-        assert after_first == {key: len(calls) for key, calls in encoded.items()}
+        assert len(splits) == 4 and after_first == {key: len(calls) for key, calls in encoded.items()}
         assert clustered == [len(pairs)] and encoded[rsm.data, "paired_split"] == []
 
     def test_flip_accuracy_called_once_per_model_per_split(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Iterative weight learning, the boxed step subproblem, and the grid oracle."""
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -32,7 +33,6 @@ from rsm import (
     restrict,
     sample_bound,
     sample_error,
-    solve_step,
     stationary,
     training_instances_from_rows,
 )
@@ -232,7 +232,7 @@ def oracle_solve_step(grads, residuals, w_native, cfg):
         return float(x @ gram @ x - 2.0 * lin @ x)
 
     x = np.zeros(k)
-    cand = oracle_polish(gram, lin, x, lower, upper, cfg.qp_tol)
+    cand = oracle_polish(gram, lin, x, lower, upper, config.QP_TOL)
     if cand is not None and objective(cand) <= objective(x) + 1e-15:
         return cand
     lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
@@ -241,7 +241,7 @@ def oracle_solve_step(grads, residuals, w_native, cfg):
     best_x, best_f = x.copy(), objective(x)
     for it in range(20000):
         grad = 2.0 * (gram @ x - lin)
-        if oracle_kkt_residual(x, grad, lower, upper) <= cfg.qp_tol:
+        if oracle_kkt_residual(x, grad, lower, upper) <= config.QP_TOL:
             break
         trial = oracle_project(x - grad / lip, lower, upper)
         step = trial - x
@@ -257,10 +257,10 @@ def oracle_solve_step(grads, residuals, w_native, cfg):
         if fx < best_f:
             best_f, best_x = fx, x.copy()
         if it % 25 == 24:
-            cand = oracle_polish(gram, lin, x, lower, upper, cfg.qp_tol)
+            cand = oracle_polish(gram, lin, x, lower, upper, config.QP_TOL)
             if cand is not None and objective(cand) <= best_f + 1e-15:
                 return cand
-    cand = oracle_polish(gram, lin, best_x, lower, upper, cfg.qp_tol)
+    cand = oracle_polish(gram, lin, best_x, lower, upper, config.QP_TOL)
     if cand is not None and objective(cand) <= best_f + 1e-15:
         return cand
     return best_x
@@ -344,15 +344,15 @@ class TestActiveSetStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_exact_step_properties(self, k, m, kind, corner, lam, eta, seed):
-        """Feasible, KKT within qp_tol, no worse than the oracle or than x = 0."""
+        """Feasible, KKT within QP_TOL, no worse than the oracle or than x = 0."""
         grads, residuals, w_native, cfg = step_problem(k, m, kind, corner, lam, eta, seed)
         x, steps, residual = rsm.learner._solve_step_arrays(grads, residuals, w_native, cfg)
         lower, upper = step_box(w_native, cfg)
         assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
         assert abs(x.sum()) <= 1e-12
         gram, lin = grads.T @ grads, grads.T @ residuals
-        assert oracle_kkt_residual(x, 2.0 * (gram @ x - lin), lower, upper) <= cfg.qp_tol
-        assert residual <= cfg.qp_tol
+        assert oracle_kkt_residual(x, 2.0 * (gram @ x - lin), lower, upper) <= config.QP_TOL
+        assert residual <= config.QP_TOL
         assert 1 <= steps <= k * 3**k
 
         def objective(v):
@@ -380,7 +380,7 @@ class TestActiveSetStep:
             residuals = rng.standard_normal(8) * 0.01
             cfg = LearnerConfig(eta=0.85)
             x, _, residual = rsm.learner._solve_step_arrays(grads, residuals, np.full(3, 0.85 / 3), cfg)
-            assert abs(x[1] - x[2]) <= 1e-12 and residual <= cfg.qp_tol
+            assert abs(x[1] - x[2]) <= 1e-12 and residual <= config.QP_TOL
 
     def test_cap_is_reported(self, monkeypatch, caplog):
         """A cycling working set stops at k * 3^k steps with a WARNING."""
@@ -400,6 +400,11 @@ class TestActiveSetStep:
         assert any("cap of 18 active-set steps" in r.getMessage() for r in caplog.records)
 
 
+def solve_step(grads, residuals, weights, cfg):
+    """The step ``_solve_step_arrays`` takes at reporting-form ``weights``."""
+    return rsm.learner._solve_step_arrays(grads, residuals, weights.as_native(cfg.lam).values, cfg)[0]
+
+
 class TestSolveStep:
     def test_matches_k2_closed_form(self):
         rng = np.random.default_rng(303)
@@ -409,7 +414,7 @@ class TestSolveStep:
             vals = rng.random(2) + 0.1
             weights = WeightVector(vals / vals.sum())
             cfg = LearnerConfig(lam=0.15, eta=0.05)
-            got = solve_step(rows, weights, cfg)
+            got = solve_step(np.array([g for _, g in rows]), np.array([r for r, _ in rows]), weights, cfg)
             expected = closed_form_step_k2(rows, weights.as_native(0.15).values, 0.15, 0.05)
             assert np.max(np.abs(got - expected)) < 1e-8
 
@@ -421,10 +426,9 @@ class TestSolveStep:
             m = k + int(rng.integers(2, 8))
             grads = rng.standard_normal((m, k))
             resid = rng.standard_normal(m) * 1e-3
-            rows = list(zip(resid.tolist(), grads))
             weights = WeightVector(np.full(k, 1.0 / k))
             cfg = LearnerConfig(lam=0.15, eta=0.85)  # loosest legal box
-            got = solve_step(rows, weights, cfg)
+            got = solve_step(grads, resid, weights, cfg)
             gram = grads.T @ grads
             system = np.zeros((k + 1, k + 1))
             system[:k, :k] = 2.0 * gram
@@ -443,20 +447,15 @@ class TestSolveStep:
             m = int(rng.integers(1, 10))
             grads = rng.standard_normal((m, k)) * rng.uniform(0.1, 5.0)
             resid = rng.standard_normal(m)
-            rows = list(zip(resid.tolist(), grads))
             vals = rng.random(k) + 0.05
             weights = WeightVector(vals / vals.sum())
             cfg = LearnerConfig()
-            x = solve_step(rows, weights, cfg)
+            x = solve_step(grads, resid, weights, cfg)
             f_step = float(np.sum((resid - grads @ x) ** 2))
             f_zero = float(np.sum(resid**2))
             assert f_step <= f_zero + 1e-12
             assert abs(x.sum()) < 1e-10
             assert np.max(np.abs(x)) <= cfg.eta + 1e-12
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            solve_step([], WeightVector(np.array([0.5, 0.5])))
 
 
 class TestFit:
@@ -469,22 +468,35 @@ class TestFit:
         assert np.max(np.abs(result.weights.values - true.values)) < 1e-3
         assert sample_error(data, result.weights, 0.15) < 1e-4
 
-    def test_true_init_halts_on_first_iteration(self):
-        rng = np.random.default_rng(21)
-        true = random_reporting_weights(rng, 3)
-        data = noise_free_instances(rng, 10, 4, 3, true, 0.15)
-        result = fit(data, LearnerConfig(init=true, max_iters=50))
-        assert result.converged
-        assert result.iterations == 1
-        assert np.max(np.abs(result.weights.values - true.values)) < 1e-9
-
     def test_max_iters_zero_returns_initial_weights(self):
         rng = np.random.default_rng(9)
         data = noise_free_instances(rng, 4, 4, 3, random_reporting_weights(rng, 3), 0.15)
         result = fit(data, LearnerConfig(max_iters=0))
         assert not result.converged
         assert result.iterations == 0
+        assert result.final_step_norm == math.inf
+        assert result.per_iteration_loss == result.per_iteration_error == result.per_iteration_step == ()
         assert_allclose(result.weights.values, np.full(3, 1.0 / 3.0), atol=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [3, 60])
+    def test_result_carries_every_iteration(self, monkeypatch, max_iters):
+        """Each iteration's loss, error and step norm are its solver call's inputs and output, in order."""
+        rng = np.random.default_rng(88)
+        data = noise_free_instances(rng, 10, 5, 3, WeightVector(np.array([0.8, 0.15, 0.05])), 0.15)
+        seen = []
+        solve = rsm.learner._solve_step_arrays
+
+        def recording_solve(grads, residuals, w_native, cfg):
+            out = solve(grads, residuals, w_native, cfg)
+            seen.append((float(np.mean(residuals**2)), float(np.mean(np.abs(residuals))), float(np.max(np.abs(out[0])))))
+            return out
+
+        monkeypatch.setattr(rsm.learner, "_solve_step_arrays", recording_solve)
+        result = fit(data, LearnerConfig(max_iters=max_iters))
+        assert result.converged == (max_iters == 60)
+        assert result.iterations == len(result.per_iteration_loss) == len(seen) > 1
+        assert list(zip(result.per_iteration_loss, result.per_iteration_error, result.per_iteration_step)) == seen
+        assert result.final_step_norm == result.per_iteration_step[-1]
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(70)
@@ -500,14 +512,9 @@ class TestFit:
         rng = np.random.default_rng(88)
         true = WeightVector(np.array([0.8, 0.15, 0.05]))
         data = noise_free_instances(rng, 10, 5, 3, true, 0.15)
-        seen = []
-        result = fit(
-            data,
-            LearnerConfig(max_iters=3, halt_eps=1e-15),
-            on_iteration=lambda it, w, mse, mae, step: seen.append((mae, w)),
-        )
+        result = fit(data, LearnerConfig(max_iters=3, halt_eps=1e-15))
         assert not result.converged
-        best_recorded = min(mae for mae, _ in seen)
+        best_recorded = min(result.per_iteration_error)
         achieved = sample_error(data, result.weights, 0.15)
         assert achieved <= best_recorded + 1e-12
 
@@ -710,7 +717,7 @@ class TestContextBatch:
         result = fit(batch_from_rows(data.rows, data.schema))
         assert result.converged
         assert result.iterations <= result.qp_steps <= 3 * result.iterations
-        assert 0.0 <= result.max_kkt_residual <= LearnerConfig().qp_tol
+        assert 0.0 <= result.max_kkt_residual <= config.QP_TOL
 
 
 def oracle_contexts(data):
@@ -851,6 +858,13 @@ class TestGridSearch:
         data = noise_free_instances(rng, 1, 3, 2, random_reporting_weights(rng, 2), 0.15)
         with pytest.raises(ValueError):
             grid_search(data, grid_step=0.3)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_compositions_in_lexicographic_order(self, k):
+        """Stars and bars give every composition once, in the order of a filtered product."""
+        for total in range(12):
+            brute = [c for c in itertools.product(range(total + 1), repeat=k) if sum(c) == total]
+            assert list(rsm.learner._compositions(total, k)) == brute
 
     def test_single_feature_grid(self):
         rng = np.random.default_rng(6)
