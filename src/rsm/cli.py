@@ -43,7 +43,6 @@ from .errors import (
     ParseError,
     SchemaError,
     ShapeError,
-    SingularFundamental,
     SplitTooSmall,
 )
 from .evaluation import (
@@ -68,7 +67,6 @@ EXIT_NUMERIC = 4
 _DATA_ERRORS = (SchemaError, ParseError, SplitTooSmall, FileNotFoundError, IsADirectoryError)
 _NUMERIC_ERRORS = (
     NoUniqueStationary,
-    SingularFundamental,
     GridBudgetExceeded,
     DegenerateVariance,
     ShapeError,
@@ -207,7 +205,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if data_path.suffix == ".json":
         batch = load_instances(data_path)
     else:
@@ -247,6 +244,8 @@ def cmd_train(args) -> int:
             "final_step_norm": final_step if np.isfinite(final_step) else None,
             "sample_error": learner.sample_error(batch, result.weights, cfg.lam),
         }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.grid:
         with open(out_dir / "loss.csv", "w", encoding="utf-8") as handle:
             handle.write("iteration,mse,mae,step_norm\n")
             figures = zip(result.per_iteration_loss, result.per_iteration_error, result.per_iteration_step)
@@ -284,7 +283,6 @@ def _build_models(names, schema: DatasetSchema, args, lam: float) -> List[Model]
 def cmd_eval(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     schema = _schema_for_csv(data_path)
     pairs = pairs_view(mine_flip_pairs(_load_rows(data_path, schema)))  # once for every rate of a sweep
     names = [part.strip() for part in args.models.split(",") if part.strip()]
@@ -317,6 +315,7 @@ def cmd_eval(args) -> int:
         report_json = report.to_json()
         report_text = report.to_text()
         report_csv = report.splits_csv()
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_json, encoding="utf-8")
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
     (out_dir / "report_splits.csv").write_text(report_csv, encoding="utf-8")

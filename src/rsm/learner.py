@@ -10,8 +10,8 @@ linearization
 of the stationary shift in the weight change x. Every chain it fits is a
 mixture of rank chains, each of rank two, so a context's stationary p and its
 k rows p^T T_i Z lie in the span of its k rank vectors and the ones vector;
-``rsm.markov.rank_chain_rows`` finds them there with two solves k + 1 wide,
-and neither Z nor P itself is ever formed. It then solves the
+``rsm.markov.rank_chain_rows`` finds them there with one system matrix
+k + 1 wide, and neither Z nor P itself is ever formed. It then solves the
 box-constrained least-squares subproblem over sum-zero steps
 
     minimize  sum_targets (residual - x . g)^2
@@ -280,12 +280,17 @@ def linearized_row(
 # With gram = G^T G and lin = G^T r the objective is x.gram.x - 2 lin.x. The
 # primal active-set method (Nocedal & Wright, Numerical Optimization, 16.5)
 # starts at the feasible x = 0 with no bound held. Each step solves for the
-# minimizer with the held bounds fixed and sum(x) = 0. If the way there
-# leaves the box, the step stops at the first bound and holds it. At the
-# minimizer, the held bound whose multiplier has the wrong sign by more than
-# config.QP_TOL is released; if there is none, x is optimal. The KKT residual
-# is the largest violation of stationarity (free coordinates) or of a
-# multiplier's sign (held ones).
+# minimizer with the held bounds fixed and sum(x) = 0, by one lstsq in a
+# Householder basis of the free sum-zero directions. A duplicated feature's
+# direction has only the Gram block's roundoff for curvature, about eps
+# times its trace, which can pass a cut relative to the reduced Hessian when
+# the free gradients move together; so the cut is nf eps times that trace,
+# and lstsq returns the minimizer of least norm, nearest the centre. If the
+# way there leaves the box, the step stops at the first bound and holds it.
+# At the minimizer, the held bound whose multiplier has the wrong sign by
+# more than config.QP_TOL is released; if there is none, x is optimal. The
+# KKT residual is the largest violation of stationarity (free coordinates)
+# or of a multiplier's sign (held ones).
 # ---------------------------------------------------------------------------
 
 
@@ -304,7 +309,9 @@ def _free_minimizer(gram, lin, x, free):
     The free coordinates move from their centre (equal values, sum zero) in
     an orthonormal basis of the sum-zero directions. A singular reduced
     Hessian still gives a minimizer, since ``lin`` lies in the range of
-    ``gram``; the pseudo-inverse picks the one nearest the centre.
+    ``gram``; ``lstsq`` returns the one nearest the centre. Its ``rcond`` is
+    relative to the largest singular value, at most ``size``, so it cuts in
+    ``[cut / sqrt(nf - 1), cut]``; a Hessian of norm ``<= cut`` moves nothing.
     """
     idx = np.flatnonzero(free)
     nf = idx.size
@@ -313,11 +320,13 @@ def _free_minimizer(gram, lin, x, free):
     if nf == 1:
         return out
     basis = _basis(nf)
-    vals, vecs = np.linalg.eigh(basis.T @ (gram if nf == gram.shape[0] else gram[np.ix_(idx, idx)]) @ basis)
-    keep = vals > (nf - 1) * np.finfo(np.float64).eps * max(vals[-1], 0.0)
-    vecs = vecs[:, keep]
-    slope = basis.T @ (gram @ out - lin)[idx]
-    out[idx] -= basis @ (vecs @ ((vecs.T @ slope) / vals[keep]))
+    sub = gram if nf == gram.shape[0] else gram[np.ix_(idx, idx)]
+    hessian = basis.T @ sub @ basis
+    size = np.linalg.norm(hessian)
+    cut = nf * np.finfo(np.float64).eps * np.trace(sub)
+    if size > cut:
+        slope = basis.T @ (gram @ out - lin)[idx]
+        out[idx] -= basis @ np.linalg.lstsq(hessian, slope, rcond=cut / size)[0]
     return out
 
 

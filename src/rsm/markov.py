@@ -1,8 +1,8 @@
 """Markov chain kernels.
 
-Stationary distributions, the limiting matrix, the fundamental matrix and
-first-order stationary shifts for row-stochastic transition matrices, all
-small and dense; and the kernel for mixtures of rank chains, which works in
+Stationary distributions, the fundamental matrix and first-order
+stationary shifts for row-stochastic transition matrices, all small and
+dense; and the kernel for mixtures of rank chains, which works in
 the span of their ranks and forms no ``n x n`` matrix: the generators draw
 their targets, the learner fits and the held-out scorer scores through it.
 Everything is plain numpy.
@@ -183,10 +183,15 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
 # lam / n + sum_i w_i alpha_i and w_i beta_i. M s = s for s = V 1, since P
 # is row-stochastic. The stationary p and the gradient rows p^T T_i Z,
 # Z = (I - P + 1 p^T)^-1 (Kemeny & Snell, Finite Markov Chains, ch. 4), all
-# lie in that span, so each context costs O(k^2 n) and two solves k + 1
-# wide. Both systems are nonsingular whenever p is unique, even when V is
-# rank-deficient (a constant, duplicated or reversed feature): the left
-# null space of I - M is spanned by p G^T, and the column s is never zero.
+# lie in that span, so each context costs O(k^2 n) and one (k + 1)-wide
+# system matrix: I - M with its last column replaced by s. The columns of
+# I - M combine to zero with the weights s, so the last equation of
+# c (I - M) = 0 is redundant and gives way to c . s = 1. As Z 1 = T_i 1 = 1,
+# the coefficients y_i of p^T T_i Z solve y_i (I - M) = h_i - c, h_i those
+# of p^T T_i, and y_i . s = 1: the same matrix, k more right-hand sides. It
+# is nonsingular whenever p is unique, even when V is rank-deficient (a
+# constant, duplicated or reversed feature): the left null space of I - M
+# is spanned by p G^T, and the column s is never zero.
 # ---------------------------------------------------------------------------
 
 
@@ -230,21 +235,18 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
 
     ``space`` comes from :func:`rank_space` over ``(B, k, n)`` ranks; each
     context's chain is ``lam / n + sum_i w_i T_i`` for native-form weights
-    ``w_native`` (summing to ``1 - lam``). ``p = c V`` where ``c`` solves
-    ``c (I - M) = 0`` with its last column replaced by ``s``, and
-    ``p^T T_i Z = y_i V`` where ``y_i (I - M + s c^T)`` equals the
-    coefficients of ``p^T T_i``. Both are solved in transposed form. Returns
-    the ``(B, n)`` stationary rows and, if ``gradients``, the ``(B, k, n)``
-    rows; None otherwise.
+    ``w_native`` (summing to ``1 - lam``). The system matrix above, in
+    transposed form, is solved against ``e_last`` for ``c`` and, if
+    ``gradients``, against the columns ``h_i - c`` with last entry 1 for the
+    ``y_i``. Returns the ``(B, n)`` rows ``c V`` and the ``(B, k, n)`` rows
+    ``y_i V``, None in their place without ``gradients``.
 
     Raises
     ------
     NoUniqueStationary
-        If the stationarity system is singular, its solution leaves the
+        If the system is singular, the stationary solution leaves the
         probability simplex, or its fixed-point residual exceeds
         ``config.STATIONARY_RESIDUAL_TOL``, as in :func:`stationary`.
-    SingularFundamental
-        If the gradient system is singular.
     """
     ranks, forms, forms_v = space
     b, k, n = ranks.shape
@@ -277,14 +279,11 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
     if not gradients:
         return probs, None
-    core = eye - mixed + (coef / total)[:, :, None] * sums  # (I - M + s c^T)^T
-    rhs = np.zeros((b, k + 1, k))  # column i holds the coefficients of p^T T_i
-    rhs[:, 0] = hits[:, :k]
-    rhs[:, np.arange(1, k + 1), np.arange(k)] = hits[:, k:]
-    try:
-        rows = np.linalg.solve(core, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFundamental("gradient system is singular") from exc
+    rhs = np.repeat(-(coef / total)[:, :, None], k, axis=2)  # column i: h_i - c, then y_i . s = 1
+    rhs[:, 0] += hits[:, :k]
+    rhs[:, np.arange(1, k + 1), np.arange(k)] += hits[:, k:]
+    rhs[:, -1] = 1.0
+    rows = np.linalg.solve(system, rhs)
     return probs, _span(np.swapaxes(rows, -1, -2), ranks)
 
 
@@ -315,12 +314,6 @@ def stationary(matrix: StochasticMatrix) -> Distribution:
     if entries.min() <= 0.0 and not _one_closed_class(entries):
         raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
     return Distribution(_stationary_probs(entries))
-
-
-def limiting_matrix(matrix: StochasticMatrix) -> np.ndarray:
-    """The rank-one limiting matrix ``1 p^T`` (every row is the stationary)."""
-    p = stationary(matrix)
-    return np.outer(np.ones(matrix.n), p.probs)
 
 
 def fundamental_matrix(matrix: StochasticMatrix) -> FundamentalMatrix:

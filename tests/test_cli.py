@@ -264,6 +264,12 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["train", tmp_path / "nope.csv", "--out-dir", tmp_path / "o"]) == 3
 
+    def test_failed_runs_leave_no_out_dir(self, flip_dir, tmp_path):
+        """Options and data are checked before the output directory is made."""
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "e", "--splits", "0"]) == 2
+        assert run(["train", tmp_path / "missing.csv", "--out-dir", tmp_path / "t"]) == 3
+        assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
+
     def test_unknown_model_is_config_error(self, flip_dir, tmp_path):
         assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "o",
                     "--models", "zeppelin"]) == 2

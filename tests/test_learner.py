@@ -382,6 +382,18 @@ class TestActiveSetStep:
             x, _, residual = rsm.learner._solve_step_arrays(grads, residuals, np.full(3, 0.85 / 3), cfg)
             assert abs(x[1] - x[2]) <= 1e-12 and residual <= config.QP_TOL
 
+    def test_roundoff_curvature_under_a_common_component_is_cut(self):
+        """Columns equal up to 1e-15 that share a large component with every other column: the reduced
+        Hessian's largest singular value is small, so only a cut on the Gram block's scale drops their direction."""
+        rng = np.random.default_rng(411)
+        for _ in range(50):
+            grads = rng.standard_normal((40, 3)) * 0.1 + rng.standard_normal((40, 1)) * 5.0
+            grads[:, 2] = grads[:, 1] * (1.0 + 1e-15 * rng.standard_normal(40))
+            residuals = rng.standard_normal(40) * 0.01
+            cfg = LearnerConfig(eta=0.85)
+            x, _, residual = rsm.learner._solve_step_arrays(grads, residuals, np.full(3, 0.85 / 3), cfg)
+            assert abs(x[1] - x[2]) <= 1e-12 and residual <= config.QP_TOL
+
     def test_cap_is_reported(self, monkeypatch, caplog):
         """A cycling working set stops at k * 3^k steps with a WARNING."""
 
@@ -534,6 +546,38 @@ class TestFit:
         assert result.converged
         assert np.max(np.abs(result.weights.values - true.values)) < 1e-3
         assert sample_error(data, result.weights, lam) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        n=st.integers(3, 8),
+        queries=st.integers(2, 6),
+        lam=st.sampled_from([0.05, 0.15, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_copied_and_permuted_features_move_their_weights(self, k, n, queries, lam, seed, data):
+        """On noise-free data a copied feature's weight equals its original's, and permuting the features
+        permutes the weights, both within 1e-12: every step takes the minimizer nearest the centre."""
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        order = np.array(data.draw(st.permutations(range(k))))
+        rng = np.random.default_rng(seed)
+        values = rng.random((queries, k, n))
+        values[:, j] = values[:, i]
+        true = random_reporting_weights(rng, k)
+        items = tuple(f"i{u}" for u in range(n))
+
+        def fitted(features):
+            instances = []
+            for q, context in enumerate(values[:, features]):
+                topologies = tuple(encode_rank_topology(v, item_ids=items, feature=f"f{f}") for f, v in zip(features, context))
+                probs = stationary(combine(topologies, WeightVector(true.values[features]), lam)).probs
+                instances += [TrainingInstance(f"q{q}", items, topologies, u, float(probs[u])) for u in range(n)]
+            return fit(instances, LearnerConfig(lam=lam, max_iters=60)).weights.values
+
+        weights = fitted(np.arange(k))
+        assert abs(weights[i] - weights[j]) <= 1e-12
+        assert np.max(np.abs(fitted(order) - weights[order])) <= 1e-12
 
     def test_interleaved_widths_scatter_to_their_own_slots(self, monkeypatch):
         """fit's batched rows and residuals equal linearized_row, instance by instance."""

@@ -1,4 +1,4 @@
-"""Stationary distributions, limiting matrices, the fundamental matrix and the rank-space kernel."""
+"""Stationary distributions, the fundamental matrix and the rank-space kernel."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from rsm import (
     config,
     encode_rank_topology,
     fundamental_matrix,
-    limiting_matrix,
     stationary,
     stationary_shift,
 )
@@ -206,19 +205,6 @@ class TestValidation:
             m.entries[0, 0] = 0.9
 
 
-class TestLimitingMatrix:
-    def test_rows_are_stationary(self):
-        rng = np.random.default_rng(11)
-        raw = rng.random((5, 5)) + 0.1
-        matrix = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
-        lim = limiting_matrix(matrix)
-        p = stationary(matrix).probs
-        assert_allclose(lim, np.tile(p, (5, 1)), atol=1e-12)
-        # idempotent and invariant under the chain
-        assert_allclose(matrix.entries @ lim, lim, atol=1e-12)
-        assert_allclose(lim @ lim, lim, atol=1e-12)
-
-
 class TestFundamentalMatrix:
     def test_uniform_chain_gives_identity(self):
         z = fundamental_matrix(StochasticMatrix.uniform(4))
@@ -232,7 +218,7 @@ class TestFundamentalMatrix:
             raw = rng.random((n, n)) + 0.2
             matrix = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
             z = fundamental_matrix(matrix)
-            core = matrix.entries - limiting_matrix(matrix)
+            core = matrix.entries - np.outer(np.ones(n), stationary(matrix).probs)
             acc = np.eye(n)
             term = np.eye(n)
             for _ in range(400):
@@ -259,7 +245,7 @@ class TestFundamentalMatrix:
             raw = rng.random((n, n)) + 0.05
             matrix = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
             z = fundamental_matrix(matrix)
-            core = np.eye(n) - matrix.entries + limiting_matrix(matrix)
+            core = np.eye(n) - matrix.entries + np.outer(np.ones(n), stationary(matrix).probs)
             assert np.max(np.abs(z.z @ core - np.eye(n))) < 1e-8
 
 
@@ -321,24 +307,26 @@ class TestFundamentalRows:
 class TestRankChainRows:
     @settings(max_examples=60, deadline=None)
     @given(
+        b=st.integers(1, 4),
         n=st.sampled_from(list(range(2, 13)) + [63, 64, 65, 200]),
         kinds=st.lists(st.sampled_from(["random", "constant", "duplicate", "reversed", "ties"]), min_size=1, max_size=5),
-        lam=st.sampled_from([0.01, 0.15, 0.9]),
+        lam=st.one_of(st.sampled_from([1e-9, 0.01, 0.15, 0.9, 1 - 1e-6]), st.floats(1e-9, 1 - 1e-6)),
         zero_weight=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_degenerate_bases_match_the_dense_oracle(self, n, kinds, lam, zero_weight, seed):
-        """Constant, duplicated and reversed features and ties leave V = [1; r_1; ...; r_k] rank-deficient."""
+    def test_degenerate_bases_match_the_dense_oracle(self, b, n, kinds, lam, zero_weight, seed):
+        """Constant, duplicated and reversed features and ties leave V = [1; r_1; ...; r_k] rank-deficient;
+        stacks of 1 to 4 contexts, restart rates out to the edge tests' 1e-9 and 1 - 1e-6."""
         rng = np.random.default_rng(seed)
         k = len(kinds)
         w = rng.random(k) + 0.05
         if zero_weight and k > 1:
             w[rng.integers(k)] = 0.0
-        values = np.stack([degenerate_values(rng, kinds, n) for _ in range(2)])
+        values = np.stack([degenerate_values(rng, kinds, n) for _ in range(b)])
         assert_kernel_matches_oracle(values, w / w.sum(), lam)
 
     def test_more_features_than_items(self):
-        """n = 2 with k = 5: V has rank at most 2, yet both systems stay nonsingular."""
+        """n = 2 with k = 5: V has rank at most 2, yet the system stays nonsingular."""
         rng = np.random.default_rng(71)
         values = rng.random((3, 5, 2))
         w = rng.random(5) + 0.05
