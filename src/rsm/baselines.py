@@ -4,12 +4,14 @@ The linear model predicts an item's click-through rate from its own feature
 vector, independent of which other items surround it. Features are
 standardized before solving; the returned coefficients are folded back to
 raw feature units so prediction is a plain affine map.
+The context-oblivious ``train_ctr`` baseline, ``rsm.evaluation.true_ctr_model``,
+averages the CTRs of the rows' ``rsm.record.ContextRecord`` per (query, item).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -118,27 +120,3 @@ def predict(model: LinearModel, row: FeatureRow) -> float:
     if row.features.size != model.k:
         raise ShapeError(f"row has {row.features.size} features, model expects {model.k}")
     return float(model.intercept + model.coefficients @ row.features)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantScores:
-    """Context-oblivious lookup: mean training CTR per (query, item)."""
-
-    table: Dict[Tuple[str, str], float]
-
-    def score(self, query_id: str, item_id: str) -> float:
-        return self.table.get((query_id, item_id), 0.0)
-
-
-def mean_ctr_table(observations: Iterable[Tuple[Tuple[str, str], float]]) -> ConstantScores:
-    """The mean CTR per ``(query, item)`` key of ``(key, ctr)`` observations, summed in order.
-
-    A key's score is the same in every context, so this table can never
-    predict a preference flip.
-    """
-    sums: Dict[Tuple[str, str], list] = {}
-    for key, ctr in observations:
-        bucket = sums.setdefault(key, [0.0, 0])
-        bucket[0] += ctr
-        bucket[1] += 1
-    return ConstantScores({key: total / count for key, (total, count) in sums.items()})

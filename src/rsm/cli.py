@@ -96,6 +96,9 @@ def _parse_lambdas(text: str) -> List[float]:
     for lam in values:
         if not 0.0 < lam < 1.0:
             raise ValueError("every sweep rate must lie in (0, 1)")
+    labels = [f"{lam:g}" for lam in values]  # each rate's report section is named by its label
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"--lambda-sweep rates must have distinct labels, got {', '.join(labels)}")
     return values
 
 
@@ -155,6 +158,8 @@ def _learner_config(args, lam: Optional[float] = None) -> learner.LearnerConfig:
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     weights = _parse_weights(args.weights) if args.weights else WeightVector(np.full(args.k, 1.0 / args.k))
     if weights.k != args.k:
         raise ValueError(f"--weights has {weights.k} entries but --k is {args.k}")
@@ -296,9 +301,7 @@ def cmd_eval(args) -> int:
     if args.lambda_sweep:
         lambdas = _parse_lambdas(args.lambda_sweep)
         reports = {lam: run_at(lam) for lam in lambdas}
-        json_payload = {}
-        text_sections = []
-        csv_lines = []
+        json_payload, text_sections, csv_lines = {}, [], []
         for lam in lambdas:
             report = reports[lam]
             json_payload[f"{lam:g}"] = json.loads(report.to_json())

@@ -10,11 +10,11 @@ matrices) is refused.
 
 Rows are validated once, where they enter: ``load_csv`` checks a file's
 cells and contexts in bulk at the CSV boundary and builds its rows without a
-second check, and the public ``LogRow`` and ``FlipPair`` constructors check
-everything built any other way. ``mine_flip_pairs`` builds its pairs
-unchecked too, from rows already valid. Rows reach the learner, the scorers
-and the baselines through the arrays of a ``rsm.record.ContextRecord``,
-which derives their CTRs once.
+second check, as read-only slices of the file's flat columns; the public
+``LogRow`` and ``FlipPair`` constructors check everything built any other
+way. The miner, the learner, the scorers and the baselines read rows through
+the arrays of a ``rsm.record.ContextRecord``, which alone derives their click
+totals and CTRs; ``mine_flip_pairs`` builds its pairs from them unchecked.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -41,7 +41,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import RecordView, by_width, feature_ranks, pairs_view, record_view
+from .record import ContextRecord, RecordView, by_width, feature_ranks, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -92,8 +92,8 @@ class LogRow:
     A row is immutable: its arrays are read-only and ``features`` is a
     read-only mapping. The constructor validates its arguments; rows from
     :func:`load_csv` were validated in bulk at the CSV boundary and are
-    built without a second check, their arrays read-only views of arrays
-    shared by the file's rows of one width. A row holds only its data: its
+    built without a second check, their arrays read-only slices of the
+    file's flat columns. A row holds only its data: its
     CTRs, ranks and least-squares design live in the :class:`ContextRecord`
     of each run or call that needs them.
     """
@@ -194,12 +194,8 @@ class FlipPair:
         for row in (self.row_1, self.row_2):
             if self.item_a not in row.items or self.item_b not in row.items:
                 raise ValueError("both items must appear in both contexts")
-        gap_1 = self.row_1.clicks[self.row_1.index_of(self.item_a)] - self.row_1.clicks[
-            self.row_1.index_of(self.item_b)
-        ]
-        gap_2 = self.row_2.clicks[self.row_2.index_of(self.item_a)] - self.row_2.clicks[
-            self.row_2.index_of(self.item_b)
-        ]
+        gap_1, gap_2 = (row.clicks[row.index_of(self.item_a)] - row.clicks[row.index_of(self.item_b)]
+                        for row in (self.row_1, self.row_2))
         if not (gap_1 > 0 and gap_2 < 0):
             raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
 
@@ -340,24 +336,29 @@ class _CsvLines:
         flagged[shown[1:][(shown[1:] == shown[:-1]) & (item_codes[1:] == item_codes[:-1])]] = True
         order = np.argsort(context, kind="stable")  # each context's lines together, in file order
         starts = np.cumsum(counts) - counts
-        keys = list(self.contexts)  # in first-line order, as ``first`` is
-        valid = np.flatnonzero(~broken & ~flagged & (counts >= 2))
-        built = {}
-        for n, members in by_width(counts[valid]):
-            members = valid[members]
-            index = order[starts[members][:, None] + np.arange(n)]
-            built.update(zip(members.tolist(), self._rows(keys, members, index, clicks, features, schema.names)))
-        for c, (key, is_broken, size, line) in enumerate(
-            zip(keys, broken.tolist(), counts.tolist(), numbers[first].tolist())
+        valid = ~broken & ~flagged & (counts >= 2)
+        # the valid contexts' lines, context after context, as flat read-only columns; each row holds slices of them
+        lines = order[np.repeat(valid, counts)]
+        flat_positions = np.fromiter(map(self.positions.__getitem__, lines.tolist()), np.int64, lines.size)
+        flat_clicks, flat_features = clicks[lines], features[:, lines]
+        for array in (flat_positions, flat_clicks, flat_features):
+            array.flags.writeable = False
+        flat_items, end = list(map(self.items.__getitem__, lines.tolist())), 0
+        # contexts in first-line order, as ``first`` is
+        for c, ((query_id, context_id), is_broken, is_valid, size, line) in enumerate(
+            zip(self.contexts, broken.tolist(), valid.tolist(), counts.tolist(), numbers[first].tolist())
         ):
-            query_id, context_id = key
             if is_broken:
                 continue
             if size < 2:
                 message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
                 self.errors.append(LoadError(line_number=line, message=message))
-            elif c in built:
-                rows.append(built[c])
+            elif is_valid:
+                span, end = slice(end, end + size), end + size
+                rows.append(LogRow._trusted(
+                    query_id, context_id, tuple(flat_items[span]), flat_positions[span], flat_clicks[span],
+                    MappingProxyType(dict(zip(schema.names, flat_features[:, span]))),
+                ))
             else:  # failed a bulk check: the public constructor says how
                 at = order[starts[c]:starts[c] + size].tolist()
                 feats = {name: values[j, at] for j, name in enumerate(schema.names, start=1)}
@@ -367,23 +368,6 @@ class _CsvLines:
                 except (ValueError, ShapeError) as exc:
                     self.errors.append(LoadError(line_number=line, message=str(exc)))
         return LoadResult(rows=rows, errors=self.errors)
-
-    def _rows(self, keys, members, index, clicks, features, names):
-        """Trusted rows of one width: ``index`` holds each member context's ``(R, n)`` line indices.
-
-        Each row's arrays are read-only views of the width's stacked arrays.
-        """
-        positions = np.array(operator.itemgetter(*index.ravel().tolist())(self.positions), dtype=np.int64)
-        positions = positions.reshape(index.shape)
-        clicks, features = clicks[index], features[:, index]
-        for array in (positions, clicks, features):
-            array.flags.writeable = False
-        for r, (member, lines) in enumerate(zip(members.tolist(), index.tolist())):
-            query_id, context_id = keys[member]
-            yield LogRow._trusted(
-                query_id, context_id, tuple(map(self.items.__getitem__, lines)), positions[r], clicks[r],
-                MappingProxyType(dict(zip(names, features[:, r]))),
-            )
 
 
 def _parse_line(values: Sequence[str], columns: Tuple[str, ...], line: int) -> tuple:
@@ -443,18 +427,20 @@ def mine_flip_pairs(
     lexicographically and row_1 is the context preferring item_a.
 
     Every item pair of the qualifying contexts is enumerated with index
-    arrays, one width at a time, and grouped by an integer code of (query,
+    arrays, one width at a time, from the clicks, totals and CTRs of the
+    rows' :class:`ContextRecord`, and grouped by an integer code of (query,
     item, item); only the chosen pairs' items are compared as strings.
     """
-    rows = list(rows)
+    record = ContextRecord(rows)
+    rows = record.rows
     # an item's code names it within its query; one counter, so no two queries share a code
     item_codes: Dict[str, Dict[str, int]] = {}
     fresh = count()
     # contexts are ranked in id order, for the tie-break
     context_rank = {c: i for i, c in enumerate(sorted({row.context_id for row in rows}))}
     entries = [
-        _pair_entries(rows, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff)
-        for _, group in by_width(np.array([row.n for row in rows], dtype=np.intp))
+        _pair_entries(record, n, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff)
+        for n, group in by_width(record.sizes)
     ]
     if not entries:
         return []
@@ -482,26 +468,23 @@ def mine_flip_pairs(
     return pairs
 
 
-def _pair_entries(rows, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff) -> tuple:
-    """The item pairs of the rows at ``group``, all of one width, with more than ``min_total_clicks``
-    clicks, whose click gap counts, as columns.
+def _pair_entries(record, n, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff) -> tuple:
+    """The item pairs of the record's rows at ``group``, all of width ``n``, with more than
+    ``min_total_clicks`` clicks, whose click gap counts, as columns.
 
     Columns: the pair's lower and higher item code, its side (True when the
     higher-coded item has more clicks), its CTR gap, the row's tie rank
     (larger context id first, then earlier row), the row's position and the
     two items' indices in the row, lower code first.
     """
-    clicks = np.array([rows[pos].clicks for pos in group.tolist()])
-    totals = clicks.sum(axis=1)  # each row's own total_clicks(), bit for bit
-    keep = totals > min_total_clicks
-    group, clicks, n = group[keep], clicks[keep], clicks.shape[1]
-    members = [rows[pos] for pos in group.tolist()]
-    ctrs = clicks / totals[keep, None]
+    group = group[record.totals[group] > min_total_clicks]
+    items, members = record.items(group), [record.rows[pos] for pos in group.tolist()]
+    clicks, ctrs = record.clicks[items].reshape(-1, n), record.ctrs[items].reshape(-1, n)
     codes = np.fromiter(
         chain.from_iterable(map(item_codes.setdefault(row.query_id, {}).setdefault, row.items, fresh) for row in members),
         np.int64, len(members) * n,
     ).reshape(-1, n)
-    tie = group - len(rows) * np.array([context_rank[row.context_id] for row in members], dtype=np.intp)
+    tie = group - len(record.rows) * np.array([context_rank[row.context_id] for row in members], dtype=np.intp)
     i, j = np.triu_indices(n, 1)
     # name the pair by item code, so it reads the same in every context
     swap = codes[:, i] > codes[:, j]
@@ -726,11 +709,14 @@ def generate_flip_dataset(
     its first candidate that flips and is dropped if none of the first
     ``max_attempts`` does; candidates are counted up to the kept one. One
     log record on ``rsm.data`` counts the queries kept and the candidates
-    drawn, a warning when any query was dropped. A count below 1 or a
-    negative ``margin`` raises ``ValueError``.
+    drawn, a warning when any query was dropped. A count below 1, a
+    negative ``margin`` or one feature raises ``ValueError``: a single rank
+    chain keeps the shared items' order in every context, so never flips.
     """
     if min(num_queries, max_attempts, clicks_per_context) < 1 or not margin >= 0.0:
         raise ValueError("num_queries, max_attempts and clicks_per_context must be positive and margin nonnegative")
+    if weights.k < 2:
+        raise ValueError(f"the flip generator needs at least two features, got {weights.k}")
     if not 2 <= shared_items < n:
         raise ValueError("shared_items must be at least 2 and below n")
     if weights.normalization is not Normalization.SUMS_TO_ONE:

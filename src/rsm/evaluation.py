@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config, learner
-from .baselines import fit_least_squares_arrays, mean_ctr_table
+from .baselines import fit_least_squares_arrays
 from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows
 from .errors import DegenerateVariance
 from .markov import rank_chain_rows
@@ -36,7 +36,7 @@ ScorerFn = Callable[[Sequence[LogRow]], Sequence[np.ndarray]]
 
 @dataclass(frozen=True)
 class Model:
-    """A named factory: fit on training rows, get back a scorer."""
+    """A named factory: fit on training rows, get back a scorer. ``dataclasses.replace(model, name=...)`` renames it."""
 
     name: str
     fit: Callable[[Sequence[LogRow]], ScorerFn]
@@ -47,11 +47,7 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def rsm_model(
-    schema: DatasetSchema,
-    cfg: Optional[learner.LearnerConfig] = None,
-    name: str = "rsm",
-) -> Model:
+def rsm_model(schema: DatasetSchema, cfg: Optional[learner.LearnerConfig] = None) -> Model:
     """Random-shopper model: learn topology weights, score by stationary mass.
 
     Scores are computed per context from the fitted mixture, so the same
@@ -63,18 +59,13 @@ def rsm_model(
         result = learner.fit(batch_from_rows(train_rows, schema), cfg)
         return _stationary_scorer(schema, result.weights, cfg.lam)
 
-    return Model(name=name, fit=fit_fn)
+    return Model(name="rsm", fit=fit_fn)
 
 
-def fixed_weights_model(
-    schema: DatasetSchema,
-    weights: WeightVector,
-    lam: float = config.DEFAULT_LAMBDA,
-    name: str = "rsm_true",
-) -> Model:
+def fixed_weights_model(schema: DatasetSchema, weights: WeightVector, lam: float = config.DEFAULT_LAMBDA) -> Model:
     """Random-shopper scorer with known weights; no fitting. For oracles."""
 
-    return Model(name=name, fit=lambda train_rows: _stationary_scorer(schema, weights, lam))
+    return Model(name="rsm_true", fit=lambda train_rows: _stationary_scorer(schema, weights, lam))
 
 
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
@@ -100,7 +91,7 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
     return scorer
 
 
-def least_squares_model(schema: DatasetSchema, name: str = "least_squares") -> Model:
+def least_squares_model(schema: DatasetSchema) -> Model:
     """Linear CTR regression on raw feature values (plus display position).
 
     Fits on ``design_from_rows``; the scorer predicts with one product,
@@ -118,33 +109,37 @@ def least_squares_model(schema: DatasetSchema, name: str = "least_squares") -> M
 
         return scorer
 
-    return Model(name=name, fit=fit_fn)
+    return Model(name="least_squares", fit=fit_fn)
 
 
-def true_ctr_model(name: str = "train_ctr") -> Model:
-    """Memorizes each (query, item) mean training CTR, read from the rows' record. Context-oblivious."""
+def true_ctr_model() -> Model:
+    """Memorizes each (query, item) mean training CTR, the record's CTRs summed in row order; 0.0 if unseen.
+    Context-oblivious: a (query, item) scores the same in every context, so it never predicts a flip."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         view = record_view(train_rows)
         clicked = view.index[view.record.clicked[view.index]]
-        keys = ((row.query_id, item) for row in map(view.record.rows.__getitem__, clicked.tolist()) for item in row.items)
-        table = mean_ctr_table(zip(keys, view.record.ctrs[view.record.items(clicked)].tolist()))
+        ids: Dict[Tuple[str, str], int] = {}  # each (query, item) in order of first appearance
+        codes = np.array([ids.setdefault((row.query_id, item), len(ids))
+                          for row in map(view.record.rows.__getitem__, clicked.tolist()) for item in row.items], dtype=np.intp)
+        sums = np.bincount(codes, view.record.ctrs[view.record.items(clicked)])  # each key's CTRs added in row order
+        means = dict(zip(ids, (sums / np.bincount(codes)).tolist()))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
-            return [np.array([table.score(row.query_id, item) for item in row.items]) for row in rows]
+            return [np.array([means.get((row.query_id, item), 0.0) for item in row.items]) for row in rows]
 
         return scorer
 
-    return Model(name=name, fit=fit_fn)
+    return Model(name="train_ctr", fit=fit_fn)
 
 
-def constant_model(name: str = "constant") -> Model:
+def constant_model() -> Model:
     """Scores every item identically. Lands exactly at chance on flip pairs."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         return lambda rows: [np.zeros(row.n) for row in rows]
 
-    return Model(name=name, fit=fit_fn)
+    return Model(name="constant", fit=fit_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The context record: rows, and flip pairs over them, as arrays built once and gathered by index.
 
-A record is where the pipeline derives its rows' CTRs. An ``rsm eval`` run records its flip pairs' rows
-and clusters the pairs once, for every rate of a sweep; each split is index arrays into the record. Models
-receive rows as a :class:`RecordView`, a tuple that also carries their indices, so the learner's batch, the
-design and the scorers gather the record's arrays. Integer arrays are sorted stably and ``np.unique`` always
-returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique``
-imports ``numpy.ma``.
+A record is the one place where the pipeline turns rows into per-width arrays and derives their click
+totals and CTRs; the miner, the learner's batch, the least-squares design and the ``train_ctr`` baseline
+read them there. An ``rsm eval`` run records its flip pairs' rows and clusters the pairs once, for every
+rate of a sweep; each split is index arrays into the record. Models receive rows as a :class:`RecordView`,
+a tuple that also carries their indices, so the learner's batch, the design and the scorers gather the
+record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's
+default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -49,22 +50,26 @@ def feature_ranks(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.nda
 
 
 class ContextRecord:
-    """Rows as arrays: row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]`` of the flat CTRs (zero
-    without clicks) and designs. Each width's clicks are stacked once, and each row's sum divides them, the
-    same bits as ``LogRow.ctrs``. Per schema, on first use, each width is ranked by one :func:`average_ranks`
-    call and one ``rank_space``. A record lives as long as the run or call that made it.
+    """Rows as arrays: row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]`` of the flat clicks,
+    CTRs (zero without clicks) and designs, and ``totals[r]`` is its click total. The rows' clicks are
+    concatenated once; each width's block is gathered from them and summed per row, and each row's sum
+    divides its clicks, the same bits as ``LogRow.total_clicks`` and ``LogRow.ctrs``. Per schema, on first
+    use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. A record lives as
+    long as the run or call that made it.
     """
 
     def __init__(self, rows: Sequence[LogRow]):
         self.rows = list(rows)
         self.sizes = np.array([row.n for row in self.rows], dtype=np.intp)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.clicked, self.ctrs = np.zeros(len(self.rows), dtype=bool), np.zeros(int(self.sizes.sum()))
-        for _, members in by_width(self.sizes):
-            clicks = np.array([self.rows[r].clicks for r in members.tolist()])  # C-contiguous: each row sums as it does alone
-            totals = clicks.sum(axis=1)
-            self.clicked[members] = hit = totals > 0
+        self.clicks = np.concatenate([row.clicks for row in self.rows] or [np.zeros(0)])
+        self.totals, self.ctrs = np.zeros(len(self.rows)), np.zeros(self.clicks.size)
+        for n, members in by_width(self.sizes):
+            clicks = self.clicks[self.items(members)].reshape(-1, n)  # C-contiguous: each row sums as it does alone
+            self.totals[members] = totals = clicks.sum(axis=1)
+            hit = totals > 0
             self.ctrs[self.items(members[hit])] = (clicks[hit] / totals[hit, None]).ravel()
+        self.clicked = self.totals > 0
         self._encodings: Dict[DatasetSchema, tuple] = {}
 
     @classmethod

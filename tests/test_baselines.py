@@ -1,11 +1,13 @@
-"""Least-squares CTR regression and the constant lookup baseline."""
+"""Least-squares CTR regression and the context-oblivious ``train_ctr`` baseline."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rsm import FeatureRow, ShapeError, fit_least_squares, predict
-from rsm.baselines import fit_least_squares_arrays, mean_ctr_table
+from rsm import FeatureRow, ShapeError, fit_least_squares, predict, true_ctr_model
+from rsm.baselines import fit_least_squares_arrays
+
+from conftest import make_row
 
 
 def rows_from_design(design, targets):
@@ -124,20 +126,52 @@ class TestLeastSquares:
                 fit_least_squares_arrays(np.where(design > 0.9, bad, design), target)
 
 class TestConstantScorer:
-    """The context-oblivious mean-CTR table of the ``train_ctr`` model, from ``mean_ctr_table``."""
+    """The context-oblivious mean training CTR per (query, item) of ``true_ctr_model``, on constructed rows."""
+
+    @staticmethod
+    def rows(rng, shown, clicks=None):
+        """One row per entry of ``shown``, ``(query, items)``, with fractional clicks unless given."""
+        return [
+            make_row(query, f"c{c}", items, rng.random(len(items)) * 10 if clicks is None else clicks[c],
+                     {"f0": rng.random(len(items))})
+            for c, (query, items) in enumerate(shown)
+        ]
 
     def test_averages_repeated_observations(self):
-        table = mean_ctr_table([(("q1", "a"), 0.2), (("q1", "a"), 0.4), (("q1", "b"), 0.7)])
-        assert abs(table.score("q1", "a") - 0.3) < 1e-15
-        assert abs(table.score("q1", "b") - 0.7) < 1e-15
+        """A (query, item) shown in several contexts scores its CTRs' sum in row order over their count, bit for bit;
+        a context without clicks adds nothing."""
+        rng = np.random.default_rng(5)
+        shown = [("q1", "ab"), ("q1", "ca"), ("q1", "bac"), ("q2", "ab"), ("q1", "abcd"), ("q1", "ab")]
+        rows = self.rows(rng, shown)
+        rows[-1] = make_row("q1", "quiet", "ab", [0, 0], {"f0": [1.0, 2.0]})
+        model = true_ctr_model()
+        assert model.name == "train_ctr"
+        scores = model.fit(rows)(rows)
+        for query, item in [("q1", "a"), ("q1", "b"), ("q1", "c"), ("q1", "d"), ("q2", "a")]:
+            ctrs = [row.ctrs()[row.index_of(item)] for row in rows[:-1] if row.query_id == query and item in row.items]
+            total = 0.0
+            for ctr in ctrs:
+                total += ctr
+            for row, row_scores in zip(rows, scores):
+                if row.query_id == query and item in row.items:
+                    assert row_scores[row.index_of(item)] == total / len(ctrs)
+        assert len([row for row in rows if row.query_id == "q1" and "a" in row.items]) == 5
 
     def test_unseen_pairs_score_zero(self):
-        table = mean_ctr_table([(("q1", "a"), 0.5)])
-        assert table.score("q1", "zz") == 0.0
-        assert table.score("q9", "a") == 0.0
+        rng = np.random.default_rng(6)
+        scorer = true_ctr_model().fit(self.rows(rng, [("q1", "ab"), ("q1", "ab")]))
+        seen, unseen_item, unseen_query = self.rows(rng, [("q1", "ab"), ("q1", ["a", "zz"]), ("q9", "ab")])
+        scores = scorer([seen, unseen_item, unseen_query])
+        assert (scores[0] > 0).all()
+        assert scores[1][1] == 0.0 and scores[1][0] == scores[0][0]
+        assert scores[2].tolist() == [0.0, 0.0]
 
     def test_same_item_same_score_everywhere(self):
-        # the table has no notion of context: one score per (query, item), however many contexts showed it
-        table = mean_ctr_table((("q", "a"), 0.25) for _ in range(4))
-        assert table.score("q", "a") == table.score("q", "a")
-        assert abs(table.score("q", "a") - 0.25) < 1e-15
+        """No notion of context: one score per (query, item), however many contexts showed it, and whatever its
+        CTR there."""
+        rows = self.rows(np.random.default_rng(7), [("q", "ab"), ("q", "ac"), ("q", "abc"), ("q", "ba")],
+                         clicks=[[1, 3], [3, 1], [1, 1, 2], [1, 1]])
+        scores = true_ctr_model().fit(rows)(rows)
+        a_scores = {row_scores[row.index_of("a")] for row, row_scores in zip(rows, scores)}
+        assert len({row.ctrs()[row.index_of("a")] for row in rows}) == 3  # a's CTR differs between contexts
+        assert a_scores == {(0.25 + 0.75 + 0.25 + 0.5) / 4}

@@ -84,6 +84,14 @@ class TestSynth:
         assert run(["synth", "--out-dir", out, "--flips", "--seed", "3"] + flag) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--k", "0"], ["--k", "-1"], ["--flips", "--k", "1", "--queries", "2"]])
+    def test_too_few_features_exit_two_and_write_nothing(self, tmp_path, flag, caplog):
+        """No feature at all is a bad option; one feature is too few for the flip generator to ever flip."""
+        out = tmp_path / "synth"
+        assert run(["synth", "--out-dir", out, "--seed", "3"] + flag) == 2
+        assert not out.exists()
+        assert "at least" in caplog.text
+
 
 class TestTrain:
     def test_recovers_manifest_weights(self, synth_dir, tmp_path):
@@ -235,6 +243,15 @@ class TestEval:
         for lam in ("0.05", "0.15", "0.3"):
             assert run(["eval", flip_dir / "dataset.csv", "--lambda", lam] + common + [tmp_path / lam]) == 0
             assert sweep[lam] == json.loads((tmp_path / lam / "report.json").read_text())
+
+    @pytest.mark.parametrize("rates", ["0.15,0.15", "0.1,0.10000000001", "0.3,0.05,0.30"])
+    def test_lambda_sweep_rates_sharing_a_label_exit_two(self, flip_dir, tmp_path, rates, caplog):
+        """Each rate's report section is named by its ``%g`` label, so two rates with one label are refused."""
+        out = tmp_path / "sweep"
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", out, "--models", "constant", "--splits", "2",
+                    "--lambda-sweep", rates]) == 2
+        assert not out.exists()
+        assert "distinct labels" in caplog.text
 
     @pytest.mark.parametrize("sweep", [[], ["--lambda-sweep", "0.1,0.2"]])
     def test_a_csv_without_flip_pairs_is_a_data_error(self, sweep, tmp_path, caplog):

@@ -626,8 +626,9 @@ class TestMining:
             )
             assert got.strength == pytest.approx(expect_strength)
 
-    def test_matches_the_index_of_miner(self):
-        """Random contexts shown out of id order, with equal click counts and click-less rows."""
+    def test_matches_the_index_of_miner(self, tmp_path):
+        """Random contexts shown out of id order, with equal click counts and click-less rows, built by the
+        constructor and by the loader."""
         rng = np.random.default_rng(818)
         rows = []
         for q in range(12):
@@ -641,8 +642,11 @@ class TestMining:
         assert any(list(r.items) != sorted(r.items) for r in rows)
         assert any(r.total_clicks() == 0 for r in rows)
         assert any(len(set(r.clicks.tolist())) < r.n for r in rows)
-        for thresholds in [(), (0.0, 0.0), (3.0, 1.0)]:
-            got, want = mine_flip_pairs(rows, *thresholds), oracle_mine_flip_pairs(rows, *thresholds)
+        save_csv(rows, tmp_path / "log.csv", SCHEMA)
+        loaded = load_csv(tmp_path / "log.csv", SCHEMA).rows
+        assert len(loaded) == len(rows)
+        for source, thresholds in itertools.product((rows, loaded), [(), (0.0, 0.0), (3.0, 1.0)]):
+            got, want = mine_flip_pairs(source, *thresholds), oracle_mine_flip_pairs(source, *thresholds)
             assert len(got) == len(want) > 0
             for g, w in zip(got, want):
                 assert (g.row_1, g.row_2, g.item_a, g.item_b) == (w.row_1, w.row_2, w.item_a, w.item_b)
@@ -998,11 +1002,12 @@ class TestRecordOracle:
 
 
 class TestRecordArrays:
-    """The record derives every row's CTRs, and groups contexts by width through ``by_width``."""
+    """The record derives every row's click totals and CTRs, and groups contexts by width through ``by_width``."""
 
     def test_ctrs_and_clicked_equal_each_rows_own(self, tmp_path):
         """Fractional clicks at n = 5, 9 and 70 (numpy sums nine or more in pairs), rows without clicks
-        interleaved, built by the constructor and by the loader: the record's CTRs are each row's ``ctrs()``."""
+        interleaved, built by the constructor and by the loader: the record's clicks, totals and CTRs are each
+        row's own ``clicks``, ``clicks.sum()`` and ``ctrs()``."""
         rng = np.random.default_rng(17)
         rows = []
         for c, n in enumerate([9, 5, 70, 5, 9, 70, 5, 70, 9]):
@@ -1013,9 +1018,11 @@ class TestRecordArrays:
         for source in (rows, load_csv(tmp_path / "log.csv", SCHEMA).rows):
             record = ContextRecord(source)
             assert record.clicked.tolist() == [row.total_clicks() > 0 for row in source] == [c % 4 != 3 for c in range(9)]
-            for row, start, clicked in zip(source, record.starts.tolist(), record.clicked.tolist()):
+            for row, start, total, clicked in zip(source, record.starts.tolist(), record.totals, record.clicked.tolist()):
                 want = row.ctrs() if clicked else np.zeros(row.n)
                 assert record.ctrs[start:start + row.n].tobytes() == want.tobytes()
+                assert record.clicks[start:start + row.n].tobytes() == row.clicks.tobytes()
+                assert total.tobytes() == row.clicks.sum().tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(sizes=st.lists(st.integers(2, 6), max_size=30))
@@ -1239,8 +1246,8 @@ class TestGeneratorOracle:
 
     @pytest.mark.parametrize(
         "weights, lam",
-        [(WEIGHTS, 1.5), (WEIGHTS, 0.0), (WEIGHTS.as_native(0.15), 0.15)],
-        ids=["lam_above_one", "lam_zero", "native_weights"],
+        [(WEIGHTS, 1.5), (WEIGHTS, 0.0), (WEIGHTS.as_native(0.15), 0.15), (WeightVector(np.array([1.0])), 0.15)],
+        ids=["lam_above_one", "lam_zero", "native_weights", "one_feature"],
     )
     def test_bad_mixture_rejected_before_any_draw(self, monkeypatch, weights, lam):
         def no_draws(*args, **kwargs):

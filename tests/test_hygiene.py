@@ -49,3 +49,31 @@ def test_all_lists_every_public_name_once():
     bound = {name for name, value in vars(rsm).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert len(rsm.__all__) == len(set(rsm.__all__))
     assert set(rsm.__all__) == bound
+
+
+def unread_constants(config_source: str, readers: list) -> list:
+    """The upper-case names ``config_source`` assigns that no source in ``readers`` reads as ``config.NAME``."""
+    assigned = [
+        target.id for node in ast.parse(config_source).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    ]
+    read = {
+        node.attr for source in readers for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config"
+    }
+    return [name for name in assigned if name not in read]
+
+
+def test_the_check_finds_an_unread_constant():
+    config_source = "# tolerances\nTOL = 1e-12\nCAP: int = 10\nlower = 2\n"
+    readers = ["from . import config\nx = config.TOL\n", "from . import config\ndef f():\n    return config.CAP\n"]
+    assert unread_constants(config_source, readers) == []
+    assert unread_constants(config_source, readers[:1]) == ["CAP"]
+    assert unread_constants(config_source + "LEFT_BEHIND = 3\n", readers) == ["LEFT_BEHIND"]
+
+
+def test_every_config_constant_is_read():
+    """A constant whose last reader went is deleted with it."""
+    readers = [path.read_text(encoding="utf-8") for path in MODULES if path.name != "config.py"]
+    assert unread_constants((PACKAGE / "config.py").read_text(encoding="utf-8"), readers) == []
