@@ -10,6 +10,7 @@ averages the CTRs of the rows' ``rsm.record.ContextRecord`` per (query, item).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import config
 from .errors import ShapeError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +88,7 @@ def fit_least_squares_arrays(design: np.ndarray, target: np.ndarray) -> LinearMo
     Features are centered and scaled to unit variance (constant columns are
     left centered only), the intercept absorbs the target mean, and the
     solution is folded back to raw units. A rank-deficient design falls back
-    to ridge with ``tau = config.RIDGE_TAU`` and flags the result.
+    to ridge with ``tau = config.RIDGE_TAU``, flags the result and logs a warning.
     """
     design = np.asarray(design, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -107,6 +110,7 @@ def fit_least_squares_arrays(design: np.ndarray, target: np.ndarray) -> LinearMo
     sol, _, rank, _ = np.linalg.lstsq(standardized, centered, rcond=None)
     used_ridge = False
     if rank < k:
+        log.warning("least-squares design has rank %d of %d; fitting ridge, RIDGE_TAU = %g", rank, k, config.RIDGE_TAU)
         gram = standardized.T @ standardized + config.RIDGE_TAU * np.eye(k)
         sol = np.linalg.solve(gram, standardized.T @ centered)
         used_ridge = True

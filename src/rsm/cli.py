@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -74,7 +74,12 @@ _NUMERIC_ERRORS = (
     DanglingItem,
 )
 
-MODEL_CHOICES = ("rsm", "least_squares", "constant", "train_ctr")
+MODELS: Dict[str, Callable[[DatasetSchema, Optional[learner.LearnerConfig]], Model]] = {
+    "rsm": rsm_model,
+    "least_squares": lambda schema, cfg: least_squares_model(schema),
+    "constant": lambda schema, cfg: constant_model(),
+    "train_ctr": lambda schema, cfg: true_ctr_model(),
+}
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -142,13 +147,8 @@ def _load_rows(path: Path, schema: DatasetSchema):
     return result.rows
 
 
-def _learner_config(args, lam: Optional[float] = None) -> learner.LearnerConfig:
-    return learner.LearnerConfig(
-        lam=lam if lam is not None else args.lam,
-        eta=args.eta,
-        halt_eps=args.halt_eps,
-        max_iters=args.max_iters,
-    )
+def _learner_config(args, lam: float) -> learner.LearnerConfig:
+    return learner.LearnerConfig(lam=lam, eta=args.eta, halt_eps=args.halt_eps, max_iters=args.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
+    cfg = None if args.grid else _learner_config(args, args.lam)  # the learner flags are checked before any read
     if data_path.suffix == ".json":
         batch = load_instances(data_path)
     else:
@@ -231,7 +232,6 @@ def cmd_train(args) -> int:
         }
         log.info("grid best error %.6g", err)
     else:
-        cfg = _learner_config(args)
         result = learner.fit(batch, cfg)
         final_step = result.final_step_norm
         payload = {
@@ -269,41 +269,25 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_models(names, schema: DatasetSchema, args, lam: float) -> List[Model]:
-    models: List[Model] = []
-    for name in names:
-        if name == "rsm":
-            models.append(rsm_model(schema, _learner_config(args, lam)))
-        elif name == "least_squares":
-            models.append(least_squares_model(schema))
-        elif name == "constant":
-            models.append(constant_model())
-        elif name == "train_ctr":
-            models.append(true_ctr_model())
-        else:
-            raise ValueError(f"unknown model {name!r}; choose from {', '.join(MODEL_CHOICES)}")
-    return models
-
-
 def cmd_eval(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    schema = _schema_for_csv(data_path)
-    pairs = pairs_view(mine_flip_pairs(_load_rows(data_path, schema)))  # once for every rate of a sweep
     names = [part.strip() for part in args.models.split(",") if part.strip()]
     if not names:
         raise ValueError("--models must name at least one model")
-
-    def run_at(lam: float):
-        models = _build_models(names, schema, args, lam)
-        return run_experiment(pairs, models, num_splits=args.splits, seed=args.seed, train_fraction=args.train_frac)
-
+    for name in names:
+        if name not in MODELS:
+            raise ValueError(f"unknown model {name!r}; choose from {', '.join(MODELS)}")
+    lambdas = _parse_lambdas(args.lambda_sweep) if args.lambda_sweep else [args.lam]
+    # the learner flags matter only to rsm; every option above is checked before the CSV is read
+    configs = {lam: _learner_config(args, lam) if "rsm" in names else None for lam in lambdas}
+    schema = _schema_for_csv(data_path)
+    pairs = pairs_view(mine_flip_pairs(_load_rows(data_path, schema)))  # once for every rate of a sweep
+    reports = {lam: run_experiment(pairs, [MODELS[name](schema, cfg) for name in names], num_splits=args.splits,
+                                   seed=args.seed, train_fraction=args.train_frac) for lam, cfg in configs.items()}
     if args.lambda_sweep:
-        lambdas = _parse_lambdas(args.lambda_sweep)
-        reports = {lam: run_at(lam) for lam in lambdas}
         json_payload, text_sections, csv_lines = {}, [], []
-        for lam in lambdas:
-            report = reports[lam]
+        for lam, report in reports.items():
             json_payload[f"{lam:g}"] = json.loads(report.to_json())
             text_sections.append(f"lambda = {lam:g}\n" + report.to_text())
             body = report.splits_csv().splitlines()
@@ -314,7 +298,7 @@ def cmd_eval(args) -> int:
         report_text = "\n".join(text_sections)
         report_csv = "\n".join(csv_lines) + "\n"
     else:
-        report = run_at(args.lam)
+        report = reports[args.lam]
         report_json = report.to_json()
         report_text = report.to_text()
         report_csv = report.splits_csv()
@@ -481,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-dir", required=True)
     _add_learner_flags(p_eval)
     p_eval.add_argument("--models", default="rsm,least_squares,constant",
-                        help=f"comma list from: {', '.join(MODEL_CHOICES)}")
+                        help=f"comma list from: {', '.join(MODELS)}")
     p_eval.add_argument("--splits", type=int, default=config.DEFAULT_NUM_SPLITS)
     p_eval.add_argument("--train-frac", type=float, default=config.DEFAULT_TRAIN_FRACTION)
     p_eval.add_argument("--seed", type=int, default=0)

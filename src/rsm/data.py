@@ -30,7 +30,7 @@ import json
 import logging
 import operator
 from dataclasses import dataclass, replace
-from itertools import chain, count
+from itertools import count
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -427,19 +427,16 @@ def mine_flip_pairs(
     lexicographically and row_1 is the context preferring item_a.
 
     Every item pair of the qualifying contexts is enumerated with index
-    arrays, one width at a time, from the clicks, totals and CTRs of the
-    rows' :class:`ContextRecord`, and grouped by an integer code of (query,
-    item, item); only the chosen pairs' items are compared as strings.
+    arrays, one width at a time, from the clicks, totals, CTRs and (query,
+    item) codes of the rows' :class:`ContextRecord`; only the chosen pairs'
+    items are compared as strings, so the pairs do not depend on code order.
     """
     record = ContextRecord(rows)
     rows = record.rows
-    # an item's code names it within its query; one counter, so no two queries share a code
-    item_codes: Dict[str, Dict[str, int]] = {}
-    fresh = count()
     # contexts are ranked in id order, for the tie-break
     context_rank = {c: i for i, c in enumerate(sorted({row.context_id for row in rows}))}
     entries = [
-        _pair_entries(record, n, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff)
+        _pair_entries(record, n, group, context_rank, min_total_clicks, min_click_diff)
         for n, group in by_width(record.sizes)
     ]
     if not entries:
@@ -448,7 +445,7 @@ def mine_flip_pairs(
     if not side.size:
         return []
     # per pair and side, the entry with the largest gap, then the best tie rank
-    key = (lo_code * next(fresh) + hi_code) * 2 + side
+    key = (lo_code * len(record.item_keys[1]) + hi_code) * 2 + side
     order = np.lexsort((tie, -gap, key))
     best = order[np.r_[True, key[order][1:] != key[order][:-1]]]
     # a pair with both sides has its two best entries as neighbours: side False (lower code preferred), then True
@@ -468,11 +465,11 @@ def mine_flip_pairs(
     return pairs
 
 
-def _pair_entries(record, n, group, item_codes, fresh, context_rank, min_total_clicks, min_click_diff) -> tuple:
+def _pair_entries(record, n, group, context_rank, min_total_clicks, min_click_diff) -> tuple:
     """The item pairs of the record's rows at ``group``, all of width ``n``, with more than
     ``min_total_clicks`` clicks, whose click gap counts, as columns.
 
-    Columns: the pair's lower and higher item code, its side (True when the
+    Columns: the pair's lower and higher (query, item) code, its side (True when the
     higher-coded item has more clicks), its CTR gap, the row's tie rank
     (larger context id first, then earlier row), the row's position and the
     two items' indices in the row, lower code first.
@@ -480,10 +477,7 @@ def _pair_entries(record, n, group, item_codes, fresh, context_rank, min_total_c
     group = group[record.totals[group] > min_total_clicks]
     items, members = record.items(group), [record.rows[pos] for pos in group.tolist()]
     clicks, ctrs = record.clicks[items].reshape(-1, n), record.ctrs[items].reshape(-1, n)
-    codes = np.fromiter(
-        chain.from_iterable(map(item_codes.setdefault(row.query_id, {}).setdefault, row.items, fresh) for row in members),
-        np.int64, len(members) * n,
-    ).reshape(-1, n)
+    codes = record.item_keys[0][items].reshape(-1, n)
     tie = group - len(record.rows) * np.array([context_rank[row.context_id] for row in members], dtype=np.intp)
     i, j = np.triu_indices(n, 1)
     # name the pair by item code, so it reads the same in every context

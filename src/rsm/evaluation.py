@@ -113,17 +113,17 @@ def least_squares_model(schema: DatasetSchema) -> Model:
 
 
 def true_ctr_model() -> Model:
-    """Memorizes each (query, item) mean training CTR, the record's CTRs summed in row order; 0.0 if unseen.
-    Context-oblivious: a (query, item) scores the same in every context, so it never predicts a flip."""
+    """Memorizes each (query, item) mean training CTR, the record's CTRs summed in row order by its ``item_keys``;
+    0.0 if unseen. Looked up by name: a (query, item) scores the same in every context and record, so it never predicts a flip."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         view = record_view(train_rows)
-        clicked = view.index[view.record.clicked[view.index]]
-        ids: Dict[Tuple[str, str], int] = {}  # each (query, item) in order of first appearance
-        codes = np.array([ids.setdefault((row.query_id, item), len(ids))
-                          for row in map(view.record.rows.__getitem__, clicked.tolist()) for item in row.items], dtype=np.intp)
-        sums = np.bincount(codes, view.record.ctrs[view.record.items(clicked)])  # each key's CTRs added in row order
-        means = dict(zip(ids, (sums / np.bincount(codes)).tolist()))
+        places = view.record.items(view.index[view.record.clicked[view.index]])
+        codes, keys = view.record.item_keys
+        counts = np.bincount(codes[places], minlength=len(keys))
+        sums = np.bincount(codes[places], view.record.ctrs[places], minlength=len(keys))  # each key's CTRs added in row order
+        seen = np.flatnonzero(counts).tolist()
+        means = dict(zip(map(keys.__getitem__, seen), (sums[seen] / counts[seen]).tolist()))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
             return [np.array([means.get((row.query_id, item), 0.0) for item in row.items]) for row in rows]

@@ -59,11 +59,6 @@ class StochasticMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def uniform(cls, n: int) -> "StochasticMatrix":
-        """The uniform chain U_n with every entry 1/n."""
-        return cls(np.full((n, n), 1.0 / n))
-
-    @classmethod
     def _trusted(cls, entries: np.ndarray) -> "StochasticMatrix":
         """Freeze a fresh float64 ``(n, n)`` array the caller built stochastic, unchecked.
 

@@ -1,16 +1,17 @@
 """The context record: rows, and flip pairs over them, as arrays built once and gathered by index.
 
-A record is the one place where the pipeline turns rows into per-width arrays and derives their click
-totals and CTRs; the miner, the learner's batch, the least-squares design and the ``train_ctr`` baseline
-read them there. An ``rsm eval`` run records its flip pairs' rows and clusters the pairs once, for every
-rate of a sweep; each split is index arrays into the record. Models receive rows as a :class:`RecordView`,
-a tuple that also carries their indices, so the learner's batch, the design and the scorers gather the
-record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's
+A record is the one place where the pipeline turns rows into per-width arrays, derives their click totals
+and CTRs and codes their (query, item) names; the miner, the learner's batch, the least-squares design and
+the ``train_ctr`` baseline read them there. An ``rsm eval`` run records its flip pairs' rows and clusters
+the pairs once, for every rate of a sweep; each split is index arrays into the record. Models get rows as a
+:class:`RecordView`, a tuple that also carries their indices, so the batch, the design and the scorers gather
+the record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's
 default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
@@ -122,6 +123,13 @@ class ContextRecord:
     def items(self, index: np.ndarray) -> np.ndarray:
         """The flat places of the items of the rows at ``index``, row after row."""
         return _ranges(self.starts[index], self.sizes[index])
+
+    @cached_property
+    def item_keys(self) -> Tuple[np.ndarray, list]:
+        """Each flat place's (query, item) code, numbered from 0 in order of first appearance, and each code's (query, item)."""
+        ids: Dict[Tuple[str, str], int] = {}
+        codes = [ids.setdefault((row.query_id, item), len(ids)) for row in self.rows for item in row.items]
+        return np.array(codes, dtype=np.intp), list(ids)
 
     def encoding(self, schema: DatasetSchema) -> tuple:
         """Per width a RankSpace, each row's place in its width, and the flat (N, k + 1) design: features, position."""

@@ -1,11 +1,15 @@
 """Least-squares CTR regression and the context-oblivious ``train_ctr`` baseline."""
 
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rsm import FeatureRow, ShapeError, fit_least_squares, predict, true_ctr_model
+from rsm import config
 from rsm.baselines import fit_least_squares_arrays
+from rsm.record import ContextRecord, RecordView
 
 from conftest import make_row
 
@@ -125,6 +129,18 @@ class TestLeastSquares:
             with pytest.raises(ValueError, match="finite"):
                 fit_least_squares_arrays(np.where(design > 0.9, bad, design), target)
 
+    def test_a_rank_deficient_design_logs_one_ridge_warning(self, caplog):
+        """A duplicated column falls back to ridge, flagged on the model and logged once; a full-rank design logs nothing."""
+        rng = np.random.default_rng(8)
+        design, target = rng.random((12, 2)), rng.random(12)
+        with caplog.at_level(logging.WARNING, logger="rsm.baselines"):
+            assert not fit_least_squares_arrays(design, target).used_ridge
+            assert caplog.records == []
+            assert fit_least_squares_arrays(np.column_stack([design, design[:, 1]]), target).used_ridge
+        assert [(record.name, record.levelname) for record in caplog.records] == [("rsm.baselines", "WARNING")]
+        assert "rank 2 of 3" in caplog.text and f"RIDGE_TAU = {config.RIDGE_TAU:g}" in caplog.text
+
+
 class TestConstantScorer:
     """The context-oblivious mean training CTR per (query, item) of ``true_ctr_model``, on constructed rows."""
 
@@ -165,6 +181,17 @@ class TestConstantScorer:
         assert (scores[0] > 0).all()
         assert scores[1][1] == 0.0 and scores[1][0] == scores[0][0]
         assert scores[2].tolist() == [0.0, 0.0]
+
+    def test_a_records_view_scores_as_its_rows_do(self):
+        """Fitted on a view of part of a record, in another order, or on the same rows as a plain list, which codes
+        the (query, item) names afresh: the scores are bit-equal, on rows of either record and on rows of neither."""
+        rows = self.rows(np.random.default_rng(9), [("q1", "ab"), ("q2", "ab"), ("q1", "bca"), ("q1", "ca"), ("q2", "ba")])
+        record = ContextRecord(rows)
+        view = RecordView(record, np.array([4, 2, 3], dtype=np.intp), record.rows)
+        others = self.rows(np.random.default_rng(10), [("q1", "abc"), ("q2", "ab"), ("q9", "ad")])
+        for scored in (rows, others):
+            from_view, from_list = true_ctr_model().fit(view)(scored), true_ctr_model().fit(list(view))(scored)
+            assert [s.tobytes() for s in from_view] == [s.tobytes() for s in from_list]
 
     def test_same_item_same_score_everywhere(self):
         """No notion of context: one score per (query, item), however many contexts showed it, and whatever its

@@ -1,5 +1,6 @@
 """End-to-end command tests, all run in process through cli.main."""
 
+import functools
 import json
 import logging
 import subprocess
@@ -244,6 +245,22 @@ class TestEval:
             assert run(["eval", flip_dir / "dataset.csv", "--lambda", lam] + common + [tmp_path / lam]) == 0
             assert sweep[lam] == json.loads((tmp_path / lam / "report.json").read_text())
 
+    def test_an_eval_codes_each_records_items_once(self, flip_dir, tmp_path, monkeypatch):
+        """Over 8 splits and 2 rates, train_ctr and the miner build one (query, item) coding per record: the miner's
+        record of the loaded rows and the record of the flip pairs."""
+        built, real = [], rsm.record.ContextRecord.item_keys.func
+
+        def counting(record):
+            built.append(record)
+            return real(record)
+
+        coding = functools.cached_property(counting)
+        coding.__set_name__(rsm.record.ContextRecord, "item_keys")
+        monkeypatch.setattr(rsm.record.ContextRecord, "item_keys", coding)
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "o", "--models", "constant,train_ctr",
+                    "--splits", "8", "--lambda-sweep", "0.1,0.2"]) == 0
+        assert len(built) == len(set(map(id, built))) == 2
+
     @pytest.mark.parametrize("rates", ["0.15,0.15", "0.1,0.10000000001", "0.3,0.05,0.30"])
     def test_lambda_sweep_rates_sharing_a_label_exit_two(self, flip_dir, tmp_path, rates, caplog):
         """Each rate's report section is named by its ``%g`` label, so two rates with one label are refused."""
@@ -290,6 +307,25 @@ class TestExitCodes:
     def test_unknown_model_is_config_error(self, flip_dir, tmp_path):
         assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "o",
                     "--models", "zeppelin"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--models", "bogus"], ["--models", ","], ["--lambda-sweep", "0.15,0.15"],
+                                       ["--models", "rsm", "--eta", "5"]])
+    def test_eval_checks_its_options_before_reading_the_csv(self, flip_dir, tmp_path, monkeypatch, flags):
+        """A bad model list, sweep or learner flag exits 2 with the CSV missing or present, and no CSV is read."""
+        loads, real = [], rsm.cli.load_csv
+        monkeypatch.setattr(rsm.cli, "load_csv", lambda *args: loads.append(args) or real(*args))
+        for data in (tmp_path / "missing.csv", flip_dir / "dataset.csv"):
+            assert run(["eval", data, "--out-dir", tmp_path / "o"] + flags) == 2
+        assert loads == [] and not (tmp_path / "o").exists()
+
+    def test_learner_flags_are_checked_only_where_they_are_used(self, flip_dir, synth_dir, tmp_path):
+        """Only rsm reads the learner flags in eval, and only the iterative fit in train, which checks them first."""
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "e", "--models", "constant",
+                    "--eta", "5", "--splits", "2"]) == 0
+        assert run(["train", synth_dir / "instances.json", "--out-dir", tmp_path / "g", "--grid", "--grid-step", "0.5",
+                    "--eta", "5"]) == 0
+        assert run(["train", tmp_path / "missing.csv", "--out-dir", tmp_path / "t", "--eta", "5"]) == 2
+        assert not (tmp_path / "t").exists()
 
     def test_bad_weights_is_config_error(self, tmp_path):
         assert run(["synth", "--out-dir", tmp_path / "o", "--queries", "2",

@@ -1025,6 +1025,20 @@ class TestRecordArrays:
                 assert total.tobytes() == row.clicks.sum().tobytes()
 
     @settings(max_examples=200, deadline=None)
+    @given(shown=st.lists(st.tuples(st.sampled_from("pq"), st.lists(st.sampled_from("abcde"), min_size=2, max_size=5,
+                                                                   unique=True)), max_size=12))
+    def test_item_keys_code_each_query_and_item_in_order_of_first_appearance(self, shown):
+        """Two places share a code exactly when they share (query, item), and codes count up from 0 as new
+        (query, item) names first appear; each code's key is its places' (query, item)."""
+        rows = [make_row(query, f"c{c}", items, np.ones(len(items)), {name: np.zeros(len(items)) for name in SCHEMA.names})
+                for c, (query, items) in enumerate(shown)]
+        codes, keys = ContextRecord(rows).item_keys
+        places = [(row.query_id, item) for row in rows for item in row.items]
+        first = list(dict.fromkeys(places))  # each (query, item) once, in order of first appearance
+        assert keys == first
+        assert codes.dtype == np.intp and codes.tolist() == [first.index(place) for place in places]
+
+    @settings(max_examples=200, deadline=None)
     @given(sizes=st.lists(st.integers(2, 6), max_size=30))
     def test_by_width_equals_a_dict_oracle(self, sizes):
         """Widths in order of first appearance, each with its positions ascending, every position exactly once."""

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package is used, and ``rsm.__all__`` lists what ``rsm`` binds."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -77,3 +78,58 @@ def test_every_config_constant_is_read():
     """A constant whose last reader went is deleted with it."""
     readers = [path.read_text(encoding="utf-8") for path in MODULES if path.name != "config.py"]
     assert unread_constants((PACKAGE / "config.py").read_text(encoding="utf-8"), readers) == []
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def perfbench_bindings(source: str) -> set:
+    """The dotted rsm names a benchmark source binds: each ``("rsm.<module>", "<attr>", ...)`` string tuple or
+    call's first two arguments, and each attribute chain rooted at the name ``rsm``."""
+    bound = set()
+    for node in ast.walk(ast.parse(source)):
+        parts = node.elts if isinstance(node, ast.Tuple) else node.args if isinstance(node, ast.Call) else []
+        strings = [part.value for part in parts[:2] if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+        if len(strings) == 2 and strings[0].startswith("rsm.") and strings[1].isidentifier():
+            bound.add(".".join(strings))
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain, node = [node.attr] + chain, node.value
+        if chain and isinstance(node, ast.Name) and node.id == "rsm":
+            bound.add(".".join(["rsm"] + chain))
+    return bound
+
+
+def unresolved(name: str) -> bool:
+    """Whether a dotted ``rsm`` name names no attribute or submodule."""
+    target, path = rsm, "rsm"
+    for part in name.split(".")[1:]:
+        path = f"{path}.{part}"
+        try:
+            target = getattr(target, part) if hasattr(target, part) else importlib.import_module(path)
+        except ImportError:
+            return True
+    return False
+
+
+def test_the_check_reads_the_benchmarks_bindings():
+    source = (
+        "import rsm.cli\n"
+        'TARGETS = (("rsm.data", "load_csv", "data.load_csv", None), ("rsm", "least_squares", "constant"))\n'
+        'LOGGERS = ("rsm.learner", "rsm.evaluation")\n'
+        'patched = tracer.patch("rsm.learner", "fit", wrap)\n'
+        "code = rsm.cli.main(argv) + rsm.WeightVector.k\n"
+    )
+    assert perfbench_bindings(source) == {
+        "rsm.data.load_csv", "rsm.learner.fit", "rsm.cli.main", "rsm.cli", "rsm.WeightVector.k", "rsm.WeightVector",
+    }
+    assert [name for name in sorted(perfbench_bindings(source)) if unresolved(name)] == []
+    assert unresolved("rsm.data.no_such_name") and unresolved("rsm.no_such_module.fit")
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench directory in this checkout")
+def test_every_name_the_benchmark_binds_resolves():
+    """A name the benchmark binds is unbound by editing the benchmark, never by deleting it from rsm first."""
+    bound = set().union(*(perfbench_bindings(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")))
+    assert {"rsm.data.mine_flip_pairs", "rsm.cli.main", "rsm.learner.fit"} <= bound
+    assert sorted(name for name in bound if unresolved(name)) == []

@@ -349,7 +349,7 @@ class TestRankItems:
         assert_allclose([p for _, p in ranked], sorted(probs, reverse=True), atol=1e-15)
 
     def test_tie_breaks_lexicographically(self):
-        ranked = rank_items(StochasticMatrix.uniform(3), ("c", "a", "b"))
+        ranked = rank_items(StochasticMatrix(np.full((3, 3), 1.0 / 3)), ("c", "a", "b"))
         assert [item for item, _ in ranked] == ["a", "b", "c"]
 
     def test_ties_are_measured_from_the_first_item_of_the_group(self):
@@ -461,7 +461,7 @@ def exact(ranking):
 def ranked_with_probs(probs, ids):
     """``rank_items`` on a chain whose stationary vector is exactly ``probs``."""
     with mock.patch.object(rsm.topology, "stationary", lambda matrix: SimpleNamespace(probs=probs)):
-        return rank_items(StochasticMatrix.uniform(len(ids)), ids)
+        return rank_items(StochasticMatrix(np.full((len(ids), len(ids)), 1.0 / len(ids))), ids)
 
 
 def shuffled_ids(rng, n):
