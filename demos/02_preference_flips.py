@@ -36,12 +36,12 @@ print(f"mined {len(pairs)} flip pairs from {len(dataset.rows)} click-log rows")
 print(f"\nflip pair for query {pair.row_1.query_id!r}: items {a!r} vs {b!r}")
 
 for label, row in (("context 1", pair.row_1), ("context 2", pair.row_2)):
-    ctrs = row.ctrs()
+    ctrs = row.clicks / row.clicks.sum()
     print(f"\n{label} ({row.context_id}): items {list(row.items)}")
     for item, ctr, clicks in zip(row.items, ctrs, row.clicks):
         marker = " <-" if item in (a, b) else ""
         print(f"  {item:<10} clicks {int(clicks):6d}  ctr {ctr:.3f}{marker}")
-    winner = a if ctrs[row.index_of(a)] > ctrs[row.index_of(b)] else b
+    winner = a if ctrs[row.items.index(a)] > ctrs[row.items.index(b)] else b
     print(f"  observed winner: {winner}")
 
 # The clicks came from a walk with known weights; recompute the model's
@@ -50,7 +50,7 @@ print("\nmodel stationary probabilities at the generating weights:")
 for label, row in (("context 1", pair.row_1), ("context 2", pair.row_2)):
     chain = combine(topologies_from_row(row, schema), weights, lam=0.15)
     probs = stationary(chain).probs
-    pa, pb = probs[row.index_of(a)], probs[row.index_of(b)]
+    pa, pb = probs[row.items.index(a)], probs[row.items.index(b)]
     verdict = a if pa > pb else b
     print(f"  {label}: p({a}) = {pa:.4f}, p({b}) = {pb:.4f} -> prefers {verdict}")
 

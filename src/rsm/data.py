@@ -41,7 +41,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import ContextRecord, RecordView, by_width, feature_ranks, pairs_view, record_view
+from .record import ContextRecord, by_width, clicked_view, feature_ranks, pairs_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -93,9 +93,9 @@ class LogRow:
     read-only mapping. The constructor validates its arguments; rows from
     :func:`load_csv` were validated in bulk at the CSV boundary and are
     built without a second check, their arrays read-only slices of the
-    file's flat columns. A row holds only its data: its
-    CTRs, ranks and least-squares design live in the :class:`ContextRecord`
-    of each run or call that needs them.
+    file's flat columns. A row holds only its data: its click total, CTRs,
+    ranks and least-squares design live in the :class:`ContextRecord` of
+    each run or call that needs them.
     """
 
     query_id: str
@@ -143,16 +143,6 @@ class LogRow:
     def n(self) -> int:
         return len(self.items)
 
-    def total_clicks(self) -> float:
-        return float(self.clicks.sum())
-
-    def ctrs(self) -> np.ndarray:
-        """Within-context click-through rates: the clicks divided by their sum, a new array."""
-        total = self.clicks.sum()
-        if total <= 0:
-            raise ValueError("ctrs are undefined for a context with no clicks")
-        return self.clicks / total
-
     @classmethod
     def _trusted(cls, query_id, context_id, items: tuple, positions, clicks, features) -> "LogRow":
         """A row from read-only arrays the caller has already validated, unchecked.
@@ -169,9 +159,6 @@ class LogRow:
         ):
             object.__setattr__(row, name, value)
         return row
-
-    def index_of(self, item_id) -> int:
-        return self.items.index(item_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +181,7 @@ class FlipPair:
         for row in (self.row_1, self.row_2):
             if self.item_a not in row.items or self.item_b not in row.items:
                 raise ValueError("both items must appear in both contexts")
-        gap_1, gap_2 = (row.clicks[row.index_of(self.item_a)] - row.clicks[row.index_of(self.item_b)]
+        gap_1, gap_2 = (row.clicks[row.items.index(self.item_a)] - row.clicks[row.items.index(self.item_b)]
                         for row in (self.row_1, self.row_2))
         if not (gap_1 > 0 and gap_2 < 0):
             raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
@@ -538,11 +525,10 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
 
     One target per (context, item), the within-context CTR, with each
     context's ranks taken straight from its feature values; contexts without
-    clicks are skipped. Gathered from the record of a record's view, else from a new record.
+    clicks are skipped. Gathered from the :func:`clicked_view` of ``rows``.
     """
-    view = rows if isinstance(rows, RecordView) else record_view([row for row in rows if row.total_clicks() > 0])
-    record = view.record
-    index = view.index[record.clicked[view.index]]
+    view = clicked_view(rows)
+    record, index = view.record, view.index
     sizes = record.sizes[index]
     slots = np.cumsum(sizes) - sizes  # each context's first slot
     widths = []
@@ -555,14 +541,13 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
 def training_instances_from_rows(
     rows: Sequence[LogRow], schema: DatasetSchema
 ) -> List[TrainingInstance]:
-    """One instance per (context, item) with the within-context CTR as target.
+    """One instance per (context, item) with the within-context CTR of the rows' record as target.
 
     Contexts without any clicks are skipped; their targets are undefined.
     """
-    instances: List[TrainingInstance] = []
-    for row in rows:
-        if row.total_clicks() > 0:
-            instances += _instances(row.query_id, row.items, topologies_from_row(row, schema), row.ctrs())
+    view, instances = clicked_view(rows), []
+    for row, start in zip(view, view.record.starts[view.index].tolist()):
+        instances += _instances(row.query_id, row.items, topologies_from_row(row, schema), view.record.ctrs[start:start + row.n])
     return instances
 
 
@@ -573,8 +558,8 @@ def _instances(query_id, items, topologies, probs) -> List[TrainingInstance]:
 def design_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.ndarray, np.ndarray]:
     """The clicked rows' items' least-squares regressors, ``(m, k + 1)``, and CTRs, ``(m,)``, rows in order:
     the schema features in order, then the display position."""
-    view = record_view(rows)
-    items = view.record.items(view.index[view.record.clicked[view.index]])
+    view = clicked_view(rows)
+    items = view.record.items(view.index)
     return view.record.design(schema)[items], view.record.ctrs[items]
 
 
@@ -585,9 +570,9 @@ def feature_rows_from_logs(rows: Sequence[LogRow], schema: DatasetSchema) -> Lis
     clicks are skipped. The features and CTRs are those of
     :func:`design_from_rows`.
     """
-    clicked = [row for row in rows if row.total_clicks() > 0]
-    design, ctrs = design_from_rows(clicked, schema)
-    names = ((row.query_id, item) for row in clicked for item in row.items)
+    view = clicked_view(rows)
+    design, ctrs = design_from_rows(view, schema)
+    names = ((row.query_id, item) for row in view for item in row.items)
     return [FeatureRow(query_id=q, item_id=i, features=x, ctr=float(c)) for (q, i), x, c in zip(names, design, ctrs)]
 
 
@@ -645,6 +630,8 @@ class SyntheticDataset:
 
 # Flip candidates are drawn and solved this many at a time; the output does not depend on it.
 CANDIDATE_BLOCK = 64
+# A flip query is dropped if none of its first this many candidates flips.
+MAX_CANDIDATES = 20_000
 
 
 def _targets(values: np.ndarray, weights: WeightVector, lam: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -683,17 +670,15 @@ def generate_flip_dataset(
     weights: WeightVector,
     lam: float = config.DEFAULT_LAMBDA,
     n: int = 5,
-    shared_items: int = 2,
     clicks_per_context: int = 10_000,
     margin: float = 0.02,
     seed: int = 0,
-    max_attempts: int = 20_000,
 ) -> SyntheticDataset:
     """Synthesize click logs rich in genuine preference flips.
 
-    Each query gets two contexts sharing ``shared_items`` items (the first
-    two are the flip candidates a and b) with the remaining slots filled by
-    different decoys. Feature values are redrawn until the true stationary
+    Each query gets two contexts of ``n`` items sharing the two flip
+    candidates a and b, with the remaining slots filled by different
+    decoys. Feature values are redrawn until the true stationary
     preference between a and b reverses across the two contexts with at
     least ``margin`` separation on both sides, so multinomial noise at
     ``clicks_per_context`` cannot wash the flip out. Display order is
@@ -701,31 +686,31 @@ def generate_flip_dataset(
     candidates from the stream ``derive_seed(seed, f"query:{q}")`` and its
     positions and clicks from ``derive_seed(seed, f"clicks:{q}")``. It keeps
     its first candidate that flips and is dropped if none of the first
-    ``max_attempts`` does; candidates are counted up to the kept one. One
+    ``MAX_CANDIDATES`` does; candidates are counted up to the kept one. One
     log record on ``rsm.data`` counts the queries kept and the candidates
-    drawn, a warning when any query was dropped. A count below 1, a
-    negative ``margin`` or one feature raises ``ValueError``: a single rank
-    chain keeps the shared items' order in every context, so never flips.
+    drawn, a warning when any query was dropped. A count below 1, ``n``
+    below 3, a negative ``margin`` or one feature raises ``ValueError``:
+    one rank chain keeps the shared items' order everywhere, so never flips.
     """
-    if min(num_queries, max_attempts, clicks_per_context) < 1 or not margin >= 0.0:
-        raise ValueError("num_queries, max_attempts and clicks_per_context must be positive and margin nonnegative")
+    if min(num_queries, clicks_per_context) < 1 or not margin >= 0.0:
+        raise ValueError("num_queries and clicks_per_context must be positive and margin nonnegative")
     if weights.k < 2:
         raise ValueError(f"the flip generator needs at least two features, got {weights.k}")
-    if not 2 <= shared_items < n:
-        raise ValueError("shared_items must be at least 2 and below n")
+    if n < 3:
+        raise ValueError(f"the flip generator needs n of at least 3, the two flip candidates and a decoy, got {n}")
     if weights.normalization is not Normalization.SUMS_TO_ONE:
         raise ValueError("the flip generator expects reporting-form weights; convert with as_reporting()")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     dataset = SyntheticDataset([], [], synthetic_schema(weights.k))
-    k, pool_size = weights.k, 2 * n - shared_items
-    # the pool columns each context shows: the shared items, then its own decoys
-    index = np.array([np.arange(n), np.r_[:shared_items, n:pool_size]])
+    k, pool_size = weights.k, 2 * n - 2
+    # the pool columns each context shows: the two flip candidates, then its own decoys
+    index = np.array([np.arange(n), np.r_[:2, n:pool_size]])
     drawn = 0
     for q in range(num_queries):
         rng = np.random.default_rng(derive_seed(seed, f"query:{q}"))
-        for start in range(0, max_attempts, CANDIDATE_BLOCK):
-            block = min(CANDIDATE_BLOCK, max_attempts - start)
+        for start in range(0, MAX_CANDIDATES, CANDIDATE_BLOCK):
+            block = min(CANDIDATE_BLOCK, MAX_CANDIDATES - start)
             # each candidate's two contexts, (2 * block, k, n) and C-ordered by the reshape
             values = np.take(rng.random((block, k, pool_size)), index, axis=2).swapaxes(1, 2).reshape(-1, k, n)
             ranks, probs = _targets(values, weights, lam)
@@ -734,7 +719,7 @@ def generate_flip_dataset(
             if flips.size:
                 break
         else:
-            drawn += max_attempts
+            drawn += MAX_CANDIDATES
             continue
         drawn += start + int(flips[0]) + 1
         pick = slice(2 * flips[0], 2 * flips[0] + 2)

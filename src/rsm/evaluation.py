@@ -25,7 +25,7 @@ from .baselines import fit_least_squares_arrays
 from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows
 from .errors import DegenerateVariance
 from .markov import rank_chain_rows
-from .record import RecordView, pairs_view, record_view
+from .record import RecordView, clicked_view, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
 from .topology import Normalization, WeightVector
 
@@ -117,8 +117,8 @@ def true_ctr_model() -> Model:
     0.0 if unseen. Looked up by name: a (query, item) scores the same in every context and record, so it never predicts a flip."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        view = record_view(train_rows)
-        places = view.record.items(view.index[view.record.clicked[view.index]])
+        view = clicked_view(train_rows)
+        places = view.record.items(view.index)
         codes, keys = view.record.item_keys
         counts = np.bincount(codes[places], minlength=len(keys))
         sums = np.bincount(codes[places], view.record.ctrs[places], minlength=len(keys))  # each key's CTRs added in row order
@@ -162,7 +162,7 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     """
     if not pairs:
         raise ValueError("flip_accuracy needs at least one pair")
-    pairs = pairs if isinstance(pairs, RecordView) else pairs_view(pairs)  # a split's side keeps its record
+    pairs = pairs.of("pairs") if isinstance(pairs, RecordView) else pairs_view(pairs)  # a split's side keeps its record
     rows, index = pairs.record.comparisons(pairs.index)
     try:
         batch = list(scorer(rows))

@@ -435,12 +435,12 @@ def fit(data: Data, cfg: Optional[LearnerConfig] = None) -> FitResult:
             break
         w = np.clip(w + x, 0.0, 1.0 - lam)
         w *= (1.0 - lam) / w.sum()
-    if not converged and cfg.max_iters > 0:
+    if not converged:
         residuals, _ = _evaluate(batch, w, lam, gradients=False)
         if float(np.mean(np.abs(residuals))) >= best_err:
             w = best_w
         logger.warning("fit stopped unconverged after %d iterations: final step norm %.3e > halt_eps %.3e",
-                       len(step_norms), step_norms[-1], cfg.halt_eps)
+                       len(step_norms), step_norms[-1] if step_norms else math.inf, cfg.halt_eps)
     return FitResult(
         weights=WeightVector(w / (1.0 - lam)),
         per_iteration_loss=tuple(losses),
@@ -482,7 +482,6 @@ def grid_search(
     data: Data,
     grid_step: float,
     lam: float = config.DEFAULT_LAMBDA,
-    max_points: int = config.GRID_POINT_CAP,
 ) -> WeightVector:
     """Brute-force minimizer of the sample error over an epsilon-grid.
 
@@ -490,7 +489,7 @@ def grid_search(
     multiples of ``grid_step`` summing to 1 (``grid_step`` must divide 1)
     and returns the one with the smallest mean absolute stationary gap.
     Ties keep the lexicographically smallest vector. Raises
-    ``GridBudgetExceeded`` when the grid would exceed ``max_points``.
+    ``GridBudgetExceeded`` when the grid would exceed ``config.GRID_POINT_CAP`` points.
     """
     batch = _nonempty_batch(data)
     if not 0.0 < grid_step <= 1.0:
@@ -500,11 +499,11 @@ def grid_search(
         raise ValueError("grid_step must divide 1")
     k = batch.k
     count = math.comb(steps + k - 1, k - 1)
-    if count > max_points:
+    if count > config.GRID_POINT_CAP:
         raise GridBudgetExceeded(
-            f"grid needs {count} points but the cap is {max_points}",
+            f"grid needs {count} points but the cap is {config.GRID_POINT_CAP}",
             required=count,
-            cap=max_points,
+            cap=config.GRID_POINT_CAP,
         )
     best_err = math.inf
     best = None

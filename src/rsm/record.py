@@ -54,9 +54,9 @@ class ContextRecord:
     """Rows as arrays: row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]`` of the flat clicks,
     CTRs (zero without clicks) and designs, and ``totals[r]`` is its click total. The rows' clicks are
     concatenated once; each width's block is gathered from them and summed per row, and each row's sum
-    divides its clicks, the same bits as ``LogRow.total_clicks`` and ``LogRow.ctrs``. Per schema, on first
-    use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. A record lives as
-    long as the run or call that made it.
+    divides its clicks, the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per
+    schema, on first use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. A
+    record lives as long as the run or call that made it.
     """
 
     def __init__(self, rows: Sequence[LogRow]):
@@ -163,27 +163,41 @@ class ContextRecord:
 
 
 class RecordView(tuple):
-    """A tuple of a record's rows (or pairs) that also holds their ``index`` into the record: models
-    read it as any sequence, while the functions here gather the record's arrays by index."""
+    """A tuple of a record's rows (or pairs) that also holds their ``index`` into the record and their ``kind``,
+    "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays."""
 
     def __new__(cls, record: ContextRecord, index: np.ndarray, source: list) -> "RecordView":
         view = super().__new__(cls, map(source.__getitem__, index.tolist()))
-        view.record, view.index = record, index
+        view.record, view.index, view.kind = record, index, "rows" if source is record.rows else "pairs"
         return view
+
+    def of(self, kind: str) -> "RecordView":
+        """The view itself if it indexes the record's ``kind``, else a ``TypeError``: its indices mean other things."""
+        if self.kind != kind:
+            raise TypeError(f"expected a view of a record's {kind}, got a view of its {self.kind}")
+        return self
 
 
 def record_view(rows: Sequence[LogRow]) -> RecordView:
-    """``rows`` itself if it is a record's view, else the view of a new record of them."""
+    """``rows`` itself if it is a view of a record's rows, else the view of a new record of them."""
     if isinstance(rows, RecordView):
-        return rows
+        return rows.of("rows")
     record = ContextRecord(rows)
     return RecordView(record, np.arange(len(record.rows)), record.rows)
+
+
+def clicked_view(rows: Sequence[LogRow]) -> RecordView:
+    """The rows of ``rows`` that have clicks, in order: a view of the same record if ``rows`` is a record's view,
+    else of a new record of only those rows, so a list's quiet rows are never ranked or designed."""
+    view = record_view(rows)
+    clicked = RecordView(view.record, view.index[view.record.clicked[view.index]], view.record.rows)
+    return clicked if view is rows or len(clicked) == len(view) else record_view(list(clicked))
 
 
 def pairs_view(pairs: Sequence[FlipPair]) -> RecordView:
     """``pairs`` itself if it is a view of all of a record's pairs, else the view of :meth:`ContextRecord.of_pairs`
     of them; so its record splits exactly these pairs, and one view serves every run over them."""
-    if isinstance(pairs, RecordView) and len(pairs) == len(pairs.record.pairs):
+    if isinstance(pairs, RecordView) and len(pairs.of("pairs")) == len(pairs.record.pairs):
         return pairs
     record = ContextRecord.of_pairs(pairs)
     return RecordView(record, np.arange(len(record.pairs)), record.pairs)

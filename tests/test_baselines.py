@@ -164,13 +164,14 @@ class TestConstantScorer:
         assert model.name == "train_ctr"
         scores = model.fit(rows)(rows)
         for query, item in [("q1", "a"), ("q1", "b"), ("q1", "c"), ("q1", "d"), ("q2", "a")]:
-            ctrs = [row.ctrs()[row.index_of(item)] for row in rows[:-1] if row.query_id == query and item in row.items]
+            ctrs = [(row.clicks / row.clicks.sum())[row.items.index(item)]
+                    for row in rows[:-1] if row.query_id == query and item in row.items]
             total = 0.0
             for ctr in ctrs:
                 total += ctr
             for row, row_scores in zip(rows, scores):
                 if row.query_id == query and item in row.items:
-                    assert row_scores[row.index_of(item)] == total / len(ctrs)
+                    assert row_scores[row.items.index(item)] == total / len(ctrs)
         assert len([row for row in rows if row.query_id == "q1" and "a" in row.items]) == 5
 
     def test_unseen_pairs_score_zero(self):
@@ -199,6 +200,6 @@ class TestConstantScorer:
         rows = self.rows(np.random.default_rng(7), [("q", "ab"), ("q", "ac"), ("q", "abc"), ("q", "ba")],
                          clicks=[[1, 3], [3, 1], [1, 1, 2], [1, 1]])
         scores = true_ctr_model().fit(rows)(rows)
-        a_scores = {row_scores[row.index_of("a")] for row, row_scores in zip(rows, scores)}
-        assert len({row.ctrs()[row.index_of("a")] for row in rows}) == 3  # a's CTR differs between contexts
+        a_scores = {row_scores[row.items.index("a")] for row, row_scores in zip(rows, scores)}
+        assert len({(row.clicks / row.clicks.sum())[row.items.index("a")] for row in rows}) == 3  # a's CTR differs between contexts
         assert a_scores == {(0.25 + 0.75 + 0.25 + 0.5) / 4}

@@ -3,6 +3,7 @@
 import functools
 import json
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +62,7 @@ class TestSynth:
         assert run(["synth", "--out-dir", out, "--queries", "3", "--flips", "--seed", "2"]) == 0
         assert json.loads((out / "manifest.json").read_text())["clicks_per_context"] == 10_000
         loaded = rsm.load_csv(out / "dataset.csv", rsm.synthetic_schema(3))
-        assert [row.total_clicks() for row in loaded.rows] == [10_000.0] * 6
+        assert [row.clicks.sum() for row in loaded.rows] == [10_000.0] * 6
 
     def test_wide_instance_file_stays_small(self, tmp_path):
         """Each context is stored once, as its ranks: 20 contexts of 70 items take well under 1 MB."""
@@ -292,6 +293,30 @@ class TestEval:
         assert built == []
         rsm.encode_rank_topology([1.0, 2.0])  # the counters do see a construction
         assert built == ["StochasticMatrix", "Topology"]
+
+
+# a flip CSV of ``rsm synth --flips --queries 24 --n 4 --clicks 500 --seed 3`` (its dataset.csv alone, so the
+# schema comes from the header) and the reports two ``rsm eval`` runs on it write
+DATA = Path(__file__).resolve().parent / "data"
+P_VALUE = re.compile(rb'"p": ([^,\n]+)')
+
+
+@pytest.mark.parametrize("expected, sweep", [("eval_flips_24", []), ("eval_flips_24_sweep", ["--lambda-sweep", "0.05,0.15"])])
+def test_eval_reports_match_the_committed_bytes(tmp_path, expected, sweep):
+    """All four models over 8 splits, at the default rate and over a sweep, write the committed reports byte for byte,
+    but for report.json's full-precision t-test p-values, which go through libm's ``lgamma``, ``log`` and ``exp``
+    and so may differ in the last bits between platforms: they match to a relative 1e-12. The rest are accuracies,
+    exact fractions, and correctly rounded statistics of them, so they do not depend on the platform's LAPACK
+    bits; the CSV is committed because regenerating it would. A change that moves these bytes on purpose updates
+    the expected files and says why."""
+    out = tmp_path / "rep"
+    assert run(["eval", DATA / "flips_24.csv", "--out-dir", out, "--models", "rsm,least_squares,constant,train_ctr",
+                "--splits", "8", *sweep]) == 0
+    for name in ("report.json", "report.txt", "report_splits.csv"):
+        got, want = (out / name).read_bytes(), (DATA / expected / name).read_bytes()
+        assert P_VALUE.sub(b'"p": _', got) == P_VALUE.sub(b'"p": _', want), name
+        p_got, p_want = ([float(p) for p in P_VALUE.findall(text)] for text in (got, want))
+        assert p_got == pytest.approx(p_want, rel=1e-12, abs=0), name
 
 
 class TestExitCodes:

@@ -82,23 +82,9 @@ def two_context_rows():
 
 
 class TestLogRow:
-    def test_ctrs_normalize(self):
-        row = two_context_rows()[0]
-        assert_allclose(row.ctrs(), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-
-    def test_zero_clicks_have_no_ctrs(self):
-        row = make_row("q", "c", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
-        with pytest.raises(ValueError):
-            row.ctrs()
-
     def test_click_total_and_ctrs_are_computed_from_the_clicks(self):
-        """A row holds only its data: its total and CTRs are the clicks' sum and the clicks divided by it, bit for bit."""
+        """A row holds only its data: its click total and CTRs are computed from its clicks by a ContextRecord."""
         row = make_row("q", "c", ["a", "b", "c"], [3, 0, 1], {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]})
-        assert row.total_clicks() == 4.0 and isinstance(row.total_clicks(), float)
-        assert row.ctrs().tolist() == [0.75, 0.0, 0.25]
-        clicks = np.random.default_rng(5).random(70) * 1e3
-        row = LogRow("q", "c", [f"i{j}" for j in range(70)], np.arange(70), clicks, {})
-        assert row.ctrs().tobytes() == (clicks / clicks.sum()).tobytes()
         assert sorted(vars(row)) == ["clicks", "context_id", "features", "items", "positions", "query_id"]
 
     def test_duplicate_items_rejected(self):
@@ -379,8 +365,8 @@ def array_state(array):
 
 def row_state(row):
     """A row bit for bit: ids, items, arrays with their flags, features in order, click total and CTRs."""
-    total = row.total_clicks()
-    ctrs = array_state(row.ctrs()) if total > 0 else None
+    total = row.clicks.sum()
+    ctrs = array_state(row.clicks / total) if total > 0 else None
     features = [(name, array_state(values)) for name, values in row.features.items()]
     return (row.query_id, row.context_id, row.items, array_state(row.positions), array_state(row.clicks),
             type(row.features), features, type(total), np.float64(total).tobytes(), ctrs)
@@ -522,20 +508,20 @@ class TestBundledSample:
 
 
 def oracle_mine_flip_pairs(rows, min_total_clicks=config.MIN_TOTAL_CLICKS, min_click_diff=config.MIN_CLICK_DIFF):
-    """The miner as it was before it ordered pairs by index: ``sorted`` plus two ``index_of`` scans."""
+    """The miner as it was before it ordered pairs by index: ``sorted`` plus two ``items.index`` scans."""
     by_query = {}
     for row in rows:
         by_query.setdefault(row.query_id, []).append(row)
     pairs = []
     for query in sorted(by_query):
-        qrows = [r for r in by_query[query] if r.total_clicks() > min_total_clicks]
+        qrows = [r for r in by_query[query] if r.clicks.sum() > min_total_clicks]
         seen = {}
         for row in qrows:
-            ctr = row.ctrs()
+            ctr = row.clicks / row.clicks.sum()
             for i in range(row.n):
                 for j in range(i + 1, row.n):
                     a, b = sorted((row.items[i], row.items[j]))
-                    ia, ib = row.index_of(a), row.index_of(b)
+                    ia, ib = row.items.index(a), row.items.index(b)
                     if abs(row.clicks[ia] - row.clicks[ib]) < min_click_diff:
                         continue
                     seen.setdefault((a, b), []).append(
@@ -606,24 +592,21 @@ class TestMining:
             pairs = mine_flip_pairs(rows)
             qualifying = [
                 r for r in rows
-                if r.total_clicks() > 5 and abs(r.clicks[0] - r.clicks[1]) >= 2
+                if r.clicks.sum() > 5 and abs(r.clicks[0] - r.clicks[1]) >= 2
             ]
             a_side = [r for r in qualifying if r.clicks[0] > r.clicks[1]]
             b_side = [r for r in qualifying if r.clicks[1] > r.clicks[0]]
             if not a_side or not b_side:
                 assert pairs == []
                 continue
-            best = max(
-                itertools.product(a_side, b_side),
-                key=lambda pr: (
-                    abs(pr[0].ctrs()[0] - pr[0].ctrs()[1]) + abs(pr[1].ctrs()[0] - pr[1].ctrs()[1]),
-                ),
-            )
+            def ctr_gap(row):
+                ctrs = row.clicks / row.clicks.sum()
+                return abs(ctrs[0] - ctrs[1])
+
+            best = max(itertools.product(a_side, b_side), key=lambda pr: (ctr_gap(pr[0]) + ctr_gap(pr[1]),))
             assert len(pairs) == 1
             got = pairs[0]
-            expect_strength = abs(best[0].ctrs()[0] - best[0].ctrs()[1]) + abs(
-                best[1].ctrs()[0] - best[1].ctrs()[1]
-            )
+            expect_strength = ctr_gap(best[0]) + ctr_gap(best[1])
             assert got.strength == pytest.approx(expect_strength)
 
     def test_matches_the_index_of_miner(self, tmp_path):
@@ -640,7 +623,7 @@ class TestMining:
                 feats = {"price": rng.random(n), "rating": rng.random(n)}
                 rows.append(make_row(f"q{q}", f"c{c}", items, clicks, feats))
         assert any(list(r.items) != sorted(r.items) for r in rows)
-        assert any(r.total_clicks() == 0 for r in rows)
+        assert any(r.clicks.sum() == 0 for r in rows)
         assert any(len(set(r.clicks.tolist())) < r.n for r in rows)
         save_csv(rows, tmp_path / "log.csv", SCHEMA)
         loaded = load_csv(tmp_path / "log.csv", SCHEMA).rows
@@ -803,7 +786,7 @@ def oracle_rank_vectors(rows, schema):
 
 def oracle_batch_from_rows(rows, schema):
     """``batch_from_rows`` as it was before the context record: per-row ranks stacked per width."""
-    clicked = [row for row in rows if row.total_clicks() > 0]
+    clicked = [row for row in rows if row.clicks.sum() > 0]
     ranks = oracle_rank_vectors(clicked, schema)
     sizes = [row.n for row in clicked]
     starts = list(itertools.accumulate(sizes, initial=0))
@@ -813,7 +796,7 @@ def oracle_batch_from_rows(rows, schema):
     widths = [
         (
             np.concatenate([ranks[p] for p in group]).reshape(len(group), schema.k, n),
-            np.concatenate([clicked[p].ctrs() for p in group]).reshape(len(group), n),
+            np.concatenate([clicked[p].clicks / clicked[p].clicks.sum() for p in group]).reshape(len(group), n),
             np.array([starts[p] for p in group])[:, None] + np.arange(n),
         )
         for n, group in by_n.items()
@@ -823,14 +806,14 @@ def oracle_batch_from_rows(rows, schema):
 
 def oracle_design_from_rows(rows, schema):
     """``design_from_rows`` as it was before the context record: one stacked block per clicked row."""
-    clicked = [row for row in rows if row.total_clicks() > 0]
+    clicked = [row for row in rows if row.clicks.sum() > 0]
     if not clicked:
         return np.empty((0, schema.k + 1)), np.empty(0)
     blocks = []
     for row in clicked:
         columns = [row.features[name] for name in schema.names] + [row.positions]
         blocks.append(np.column_stack(columns))
-    return np.concatenate(blocks), np.concatenate([row.ctrs() for row in clicked])
+    return np.concatenate(blocks), np.concatenate([row.clicks / row.clicks.sum() for row in clicked])
 
 
 def oracle_paired_split(pairs, train_fraction=config.DEFAULT_TRAIN_FRACTION, seed=0):
@@ -946,11 +929,11 @@ def record_case(rng, queries, contexts, loaded):
         if row_1.query_id != row_2.query_id:
             continue
         for a, b in itertools.permutations(sorted(set(row_1.items) & set(row_2.items)), 2):
-            ctr_1 = row_1.clicks[row_1.index_of(a)] - row_1.clicks[row_1.index_of(b)]
-            ctr_2 = row_2.clicks[row_2.index_of(a)] - row_2.clicks[row_2.index_of(b)]
+            ctr_1 = row_1.clicks[row_1.items.index(a)] - row_1.clicks[row_1.items.index(b)]
+            ctr_2 = row_2.clicks[row_2.items.index(a)] - row_2.clicks[row_2.items.index(b)]
             if ctr_1 > 0 > ctr_2 and rng.random() < 0.3:
                 pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a=a, item_b=b, strength=1.0))
-    return pairs, [row for row in rows if row.total_clicks() == 0]
+    return pairs, [row for row in rows if row.clicks.sum() == 0]
 
 
 def assert_same_batch(got, want):
@@ -1007,7 +990,7 @@ class TestRecordArrays:
     def test_ctrs_and_clicked_equal_each_rows_own(self, tmp_path):
         """Fractional clicks at n = 5, 9 and 70 (numpy sums nine or more in pairs), rows without clicks
         interleaved, built by the constructor and by the loader: the record's clicks, totals and CTRs are each
-        row's own ``clicks``, ``clicks.sum()`` and ``ctrs()``."""
+        row's own ``clicks``, ``clicks.sum()`` and ``clicks / clicks.sum()``."""
         rng = np.random.default_rng(17)
         rows = []
         for c, n in enumerate([9, 5, 70, 5, 9, 70, 5, 70, 9]):
@@ -1017,9 +1000,9 @@ class TestRecordArrays:
         save_csv(rows, tmp_path / "log.csv", SCHEMA)
         for source in (rows, load_csv(tmp_path / "log.csv", SCHEMA).rows):
             record = ContextRecord(source)
-            assert record.clicked.tolist() == [row.total_clicks() > 0 for row in source] == [c % 4 != 3 for c in range(9)]
+            assert record.clicked.tolist() == [row.clicks.sum() > 0 for row in source] == [c % 4 != 3 for c in range(9)]
             for row, start, total, clicked in zip(source, record.starts.tolist(), record.totals, record.clicked.tolist()):
-                want = row.ctrs() if clicked else np.zeros(row.n)
+                want = row.clicks / row.clicks.sum() if clicked else np.zeros(row.n)
                 assert record.ctrs[start:start + row.n].tobytes() == want.tobytes()
                 assert record.clicks[start:start + row.n].tobytes() == row.clicks.tobytes()
                 assert total.tobytes() == row.clicks.sum().tobytes()
@@ -1070,7 +1053,7 @@ class TestSyntheticGeneration:
         data = generate_synthetic(spec)
         assert len(data.rows) == 4
         for row in data.rows:
-            assert row.total_clicks() == 200
+            assert row.clicks.sum() == 200
 
     def test_seed_reproducibility(self):
         spec = SyntheticSpec(k=2, num_queries=5, weights=WeightVector(np.array([0.6, 0.4])),
@@ -1093,7 +1076,7 @@ class TestSyntheticGeneration:
         for inst in data.instances:
             targets[(inst.query_id, inst.item_ids[inst.target_index])] = inst.target_prob
         for row in data.rows:
-            ctr = row.ctrs()
+            ctr = row.clicks / row.clicks.sum()
             for i, item in enumerate(row.items):
                 assert abs(ctr[i] - targets[(row.query_id, item)]) < 5e-3
 
@@ -1141,20 +1124,20 @@ def reference_synthetic(spec):
     return instances, rows, spec.num_queries
 
 
-def reference_flip_dataset(num_queries, weights, lam=config.DEFAULT_LAMBDA, n=5, shared_items=2,
-                           clicks_per_context=10_000, margin=0.02, seed=0, max_attempts=20_000):
+def reference_flip_dataset(num_queries, weights, lam=config.DEFAULT_LAMBDA, n=5, clicks_per_context=10_000, margin=0.02,
+                           seed=0):
     k = weights.k
     schema = synthetic_schema(k)
     instances, rows, drawn = [], [], 0
-    pool_size = 2 * n - shared_items
+    pool_size = 2 * n - 2
     for q in range(num_queries):
         rng = np.random.default_rng(derive_seed(seed, f"query:{q}"))
         query_id = f"q{q:05d}"
         pool_items = tuple(f"{query_id}_i{j}" for j in range(pool_size))
         idx_1 = list(range(n))
-        idx_2 = list(range(shared_items)) + list(range(n, pool_size))
+        idx_2 = [0, 1] + list(range(n, pool_size))
         accepted = None
-        for _ in range(max_attempts):
+        for _ in range(rsm.data.MAX_CANDIDATES):
             drawn += 1
             values = rng.random((k, pool_size))
             result = []
@@ -1191,7 +1174,7 @@ def assert_same_dataset(data, reference):
     for got, want in zip(data.rows, rows):
         assert (got.query_id, got.context_id, got.items) == (want.query_id, want.context_id, want.items)
         assert got.positions.tobytes() == want.positions.tobytes()
-        assert got.total_clicks() == want.total_clicks()
+        assert got.clicks.sum() == want.clicks.sum()
         assert np.abs(got.clicks - want.clicks).sum() <= 2
         assert list(got.features) == list(want.features)
         for name in want.features:
@@ -1227,13 +1210,6 @@ class TestGeneratorOracle:
         kwargs = dict(num_queries=12, weights=self.WEIGHTS, clicks_per_context=2000, margin=0.02, seed=4)
         assert_same_dataset(generate_flip_dataset(**kwargs), reference_flip_dataset(**kwargs))
 
-    def test_flip_dataset_with_three_shared_items_matches_the_object_path(self):
-        kwargs = dict(num_queries=8, weights=WeightVector(np.array([0.2, 0.3, 0.5])), lam=0.3,
-                      n=6, shared_items=3, clicks_per_context=500, margin=0.01, seed=3)
-        data = generate_flip_dataset(**kwargs)
-        assert data.rows
-        assert_same_dataset(data, reference_flip_dataset(**kwargs))
-
     def test_wide_flip_dataset_matches_the_object_path(self):
         """Above DIRECT_SOLVE_MAX_N the object path solves by power iteration; the kernel has no switch on n."""
         kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=65, clicks_per_context=500, margin=0.0, seed=0)
@@ -1247,9 +1223,9 @@ class TestGeneratorOracle:
 
     @pytest.mark.parametrize("n, margin", [(5, 0.02), (65, 0.0)])
     def test_candidate_block_size_changes_no_bit(self, monkeypatch, n, margin):
-        """150 attempts, a multiple of neither block, drop some of the queries at n = 5."""
-        kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=n, clicks_per_context=5000, margin=margin,
-                      seed=9, max_attempts=150)
+        """150 candidates, a multiple of neither block, drop some of the queries at n = 5."""
+        monkeypatch.setattr(rsm.data, "MAX_CANDIDATES", 150)
+        kwargs = dict(num_queries=6, weights=self.WEIGHTS, n=n, clicks_per_context=5000, margin=margin, seed=9)
         default = generate_flip_dataset(**kwargs)
         assert default.rows
         if n == 5:
@@ -1271,24 +1247,26 @@ class TestGeneratorOracle:
         with pytest.raises(ValueError):
             generate_flip_dataset(num_queries=2, weights=weights, lam=lam)
 
-    @pytest.mark.parametrize("bad", [{"num_queries": 0}, {"num_queries": -2}, {"max_attempts": 0}, {"max_attempts": -5},
+    @pytest.mark.parametrize("bad", [{"num_queries": 0}, {"num_queries": -2}, {"n": 2}, {"n": 1},
                                      {"clicks_per_context": 0}, {"margin": -0.01}, {"margin": float("nan")}])
     def test_bad_counts_rejected_before_any_draw(self, monkeypatch, bad):
-        """Counts below 1 or a negative margin raise, as SyntheticSpec's do, and draw nothing."""
+        """Counts below 1, n below 3 or a negative margin raise, as SyntheticSpec's do, and draw nothing."""
         def no_draws(*args, **kwargs):
             raise AssertionError("the generator drew before validating")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match="must be positive and margin nonnegative"):
+        message = "needs n of at least 3, the two flip candidates" if "n" in bad else "must be positive and margin nonnegative"
+        with pytest.raises(ValueError, match=message):
             generate_flip_dataset(**{"num_queries": 2, "weights": self.WEIGHTS, **bad})
 
 
 class TestFlipGeneratorLog:
     WEIGHTS = WeightVector(np.array([0.5, 0.3, 0.2]))
 
-    def test_dropped_queries_are_a_warning_with_counts(self, caplog):
+    def test_dropped_queries_are_a_warning_with_counts(self, caplog, monkeypatch):
+        monkeypatch.setattr(rsm.data, "MAX_CANDIDATES", 4)
         with caplog.at_level(logging.DEBUG, logger="rsm.data"):
-            data = generate_flip_dataset(num_queries=3, weights=self.WEIGHTS, margin=0.9, max_attempts=4, seed=1)
+            data = generate_flip_dataset(num_queries=3, weights=self.WEIGHTS, margin=0.9, seed=1)
         assert data.rows == [] and data.instances == []
         records = [r for r in caplog.records if r.name == "rsm.data"]
         assert len(records) == 1
@@ -1505,6 +1483,24 @@ class TestBridges:
         instances = training_instances_from_rows([quiet] + two_context_rows(), SCHEMA)
         assert len(instances) == 5
 
+    def test_per_row_bridges_take_their_targets_from_the_record(self):
+        """Click-less contexts interleaved at n = 5 and 9: the instances' targets and the feature rows' CTRs are the
+        same from a list as from its record view, the clicked rows' ``record.ctrs`` bit for bit, in row order."""
+        rng = np.random.default_rng(23)
+        rows = []
+        for c, n in enumerate([5, 9, 5, 9, 9, 5, 5]):
+            clicks = rng.random(n) * 100 if c % 3 != 1 else np.zeros(n)
+            rows.append(make_row("q", f"c{c}", [f"i{j}" for j in range(n)], clicks, {name: rng.random(n) for name in SCHEMA.names}))
+        view = rsm.record.record_view(rows)
+        want = view.record.ctrs[view.record.items(np.flatnonzero(view.record.clicked))]
+        assert want.size == 5 + 5 + 9 + 5 + 5 and (want > 0).all()  # the two 9-wide rows at 1 and 4 have no clicks
+        for source in (rows, view):
+            instances = training_instances_from_rows(source, SCHEMA)
+            assert [inst.query_id for inst in instances] == ["q"] * want.size
+            targets = np.array([inst.target_prob for inst in instances])
+            ctrs = np.array([row.ctr for row in feature_rows_from_logs(source, SCHEMA)])
+            assert targets.tobytes() == ctrs.tobytes() == want.tobytes()
+
     def test_batch_from_rows_skips_quiet_contexts(self, monkeypatch):
         """A context without clicks has no targets, and it is never ranked."""
         quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
@@ -1517,6 +1513,15 @@ class TestBridges:
         assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
         assert batch.buckets[1].slots.tolist() == [2, 3, 4]
         assert len(batch_from_rows([quiet], SCHEMA)) == 0
+
+    def test_design_bridges_never_rank_quiet_contexts(self, monkeypatch):
+        """A list's click-less context is left out of the record its design is read from, as it is for the batch."""
+        quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
+        ranked, real = [], rsm.record.feature_ranks
+        monkeypatch.setattr(rsm.record, "feature_ranks", lambda rows, schema: ranked.extend(rows) or real(rows, schema))
+        design, ctrs = design_from_rows([quiet] + two_context_rows(), SCHEMA)
+        assert len(feature_rows_from_logs([quiet] + two_context_rows(), SCHEMA)) == len(ctrs) == len(design) == 5
+        assert len(ranked) == 4 and quiet not in ranked
 
     def test_mixed_widths_encode_once_per_width(self, monkeypatch):
         rng = np.random.default_rng(515)
@@ -1536,7 +1541,7 @@ class TestBridges:
         monkeypatch.setattr(rsm.record, "average_ranks", counting_kernel)
         batch = batch_from_rows(rows, SCHEMA)
         assert shapes == [(3, 2, 5), (3, 2, 70)]
-        clicked = [row for row in rows if row.total_clicks() > 0]
+        clicked = [row for row in rows if row.clicks.sum() > 0]
         for bucket, n in zip(batch.buckets, (5, 70)):
             group = [row for row in clicked if row.n == n]
             assert len(bucket.space.ranks) == len(group) == 3

@@ -27,6 +27,7 @@ from rsm import (
     FlipPair,
     Model,
     WeightVector,
+    batch_from_rows,
     combine,
     constant_model,
     feature_rows_from_logs,
@@ -35,6 +36,7 @@ from rsm import (
     flip_accuracy,
     least_squares_model,
     mine_flip_pairs,
+    paired_split,
     paired_t_test,
     predict,
     rsm_model,
@@ -42,6 +44,7 @@ from rsm import (
     stationary,
     synthetic_schema,
     topologies_from_row,
+    true_ctr_model,
 )
 from rsm.evaluation import _t_two_sided_tail as two_sided_tail
 
@@ -80,7 +83,7 @@ def random_flip_pairs(count, k, seed=0, widths=(3,)):
 
 
 def item_ctr(row, item):
-    return float(row.ctrs()[row.index_of(item)])
+    return float((row.clicks / row.clicks.sum())[row.items.index(item)])
 
 
 def per_item(score):
@@ -216,7 +219,7 @@ class TestFlipAccuracyOracle:
         def per_item(row, item):
             if row in failing:
                 raise RuntimeError("no score")
-            return scores[row][row.index_of(item)]
+            return scores[row][row.items.index(item)]
 
         assert flip_accuracy(batch, pairs) == oracle_flip_accuracy(per_item, pairs)
 
@@ -227,7 +230,7 @@ class TestFlipAccuracyOracle:
 
         def scorer(rows):
             calls.append(len(rows))
-            return [[math.nan] * row.n if row in bad else row.ctrs() for row in rows]
+            return [[math.nan] * row.n if row in bad else row.clicks / row.clicks.sum() for row in rows]
 
         with caplog.at_level(logging.WARNING, logger="rsm.evaluation"):
             assert flip_accuracy(scorer, pairs) == (2 * len(pairs) - 2 + 1.0) / (2 * len(pairs))
@@ -267,6 +270,50 @@ def p_value_by_quadrature(t, df):
     grid = np.linspace(0.0, abs(t), 200_001)
     inner = float(np.trapezoid(t_density(grid, df), grid))
     return 2.0 * (0.5 - inner)
+
+
+VIEW_SCHEMA = DatasetSchema(features=(FeatureSpec("price", Direction.LOWER_IS_BETTER), FeatureSpec("rating")))
+
+
+class TestRecordViewKinds:
+    """A record's view indexes either its rows or its flip pairs, and each reader of a view refuses the other
+    kind with a TypeError, rather than reading pair indices as row indices or row indices as pair indices."""
+
+    PAIR_READERS = {
+        "flip_accuracy": lambda view: flip_accuracy(ctr_scorer, view),
+        "paired_split": paired_split,
+        "pairs_view": lambda view: rsm.record.pairs_view(view),
+    }
+    ROW_READERS = {
+        "rsm_fit": lambda view: rsm_model(VIEW_SCHEMA).fit(view),
+        "least_squares_fit": lambda view: least_squares_model(VIEW_SCHEMA).fit(view),
+        "train_ctr_fit": lambda view: true_ctr_model().fit(view),
+        "stationary_scorer": lambda view: fixed_weights_model(VIEW_SCHEMA, WeightVector(np.array([0.5, 0.5]))).fit([])(view),
+        "batch_from_rows": lambda view: batch_from_rows(view, VIEW_SCHEMA),
+        "feature_rows_from_logs": lambda view: feature_rows_from_logs(view, VIEW_SCHEMA),
+        "record_view": lambda view: rsm.record.record_view(view),
+    }
+
+    def split(self):
+        """A 3-query, 9-pair record's training rows and test pairs: three items flip pairwise in each query."""
+        feats = {"price": [1.0, 2.0, 3.0], "rating": [3.0, 1.0, 2.0]}
+        rows = [make_row(f"q{q}", f"c{c}", ["a", "b", "c"], clicks, feats)
+                for q in range(3) for c, clicks in enumerate(([9, 6, 3], [3, 6, 9]))]
+        view = rsm.record.pairs_view(mine_flip_pairs(rows))
+        assert len(view) == 9 and len(view.record.rows) == 6
+        return view.record.split(0.5, 0)
+
+    @pytest.mark.parametrize("reader", PAIR_READERS)
+    def test_pair_readers_refuse_a_view_of_rows(self, reader):
+        train_rows, _ = self.split()
+        with pytest.raises(TypeError, match="expected a view of a record's pairs, got a view of its rows"):
+            self.PAIR_READERS[reader](train_rows)
+
+    @pytest.mark.parametrize("reader", ROW_READERS)
+    def test_row_readers_refuse_a_view_of_pairs(self, reader):
+        _, test_pairs = self.split()
+        with pytest.raises(TypeError, match="expected a view of a record's rows, got a view of its pairs"):
+            self.ROW_READERS[reader](test_pairs)
 
 
 class TestPairedTTest:
@@ -468,7 +515,7 @@ class TestRunExperiment:
 
         def flaky_scorer(rows):
             failed.extend(f"{row.query_id}/{row.context_id}" for row in rows if row.context_id == "c0")
-            return [np.full(row.n, math.nan) if row.context_id == "c0" else row.ctrs() for row in rows]
+            return [np.full(row.n, math.nan) if row.context_id == "c0" else row.clicks / row.clicks.sum() for row in rows]
 
         monkeypatch.setattr(rsm.learner, "fit", counting_fit)
         monkeypatch.setattr(rsm.evaluation, "flip_accuracy", counting_accuracy)

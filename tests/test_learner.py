@@ -675,14 +675,23 @@ class TestFit:
         assert "unconverged after 3 iterations" in message
         assert f"{result.final_step_norm:.3e}" in message and "halt_eps 1.000e-15" in message
 
-    @pytest.mark.parametrize("max_iters", [0, 60])
-    def test_converged_or_empty_fit_does_not_warn(self, caplog, max_iters):
+    def test_converged_fit_does_not_warn(self, caplog):
         rng = np.random.default_rng(404)
         data = noise_free_instances(rng, 6, 4, 3, WeightVector(np.array([0.5, 0.3, 0.2])), 0.15)
         with caplog.at_level(logging.DEBUG, logger="rsm.learner"):
-            result = fit(data, LearnerConfig(max_iters=max_iters))
-        assert result.converged == (max_iters > 0)
+            result = fit(data, LearnerConfig(max_iters=60))
+        assert result.converged
         assert not [r for r in caplog.records if r.name == "rsm.learner" and r.levelno >= logging.WARNING]
+
+    def test_zero_iteration_fit_warns(self, caplog):
+        """No iteration ran, so the fit is unconverged and says so, as every unconverged fit does, with step norm inf."""
+        rng = np.random.default_rng(404)
+        data = noise_free_instances(rng, 6, 4, 3, WeightVector(np.array([0.5, 0.3, 0.2])), 0.15)
+        with caplog.at_level(logging.DEBUG, logger="rsm.learner"):
+            result = fit(data, LearnerConfig(max_iters=0))
+        warnings = [r.getMessage() for r in caplog.records if r.name == "rsm.learner" and r.levelno >= logging.WARNING]
+        assert not result.converged and result.final_step_norm == math.inf
+        assert warnings == ["fit stopped unconverged after 0 iterations: final step norm inf > halt_eps 1.000e-06"]
 
 
 def interleaved_rows():
@@ -890,12 +899,13 @@ class TestGridSearch:
         assert_allclose(got.values, true.values, atol=1e-12)
 
     def test_budget_guard(self):
+        """k = 4 at step 0.001 needs C(1003, 3) points, beyond the default cap; nothing is enumerated."""
         rng = np.random.default_rng(3)
         data = noise_free_instances(rng, 1, 3, 4, random_reporting_weights(rng, 4), 0.15)
         with pytest.raises(GridBudgetExceeded) as info:
-            grid_search(data, grid_step=0.001, max_points=1000)
-        assert info.value.required == math.comb(1000 + 3, 3)
-        assert info.value.cap == 1000
+            grid_search(data, grid_step=0.001)
+        assert info.value.required == math.comb(1000 + 3, 3) > config.GRID_POINT_CAP
+        assert info.value.cap == config.GRID_POINT_CAP
 
     def test_step_must_divide_one(self):
         rng = np.random.default_rng(4)
