@@ -189,6 +189,9 @@ def cmd_synth(args) -> int:
         "num_instances": len(dataset.instances),
     }
     if args.flips:
+        if not dataset.rows:
+            raise ValueError(f"--flips kept none of the {args.queries} queries requested, "
+                             f"from {dataset.candidates_drawn} candidates drawn")
         manifest.update(queries_kept=len(dataset.rows) // 2, candidates_drawn=dataset.candidates_drawn)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:

@@ -154,9 +154,9 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
     in row_2 it is b. Full credit for ranking the preferred item strictly
     higher, half for an exact tie, none otherwise. The pairs' distinct rows
     (by identity), as a record's view, are scored in one scorer call; if it
-    raises, each row is scored alone.
-    The scores are checked here, the scorer's output being outside input: a
-    row whose scores raise or are not ``n`` finite floats logs a warning and
+    raises, each row is scored alone. The scores are checked here, the
+    scorer's output being outside input (see ``_checked_scores``): a row
+    whose scores raise or are not ``n`` finite floats logs a warning and
     forfeits each of its comparisons at half credit. The comparisons are
     then credited together, from the checked scores gathered by index.
     """
@@ -164,47 +164,45 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
         raise ValueError("flip_accuracy needs at least one pair")
     pairs = pairs.of("pairs") if isinstance(pairs, RecordView) else pairs_view(pairs)  # a split's side keeps its record
     rows, index = pairs.record.comparisons(pairs.index)
+    scores = _checked_scores(scorer, rows)
+    preferred, other = scores[index[:, 0]], scores[index[:, 1]]
+    credit = int(np.count_nonzero(preferred > other)) + 0.5 * int(np.count_nonzero(preferred == other))
+    return credit / (2 * len(pairs))
+
+
+def _checked_scores(scorer: ScorerFn, rows: RecordView) -> np.ndarray:
+    """The rows' scores end to end, from one scorer call on all of them when it gives ``n`` finite floats per row.
+
+    That batch is checked in one step: one concatenation, its vectors' lengths against the rows' sizes, one
+    finiteness test. Otherwise one pass names the failed rows: it takes each row's vector from the batch, or from
+    the row's own call when the batch call raised or gave the wrong count. A failed row logs one warning, in row
+    order, and scores all zero: tied, half credit on every comparison.
+    """
     try:
         batch = list(scorer(rows))
         if len(batch) != len(rows):
             raise ValueError(f"{len(batch)} score vectors for {len(rows)} rows")
     except Exception:  # noqa: BLE001 - scorer is user code; rows are retried one by one below
         batch = None
-    scores = _checked_scores(scorer, rows, batch)
-    preferred, other = scores[index[:, 0]], scores[index[:, 1]]
-    credit = int(np.count_nonzero(preferred > other)) + 0.5 * int(np.count_nonzero(preferred == other))
-    return credit / (2 * len(pairs))
-
-
-def _checked_scores(scorer: ScorerFn, rows: List[LogRow], batch: Optional[list]) -> np.ndarray:
-    """The rows' scores end to end: the batch's, or each row's own call when there is no batch.
-
-    One pass converts each row's scores and checks its shape, one check over
-    all of them finds the non-finite ones. A failed row logs one warning, in
-    row order, and scores all zero: tied, half credit on every comparison.
-    """
-    values, failures = [], {}
+    else:
+        try:  # a batch passes here only if every row would pass below, with the same values
+            scores = np.concatenate(batch, dtype=np.float64)
+            sized = scores.ndim == 1 and list(map(len, batch)) == rows.record.sizes[rows.index].tolist()
+            if sized and np.isfinite(scores).all():
+                return scores
+        except Exception:  # noqa: BLE001 - e.g. numeric strings, which convert row by row but do not concatenate
+            pass
+    values = []
     for pos, row in enumerate(rows):
         try:
             row_scores = np.asarray(batch[pos] if batch is not None else scorer([row])[0], dtype=np.float64)
-            if row_scores.shape != (row.n,):
+            if row_scores.shape != (row.n,) or not np.isfinite(row_scores).all():
                 raise ValueError(f"expected {row.n} finite scores, got {row_scores!r}")
         except Exception as exc:  # noqa: BLE001 - scorer is user code
-            failures[pos] = exc
+            log.warning("scorer failed on %s/%s: %s", row.query_id, row.context_id, exc)
             row_scores = np.zeros(row.n)
         values.append(row_scores)
-    scores = np.concatenate(values)
-    if not np.isfinite(scores).all():
-        start = 0
-        for pos, row in enumerate(rows):
-            part = scores[start:start + row.n]  # a view: zeroing it zeroes the row's scores
-            if not np.isfinite(part).all():
-                failures[pos] = ValueError(f"expected {row.n} finite scores, got {values[pos]!r}")
-                part[:] = 0.0
-            start += row.n
-    for pos in sorted(failures):
-        log.warning("scorer failed on %s/%s: %s", rows[pos].query_id, rows[pos].context_id, failures[pos])
-    return scores
+    return np.concatenate(values)
 
 
 def paired_t_test(diffs: Sequence[float]) -> Tuple[float, float]:

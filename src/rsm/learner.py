@@ -492,6 +492,8 @@ def grid_search(
     ``GridBudgetExceeded`` when the grid would exceed ``config.GRID_POINT_CAP`` points.
     """
     batch = _nonempty_batch(data)
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
     if not 0.0 < grid_step <= 1.0:
         raise ValueError("grid_step must lie in (0, 1]")
     steps = round(1.0 / grid_step)

@@ -120,10 +120,11 @@ class FundamentalMatrix:
 def _stationary_probs(entries: np.ndarray) -> np.ndarray:
     """The stationary vector of an ``(n, n)`` chain whose stationary vector is unique.
 
-    For ``n <= config.DIRECT_SOLVE_MAX_N`` it is solved by LU on
-    ``p^T (I - P) = 0`` with the last equation replaced by ``sum(p) = 1``;
-    above that, by power iteration from the uniform vector. Uniqueness is
-    the caller's to establish (:func:`stationary` checks it).
+    A chain with a zero entry, or with ``n <= config.DIRECT_SOLVE_MAX_N``,
+    is solved by LU on ``p^T (I - P) = 0`` with the last equation replaced
+    by ``sum(p) = 1``; a wider positive chain, aperiodic, by power iteration
+    from the uniform vector, which a periodic chain would never finish.
+    Uniqueness is the caller's to establish (:func:`stationary` checks it).
 
     Raises
     ------
@@ -134,7 +135,7 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
         converge.
     """
     n = entries.shape[0]
-    if n <= config.DIRECT_SOLVE_MAX_N:
+    if n <= config.DIRECT_SOLVE_MAX_N or entries.min() <= 0.0:
         system = (np.eye(n) - entries).T.copy()
         system[-1] = 1.0
         rhs = np.zeros(n)
@@ -297,7 +298,8 @@ def stationary(matrix: StochasticMatrix) -> Distribution:
 
     A chain with every entry positive has a unique stationary distribution
     (Perron-Frobenius); any other chain is first checked to have exactly
-    one closed class in its support graph.
+    one closed class in its support graph, then solved directly at every
+    ``n``, since it may be periodic.
 
     Raises
     ------

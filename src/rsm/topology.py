@@ -118,6 +118,11 @@ class WeightVector:
     lam: Optional[float] = None
 
     def __post_init__(self):
+        native = self.normalization is Normalization.SUMS_TO_ONE_MINUS_LAMBDA
+        if native and self.lam is None:
+            raise ValueError("learner-native weights require lam")
+        if native and not 0.0 < self.lam < 1.0:  # before the values, which a bad lam scales out of range
+            raise ValueError("lam must lie in (0, 1)")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(f"weights must be a 1-d vector, got shape {arr.shape}")
@@ -125,14 +130,7 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if np.any(arr < 0.0):
             raise ValueError("weights must be nonnegative")
-        if self.normalization is Normalization.SUMS_TO_ONE_MINUS_LAMBDA:
-            if self.lam is None:
-                raise ValueError("learner-native weights require lam")
-            if not 0.0 < self.lam < 1.0:
-                raise ValueError("lam must lie in (0, 1)")
-            target = 1.0 - self.lam
-        else:
-            target = 1.0
+        target = 1.0 - self.lam if native else 1.0
         if abs(arr.sum() - target) > config.WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to {target}, got {arr.sum()!r}")
         arr.flags.writeable = False

@@ -86,6 +86,15 @@ class TestSynth:
         assert run(["synth", "--out-dir", out, "--flips", "--seed", "3"] + flag) == 2
         assert not out.exists()
 
+    def test_flips_that_keep_no_query_exit_two_and_write_nothing(self, tmp_path, monkeypatch, caplog):
+        """With 64 candidates per query (seed 1 keeps none of its 2 queries even with 640), the run fails
+        before it makes --out-dir: a manifest without a CSV would only fail the next ``rsm eval``."""
+        monkeypatch.setattr(rsm.data, "MAX_CANDIDATES", 64)
+        out = tmp_path / "flips"
+        assert run(["synth", "--out-dir", out, "--flips", "--queries", "2", "--n", "3", "--seed", "1"]) == 2
+        assert not out.exists()
+        assert "kept none of the 2 queries requested, from 128 candidates drawn" in caplog.text
+
     @pytest.mark.parametrize("flag", [["--k", "0"], ["--k", "-1"], ["--flips", "--k", "1", "--queries", "2"]])
     def test_too_few_features_exit_two_and_write_nothing(self, tmp_path, flag, caplog):
         """No feature at all is a bad option; one feature is too few for the flip generator to ever flip."""

@@ -204,24 +204,80 @@ def scored_flip_pairs(draw):
     return pairs, scores, failing
 
 
+class WarningMessages(logging.Handler):
+    """The messages of the WARNING records ``rsm.evaluation`` logs while installed, in order."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("rsm.evaluation").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("rsm.evaluation").removeHandler(self)
+
+    def emit(self, record):
+        if record.levelno == logging.WARNING:
+            self.messages.append(record.getMessage())
+
+
+def failing_vector(mode, values, turn):
+    """``values`` as the ``mode`` of failing row answers: ``turn`` counts the failing rows before it in the call."""
+    if mode == "short":
+        return np.array(values[:-1])
+    if mode == "nan":
+        return np.array(values[:-1] + [math.nan])
+    if mode == "long_short":  # alternately one entry too long and one too short, so paired failures keep the total
+        return np.array(values + [0.0] if turn % 2 == 0 else values[:-1])
+    if mode == "column":
+        return np.array(values)[:, None]
+    return [repr(v) for v in values]  # "strings": numeric strings convert row by row, so they do not fail
+
+
 class TestFlipAccuracyOracle:
     @settings(max_examples=200, deadline=None)
-    @given(case=scored_flip_pairs(), mode=st.sampled_from(["raise", "short"]))
+    @given(case=scored_flip_pairs(), mode=st.sampled_from(["raise", "short", "nan", "long_short", "column", "strings"]))
     def test_equals_the_per_item_oracle(self, case, mode):
-        """A failing row raises the whole batch call, or comes back one score short."""
+        """A failing row raises the whole batch call or comes back a bad vector: one score short, with a NaN, one
+        too long next to one too short, as an ``(n, 1)`` column. Numeric strings score as their numbers. Each
+        failed row, and only those, logs one warning, in the order the rows were passed."""
         pairs, scores, failing = case
+        failed = set() if mode == "strings" else failing
+        passed = []
 
         def batch(rows):
+            if not passed:
+                passed.extend(rows)
             if mode == "raise" and failing.intersection(rows):
                 raise RuntimeError("no score")
-            return [np.array(scores[row][: row.n - (row in failing)]) for row in rows]
+            bad = [row for row in rows if row in failing]
+            return [failing_vector(mode, scores[row], bad.index(row)) if row in failing else np.array(scores[row])
+                    for row in rows]
 
         def per_item(row, item):
-            if row in failing:
+            if row in failed:
                 raise RuntimeError("no score")
             return scores[row][row.items.index(item)]
 
-        assert flip_accuracy(batch, pairs) == oracle_flip_accuracy(per_item, pairs)
+        with WarningMessages() as messages:
+            assert flip_accuracy(batch, pairs) == oracle_flip_accuracy(per_item, pairs)
+        assert [message.split(":")[0] for message in messages] == [
+            f"scorer failed on {row.query_id}/{row.context_id}" for row in passed if row in failed
+        ]
+
+    def test_valid_model_scores_are_the_row_by_row_conversion_bit_for_bit(self, caplog):
+        """The one-step check returns, for every built-in model's scorer on a held-out split, the same bits as
+        converting each row's vector on its own and concatenating them, and logs nothing."""
+        schema = synthetic_schema(2)
+        pairs = random_flip_pairs(16, 2, seed=8, widths=(3, 4, 5))
+        train, test = rsm.record.pairs_view(pairs).record.split(0.5, 1)
+        rows, _ = test.record.comparisons(test.index)
+        with caplog.at_level(logging.WARNING, logger="rsm.evaluation"):
+            for model in (rsm_model(schema), least_squares_model(schema), constant_model(), true_ctr_model()):
+                scorer = model.fit(train)
+                want = np.concatenate([np.asarray(v, dtype=np.float64) for v in scorer(rows)])
+                got = rsm.evaluation._checked_scores(scorer, rows)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), model.name
+        assert caplog.records == []
 
     def test_one_scorer_call_and_one_warning_per_failed_row(self, caplog):
         pairs = build_pairs(3) + random_flip_pairs(2, 2, seed=4)

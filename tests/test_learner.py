@@ -913,6 +913,17 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(data, grid_step=0.3)
 
+    @pytest.mark.parametrize("lam", [1.5, 1.0, 0.0, -0.5])
+    def test_lam_outside_the_open_unit_interval_is_refused_before_any_kernel_call(self, monkeypatch, lam):
+        """Past 1 the mixture is not stochastic, yet every grid point would still be scored against it."""
+        rng = np.random.default_rng(5)
+        data = noise_free_instances(rng, 2, 3, 3, random_reporting_weights(rng, 3), 0.15)
+        calls = []
+        monkeypatch.setattr(rsm.learner, "_evaluate", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\)"):
+            grid_search(data, 0.1, lam=lam)
+        assert calls == []
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_compositions_in_lexicographic_order(self, k):
         """Stars and bars give every composition once, in the order of a filtered product."""

@@ -91,6 +91,20 @@ class TestStationary:
         p = stationary(matrix).probs
         assert np.max(np.abs(p @ matrix.entries - p)) < 1e-10
 
+    @pytest.mark.parametrize("left, right", [(20, 44), (20, 45), (30, 70)])
+    def test_periodic_chains_solve_on_both_sides_of_the_direct_limit(self, left, right):
+        """A bipartite chain has period 2, so power iteration from the uniform vector never settles on it;
+        its zero entries send it to the direct solve above DIRECT_SOLVE_MAX_N too."""
+        rng = np.random.default_rng(left + right)
+        n = left + right
+        entries = np.zeros((n, n))
+        entries[:left, left:] = rng.random((left, right)) + 0.01
+        entries[left:, :left] = rng.random((right, left)) + 0.01
+        entries /= entries.sum(axis=1, keepdims=True)
+        p = stationary(StochasticMatrix(entries)).probs
+        assert np.abs(p @ entries - p).max() <= config.STATIONARY_RESIDUAL_TOL
+        assert_allclose(p, lstsq_stationary(entries), rtol=0.0, atol=1e-12)
+
 
 def lstsq_stationary(entries):
     """Oracle: least-squares solve of the stacked system (P^T - I) p = 0, 1^T p = 1."""

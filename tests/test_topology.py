@@ -276,6 +276,12 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([0.51, 0.34]), Normalization.SUMS_TO_ONE_MINUS_LAMBDA)
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, float("nan")])
+    def test_as_native_names_a_bad_lam(self, lam):
+        """``lam`` is checked before the values it scales, which it would make negative or NaN."""
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\)"):
+            WeightVector(np.array([0.6, 0.4])).as_native(lam)
+
 
 class TestCombine:
     def test_restart_floor(self):
