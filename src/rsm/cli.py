@@ -54,7 +54,6 @@ from .evaluation import (
     true_ctr_model,
 )
 from .markov import StochasticMatrix, stationary
-from .record import pairs_view
 from .topology import Direction, FeatureSpec, WeightVector, combine, encode_rank_topology, rank_items
 
 log = logging.getLogger(__name__)
@@ -285,7 +284,7 @@ def cmd_eval(args) -> int:
     # the learner flags matter only to rsm; every option above is checked before the CSV is read
     configs = {lam: _learner_config(args, lam) if "rsm" in names else None for lam in lambdas}
     schema = _schema_for_csv(data_path)
-    pairs = pairs_view(mine_flip_pairs(_load_rows(data_path, schema)))  # once for every rate of a sweep
+    pairs = mine_flip_pairs(_load_rows(data_path, schema))  # a view of its record's pairs, for every rate of a sweep
     reports = {lam: run_experiment(pairs, [MODELS[name](schema, cfg) for name in names], num_splits=args.splits,
                                    seed=args.seed, train_fraction=args.train_frac) for lam, cfg in configs.items()}
     if args.lambda_sweep:

@@ -9,12 +9,11 @@ straight into the learner's ``ContextBatch``; format 1 (per-instance
 matrices) is refused.
 
 Rows are validated once, where they enter: ``load_csv`` checks a file's
-cells and contexts in bulk at the CSV boundary and builds its rows without a
-second check, as read-only slices of the file's flat columns; the public
-``LogRow`` and ``FlipPair`` constructors check everything built any other
-way. The miner, the learner, the scorers and the baselines read rows through
-the arrays of a ``rsm.record.ContextRecord``, which alone derives their click
-totals and CTRs; ``mine_flip_pairs`` builds its pairs from them unchecked.
+cells and contexts in bulk at the CSV boundary and builds the file's one
+``rsm.record.ContextRecord`` from its flat columns without a second check;
+the public ``LogRow`` and ``FlipPair`` constructors check everything built
+any other way. The miner mines that record's arrays and gathers the record
+of its flip pairs' rows, which each split of an ``rsm eval`` run indexes.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -41,7 +40,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import ContextRecord, by_width, clicked_view, feature_ranks, pairs_view
+from .record import ContextRecord, RecordView, by_width, clicked_view, coded, feature_ranks, first_seen, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -85,6 +84,15 @@ class DatasetSchema:
         return len(self.features)
 
 
+def _unchecked(cls, *values):
+    """A frozen dataclass ``cls`` with its fields set to ``values``, in order (so all share attribute keys), unchecked:
+    the rows of :func:`load_csv` and pairs of :func:`mine_flip_pairs` were validated in bulk. Arrays are not copied."""
+    instance = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 @dataclass(frozen=True, eq=False)
 class LogRow:
     """One displayed context: a query, its items, clicks and feature values.
@@ -93,9 +101,9 @@ class LogRow:
     read-only mapping. The constructor validates its arguments; rows from
     :func:`load_csv` were validated in bulk at the CSV boundary and are
     built without a second check, their arrays read-only slices of the
-    file's flat columns. A row holds only its data: its click total, CTRs,
-    ranks and least-squares design live in the :class:`ContextRecord` of
-    each run or call that needs them.
+    columns of the file's :class:`ContextRecord`. A row holds only its data:
+    its click total, CTRs, ranks and least-squares design live in the record
+    of each run or call that needs them.
     """
 
     query_id: str
@@ -143,23 +151,6 @@ class LogRow:
     def n(self) -> int:
         return len(self.items)
 
-    @classmethod
-    def _trusted(cls, query_id, context_id, items: tuple, positions, clicks, features) -> "LogRow":
-        """A row from read-only arrays the caller has already validated, unchecked.
-
-        For :func:`load_csv`, which checks a whole file's cells in bulk: the
-        arrays are taken over without a copy, and ``features`` must already
-        be a read-only mapping in schema order.
-        """
-        row = object.__new__(cls)
-        # set in the constructor's order, so the row shares its attribute keys with every other row
-        for name, value in (
-            ("query_id", query_id), ("context_id", context_id), ("items", items), ("positions", positions),
-            ("clicks", clicks), ("features", features),
-        ):
-            object.__setattr__(row, name, value)
-        return row
-
 
 @dataclass(frozen=True, eq=False)
 class FlipPair:
@@ -186,14 +177,6 @@ class FlipPair:
         if not (gap_1 > 0 and gap_2 < 0):
             raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
 
-    @classmethod
-    def _trusted(cls, row_1: LogRow, row_2: LogRow, item_a, item_b, strength: float) -> "FlipPair":
-        """A pair :func:`mine_flip_pairs` has already found to flip, unchecked."""
-        pair = object.__new__(cls)
-        for name, value in (("row_1", row_1), ("row_2", row_2), ("item_a", item_a), ("item_b", item_b), ("strength", strength)):
-            object.__setattr__(pair, name, value)
-        return pair
-
 
 @dataclass(frozen=True)
 class LoadError:
@@ -205,7 +188,11 @@ class LoadError:
 
 @dataclass(frozen=True, eq=False)
 class LoadResult:
-    rows: List[LogRow]
+    """What :func:`load_csv` read. ``rows.record`` holds exactly the file's valid contexts, as columns, in the order
+    of their first lines; ``rows`` views all of its rows in that order, each a :class:`LogRow` of read-only slices of
+    the columns. ``errors`` lists the lines that did not parse, in file order, then the contexts refused whole."""
+
+    rows: RecordView
     errors: List[LoadError]
 
 
@@ -226,7 +213,7 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
     nonnegative clicks, finite features). A line with a cell that does not
     convert is parsed again alone, for its own error; a context that fails a
     check goes to the public :class:`LogRow` constructor, whose error is
-    reported. The other contexts become rows without a second check.
+    reported. The other contexts become the record, without a second check.
     """
     columns = BASE_COLUMNS + schema.names
     with open(path, newline="", encoding="utf-8") as handle:
@@ -267,7 +254,8 @@ class _CsvLines:
         self.line_index = count()  # hands each line its index, the code of a context it opens
         self.items: List[str] = []
         self.positions: List[int] = []  # Python ints: a row's constructor rejects one beyond int64
-        self.chunks: List[tuple] = []  # per chunk: context codes, line numbers, clicks and features, failed lines
+        # per chunk: context codes, line numbers, clicks and features, failed lines; the first chunk is empty
+        self.chunks: List[tuple] = [(np.zeros(0, np.int64),) * 2 + (np.zeros((len(columns) - 4, 0)), np.zeros(0, bool))]
         self.errors: List[LoadError] = []
 
     def add(self, records: List[List[str]], numbers: List[int]) -> None:
@@ -303,10 +291,7 @@ class _CsvLines:
         self.chunks.append((codes, np.array(numbers), values, failed))
 
     def result(self, schema: DatasetSchema) -> LoadResult:
-        """Group the lines into contexts, check them in bulk and build the rows in file order."""
-        rows: List[LogRow] = []
-        if not self.chunks:
-            return LoadResult(rows=rows, errors=self.errors)
+        """Group the lines into contexts, check them in bulk and build the record of the valid ones in file order."""
         codes, numbers, values, failed = (np.concatenate(part, axis=-1) for part in zip(*self.chunks))
         self.chunks = []
         first, context, counts = np.unique(codes, return_inverse=True, return_counts=True)
@@ -317,44 +302,37 @@ class _CsvLines:
         if self.positions and not int64.min <= min(self.positions) <= max(self.positions) <= int64.max:
             bad |= np.array([not int64.min <= p <= int64.max for p in self.positions])
         flagged = np.bincount(context, weights=bad, minlength=first.size) > 0
-        item_codes = np.fromiter(map({}.setdefault, self.items, count()), np.int64, len(self.items))
-        by_item = np.lexsort((item_codes, context))
-        shown, item_codes = context[by_item], item_codes[by_item]
-        flagged[shown[1:][(shown[1:] == shown[:-1]) & (item_codes[1:] == item_codes[:-1])]] = True
+        shown = coded(zip(context.tolist(), self.items), len(self.items))[0]  # each (context, item) shown
+        flagged[context[np.bincount(shown)[shown] > 1]] = True
         order = np.argsort(context, kind="stable")  # each context's lines together, in file order
         starts = np.cumsum(counts) - counts
         valid = ~broken & ~flagged & (counts >= 2)
-        # the valid contexts' lines, context after context, as flat read-only columns; each row holds slices of them
+        # the valid contexts, in first-line order as ``first`` is, and their lines, context after context
+        queries, contexts = (np.fromiter((key[i] for key in self.contexts), object, first.size)[valid] for i in (0, 1))
         lines = order[np.repeat(valid, counts)]
-        flat_positions = np.fromiter(map(self.positions.__getitem__, lines.tolist()), np.int64, lines.size)
+        items = np.fromiter(self.items, object, len(self.items))[lines]
+        positions = np.fromiter(map(self.positions.__getitem__, lines.tolist()), np.int64, lines.size)
         flat_clicks, flat_features = clicks[lines], features[:, lines]
-        for array in (flat_positions, flat_clicks, flat_features):
-            array.flags.writeable = False
-        flat_items, end = list(map(self.items.__getitem__, lines.tolist())), 0
-        # contexts in first-line order, as ``first`` is
-        for c, ((query_id, context_id), is_broken, is_valid, size, line) in enumerate(
-            zip(self.contexts, broken.tolist(), valid.tolist(), counts.tolist(), numbers[first].tolist())
-        ):
-            if is_broken:
-                continue
+        positions.flags.writeable = flat_clicks.flags.writeable = flat_features.flags.writeable = False
+        ends = np.cumsum(counts[valid]).tolist()
+        rows = [_unchecked(LogRow, query_id, context_id, tuple(items[start:end]), positions[start:end], flat_clicks[start:end],
+                           MappingProxyType(dict(zip(schema.names, flat_features[:, start:end]))))
+                for query_id, context_id, start, end in zip(queries.tolist(), contexts.tolist(), [0] + ends[:-1], ends)]
+        record = ContextRecord(rows, queries, contexts, counts[valid], items, positions, flat_clicks,
+                               dict(zip(schema.names, flat_features)))
+        keys = list(self.contexts)
+        for c in np.flatnonzero(~broken & ~valid).tolist():
+            (query_id, context_id), size, line = keys[c], int(counts[c]), int(numbers[first[c]])
             if size < 2:
-                message = f"context {context_id!r} of query {query_id!r} has fewer than two items"
-                self.errors.append(LoadError(line_number=line, message=message))
-            elif is_valid:
-                span, end = slice(end, end + size), end + size
-                rows.append(LogRow._trusted(
-                    query_id, context_id, tuple(flat_items[span]), flat_positions[span], flat_clicks[span],
-                    MappingProxyType(dict(zip(schema.names, flat_features[:, span]))),
-                ))
-            else:  # failed a bulk check: the public constructor says how
-                at = order[starts[c]:starts[c] + size].tolist()
-                feats = {name: values[j, at] for j, name in enumerate(schema.names, start=1)}
-                items, positions = [self.items[i] for i in at], [self.positions[i] for i in at]
-                try:
-                    rows.append(LogRow(query_id, context_id, items, positions, clicks[at], feats))
-                except (ValueError, ShapeError) as exc:
-                    self.errors.append(LoadError(line_number=line, message=str(exc)))
-        return LoadResult(rows=rows, errors=self.errors)
+                self.errors.append(LoadError(line, f"context {context_id!r} of query {query_id!r} has fewer than two items"))
+                continue
+            at = order[starts[c]:starts[c] + size].tolist()
+            feats = dict(zip(schema.names, features[:, at]))
+            try:  # flagged in bulk, so refused here; the public constructor says how
+                LogRow(query_id, context_id, [self.items[i] for i in at], [self.positions[i] for i in at], clicks[at], feats)
+            except (ValueError, ShapeError) as exc:
+                self.errors.append(LoadError(line_number=line, message=str(exc)))
+        return LoadResult(rows=record.view(), errors=self.errors)
 
 
 def _parse_line(values: Sequence[str], columns: Tuple[str, ...], line: int) -> tuple:
@@ -403,7 +381,7 @@ def mine_flip_pairs(
     rows: Sequence[LogRow],
     min_total_clicks: float = config.MIN_TOTAL_CLICKS,
     min_click_diff: float = config.MIN_CLICK_DIFF,
-) -> List[FlipPair]:
+) -> RecordView:
     """Find item pairs whose click preference reverses across contexts.
 
     A context qualifies for a pair (a, b) if its total clicks are strictly
@@ -415,62 +393,54 @@ def mine_flip_pairs(
 
     Every item pair of the qualifying contexts is enumerated with index
     arrays, one width at a time, from the clicks, totals, CTRs and (query,
-    item) codes of the rows' :class:`ContextRecord`; only the chosen pairs'
-    items are compared as strings, so the pairs do not depend on code order.
+    item) codes of the rows' record; only the chosen pairs' items are compared
+    as strings, so the pairs do not depend on code order. Returns the view of
+    the pairs of the record gathered from their rows, clustered for splitting.
     """
-    record = ContextRecord(rows)
-    rows = record.rows
-    # contexts are ranked in id order, for the tie-break
-    context_rank = {c: i for i, c in enumerate(sorted({row.context_id for row in rows}))}
-    entries = [
-        _pair_entries(record, n, group, context_rank, min_total_clicks, min_click_diff)
-        for n, group in by_width(record.sizes)
-    ]
-    if not entries:
-        return []
-    lo_code, hi_code, side, gap, tie, row, lo, hi = map(np.concatenate, zip(*entries))
-    if not side.size:
-        return []
+    view = record_view(rows)
+    record, index = view.record, view.index
+    # the tie rank: a larger context id first, then an earlier row
+    tie = np.arange(index.size) - index.size * np.unique(record.context_ids[index], return_index=True, return_inverse=True)[2]
+    entries = [_pair_entries(record, index[at], tie[at], n, min_total_clicks, min_click_diff)
+               for n, at in by_width(record.sizes[index])]
+    lo_code, hi_code, side, gap, tie, row, lo, hi = [np.concatenate(part) for part in zip(*entries)] or [np.zeros(0, np.intp)] * 8
     # per pair and side, the entry with the largest gap, then the best tie rank
     key = (lo_code * len(record.item_keys[1]) + hi_code) * 2 + side
     order = np.lexsort((tie, -gap, key))
-    best = order[np.r_[True, key[order][1:] != key[order][:-1]]]
+    best = order[np.diff(key[order], prepend=-1) != 0]
     # a pair with both sides has its two best entries as neighbours: side False (lower code preferred), then True
     both = np.flatnonzero(key[best][1:] // 2 == key[best][:-1] // 2)
-    ones, twos = best[both], best[both + 1]
-    pairs: List[FlipPair] = []
-    for one, two, first, second, strength in zip(
-        row[ones].tolist(), row[twos].tolist(), lo[ones].tolist(), hi[ones].tolist(), (gap[ones] + gap[twos]).tolist()
-    ):
-        row_lo, row_hi = rows[one], rows[two]  # the contexts preferring the lower-coded item and the other
-        item_lo, item_hi = row_lo.items[first], row_lo.items[second]
-        if item_lo < item_hi:
-            pairs.append(FlipPair._trusted(row_lo, row_hi, item_lo, item_hi, strength))
-        else:
-            pairs.append(FlipPair._trusted(row_hi, row_lo, item_hi, item_lo, strength))
-    pairs.sort(key=lambda pair: (pair.row_1.query_id, pair.item_a, pair.item_b))
-    return pairs
+    one, two = best[both], best[both + 1]
+    # the rows preferring the lower-coded item and the other, and the places of (a, b) in row_1 and (b, a) in row_2
+    pair_rows, pair_items = np.stack((row[one], row[two]), 1), np.stack((lo[one], hi[one], hi[two], lo[two]), 1).reshape(-1, 2, 2)
+    item_lo, item_hi = (record.item_ids[record.starts[row[one]] + place] for place in (lo[one], hi[one]))
+    swap = item_lo > item_hi  # then item_a is the higher-coded item, and row_1 the row preferring it
+    pair_rows[swap], pair_items[swap] = pair_rows[swap, ::-1], pair_items[swap, ::-1]
+    item_a, item_b = np.where(swap, item_hi, item_lo).tolist(), np.where(swap, item_lo, item_hi).tolist()
+    names = list(zip(record.query_ids[pair_rows[:, 0]].tolist(), item_a, item_b))
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
+    # the record of the pairs' distinct rows, in order of first appearance, and each pair's two rows in it
+    first, sides = first_seen(pair_rows[by_name].ravel())
+    pairs_record, pair_rows = record.take(pair_rows[by_name].ravel()[first]), sides.reshape(-1, 2)
+    pairs = [_unchecked(FlipPair, pairs_record.rows[i], pairs_record.rows[j], *names[p][1:], strength) for (i, j), p, strength
+             in zip(pair_rows.tolist(), by_name.tolist(), (gap[one] + gap[two])[by_name].tolist())]
+    return pairs_record.pair(pairs, pair_rows, pair_items[by_name], np.arange(len(pairs))).view("pairs")
 
 
-def _pair_entries(record, n, group, context_rank, min_total_clicks, min_click_diff) -> tuple:
-    """The item pairs of the record's rows at ``group``, all of width ``n``, with more than
-    ``min_total_clicks`` clicks, whose click gap counts, as columns.
-
-    Columns: the pair's lower and higher (query, item) code, its side (True when the
-    higher-coded item has more clicks), its CTR gap, the row's tie rank
-    (larger context id first, then earlier row), the row's position and the
-    two items' indices in the row, lower code first.
-    """
-    group = group[record.totals[group] > min_total_clicks]
-    items, members = record.items(group), [record.rows[pos] for pos in group.tolist()]
+def _pair_entries(record, group, tie, n, min_total_clicks, min_click_diff) -> tuple:
+    """The item pairs of the record's rows at ``group``, all ``n`` wide with tie ranks ``tie``, with more than
+    ``min_total_clicks`` clicks, whose click gap counts, as columns: the pair's lower and higher (query, item) code,
+    its side (True when the higher-coded item has more clicks), its CTR gap, the row's tie rank, the row and the
+    two items' indices in the row, lower code first."""
+    keep = record.totals[group] > min_total_clicks
+    group, tie, items = group[keep], tie[keep], record.items(group[keep])
     clicks, ctrs = record.clicks[items].reshape(-1, n), record.ctrs[items].reshape(-1, n)
     codes = record.item_keys[0][items].reshape(-1, n)
-    tie = group - len(record.rows) * np.array([context_rank[row.context_id] for row in members], dtype=np.intp)
     i, j = np.triu_indices(n, 1)
     # name the pair by item code, so it reads the same in every context
     swap = codes[:, i] > codes[:, j]
     lo, hi = np.where(swap, j, i), np.where(swap, i, j)
-    r = np.arange(len(members))[:, None]
+    r = np.arange(group.size)[:, None]
     diff = clicks[r, lo] - clicks[r, hi]
     r, c = np.nonzero(~(np.abs(diff) < min_click_diff) & (diff != 0))
     lo, hi = lo[r, c], hi[r, c]
@@ -487,11 +457,10 @@ def paired_split(
     A pair's two rows always land on the same side, and no row appears on
     both sides: pairs sharing a row are clustered first and clusters are
     assigned whole. The split is deterministic in (pairs, seed) and
-    insensitive to input order. Returns ``(train_rows, test_pairs)``, the
-    lists of what :meth:`ContextRecord.split` gives.
+    insensitive to input order. Returns ``(train_rows, test_pairs)`` as
+    :meth:`ContextRecord.split` gives them.
     """
-    train_rows, test_pairs = pairs_view(pairs).record.split(train_fraction, seed)
-    return list(train_rows), list(test_pairs)
+    return pairs_view(pairs).record.split(train_fraction, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +474,7 @@ def topologies_from_row(row: LogRow, schema: DatasetSchema) -> Tuple[Topology, .
     Bit-equal to ``encode_rank_topology`` of each feature. The pipeline itself
     ranks through a :class:`ContextRecord` and forms no ``n x n`` chain.
     """
-    return _topologies(schema, rank_chain(feature_ranks([row], schema)[1][0]), row.items)
+    return _topologies(schema, rank_chain(feature_ranks(record_view([row]), schema)[1][0]), row.items)
 
 
 def _topologies(schema: DatasetSchema, tensor: np.ndarray, items: tuple) -> Tuple[Topology, ...]:
@@ -560,7 +529,7 @@ def design_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.
     the schema features in order, then the display position."""
     view = clicked_view(rows)
     items = view.record.items(view.index)
-    return view.record.design(schema)[items], view.record.ctrs[items]
+    return view.record.encoding(schema)[2][items], view.record.ctrs[items]
 
 
 def feature_rows_from_logs(rows: Sequence[LogRow], schema: DatasetSchema) -> List[FeatureRow]:

@@ -5,8 +5,8 @@ returns a scorer; a scorer maps a list of rows to one score vector per row,
 aligned with its items, higher meaning more preferred within that context.
 Accuracy is measured on held-out flip pairs, two comparisons per pair.
 
-A run records its pairs once, in ``rsm.record.pairs_view``; each split is
-index arrays into the record, and the built-in models and scorers gather its arrays.
+A run splits the record of its pairs, gathered by ``mine_flip_pairs`` from the loaded record (``rsm.record.pairs_view``
+records hand-built pairs); each split is index arrays into it, which the built-in models and scorers gather.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def least_squares_model(schema: DatasetSchema) -> Model:
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
             view = record_view(rows)
-            design = view.record.design(schema)[view.record.items(view.index)]
+            design = view.record.encoding(schema)[2][view.record.items(view.index)]
             predictions, ends = model.intercept + design @ model.coefficients, np.cumsum(view.record.sizes[view.index]).tolist()
             return [predictions[start:end] for start, end in zip([0] + ends, ends)]
 
@@ -361,8 +361,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Repeated paired-split evaluation of several models on one dataset.
 
-    Takes flip pairs (``mine_flip_pairs`` of click-log rows) or their ``pairs_view``,
-    recorded and clustered once; fewer than two raise ``SplitTooSmall``.
+    Takes flip pairs, as ``mine_flip_pairs`` returns them, recorded and clustered once,
+    or in any sequence, recorded here; fewer than two raise ``SplitTooSmall``.
     Every split (``paired_split`` with a seed derived from ``seed``) re-fits
     every model on its training rows. The report's ``per_split`` holds each
     model's accuracy on every split, in split order.

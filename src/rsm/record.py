@@ -1,18 +1,17 @@
-"""The context record: rows, and flip pairs over them, as arrays built once and gathered by index.
+"""The context record: contexts as columns, built once and gathered by index from the CSV to the scorer.
 
-A record is the one place where the pipeline turns rows into per-width arrays, derives their click totals
-and CTRs and codes their (query, item) names; the miner, the learner's batch, the least-squares design and
-the ``train_ctr`` baseline read them there. An ``rsm eval`` run records its flip pairs' rows and clusters
-the pairs once, for every rate of a sweep; each split is index arrays into the record. Models get rows as a
-:class:`RecordView`, a tuple that also carries their indices, so the batch, the design and the scorers gather
-the record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's
-default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
+``load_csv`` builds a file's record, the miner gathers the record of its flip pairs' rows from it, and each split
+is index arrays into that one. Models get rows as a :class:`RecordView`, a list that also carries their indices,
+so the batch, the design and the scorers gather the record's arrays. Integer arrays are sorted stably and
+``np.unique`` always returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a
+plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple
+from itertools import chain, count
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -30,42 +29,50 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
-def _first_seen(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def first_seen(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Where each distinct code first appears, ascending, and for each entry its code's rank in that order."""
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     return first[order], np.argsort(order, kind="stable")[inverse]
 
 
+def coded(keys: Iterable, size: int) -> Tuple[np.ndarray, list]:
+    """Each of ``size`` keys' code, numbered from 0 in order of first appearance, and each code's key."""
+    ids: dict = {}  # each key's first place
+    return first_seen(np.fromiter(map(ids.setdefault, keys, count()), np.intp, size))[1], list(ids)
+
+
 def by_width(sizes: np.ndarray) -> list:
     """Each distinct width of ``sizes``, in order of first appearance, with the positions that hold it, ascending."""
-    first, width = _first_seen(sizes)
+    first, width = first_seen(sizes)
     return [(n, np.flatnonzero(width == j)) for j, n in enumerate(sizes[first].tolist())]
 
 
-def feature_ranks(rows: Sequence[LogRow], schema: DatasetSchema) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(R, k, n)`` feature values of rows of one width and their :func:`average_ranks`, negated where lower is better."""
-    values = np.array([[row.features[name] for name in schema.names] for row in rows])
+def feature_ranks(rows: RecordView, schema: DatasetSchema) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(R, k, n)`` feature values of a view's rows, all ``n`` wide, gathered from its record's columns, and
+    their :func:`average_ranks`, negated where lower is better."""
+    places = rows.record.items(rows.index)
+    values = np.stack([rows.record.features[name][places].reshape(len(rows), -1) for name in schema.names], axis=1)
     lower = np.array([[spec.direction is Direction.LOWER_IS_BETTER] for spec in schema.features])
     return values, average_ranks(np.where(lower, -values, values))
 
 
 class ContextRecord:
-    """Rows as arrays: row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]`` of the flat clicks,
-    CTRs (zero without clicks) and designs, and ``totals[r]`` is its click total. The rows' clicks are
-    concatenated once; each width's block is gathered from them and summed per row, and each row's sum
-    divides its clicks, the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per
-    schema, on first use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. A
-    record lives as long as the run or call that made it.
+    """Contexts as columns: per row ``query_ids``, ``context_ids`` and ``sizes``; per item, row after row,
+    ``item_ids``, ``positions`` and ``clicks``; per feature name a flat column in ``features``. Row ``r`` holds
+    places ``starts[r]`` to ``starts[r] + sizes[r]``, and ``rows[r]`` is it as a :class:`LogRow`. Each width's
+    clicks are summed per row into ``totals``, and each row's sum divides its clicks into the flat CTRs (zero
+    without clicks): the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema, on
+    first use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. The columns are taken
+    as given, unchecked (the loader's, or gathered by :meth:`take`); a record lives as long as the run or call that made it.
     """
 
-    def __init__(self, rows: Sequence[LogRow]):
-        self.rows = list(rows)
-        self.sizes = np.array([row.n for row in self.rows], dtype=np.intp)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.clicks = np.concatenate([row.clicks for row in self.rows] or [np.zeros(0)])
-        self.totals, self.ctrs = np.zeros(len(self.rows)), np.zeros(self.clicks.size)
-        for n, members in by_width(self.sizes):
+    def __init__(self, rows: list, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
+        self.rows, self.query_ids, self.context_ids, self.sizes = rows, query_ids, context_ids, sizes
+        self.item_ids, self.positions, self.clicks, self.features = item_ids, positions, clicks, features
+        self.starts = np.cumsum(sizes) - sizes
+        self.totals, self.ctrs = np.zeros(sizes.size), np.zeros(clicks.size)
+        for n, members in by_width(sizes):
             clicks = self.clicks[self.items(members)].reshape(-1, n)  # C-contiguous: each row sums as it does alone
             self.totals[members] = totals = clicks.sum(axis=1)
             hit = totals > 0
@@ -74,32 +81,64 @@ class ContextRecord:
         self._encodings: Dict[DatasetSchema, tuple] = {}
 
     @classmethod
+    def of_rows(cls, rows: Sequence[LogRow]) -> "ContextRecord":
+        """The record of a list of independent rows, the one place where rows become arrays: each column, and each
+        feature that every row has, is concatenated once."""
+        rows = list(rows)
+        names = [name for name in rows[0].features if all(name in row.features for row in rows)] if rows else []
+        ids = [np.fromiter((getattr(row, key) for row in rows), object, len(rows)) for key in ("query_id", "context_id")]
+        return cls(rows, *ids, np.array([row.n for row in rows], dtype=np.intp),
+                   np.fromiter(chain.from_iterable(row.items for row in rows), object),
+                   *(np.concatenate([getattr(row, key) for row in rows] or [np.zeros(0)]) for key in ("positions", "clicks")),
+                   {name: np.concatenate([row.features[name] for row in rows]) for name in names})
+
+    def take(self, index: np.ndarray) -> "ContextRecord":
+        """The record of the rows at ``index``, in that order, gathered from the columns. It shares their
+        :class:`LogRow` objects and, if this record has coded them, their (query, item) codes."""
+        places = self.items(index)
+        record = ContextRecord(list(map(self.rows.__getitem__, index.tolist())), self.query_ids[index], self.context_ids[index],
+                               self.sizes[index], self.item_ids[places], self.positions[places], self.clicks[places],
+                               {name: column[places] for name, column in self.features.items()})
+        if "item_keys" in vars(self):
+            record.item_keys = (self.item_keys[0][places], self.item_keys[1])
+        return record
+
+    def view(self, kind: str = "rows") -> "RecordView":
+        """The view of all of the record's ``kind``, "rows" or "pairs"."""
+        return RecordView(self, np.arange(len(getattr(self, kind))), getattr(self, kind))
+
+    @classmethod
     def of_pairs(cls, pairs: Sequence[FlipPair]) -> "ContextRecord":
-        """The record of the distinct rows (by identity) of ``pairs``; ``pair_items`` holds the places of (a, b) in
-        each pair's row_1 and (b, a) in its row_2, and ``clusters`` the pairs sharing rows, in paired_split's order."""
+        """The record of the distinct rows (by identity) of hand-built ``pairs``, and of the pairs (:meth:`pair`)."""
         pairs = list(pairs)
         sides = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
         place = {row: i for i, row in enumerate(dict.fromkeys(sides))}
-        record = cls(list(place))
-        record.pairs, record.pair_rows = pairs, np.array([place[row] for row in sides], dtype=np.intp).reshape(-1, 2)
-        record.pair_items = np.array([
+        pair_items = np.array([
             (p.row_1.items.index(p.item_a), p.row_1.items.index(p.item_b), p.row_2.items.index(p.item_b),
              p.row_2.items.index(p.item_a)) for p in pairs
         ], dtype=np.intp).reshape(-1, 2, 2)
-        ids: Dict[Tuple[str, str], int] = {}
-        record.row_key = np.array([ids.setdefault((row.query_id, row.context_id), len(ids)) for row in place], dtype=np.intp)
-        rank = np.argsort(np.array(sorted(range(len(pairs)), key=lambda i: (
+        order = sorted(range(len(pairs)), key=lambda i: (
             pairs[i].row_1.query_id, pairs[i].item_a, pairs[i].item_b, pairs[i].row_1.context_id, pairs[i].row_2.context_id,
-        )), dtype=np.intp), kind="stable")
+        ))
+        pair_rows = np.array([place[row] for row in sides], dtype=np.intp).reshape(-1, 2)
+        return cls.of_rows(list(place)).pair(pairs, pair_rows, pair_items, order)
+
+    def pair(self, pairs: list, pair_rows: np.ndarray, pair_items: np.ndarray, order) -> "ContextRecord":
+        """The record with ``pairs`` over its rows: ``pair_rows`` holds each one's row_1 and row_2, ``pair_items`` the
+        places of (a, b) in row_1 and (b, a) in row_2. ``clusters`` lists the pairs sharing a (query, context)
+        together, each cluster in ``order`` (by query, item a, item b, context 1, context 2), clusters by their first."""
+        self.pairs, self.pair_rows, self.pair_items = pairs, pair_rows, pair_items
+        self.row_key = coded(zip(self.query_ids, self.context_ids), self.sizes.size)[0]
+        rank = np.argsort(np.array(order, dtype=np.intp), kind="stable")
         # each pair takes the lowest rank over the pairs sharing one of its rows, until its cluster's first pair's
-        label, keys, spread = None, record.row_key[record.pair_rows], rank
+        label, keys, spread = None, self.row_key[pair_rows], rank
         while not np.array_equal(spread, label):
-            label, lowest = spread, np.full(len(ids), len(pairs))
+            label, lowest = spread, np.full(len(self.rows), len(pairs))
             np.minimum.at(lowest, keys, label[:, None])
             spread = lowest[keys].min(axis=1)
         sizes = np.bincount(label, minlength=len(pairs))  # labels are the clusters' first ranks
-        record.clusters, record.cluster_sizes = np.lexsort((rank, label)), sizes[sizes > 0]
-        return record
+        self.clusters, self.cluster_sizes = np.lexsort((rank, label)), sizes[sizes > 0]
+        return self
 
     def split(self, train_fraction: float, seed: int) -> Tuple["RecordView", "RecordView"]:
         """:func:`paired_split` as views: clusters, in ``default_rng(seed).permutation`` order, train while
@@ -117,7 +156,7 @@ class ContextRecord:
         if not test.size:
             raise SplitTooSmall("pairs are too entangled to produce a nonempty test set")
         sides = self.pair_rows[self.clusters[_ranges(starts[train], sizes[train])]].ravel()
-        first, _ = _first_seen(self.row_key[sides])
+        first, _ = first_seen(self.row_key[sides])
         return RecordView(self, sides[first], self.rows), RecordView(self, test, self.pairs)
 
     def items(self, index: np.ndarray) -> np.ndarray:
@@ -126,25 +165,21 @@ class ContextRecord:
 
     @cached_property
     def item_keys(self) -> Tuple[np.ndarray, list]:
-        """Each flat place's (query, item) code, numbered from 0 in order of first appearance, and each code's (query, item)."""
-        ids: Dict[Tuple[str, str], int] = {}
-        codes = [ids.setdefault((row.query_id, item), len(ids)) for row in self.rows for item in row.items]
-        return np.array(codes, dtype=np.intp), list(ids)
+        """Each flat place's (query, item) code and each code's (query, item); the codes count from 0 in order of
+        first appearance in the record that coded them (a gathered record shares its source's)."""
+        return coded(zip(np.repeat(self.query_ids, self.sizes), self.item_ids), self.item_ids.size)
 
     def encoding(self, schema: DatasetSchema) -> tuple:
         """Per width a RankSpace, each row's place in its width, and the flat (N, k + 1) design: features, position."""
         if schema not in self._encodings:
             spaces, place, design = {}, np.empty(len(self.rows), dtype=np.intp), np.empty((self.ctrs.size, schema.k + 1))
+            design[:, schema.k] = self.positions
             for n, members in by_width(self.sizes):
-                values, ranks = feature_ranks([self.rows[r] for r in members.tolist()], schema)
-                positions = np.array([self.rows[r].positions for r in members.tolist()])[..., None]
-                design[self.items(members)] = np.concatenate((values.swapaxes(1, 2), positions), 2).reshape(-1, schema.k + 1)
+                values, ranks = feature_ranks(RecordView(self, members, self.rows), schema)
+                design[self.items(members), :schema.k] = values.swapaxes(1, 2).reshape(-1, schema.k)
                 spaces[n], place[members] = rank_space(ranks), np.arange(members.size)
             self._encodings[schema] = (spaces, place, design)
         return self._encodings[schema]
-
-    def design(self, schema: DatasetSchema) -> np.ndarray:
-        return self.encoding(schema)[2]  # gathered by items()
 
     def rank_spaces(self, index: np.ndarray, schema: DatasetSchema):
         """Per width of the rows at ``index``, in order of first appearance: their places in ``index`` and their RankSpace."""
@@ -157,19 +192,19 @@ class ContextRecord:
         """The distinct rows of the pairs at ``index``, in order of first appearance, and the pairs' comparisons:
         ``(2P, 2)`` places of each preferred and other item in those rows' scores end to end, row_1's then row_2's."""
         sides = self.pair_rows[index].ravel()
-        first, row = _first_seen(sides)
+        first, row = first_seen(sides)
         offsets = np.cumsum(self.sizes[sides[first]]) - self.sizes[sides[first]]
         return RecordView(self, sides[first], self.rows), offsets[row, None] + self.pair_items[index].reshape(-1, 2)
 
 
-class RecordView(tuple):
-    """A tuple of a record's rows (or pairs) that also holds their ``index`` into the record and their ``kind``,
-    "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays."""
+class RecordView(list):
+    """A list of a record's rows (or pairs) that also holds their ``index`` into the record and their ``kind``,
+    "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays. A view
+    is not changed in place, or its ``index`` would no longer say what it holds."""
 
-    def __new__(cls, record: ContextRecord, index: np.ndarray, source: list) -> "RecordView":
-        view = super().__new__(cls, map(source.__getitem__, index.tolist()))
-        view.record, view.index, view.kind = record, index, "rows" if source is record.rows else "pairs"
-        return view
+    def __init__(self, record: ContextRecord, index: np.ndarray, source: list):
+        super().__init__(map(source.__getitem__, index.tolist()))
+        self.record, self.index, self.kind = record, index, "rows" if source is record.rows else "pairs"
 
     def of(self, kind: str) -> "RecordView":
         """The view itself if it indexes the record's ``kind``, else a ``TypeError``: its indices mean other things."""
@@ -180,18 +215,15 @@ class RecordView(tuple):
 
 def record_view(rows: Sequence[LogRow]) -> RecordView:
     """``rows`` itself if it is a view of a record's rows, else the view of a new record of them."""
-    if isinstance(rows, RecordView):
-        return rows.of("rows")
-    record = ContextRecord(rows)
-    return RecordView(record, np.arange(len(record.rows)), record.rows)
+    return rows.of("rows") if isinstance(rows, RecordView) else ContextRecord.of_rows(rows).view()
 
 
 def clicked_view(rows: Sequence[LogRow]) -> RecordView:
-    """The rows of ``rows`` that have clicks, in order: a view of the same record if ``rows`` is a record's view,
-    else of a new record of only those rows, so a list's quiet rows are never ranked or designed."""
+    """The rows of ``rows`` that have clicks, in order: a view of the same record if all of them have, else of the
+    record gathered from only those, so a context without clicks is never ranked or designed."""
     view = record_view(rows)
     clicked = RecordView(view.record, view.index[view.record.clicked[view.index]], view.record.rows)
-    return clicked if view is rows or len(clicked) == len(view) else record_view(list(clicked))
+    return clicked if len(clicked) == len(view) else view.record.take(clicked.index).view()
 
 
 def pairs_view(pairs: Sequence[FlipPair]) -> RecordView:
@@ -199,5 +231,4 @@ def pairs_view(pairs: Sequence[FlipPair]) -> RecordView:
     of them; so its record splits exactly these pairs, and one view serves every run over them."""
     if isinstance(pairs, RecordView) and len(pairs.of("pairs")) == len(pairs.record.pairs):
         return pairs
-    record = ContextRecord.of_pairs(pairs)
-    return RecordView(record, np.arange(len(record.pairs)), record.pairs)
+    return ContextRecord.of_pairs(pairs).view("pairs")

@@ -187,7 +187,7 @@ class TestConstantScorer:
         """Fitted on a view of part of a record, in another order, or on the same rows as a plain list, which codes
         the (query, item) names afresh: the scores are bit-equal, on rows of either record and on rows of neither."""
         rows = self.rows(np.random.default_rng(9), [("q1", "ab"), ("q2", "ab"), ("q1", "bca"), ("q1", "ca"), ("q2", "ba")])
-        record = ContextRecord(rows)
+        record = ContextRecord.of_rows(rows)
         view = RecordView(record, np.array([4, 2, 3], dtype=np.intp), record.rows)
         others = self.rows(np.random.default_rng(10), [("q1", "abc"), ("q2", "ab"), ("q9", "ad")])
         for scored in (rows, others):

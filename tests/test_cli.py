@@ -232,7 +232,8 @@ class TestEval:
         assert csv_head.startswith("lambda,split,")
 
     def test_lambda_sweep_mines_the_pairs_once(self, flip_dir, tmp_path, monkeypatch):
-        """A three-rate sweep mines and records its flip pairs once and writes the reports of three separate runs."""
+        """A three-rate sweep mines its flip pairs once, into the record every run splits, never through ``of_pairs``,
+        and writes the reports of three separate runs."""
         calls, recorded = [], []
         real, real_record = rsm.data.mine_flip_pairs, rsm.record.ContextRecord.of_pairs.__func__
 
@@ -249,15 +250,15 @@ class TestEval:
         monkeypatch.setattr(rsm.record.ContextRecord, "of_pairs", classmethod(recording))
         common = ["--models", "rsm,constant,train_ctr", "--splits", "3", "--max-iters", "6", "--out-dir"]
         assert run(["eval", flip_dir / "dataset.csv", "--lambda-sweep", "0.05,0.15,0.3"] + common + [tmp_path / "sweep"]) == 0
-        assert calls == [20] and len(recorded) == 1
+        assert calls == [20] and recorded == []
         sweep = json.loads((tmp_path / "sweep" / "report.json").read_text())["lambda_sweep"]
         for lam in ("0.05", "0.15", "0.3"):
             assert run(["eval", flip_dir / "dataset.csv", "--lambda", lam] + common + [tmp_path / lam]) == 0
             assert sweep[lam] == json.loads((tmp_path / lam / "report.json").read_text())
 
     def test_an_eval_codes_each_records_items_once(self, flip_dir, tmp_path, monkeypatch):
-        """Over 8 splits and 2 rates, train_ctr and the miner build one (query, item) coding per record: the miner's
-        record of the loaded rows and the record of the flip pairs."""
+        """Over 8 splits and 2 rates, train_ctr and the miner build one (query, item) coding: the miner's, of the
+        loaded record, which the record of the flip pairs gathers."""
         built, real = [], rsm.record.ContextRecord.item_keys.func
 
         def counting(record):
@@ -269,7 +270,21 @@ class TestEval:
         monkeypatch.setattr(rsm.record.ContextRecord, "item_keys", coding)
         assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "o", "--models", "constant,train_ctr",
                     "--splits", "8", "--lambda-sweep", "0.1,0.2"]) == 0
-        assert len(built) == len(set(map(id, built))) == 2
+        assert len(built) == 1
+
+    def test_a_csv_run_builds_no_record_from_a_list_of_rows(self, flip_dir, tmp_path, monkeypatch):
+        """``rsm eval`` over a sweep and ``rsm train`` on a CSV adapt no list of rows into a record: the loader builds
+        the file's record from its columns and the miner gathers the pairs' record from it. ``of_pairs`` never runs."""
+        adapted, real = [], rsm.record.ContextRecord.of_rows.__func__
+        monkeypatch.setattr(rsm.record.ContextRecord, "of_rows", classmethod(lambda cls, rows: adapted.append(len(rows)) or real(cls, rows)))
+        monkeypatch.setattr(rsm.record.ContextRecord, "of_pairs", classmethod(lambda cls, pairs: adapted.append("of_pairs")))
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "e", "--models", "rsm,least_squares,constant,train_ctr",
+                    "--splits", "4", "--lambda-sweep", "0.1,0.2"]) == 0
+        assert run(["train", flip_dir / "dataset.csv", "--out-dir", tmp_path / "t", "--max-iters", "5"]) == 0
+        assert adapted == []
+        rows = rsm.load_csv(flip_dir / "dataset.csv", rsm.synthetic_schema(3)).rows
+        rsm.record.record_view(list(rows))  # the counter does see a list adapted
+        assert adapted == [len(rows)] == [20]
 
     @pytest.mark.parametrize("rates", ["0.15,0.15", "0.1,0.10000000001", "0.3,0.05,0.30"])
     def test_lambda_sweep_rates_sharing_a_label_exit_two(self, flip_dir, tmp_path, rates, caplog):

@@ -182,6 +182,30 @@ class TestCsvRoundTrip:
         assert result.rows == []
         assert len(result.errors) == 1
 
+    @pytest.mark.parametrize("bad, message", [
+        (("a,1,nan,1.0,2.0", "b,2,4,2.0,3.0"), "clicks must be finite"),
+        (("a,1,3,1.0,2.0", "b,2,4,2.0,-inf"), "feature 'rating' values must be finite"),
+        (("a,1,-3,1.0,2.0", "b,2,4,2.0,3.0"), "clicks must be nonnegative"),
+        ((f"a,{2**63},3,1.0,2.0", "b,2,4,2.0,3.0"), "positions must fit in 64-bit integers"),
+        (("a,1,3,1.0,2.0", "a,2,4,2.0,3.0"), "context items must be unique"),
+    ], ids=["nan_clicks", "inf_feature", "negative_clicks", "int64_position", "duplicate_item"])
+    def test_a_context_flagged_in_bulk_is_one_error_and_no_row(self, tmp_path, bad, message):
+        """Each kind of context the bulk checks flag is one error, at its first line with the public constructor's
+        text, and no row; the record holds exactly the other contexts, column for column as they load alone."""
+        good = ["q,c0,a,1,3,1.0,2.0", "q,c0,b,2,4,2.0,3.0", "q,c2,b,1,5,1.0,2.0", "q,c2,c,2,1,2.0,3.0", "q,c2,a,3,0,3.0,1.0"]
+        path = tmp_path / "flagged.csv"
+        path.write_text(HEADER + "\n".join(good[:2] + [f"q,c1,{line}" for line in bad] + good[2:]) + "\n")
+        (tmp_path / "good.csv").write_text(HEADER + "\n".join(good) + "\n")
+        result, alone = load_csv(path, SCHEMA), load_csv(tmp_path / "good.csv", SCHEMA)
+        assert [(e.line_number, e.message) for e in result.errors] == [(4, message)] and alone.errors == []
+        assert [summary(row) for row in result.rows] == [summary(row) for row in alone.rows] != []
+        record, alone = result.rows.record, alone.rows.record
+        assert record.rows == result.rows and record.context_ids.tolist() == ["c0", "c2"]
+        for name in ("query_ids", "context_ids", "sizes", "item_ids", "positions", "clicks", "totals", "ctrs"):
+            assert getattr(record, name).tolist() == getattr(alone, name).tolist(), name
+        for name in SCHEMA.names:
+            assert record.features[name].tolist() == alone.features[name].tolist(), name
+
 
 HEADER = "query_id,context_id,item_id,position,clicks,price,rating\n"
 
@@ -999,7 +1023,7 @@ class TestRecordArrays:
             rows.append(make_row(f"q{c % 2}", f"c{c}", [f"i{j}" for j in range(n)], clicks, feats))
         save_csv(rows, tmp_path / "log.csv", SCHEMA)
         for source in (rows, load_csv(tmp_path / "log.csv", SCHEMA).rows):
-            record = ContextRecord(source)
+            record = ContextRecord.of_rows(source)
             assert record.clicked.tolist() == [row.clicks.sum() > 0 for row in source] == [c % 4 != 3 for c in range(9)]
             for row, start, total, clicked in zip(source, record.starts.tolist(), record.totals, record.clicked.tolist()):
                 want = row.clicks / row.clicks.sum() if clicked else np.zeros(row.n)
@@ -1015,7 +1039,7 @@ class TestRecordArrays:
         (query, item) names first appear; each code's key is its places' (query, item)."""
         rows = [make_row(query, f"c{c}", items, np.ones(len(items)), {name: np.zeros(len(items)) for name in SCHEMA.names})
                 for c, (query, items) in enumerate(shown)]
-        codes, keys = ContextRecord(rows).item_keys
+        codes, keys = ContextRecord.of_rows(rows).item_keys
         places = [(row.query_id, item) for row in rows for item in row.items]
         first = list(dict.fromkeys(places))  # each (query, item) once, in order of first appearance
         assert keys == first
@@ -1501,8 +1525,8 @@ class TestBridges:
             ctrs = np.array([row.ctr for row in feature_rows_from_logs(source, SCHEMA)])
             assert targets.tobytes() == ctrs.tobytes() == want.tobytes()
 
-    def test_batch_from_rows_skips_quiet_contexts(self, monkeypatch):
-        """A context without clicks has no targets, and it is never ranked."""
+    def test_batch_from_rows_skips_quiet_contexts(self, monkeypatch, tmp_path):
+        """A context without clicks has no targets, and it is never ranked, in a list or in a loaded file."""
         quiet = make_row("q", "c0", ["a", "b"], [0, 0], {"price": [1.0, 2.0], "rating": [1.0, 2.0]})
         ranked, real = [], rsm.record.feature_ranks
         monkeypatch.setattr(rsm.record, "feature_ranks", lambda rows, schema: ranked.extend(rows) or real(rows, schema))
@@ -1513,6 +1537,9 @@ class TestBridges:
         assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
         assert batch.buckets[1].slots.tolist() == [2, 3, 4]
         assert len(batch_from_rows([quiet], SCHEMA)) == 0
+        save_csv([quiet] + two_context_rows(), tmp_path / "log.csv", SCHEMA)
+        loaded, ranked[:] = load_csv(tmp_path / "log.csv", SCHEMA).rows, []
+        assert len(batch_from_rows(loaded, SCHEMA)) == 5 and len(ranked) == 2 and loaded[0] not in ranked
 
     def test_design_bridges_never_rank_quiet_contexts(self, monkeypatch):
         """A list's click-less context is left out of the record its design is read from, as it is for the batch."""
