@@ -47,6 +47,7 @@ from .errors import (
 )
 from .evaluation import (
     Model,
+    check_experiment,
     constant_model,
     least_squares_model,
     rsm_model,
@@ -115,9 +116,7 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
     """
     manifest_path = path.parent / "manifest.json"
     if manifest_path.is_file():
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        features = manifest.get("features")
+        features = _manifest_features(manifest_path)
         if features:
             return DatasetSchema(
                 features=tuple(
@@ -135,6 +134,26 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
     return DatasetSchema(
         features=tuple(FeatureSpec(name=n, direction=Direction.HIGHER_IS_BETTER) for n in names)
     )
+
+
+def _manifest_features(path: Path) -> list:
+    """The ``features`` of a ``manifest.json``, empty if it has none, or a ``SchemaError`` naming the file unless it
+    is a JSON object whose ``features``, if any, lists objects each with a nonempty string ``name`` and a
+    ``direction`` of "higher" or "lower"."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    features = manifest.get("features") if isinstance(manifest, dict) else None
+    directions = [direction.value for direction in Direction]
+    valid = isinstance(manifest, dict) and (not features or isinstance(features, list) and all(
+        isinstance(f, dict) and isinstance(f.get("name"), str) and f["name"] and f.get("direction") in directions
+        for f in features))
+    if not valid:
+        raise SchemaError(f"{path} must be a JSON object whose 'features' lists objects, each with a nonempty "
+                          f"'name' and a 'direction' of {' or '.join(map(repr, directions))}")
+    return features or []
 
 
 def _load_rows(path: Path, schema: DatasetSchema):
@@ -212,7 +231,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    cfg = None if args.grid else _learner_config(args, args.lam)  # the learner flags are checked before any read
+    if args.grid:  # the chosen learner's flags are checked before any read
+        learner.grid_steps(args.grid_step, args.lam)
+    else:
+        cfg = _learner_config(args, args.lam)
     if data_path.suffix == ".json":
         batch = load_instances(data_path)
     else:
@@ -275,11 +297,10 @@ def cmd_eval(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
     names = [part.strip() for part in args.models.split(",") if part.strip()]
-    if not names:
-        raise ValueError("--models must name at least one model")
     for name in names:
         if name not in MODELS:
             raise ValueError(f"unknown model {name!r}; choose from {', '.join(MODELS)}")
+    check_experiment(names, args.splits, args.train_frac)  # each registry name is its model's name
     lambdas = _parse_lambdas(args.lambda_sweep) if args.lambda_sweep else [args.lam]
     # the learner flags matter only to rsm; every option above is checked before the CSV is read
     configs = {lam: _learner_config(args, lam) if "rsm" in names else None for lam in lambdas}
@@ -493,7 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _NUMERIC_ERRORS as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
 

@@ -45,7 +45,6 @@ from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.da
 from .topology import (
     Direction,
     FeatureSpec,
-    Normalization,
     Topology,
     WeightVector,
     average_ranks,
@@ -189,8 +188,9 @@ class LoadError:
 @dataclass(frozen=True, eq=False)
 class LoadResult:
     """What :func:`load_csv` read. ``rows.record`` holds exactly the file's valid contexts, as columns, in the order
-    of their first lines; ``rows`` views all of its rows in that order, each a :class:`LogRow` of read-only slices of
-    the columns. ``errors`` lists the lines that did not parse, in file order, then the contexts refused whole."""
+    of their first lines; ``rows`` is the read-only view of all of its rows in that order (edit ``list(rows)``), each
+    a :class:`LogRow` of read-only slices of the columns. ``errors`` lists the lines that did not parse, in file
+    order, then the contexts refused whole."""
 
     rows: RecordView
     errors: List[LoadError]
@@ -377,18 +377,14 @@ def save_csv(rows: Sequence[LogRow], path, schema: DatasetSchema) -> None:
 # ---------------------------------------------------------------------------
 
 
-def mine_flip_pairs(
-    rows: Sequence[LogRow],
-    min_total_clicks: float = config.MIN_TOTAL_CLICKS,
-    min_click_diff: float = config.MIN_CLICK_DIFF,
-) -> RecordView:
+def mine_flip_pairs(rows: Sequence[LogRow]) -> RecordView:
     """Find item pairs whose click preference reverses across contexts.
 
     A context qualifies for a pair (a, b) if its total clicks are strictly
-    above ``min_total_clicks`` and the click gap between a and b is at least
-    ``min_click_diff``. When several qualifying contexts exist on a side,
-    the one with the largest CTR gap is chosen (ties by context id). Output
-    is sorted by (query, item_a, item_b); item_a precedes item_b
+    above ``config.MIN_TOTAL_CLICKS`` and the click gap between a and b is at
+    least ``config.MIN_CLICK_DIFF``. When several qualifying contexts exist
+    on a side, the one with the largest CTR gap is chosen (ties by context
+    id). Output is sorted by (query, item_a, item_b); item_a precedes item_b
     lexicographically and row_1 is the context preferring item_a.
 
     Every item pair of the qualifying contexts is enumerated with index
@@ -401,8 +397,7 @@ def mine_flip_pairs(
     record, index = view.record, view.index
     # the tie rank: a larger context id first, then an earlier row
     tie = np.arange(index.size) - index.size * np.unique(record.context_ids[index], return_index=True, return_inverse=True)[2]
-    entries = [_pair_entries(record, index[at], tie[at], n, min_total_clicks, min_click_diff)
-               for n, at in by_width(record.sizes[index])]
+    entries = [_pair_entries(record, index[at], tie[at], n) for n, at in by_width(record.sizes[index])]
     lo_code, hi_code, side, gap, tie, row, lo, hi = [np.concatenate(part) for part in zip(*entries)] or [np.zeros(0, np.intp)] * 8
     # per pair and side, the entry with the largest gap, then the best tie rank
     key = (lo_code * len(record.item_keys[1]) + hi_code) * 2 + side
@@ -427,12 +422,12 @@ def mine_flip_pairs(
     return pairs_record.pair(pairs, pair_rows, pair_items[by_name], np.arange(len(pairs))).view("pairs")
 
 
-def _pair_entries(record, group, tie, n, min_total_clicks, min_click_diff) -> tuple:
+def _pair_entries(record, group, tie, n) -> tuple:
     """The item pairs of the record's rows at ``group``, all ``n`` wide with tie ranks ``tie``, with more than
-    ``min_total_clicks`` clicks, whose click gap counts, as columns: the pair's lower and higher (query, item) code,
-    its side (True when the higher-coded item has more clicks), its CTR gap, the row's tie rank, the row and the
-    two items' indices in the row, lower code first."""
-    keep = record.totals[group] > min_total_clicks
+    ``config.MIN_TOTAL_CLICKS`` clicks, whose click gap counts, as columns: the pair's lower and higher (query,
+    item) code, its side (True when the higher-coded item has more clicks), its CTR gap, the row's tie rank, the
+    row and the two items' indices in the row, lower code first."""
+    keep = record.totals[group] > config.MIN_TOTAL_CLICKS
     group, tie, items = group[keep], tie[keep], record.items(group[keep])
     clicks, ctrs = record.clicks[items].reshape(-1, n), record.ctrs[items].reshape(-1, n)
     codes = record.item_keys[0][items].reshape(-1, n)
@@ -442,7 +437,7 @@ def _pair_entries(record, group, tie, n, min_total_clicks, min_click_diff) -> tu
     lo, hi = np.where(swap, j, i), np.where(swap, i, j)
     r = np.arange(group.size)[:, None]
     diff = clicks[r, lo] - clicks[r, hi]
-    r, c = np.nonzero(~(np.abs(diff) < min_click_diff) & (diff != 0))
+    r, c = np.nonzero(~(np.abs(diff) < config.MIN_CLICK_DIFF) & (diff != 0))
     lo, hi = lo[r, c], hi[r, c]
     return codes[r, lo], codes[r, hi], diff[r, c] < 0, np.abs(ctrs[r, lo] - ctrs[r, hi]), tie[r], group[r], lo, hi
 
@@ -577,12 +572,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.k < 1 or self.n < 2 or self.num_queries < 1:
             raise ValueError("k, n and num_queries must be positive (n at least 2)")
-        if self.weights.normalization is not Normalization.SUMS_TO_ONE:
-            raise ValueError("spec weights must be in reporting form")
-        if self.weights.k != self.k:
+        if self.weights.as_native(self.lam).k != self.k:
             raise ShapeError("weights length must equal k")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie in (0, 1)")
         if self.clicks_per_context is not None and self.clicks_per_context < 1:
             raise ValueError("clicks_per_context must be positive when given")
 
@@ -603,10 +594,10 @@ CANDIDATE_BLOCK = 64
 MAX_CANDIDATES = 20_000
 
 
-def _targets(values: np.ndarray, weights: WeightVector, lam: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The ranks of a ``(B, k, n)`` value stack and its ``(B, n)`` stationary targets, the same bits in any batch."""
+def _targets(values: np.ndarray, native: np.ndarray, lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The ranks of a ``(B, k, n)`` value stack and its ``(B, n)`` targets at ``native`` weights, the same bits in any batch."""
     ranks = average_ranks(values)
-    probs, _ = rank_chain_rows(rank_space(ranks), weights.values * (1.0 - lam), lam, gradients=False)
+    probs, _ = rank_chain_rows(rank_space(ranks), native, lam, gradients=False)
     return ranks, probs
 
 
@@ -622,7 +613,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     rng = np.random.default_rng(spec.seed)
     dataset = SyntheticDataset([], [], synthetic_schema(spec.k), spec.num_queries)
     values = rng.random((spec.num_queries, spec.k, spec.n))
-    ranks, probs = _targets(values, spec.weights, spec.lam)
+    ranks, probs = _targets(values, spec.weights.as_native(spec.lam).values, spec.lam)
     clicks = [None] * spec.num_queries
     if spec.clicks_per_context is not None:
         clicks = rng.multinomial(spec.clicks_per_context, probs)
@@ -667,10 +658,7 @@ def generate_flip_dataset(
         raise ValueError(f"the flip generator needs at least two features, got {weights.k}")
     if n < 3:
         raise ValueError(f"the flip generator needs n of at least 3, the two flip candidates and a decoy, got {n}")
-    if weights.normalization is not Normalization.SUMS_TO_ONE:
-        raise ValueError("the flip generator expects reporting-form weights; convert with as_reporting()")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+    native = weights.as_native(lam).values
     dataset = SyntheticDataset([], [], synthetic_schema(weights.k))
     k, pool_size = weights.k, 2 * n - 2
     # the pool columns each context shows: the two flip candidates, then its own decoys
@@ -682,7 +670,7 @@ def generate_flip_dataset(
             block = min(CANDIDATE_BLOCK, MAX_CANDIDATES - start)
             # each candidate's two contexts, (2 * block, k, n) and C-ordered by the reshape
             values = np.take(rng.random((block, k, pool_size)), index, axis=2).swapaxes(1, 2).reshape(-1, k, n)
-            ranks, probs = _targets(values, weights, lam)
+            ranks, probs = _targets(values, native, lam)
             gaps = (probs[:, 0] - probs[:, 1]).reshape(block, 2)
             flips = np.flatnonzero((gaps[:, 0] * gaps[:, 1] < 0) & (np.abs(gaps).min(axis=1) >= margin))
             if flips.size:

@@ -25,9 +25,9 @@ from .baselines import fit_least_squares_arrays
 from .data import DatasetSchema, FlipPair, LogRow, batch_from_rows, derive_seed, design_from_rows
 from .errors import DegenerateVariance
 from .markov import rank_chain_rows
-from .record import RecordView, clicked_view, pairs_view, record_view
+from .record import RecordView, check_train_fraction, clicked_view, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.evaluation.stationary
-from .topology import Normalization, WeightVector
+from .topology import WeightVector
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +76,9 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
     ``rank_chain_rows``, which solves each context in the span of its ranks.
     Scores do not depend on the batch; items tied on every feature tie exactly.
     """
-    if weights.normalization is not Normalization.SUMS_TO_ONE or weights.k != schema.k or not 0.0 < lam < 1.0:
-        raise ValueError(f"the scorer needs {schema.k} reporting-form weights and lam in (0, 1)")
-    native = weights.values * (1.0 - lam)
+    native = weights.as_native(lam).values
+    if native.size != schema.k:
+        raise ValueError(f"the scorer needs {schema.k} weights, got {native.size}")
 
     def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
         view = record_view(rows)
@@ -352,6 +352,18 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def check_experiment(names: Sequence[str], num_splits: int, train_fraction: float) -> None:
+    """The option checks of :func:`run_experiment`, which need no data: a ``ValueError`` unless ``names`` are
+    nonempty and unique, ``num_splits`` positive and ``train_fraction`` in (0, 1)."""
+    if not names:
+        raise ValueError("at least one model is required")
+    if len(set(names)) != len(names):
+        raise ValueError("model names must be unique")
+    if num_splits < 1:
+        raise ValueError("num_splits must be positive")
+    check_train_fraction(train_fraction)
+
+
 def run_experiment(
     pairs: Sequence[FlipPair],
     models: Sequence[Model],
@@ -370,13 +382,8 @@ def run_experiment(
     if len(pairs) and not isinstance(pairs[0], FlipPair):
         raise TypeError("run_experiment takes flip pairs: mine click-log rows with mine_flip_pairs first")
     models = list(models)
-    if not models:
-        raise ValueError("at least one model is required")
     names = [m.name for m in models]
-    if len(set(names)) != len(names):
-        raise ValueError("model names must be unique")
-    if num_splits < 1:
-        raise ValueError("num_splits must be positive")
+    check_experiment(names, num_splits, train_fraction)
 
     record = pairs_view(pairs).record
     split_accs = []

@@ -478,6 +478,19 @@ def _compositions(total: int, parts: int):
         yield tuple(right - left - 1 for left, right in zip(edges, edges[1:]))
 
 
+def grid_steps(grid_step: float, lam: float) -> int:
+    """The option checks of :func:`grid_search`, which need no data: its grid's steps per unit, ``1 / grid_step``,
+    or a ``ValueError`` unless ``lam`` lies in (0, 1) and ``grid_step`` in (0, 1] divides 1."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError("grid_step must lie in (0, 1]")
+    steps = round(1.0 / grid_step)
+    if abs(steps * grid_step - 1.0) > 1e-9:
+        raise ValueError("grid_step must divide 1")
+    return steps
+
+
 def grid_search(
     data: Data,
     grid_step: float,
@@ -492,13 +505,7 @@ def grid_search(
     ``GridBudgetExceeded`` when the grid would exceed ``config.GRID_POINT_CAP`` points.
     """
     batch = _nonempty_batch(data)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError("grid_step must lie in (0, 1]")
-    steps = round(1.0 / grid_step)
-    if abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must divide 1")
+    steps = grid_steps(grid_step, lam)
     k = batch.k
     count = math.comb(steps + k - 1, k - 1)
     if count > config.GRID_POINT_CAP:

@@ -57,6 +57,12 @@ def feature_ranks(rows: RecordView, schema: DatasetSchema) -> Tuple[np.ndarray, 
     return values, average_ranks(np.where(lower, -values, values))
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """A ``ValueError`` unless ``train_fraction`` lies in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+
+
 class ContextRecord:
     """Contexts as columns: per row ``query_ids``, ``context_ids`` and ``sizes``; per item, row after row,
     ``item_ids``, ``positions`` and ``clicks``; per feature name a flat column in ``features``. Row ``r`` holds
@@ -145,8 +151,7 @@ class ContextRecord:
         fewer than ``round(train_fraction * pairs)`` pairs do (kept in [1, pairs - 1]); the rest test."""
         if len(self.pairs) < 2:
             raise SplitTooSmall(f"need at least two flip pairs, got {len(self.pairs)}")
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+        check_train_fraction(train_fraction)
         target = min(max(int(round(train_fraction * len(self.pairs))), 1), len(self.pairs) - 1)
         perm = np.random.default_rng(seed).permutation(self.cluster_sizes.size)
         sizes, starts = self.cluster_sizes[perm], (np.cumsum(self.cluster_sizes) - self.cluster_sizes)[perm]
@@ -197,14 +202,25 @@ class ContextRecord:
         return RecordView(self, sides[first], self.rows), offsets[row, None] + self.pair_items[index].reshape(-1, 2)
 
 
+def _read_only(view, *args, **kwargs):
+    raise TypeError("a record's view is read-only, or its index would no longer say what it holds; edit list(view)")
+
+
 class RecordView(list):
-    """A list of a record's rows (or pairs) that also holds their ``index`` into the record and their ``kind``,
-    "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays. A view
-    is not changed in place, or its ``index`` would no longer say what it holds."""
+    """A read-only list of a record's rows (or pairs) that also holds their ``index`` into the record and their
+    ``kind``, "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays.
+    Every in-place edit raises ``TypeError``, or the ``index`` would no longer say what the view holds; ``copy.copy``
+    returns the view itself, while slices, ``+`` and ``list(view)`` are plain lists."""
 
     def __init__(self, record: ContextRecord, index: np.ndarray, source: list):
         super().__init__(map(source.__getitem__, index.tolist()))
         self.record, self.index, self.kind = record, index, "rows" if source is record.rows else "pairs"
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __copy__(self) -> "RecordView":
+        return self
 
     def of(self, kind: str) -> "RecordView":
         """The view itself if it indexes the record's ``kind``, else a ``TypeError``: its indices mean other things."""

@@ -146,10 +146,9 @@ class WeightVector:
         return WeightVector(self.values / (1.0 - self.lam))
 
     def as_native(self, lam: float) -> "WeightVector":
-        if self.normalization is Normalization.SUMS_TO_ONE_MINUS_LAMBDA:
-            if abs(self.lam - lam) > 1e-15:
-                raise ValueError("weight vector is native under a different lam")
-            return self
+        """These reporting-form weights in native form under ``lam`` in (0, 1): the one way into the rank kernel."""
+        if self.normalization is not Normalization.SUMS_TO_ONE:
+            raise ValueError("expected reporting-form weights; convert with as_reporting()")
         return WeightVector(
             self.values * (1.0 - lam),
             normalization=Normalization.SUMS_TO_ONE_MINUS_LAMBDA,

@@ -367,6 +367,34 @@ class TestExitCodes:
             assert run(["eval", data, "--out-dir", tmp_path / "o"] + flags) == 2
         assert loads == [] and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--splits", "0"], ["eval", "--train-frac", "1.5"], ["eval", "--train-frac", "nan"],
+        ["eval", "--models", "rsm,rsm"], ["train", "--grid", "--grid-step", "0.3"], ["train", "--grid", "--lambda", "1.5"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_every_flag_is_checked_before_any_data(self, tmp_path, argv):
+        """A bad flag exits 2 with the data file missing, which would exit 3 if it were looked for first."""
+        command, *flags = argv
+        assert run([command, tmp_path / "missing.csv", "--out-dir", tmp_path / "o"] + flags) == 2
+        assert not (tmp_path / "o").exists()
+
+    MANIFESTS = {
+        "no_direction": '{"features": [{"name": "f0"}]}',
+        "not_an_object": "[1, 2]",
+        "invalid_json": '{"features": [',
+        "unknown_direction": '{"features": [{"name": "f0", "direction": "sideways"}]}',
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("manifest", MANIFESTS)
+    def test_a_malformed_manifest_is_a_data_error(self, tmp_path, caplog, manifest, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "dataset.csv").write_bytes((DATA / "flips_24.csv").read_bytes())
+        (data / "manifest.json").write_text(self.MANIFESTS[manifest], encoding="utf-8")
+        assert run([command, data / "dataset.csv", "--out-dir", tmp_path / "o"]) == 3
+        assert [r for r in caplog.records if r.levelname == "ERROR" and "manifest.json" in r.getMessage()]
+        assert not (tmp_path / "o").exists()
+
     def test_learner_flags_are_checked_only_where_they_are_used(self, flip_dir, synth_dir, tmp_path):
         """Only rsm reads the learner flags in eval, and only the iterative fit in train, which checks them first."""
         assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "e", "--models", "constant",

@@ -1,11 +1,13 @@
 """Click-log parsing, flip mining, splitting and synthetic generation."""
 
+import copy
 import csv
 import hashlib
 import io
 import itertools
 import json
 import logging
+import operator
 import pickle
 import tempfile
 import tracemalloc
@@ -562,6 +564,16 @@ def oracle_mine_flip_pairs(rows, min_total_clicks=config.MIN_TOTAL_CLICKS, min_c
     return pairs
 
 
+def mined_with_thresholds(rows, thresholds):
+    """``mine_flip_pairs(rows)`` with ``config``'s total-click and click-gap thresholds set to ``thresholds`` (left as
+    they are if empty), and the oracle's pairs at the same thresholds."""
+    with pytest.MonkeyPatch.context() as patch:
+        if thresholds:
+            patch.setattr(config, "MIN_TOTAL_CLICKS", thresholds[0])
+            patch.setattr(config, "MIN_CLICK_DIFF", thresholds[1])
+        return mine_flip_pairs(rows), oracle_mine_flip_pairs(rows, *thresholds)
+
+
 class TestMining:
     def test_canonical_flip(self):
         rows = [
@@ -653,7 +665,7 @@ class TestMining:
         loaded = load_csv(tmp_path / "log.csv", SCHEMA).rows
         assert len(loaded) == len(rows)
         for source, thresholds in itertools.product((rows, loaded), [(), (0.0, 0.0), (3.0, 1.0)]):
-            got, want = mine_flip_pairs(source, *thresholds), oracle_mine_flip_pairs(source, *thresholds)
+            got, want = mined_with_thresholds(source, thresholds)
             assert len(got) == len(want) > 0
             for g, w in zip(got, want):
                 assert (g.row_1, g.row_2, g.item_a, g.item_b) == (w.row_1, w.row_2, w.item_a, w.item_b)
@@ -672,7 +684,7 @@ class TestMining:
                 context = data.draw(st.sampled_from(["c0", "c1", "c2", "c10"]))
                 rows.append(make_row(f"q{q}", context, items, clicks, {"price": np.arange(n), "rating": np.ones(n)}))
         thresholds = data.draw(st.sampled_from([(), (0.0, 0.0), (3.0, 1.0), (1.0, 0.5)]))
-        got, want = mine_flip_pairs(rows, *thresholds), oracle_mine_flip_pairs(rows, *thresholds)
+        got, want = mined_with_thresholds(rows, thresholds)
         assert [(p.row_1, p.row_2, p.item_a, p.item_b, p.strength) for p in got] == [
             (p.row_1, p.row_2, p.item_a, p.item_b, p.strength) for p in want
         ]
@@ -1055,6 +1067,59 @@ class TestRecordArrays:
         got = rsm.record.by_width(np.array(sizes, dtype=np.intp))
         assert [(n, members.tolist()) for n, members in got] == list(want.items())
         assert all(members.dtype == np.intp for _, members in got)
+
+
+FLIPS_24 = Path(__file__).resolve().parent / "data" / "flips_24.csv"
+
+
+class TestRecordView:
+    """A view's ``index`` says which of its record's rows or pairs it holds, so a view is never edited in place."""
+
+    EDITS = {
+        "setitem": lambda view: operator.setitem(view, slice(None), view[:2]),
+        "delitem": lambda view: operator.delitem(view, 0),
+        "iadd": lambda view: operator.iadd(view, view[:1]),
+        "imul": lambda view: operator.imul(view, 2),
+        "append": lambda view: view.append(view[0]),
+        "extend": lambda view: view.extend(view[:1]),
+        "insert": lambda view: view.insert(0, view[0]),
+        "pop": lambda view: view.pop(),
+        "remove": lambda view: view.remove(view[0]),
+        "clear": lambda view: view.clear(),
+        "sort": lambda view: view.sort(key=id),
+        "reverse": lambda view: view.reverse(),
+    }
+
+    @pytest.mark.parametrize("kind", ["rows", "pairs"])
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_every_edit_in_place_raises_and_changes_nothing(self, edit, kind):
+        rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
+        view = rows if kind == "rows" else mine_flip_pairs(rows)
+        held, index = list(view), view.index.copy()
+        with pytest.raises(TypeError, match=r"edit list\(view\)"):
+            self.EDITS[edit](view)
+        assert list(view) == held and view.index.tolist() == index.tolist()
+        assert len(mine_flip_pairs(rows)) == 15
+
+    def test_a_filtered_copy_is_mined_and_batched_as_its_own_rows(self):
+        """The stale-index repro: assigning a filtered list into the loaded view raises, and the list itself holds
+        one query's two contexts, one flip pair and eight targets."""
+        schema = synthetic_schema(3)
+        rows = load_csv(FLIPS_24, schema).rows
+        with pytest.raises(TypeError, match=r"edit list\(view\)"):
+            rows[:] = [r for r in rows if r.query_id == "q00001"]
+        kept = [r for r in rows if r.query_id == "q00001"]
+        assert len(rows) == 48 and len(kept) == 2
+        assert len(mine_flip_pairs(kept)) == 1 and len(batch_from_rows(kept, schema)) == 8
+
+    def test_copies_comparisons_slices_and_sums_keep_their_list_behaviour(self, tmp_path):
+        rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
+        assert copy.copy(rows) is rows
+        assert type(rows[:3]) is list and rows[:3] == list(rows)[:3]
+        assert type(rows + []) is list and rows + [] == list(rows) and [] + rows == list(rows)
+        (tmp_path / "empty.csv").write_text(",".join(rsm.data.BASE_COLUMNS + synthetic_schema(3).names) + "\n")
+        empty = load_csv(tmp_path / "empty.csv", synthetic_schema(3)).rows
+        assert empty == [] and mine_flip_pairs(empty) == []
 
 
 class TestSyntheticGeneration:

@@ -133,3 +133,37 @@ def test_every_name_the_benchmark_binds_resolves():
     bound = set().union(*(perfbench_bindings(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")))
     assert {"rsm.data.mine_flip_pairs", "rsm.cli.main", "rsm.learner.fit"} <= bound
     assert sorted(name for name in bound if unresolved(name)) == []
+
+
+def weight_form_uses(source: str, reexport: bool = False) -> list:
+    """The lines of ``source`` that name ``Normalization`` or read ``.normalization``; with ``reexport``, except an
+    import of it from ``.topology``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = any(alias.name == "Normalization" for alias in node.names)
+            if named and not (reexport and node.level == 1 and node.module == "topology"):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "Normalization"
+              or isinstance(node, ast.Attribute) and node.attr in ("Normalization", "normalization")):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+OUTSIDE_TOPOLOGY = [path for path in MODULES if path.name != "topology.py"] + [PACKAGE / "__init__.py"]
+
+
+def test_only_topology_knows_the_weight_forms():
+    """``WeightVector.as_native`` is the one check of a weight vector's form; every other module goes through it,
+    and ``__init__.py`` only re-exports ``Normalization``."""
+    source = (
+        "from .topology import Normalization, WeightVector\n"
+        "import rsm.topology\n"
+        "def f(w: WeightVector):\n"
+        "    return w.normalization is rsm.topology.Normalization.SUMS_TO_ONE\n"
+        'KEY = {"normalization": "sums_to_one"}\n'
+    )
+    assert weight_form_uses(source) == [1, 4] and weight_form_uses(source, reexport=True) == [4]
+    uses = {path.name: weight_form_uses(path.read_text(encoding="utf-8"), reexport=path.name == "__init__.py")
+            for path in OUTSIDE_TOPOLOGY}
+    assert {name: lines for name, lines in uses.items() if lines} == {}

@@ -25,6 +25,9 @@ from rsm import (
     restrict,
     stationary,
 )
+import rsm.data
+import rsm.evaluation
+import rsm.learner
 import rsm.topology
 from rsm import StochasticMatrix, config
 from rsm.topology import average_ranks, rank_chain
@@ -255,6 +258,11 @@ class TestRestrict:
             restrict(t, ("A", "C"))
 
 
+def two_feature_instances():
+    spec = rsm.data.SyntheticSpec(k=2, num_queries=2, weights=WeightVector(np.array([0.6, 0.4])))
+    return rsm.data.generate_synthetic(spec).instances
+
+
 class TestWeightVector:
     def test_reporting_native_round_trip(self):
         w = WeightVector(np.array([0.6, 0.4]))
@@ -275,6 +283,24 @@ class TestWeightVector:
     def test_native_requires_lam(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([0.51, 0.34]), Normalization.SUMS_TO_ONE_MINUS_LAMBDA)
+
+    ENTRIES = {
+        "as_native": lambda w, lam: w.as_native(lam),
+        "sample_error": lambda w, lam: rsm.learner.sample_error(two_feature_instances(), w, lam),
+        "linearized_row": lambda w, lam: rsm.learner.linearized_row(two_feature_instances()[0], w, lam),
+        "SyntheticSpec": lambda w, lam: rsm.data.SyntheticSpec(k=2, num_queries=2, weights=w, lam=lam),
+        "generate_flip_dataset": lambda w, lam: rsm.data.generate_flip_dataset(2, w, lam),
+        "fixed_weights_model": lambda w, lam: rsm.evaluation.fixed_weights_model(rsm.data.synthetic_schema(2), w, lam).fit([]),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_kernel_entry_refuses_native_weights_and_a_bad_lam(self, entry):
+        """Each way into the rank kernel converts through ``as_native``, and so gives its one error for each."""
+        native = WeightVector(np.array([0.51, 0.34]), Normalization.SUMS_TO_ONE_MINUS_LAMBDA, lam=0.15)
+        with pytest.raises(ValueError, match=r"^expected reporting-form weights; convert with as_reporting\(\)$"):
+            self.ENTRIES[entry](native, 0.15)
+        with pytest.raises(ValueError, match=r"^lam must lie in \(0, 1\)$"):
+            self.ENTRIES[entry](WeightVector(np.array([0.6, 0.4])), 1.5)
 
     @pytest.mark.parametrize("lam", [1.5, 2.0, float("nan")])
     def test_as_native_names_a_bad_lam(self, lam):
