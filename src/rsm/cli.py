@@ -131,6 +131,9 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
     names = [col for col in header if col not in BASE_COLUMNS]
     if not names:
         raise SchemaError(f"{path} has no feature columns")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise SchemaError(f"{path} repeats the feature column {repeated[0]!r}")
     return DatasetSchema(
         features=tuple(FeatureSpec(name=n, direction=Direction.HIGHER_IS_BETTER) for n in names)
     )
@@ -138,8 +141,8 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
 
 def _manifest_features(path: Path) -> list:
     """The ``features`` of a ``manifest.json``, empty if it has none, or a ``SchemaError`` naming the file unless it
-    is a JSON object whose ``features``, if any, lists objects each with a nonempty string ``name`` and a
-    ``direction`` of "higher" or "lower"."""
+    is a JSON object whose ``features``, if any, lists objects each with a nonempty string ``name``, no two alike,
+    and a ``direction`` of "higher" or "lower"."""
     try:
         with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -149,10 +152,10 @@ def _manifest_features(path: Path) -> list:
     directions = [direction.value for direction in Direction]
     valid = isinstance(manifest, dict) and (not features or isinstance(features, list) and all(
         isinstance(f, dict) and isinstance(f.get("name"), str) and f["name"] and f.get("direction") in directions
-        for f in features))
+        for f in features) and len({f["name"] for f in features}) == len(features))
     if not valid:
         raise SchemaError(f"{path} must be a JSON object whose 'features' lists objects, each with a nonempty "
-                          f"'name' and a 'direction' of {' or '.join(map(repr, directions))}")
+                          f"'name', no two alike, and a 'direction' of {' or '.join(map(repr, directions))}")
     return features or []
 
 

@@ -492,14 +492,8 @@ def batch_from_rows(rows: Sequence[LogRow], schema: DatasetSchema) -> ContextBat
     clicks are skipped. Gathered from the :func:`clicked_view` of ``rows``.
     """
     view = clicked_view(rows)
-    record, index = view.record, view.index
-    sizes = record.sizes[index]
-    slots = np.cumsum(sizes) - sizes  # each context's first slot
-    widths = []
-    for at, space in record.rank_spaces(index, schema):
-        places = np.arange(space.ranks.shape[2])
-        widths.append((space, record.ctrs[record.starts[index[at], None] + places], slots[at, None] + places))
-    return ContextBatch.from_widths(schema.k, widths)
+    space, at = view.record.space(view.index, schema)
+    return ContextBatch(schema.k, space, view.record.ctrs[view.record.items(view.index)], at)
 
 
 def training_instances_from_rows(
@@ -598,7 +592,7 @@ def _targets(values: np.ndarray, native: np.ndarray, lam: float) -> Tuple[np.nda
     """The ranks of a ``(B, k, n)`` value stack and its ``(B, n)`` targets at ``native`` weights, the same bits in any batch."""
     ranks = average_ranks(values)
     probs, _ = rank_chain_rows(rank_space(ranks), native, lam, gradients=False)
-    return ranks, probs
+    return ranks, probs.reshape(-1, ranks.shape[2])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:

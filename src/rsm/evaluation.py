@@ -69,12 +69,13 @@ def fixed_weights_model(schema: DatasetSchema, weights: WeightVector, lam: float
 
 
 def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float) -> ScorerFn:
-    """Score items by stationary mass in their own context, one solve per width.
+    """Score items by stationary mass in their own context, one solve per call.
 
-    Every chain scored is a mixture of rank chains, so each width's products,
-    gathered from the rows' record, go to the learner's kernel
-    ``rank_chain_rows``, which solves each context in the span of its ranks.
-    Scores do not depend on the batch; items tied on every feature tie exactly.
+    Every chain scored is a mixture of rank chains, so the rows' products,
+    gathered from their record into one space of every width, go to the
+    learner's kernel ``rank_chain_rows``, which solves each context in the
+    span of its ranks. Scores do not depend on the batch; items tied on every
+    feature tie exactly.
     """
     native = weights.as_native(lam).values
     if native.size != schema.k:
@@ -82,11 +83,9 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
 
     def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
         view = record_view(rows)
-        scores: List[np.ndarray] = [None] * len(view)
-        for at, space in view.record.rank_spaces(view.index, schema):
-            for pos, probs in zip(at.tolist(), rank_chain_rows(space, native, lam, gradients=False)[0]):
-                scores[pos] = probs
-        return scores
+        space, at = view.record.space(view.index, schema)
+        probs, ends = rank_chain_rows(space, native, lam, gradients=False)[0].take(at), np.cumsum(view.record.sizes[view.index]).tolist()
+        return [probs[start:end] for start, end in zip([0] + ends, ends)]
 
     return scorer
 

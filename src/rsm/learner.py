@@ -21,15 +21,15 @@ box-constrained least-squares subproblem over sum-zero steps
 exactly, by a primal active-set method on its k x k normal equations, and
 applies the step until its max-norm drops to the halting threshold.
 
-The learner reads its data as a :class:`ContextBatch`: per context width, the
-stacked (B, k, n) average ranks with their weight-free products, and each
-target's probability, dataset-order slot and flat places in the kernel's
-outputs, so every evaluation gathers a width's targets with one ``take`` per
-output. ``rsm.data.batch_from_rows`` gathers click-log rows' products from
-their ``ContextRecord``; ``rsm.data.load_instances`` and :func:`as_batch`
-build theirs with :meth:`ContextBatch.from_targets`, from per-context ranks
-and per-target arrays. A brute-force grid learner over the weight simplex
-serves as an oracle.
+The learner reads its data as a :class:`ContextBatch`: one
+``rsm.markov.RankSpace`` holding the average ranks of contexts of every width
+with their weight-free products, and each target's probability and place in
+the kernel's flat outputs, in dataset order, so every evaluation is one kernel
+call and one ``take`` per output. ``rsm.data.batch_from_rows`` gathers
+click-log rows' space from their ``ContextRecord``; ``rsm.data.load_instances``
+and :func:`as_batch` build theirs with :meth:`ContextBatch.from_targets`, from
+per-context ranks and per-target arrays. A brute-force grid learner over the
+weight simplex serves as an oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import itertools
 import logging
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +46,7 @@ import numpy as np
 
 from . import config
 from .errors import GridBudgetExceeded, ShapeError
-from .markov import RankSpace, rank_chain_rows, rank_space
-from .record import by_width
+from .markov import RankSpace, context_space, rank_chain_rows
 from .topology import WeightVector
 
 logger = logging.getLogger(__name__)
@@ -139,75 +137,41 @@ class FitResult:
 #
 # Targets of one context share the combined chain, its stationary and its
 # gradient rows, so they are evaluated together. Every chain the learner sees
-# is a mixture of rank chains, so a context is its (k, n) average ranks.
-# Contexts of equal size are stacked with their weight-free products
-# (rsm.markov.rank_space), formed once per batch, or gathered by index from
-# an rsm.record.ContextRecord that formed them once. Each evaluation is one call
-# of rsm.markov.rank_chain_rows, which solves every context in the (k + 1)-
+# is a mixture of rank chains, so a context is its (k, n) average ranks. The
+# contexts of every width and their weight-free products form one
+# rsm.markov.RankSpace, built once per batch or gathered by index from an
+# rsm.record.ContextRecord that built it once. Each evaluation is one call of
+# rsm.markov.rank_chain_rows, which solves every context in the (k + 1)-
 # dimensional span of its ranks and never forms an n x n matrix.
 # ---------------------------------------------------------------------------
 
 
-# one width: its RankSpace, and per target its probability, its dataset-order
-# slot and its flat places in the kernel's (b, n) stationary and (b, k, n) rows
-_Bucket = namedtuple("_Bucket", "space targets slots at rows_at")
-
-
-def _bucket(ranks, gidx: np.ndarray, uidx: np.ndarray, targets: np.ndarray, slots: np.ndarray) -> _Bucket:
-    """One width's bucket: ``(b, k, n)`` ranks or their RankSpace, and each target's context, item, probability and slot."""
-    space = ranks if isinstance(ranks, RankSpace) else rank_space(ranks)
-    _, k, n = space.ranks.shape
-    at = gidx * n + uidx
-    rows_at = (gidx * (k * n) + uidx)[:, None] + n * np.arange(k)
-    return _Bucket(space, targets, slots, at, rows_at)
-
-
 @dataclass(frozen=True, eq=False)
 class ContextBatch:
-    """Training targets grouped by context width; ``len(batch)`` counts targets.
+    """Training targets over one ``RankSpace``; ``len(batch)`` counts targets.
 
-    Build one with :meth:`from_widths`, :meth:`from_targets` or a caller of
-    theirs. Widths keep their order of first appearance.
+    ``targets`` holds each target's probability and ``at`` its place in the
+    flat outputs of ``rank_chain_rows`` on ``space``, both in dataset order.
+    Build one with :meth:`from_targets` or ``rsm.data.batch_from_rows``.
     """
 
     k: int
-    buckets: tuple
+    space: RankSpace
+    targets: np.ndarray
+    at: np.ndarray
 
     def __len__(self) -> int:
-        return sum(bucket.slots.size for bucket in self.buckets)
-
-    @classmethod
-    def from_widths(cls, k: int, widths) -> "ContextBatch":
-        """One bucket per ``(ranks, targets, slots)``: every item of every context is a target.
-
-        ``ranks`` is a ``(B, k, n)`` stack of average ranks or their gathered
-        ``RankSpace``; ``targets`` and ``slots`` are ``(B, n)``, so each
-        target's context and item follow from its place.
-        """
-        buckets = []
-        for ranks, targets, slots in widths:
-            b, n = targets.shape
-            gidx, uidx = np.repeat(np.arange(b), n), np.tile(np.arange(n), b)
-            buckets.append(_bucket(ranks, gidx, uidx, targets.ravel(), slots.ravel()))
-        return cls(k=k, buckets=tuple(buckets))
+        return self.targets.size
 
     @classmethod
     def from_targets(cls, ranks: Sequence[np.ndarray], context: np.ndarray, index: np.ndarray, prob: np.ndarray) -> "ContextBatch":
-        """Target ``i`` in slot ``i``: ``prob[i]`` at item ``index[i]`` of the context with ``(k, n)`` ranks ``ranks[context[i]]``.
+        """Target ``i``: ``prob[i]`` at item ``index[i]`` of the context with ``(k, n)`` ranks ``ranks[context[i]]``.
 
-        Contexts of one width are stacked in order. Callers validate: every
-        context has the same ``k``, every target's context and index are in range.
+        Callers validate: every context has the same ``k``, every target's
+        context and index are in range.
         """
-        if not ranks:
-            return cls(k=0, buckets=())
-        sizes = np.array([r.shape[1] for r in ranks], dtype=np.intp)
-        place, width = np.empty(len(ranks), np.intp), sizes[context]  # contexts' places in their buckets, targets' widths
-        buckets = []
-        for n, members in by_width(sizes):
-            place[members], slots = np.arange(members.size), np.flatnonzero(width == n)
-            stack = np.array([ranks[c] for c in members.tolist()])
-            buckets.append(_bucket(stack, place[context[slots]], index[slots], prob[slots], slots))
-        return cls(k=ranks[0].shape[0], buckets=tuple(buckets))
+        space, starts = context_space(ranks)
+        return cls(ranks[0].shape[0] if ranks else 0, space, prob, starts[context] + index)
 
 
 Data = Union[ContextBatch, Sequence[TrainingInstance]]
@@ -239,16 +203,9 @@ def as_batch(data: Data) -> ContextBatch:
 
 
 def _evaluate(batch: ContextBatch, w_native: np.ndarray, lam: float, gradients: bool):
-    """Residuals (and gradient rows) for every target, in dataset order."""
-    k, m = batch.k, len(batch)
-    residuals = np.empty(m)
-    grads = np.empty((m, k)) if gradients else None
-    for bucket in batch.buckets:
-        probs, rows = rank_chain_rows(bucket.space, w_native, lam, gradients)  # (b, n), p^T T_i Z as (b, k, n)
-        residuals[bucket.slots] = bucket.targets - probs.ravel().take(bucket.at)
-        if gradients:
-            grads[bucket.slots] = rows.ravel().take(bucket.rows_at)
-    return residuals, grads
+    """Residuals (and gradient rows) for every target, in dataset order, from one kernel call."""
+    probs, rows = rank_chain_rows(batch.space, w_native, lam, gradients)  # (N,) and p^T T_i Z as (N, k)
+    return batch.targets - probs.take(batch.at), rows.take(batch.at, axis=0) if gradients else None
 
 
 def linearized_row(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,13 +118,14 @@ class FundamentalMatrix:
         return self.z.shape[0]
 
 
-def _stationary_probs(entries: np.ndarray) -> np.ndarray:
+def _stationary_probs(entries: np.ndarray, has_zero: Optional[bool] = None) -> np.ndarray:
     """The stationary vector of an ``(n, n)`` chain whose stationary vector is unique.
 
     A chain with a zero entry, or with ``n <= config.DIRECT_SOLVE_MAX_N``,
     is solved by LU on ``p^T (I - P) = 0`` with the last equation replaced
     by ``sum(p) = 1``; a wider positive chain, aperiodic, by power iteration
     from the uniform vector, which a periodic chain would never finish.
+    ``has_zero`` says whether the chain has a zero entry, if the caller knows.
     Uniqueness is the caller's to establish (:func:`stationary` checks it).
 
     Raises
@@ -135,7 +137,7 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
         converge.
     """
     n = entries.shape[0]
-    if n <= config.DIRECT_SOLVE_MAX_N or entries.min() <= 0.0:
+    if n <= config.DIRECT_SOLVE_MAX_N or (entries.min() <= 0.0 if has_zero is None else has_zero):
         system = (np.eye(n) - entries).T.copy()
         system[-1] = 1.0
         rhs = np.zeros(n)
@@ -191,26 +193,59 @@ def _stationary_probs(entries: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# the (B, k, n) ranks, the functionals [alpha; beta] as (B, 2k, n),
-# and [alpha; beta] V^T as (2k, B, k + 1): the rows of M^T without their weights
-RankSpace = namedtuple("RankSpace", "ranks forms forms_v")
+# per width, its (b, k, n) ranks and their functionals [alpha; beta] as (b, 2k, n); over all B contexts, width
+# after width, [alpha; beta] V^T as (2k, B, k + 1), the rows of M^T without their weights, and s = V 1 as (B, k + 1)
+RankSpace = namedtuple("RankSpace", "stacks forms forms_v sums")
 
 
-def rank_space(ranks: np.ndarray) -> RankSpace:
+def rank_space(*stacks: np.ndarray) -> RankSpace:
     """The products of :func:`rank_chain_rows` that depend on the ranks but not on the weights.
 
-    ``ranks`` is a ``(B, k, n)`` stack of average ranks (``rsm.topology.average_ranks``),
-    one ``(k, n)`` block per context; the denominators ``d`` are exactly
-    those of the rank chains' row sums. ``V 1`` depends on ``n`` alone, so
-    :func:`rank_chain_rows` forms it itself.
+    Each of ``stacks`` is a ``(b, k, n)`` stack of average ranks (``rsm.topology.average_ranks``), one ``(k, n)``
+    block per context, all of one width; the space holds their contexts width after width, in that order. The
+    denominators ``d`` are exactly those of the rank chains' row sums.
     """
-    ranks = np.asarray(ranks, dtype=np.float64)
-    b, k, n = ranks.shape
-    d = n * (n + (n + 1) / 2) - n * ranks
-    forms = np.concatenate(((n - ranks) / d, 1.0 / d), axis=1)
-    basis = np.concatenate((np.ones((b, 1, n)), ranks), axis=1)
-    forms_v = np.ascontiguousarray(np.swapaxes(forms @ np.swapaxes(basis, -1, -2), 0, 1))  # (2k, B, k + 1)
-    return RankSpace(ranks, forms, forms_v)
+    stacks = tuple(np.asarray(ranks, dtype=np.float64) for ranks in stacks)
+    if not stacks:
+        return RankSpace((), (), np.zeros((0, 0, 1)), np.zeros((0, 1)))
+    forms, forms_v, sums = [], [], []
+    for ranks in stacks:
+        b, k, n = ranks.shape
+        d = n * (n + (n + 1) / 2) - n * ranks
+        forms.append(np.concatenate(((n - ranks) / d, 1.0 / d), axis=1))
+        basis = np.concatenate((np.ones((b, 1, n)), ranks), axis=1)
+        forms_v.append(forms[-1] @ np.swapaxes(basis, -1, -2))
+        sums.append(np.tile([n] + [n * (n + 1) / 2] * k, (b, 1)))  # average ranks sum to n (n + 1) / 2
+    return RankSpace(stacks, tuple(forms), np.ascontiguousarray(np.swapaxes(np.concatenate(forms_v), 0, 1)), np.concatenate(sums))
+
+
+def _layout(labels: np.ndarray, widths: np.ndarray) -> tuple:
+    """Contexts of ``widths`` laid out stably by ``labels``: the order, its runs of one label, and each one's first
+    place in the flat outputs of :func:`rank_chain_rows`."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.empty_like(widths)
+    starts[order] = np.cumsum(widths[order]) - widths[order]
+    return order, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if order.size else [], starts
+
+
+def context_space(ranks: Sequence[np.ndarray]) -> Tuple[RankSpace, np.ndarray]:
+    """The :func:`rank_space` of contexts of any widths, one ``(k, n)`` rank array each, stacked width after width,
+    and each context's first place in the flat outputs of :func:`rank_chain_rows`."""
+    widths = np.array([r.shape[-1] for r in ranks], dtype=np.intp)
+    _, groups, starts = _layout(widths, widths)
+    return rank_space(*(np.array([ranks[c] for c in group.tolist()]) for group in groups)), starts
+
+
+def gather(space: RankSpace, positions: np.ndarray) -> Tuple[RankSpace, np.ndarray]:
+    """The space of the contexts of ``space`` at ``positions``, width after width, and each one's first place in the
+    flat outputs of :func:`rank_chain_rows`; gathered, the same bits as :func:`rank_space` of their ranks."""
+    stacks, forms, forms_v, sums = space
+    counts = np.array([len(ranks) for ranks in stacks], dtype=np.intp)
+    block = np.repeat(np.arange(counts.size), counts)[positions]
+    local = positions - (np.cumsum(counts) - counts)[block]  # each context's place in its width's stack
+    order, groups, starts = _layout(block, np.array([ranks.shape[2] for ranks in stacks], dtype=np.intp)[block])
+    parts = [tuple(part[block[group[0]]].take(local[group], axis=0) for group in groups) for part in (stacks, forms)]
+    return RankSpace(*parts, forms_v.take(positions[order], axis=1), sums[positions[order]]), starts
 
 
 def _span(coef: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -229,27 +264,29 @@ def _span(coef: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradients: bool = True):
     """Stationary rows, and the rows ``p^T T_i Z``, of mixed rank chains.
 
-    ``space`` comes from :func:`rank_space` over ``(B, k, n)`` ranks; each
-    context's chain is ``lam / n + sum_i w_i T_i`` for native-form weights
-    ``w_native`` (summing to ``1 - lam``). The system matrix above, in
-    transposed form, is solved against ``e_last`` for ``c`` and, if
-    ``gradients``, against the columns ``h_i - c`` with last entry 1 for the
-    ``y_i``. Returns the ``(B, n)`` rows ``c V`` and the ``(B, k, n)`` rows
-    ``y_i V``, None in their place without ``gradients``.
+    ``space`` comes from :func:`rank_space`, :func:`context_space` or :func:`gather`; each context's chain is
+    ``lam / n + sum_i w_i T_i`` for native-form weights ``w_native`` (summing to ``1 - lam``). The system matrices
+    above, in transposed form, of all contexts are solved in one stack against ``e_last`` for ``c`` and, if
+    ``gradients``, in one more against the columns ``h_i - c`` with last entry 1 for the ``y_i``; LAPACK solves
+    each matrix of a stack on its own, and the n-wide steps run one width at a time, so a context gets the same
+    bits in any space. Returns the rows ``c V`` and ``y_i V`` flat, contexts end to end as the space holds them:
+    the ``(N,)`` stationary probabilities of its ``N`` items and their ``(N, k)`` gradient entries, None in their
+    place without ``gradients``.
 
     Raises
     ------
     NoUniqueStationary
-        If the system is singular, the stationary solution leaves the
+        If a system is singular, a stationary solution leaves the
         probability simplex, or its fixed-point residual exceeds
         ``config.STATIONARY_RESIDUAL_TOL``, as in :func:`stationary`.
     """
-    ranks, forms, forms_v = space
-    b, k, n = ranks.shape
-    sums = np.array([n] + [n * (n + 1) / 2] * k, dtype=np.float64)  # s = V 1: average ranks sum to n (n + 1) / 2
+    stacks, forms, forms_v, sums = space
     w = np.asarray(w_native, dtype=np.float64)
+    k, b = w.size, sums.shape[0]
+    if not b:
+        return np.zeros(0), np.zeros((0, k)) if gradients else None
     scaled = forms_v * np.concatenate((w, w))[:, None, None]  # w_i alpha_i V^T, then w_i beta_i V^T
-    row = scaled[0] + sums * (lam / n)  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
+    row = scaled[0] + sums * (lam / sums[:, :1])  # row 0 of M^T is G_0 V^T, G_0 = lam / n + sum_i w_i alpha_i
     for part in scaled[1:k]:
         row += part
     mixed = np.concatenate((row[:, None], np.swapaxes(scaled[k:], 0, 1)), axis=1)  # M^T; row i is w_i beta_i V^T
@@ -260,27 +297,35 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
         coef = np.linalg.solve(system, np.broadcast_to(eye[:, -1:], (b, k + 1, 1)))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NoUniqueStationary("stationarity system is singular") from exc
-    probs = _span(coef[:, None], ranks)[:, 0]
-    if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
-        raise NoUniqueStationary("stationary solution leaves the probability simplex")
-    np.maximum(probs, 0.0, out=probs)
-    total = probs.sum(axis=-1, keepdims=True)
-    probs /= total
-    hits = (forms @ probs[..., None])[..., 0]  # p^T T_i = hits_i 1^T + hits_{k+i} r_i^T
-    moved = np.empty((b, 1, k + 1))  # the coefficients of p^T P
-    moved[:, 0, 0] = (lam / n) * probs.sum(axis=-1) + hits[:, :k] @ w
-    np.multiply(hits[:, k:], w, out=moved[:, 0, 1:])
-    residual = np.abs(_span(moved, ranks)[:, 0] - probs).max(initial=0.0)
-    if residual > config.STATIONARY_RESIDUAL_TOL:
-        raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+    firsts = np.cumsum([len(ranks) for ranks in stacks])[:-1]  # the first context of every width but the first
+    ends = np.cumsum([ranks[:, 0].size for ranks in stacks])  # where each width's items end in the flat outputs
+    probs, hits, totals = np.empty(ends[-1]), [], []
+    for ranks, form, c, out in zip(stacks, forms, np.split(coef, firsts), np.split(probs, ends[:-1])):
+        p = _span(c[:, None], ranks)[:, 0]
+        if np.any(p < -config.STATIONARY_RESIDUAL_TOL):
+            raise NoUniqueStationary("stationary solution leaves the probability simplex")
+        np.maximum(p, 0.0, out=p)
+        totals.append(p.sum(axis=-1, keepdims=True))
+        p /= totals[-1]
+        hits.append((form @ p[..., None])[..., 0])  # p^T T_i = hits_i 1^T + hits_{k+i} r_i^T
+        moved = np.empty((len(ranks), 1, k + 1))  # the coefficients of p^T P
+        moved[:, 0, 0] = (lam / ranks.shape[2]) * p.sum(axis=-1) + hits[-1][:, :k] @ w
+        np.multiply(hits[-1][:, k:], w, out=moved[:, 0, 1:])
+        residual = np.abs(_span(moved, ranks)[:, 0] - p).max(initial=0.0)
+        if residual > config.STATIONARY_RESIDUAL_TOL:
+            raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+        out[...] = p.ravel()
     if not gradients:
         return probs, None
-    rhs = np.repeat(-(coef / total)[:, :, None], k, axis=2)  # column i: h_i - c, then y_i . s = 1
+    hits = np.concatenate(hits)
+    rhs = np.repeat(-(coef / np.concatenate(totals))[:, :, None], k, axis=2)  # column i: h_i - c, then y_i . s = 1
     rhs[:, 0] += hits[:, :k]
     rhs[:, np.arange(1, k + 1), np.arange(k)] += hits[:, k:]
     rhs[:, -1] = 1.0
-    rows = np.linalg.solve(system, rhs)
-    return probs, _span(np.swapaxes(rows, -1, -2), ranks)
+    solved, rows = np.swapaxes(np.linalg.solve(system, rhs), -1, -2), np.empty((ends[-1], k))
+    for ranks, y, out in zip(stacks, np.split(solved, firsts), np.split(rows, ends[:-1])):
+        out.reshape(len(ranks), -1, k)[...] = np.swapaxes(_span(y, ranks), 1, 2)
+    return probs, rows
 
 
 def _one_closed_class(entries: np.ndarray) -> bool:
@@ -308,9 +353,10 @@ def stationary(matrix: StochasticMatrix) -> Distribution:
         distributions, e.g. the identity chain), or from the solve itself.
     """
     entries = matrix.entries
-    if entries.min() <= 0.0 and not _one_closed_class(entries):
+    has_zero = entries.min() <= 0.0
+    if has_zero and not _one_closed_class(entries):
         raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
-    return Distribution(_stationary_probs(entries))
+    return Distribution(_stationary_probs(entries, has_zero))
 
 
 def fundamental_matrix(matrix: StochasticMatrix) -> FundamentalMatrix:

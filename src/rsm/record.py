@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import SplitTooSmall
-from .markov import RankSpace, rank_space
+from .markov import RankSpace, gather, rank_space
 from .topology import Direction, average_ranks
 
 if TYPE_CHECKING:
@@ -69,8 +69,8 @@ class ContextRecord:
     places ``starts[r]`` to ``starts[r] + sizes[r]``, and ``rows[r]`` is it as a :class:`LogRow`. Each width's
     clicks are summed per row into ``totals``, and each row's sum divides its clicks into the flat CTRs (zero
     without clicks): the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema, on
-    first use, each width is ranked by one :func:`average_ranks` call and one ``rank_space``. The columns are taken
-    as given, unchecked (the loader's, or gathered by :meth:`take`); a record lives as long as the run or call that made it.
+    first use, each width is ranked by one :func:`average_ranks` call, and all of them go into one ``rank_space``.
+    The columns are taken as given, unchecked (the loader's, or gathered by :meth:`take`); a record lives as long as the run or call that made it.
     """
 
     def __init__(self, rows: list, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
@@ -175,23 +175,24 @@ class ContextRecord:
         return coded(zip(np.repeat(self.query_ids, self.sizes), self.item_ids), self.item_ids.size)
 
     def encoding(self, schema: DatasetSchema) -> tuple:
-        """Per width a RankSpace, each row's place in its width, and the flat (N, k + 1) design: features, position."""
+        """The RankSpace of every row, each row's position in it, and the flat (N, k + 1) design: features, position."""
         if schema not in self._encodings:
-            spaces, place, design = {}, np.empty(len(self.rows), dtype=np.intp), np.empty((self.ctrs.size, schema.k + 1))
+            stacks, place, design = [], np.empty(len(self.rows), dtype=np.intp), np.empty((self.ctrs.size, schema.k + 1))
             design[:, schema.k] = self.positions
-            for n, members in by_width(self.sizes):
+            for _, members in by_width(self.sizes):
                 values, ranks = feature_ranks(RecordView(self, members, self.rows), schema)
                 design[self.items(members), :schema.k] = values.swapaxes(1, 2).reshape(-1, schema.k)
-                spaces[n], place[members] = rank_space(ranks), np.arange(members.size)
-            self._encodings[schema] = (spaces, place, design)
+                place[members] = sum(map(len, stacks)) + np.arange(members.size)  # the space holds width after width
+                stacks.append(ranks)
+            self._encodings[schema] = (rank_space(*stacks), place, design)
         return self._encodings[schema]
 
-    def rank_spaces(self, index: np.ndarray, schema: DatasetSchema):
-        """Per width of the rows at ``index``, in order of first appearance: their places in ``index`` and their RankSpace."""
-        spaces, place, _ = self.encoding(schema)
-        for n, at in by_width(self.sizes[index]):
-            rows = place[index[at]]  # gathered, the same bits as rank_space of their ranks
-            yield at, RankSpace(*(part.take(rows, axis=axis) for part, axis in zip(spaces[n], (0, 0, 1))))
+    def space(self, index: np.ndarray, schema: DatasetSchema) -> Tuple[RankSpace, np.ndarray]:
+        """The RankSpace of the rows at ``index``, gathered from the record's, and the places of their items, row
+        after row, in the flat outputs of ``rank_chain_rows`` on it."""
+        space, place, _ = self.encoding(schema)
+        space, starts = gather(space, place[index])
+        return space, _ranges(starts, self.sizes[index])
 
     def comparisons(self, index: np.ndarray) -> Tuple["RecordView", np.ndarray]:
         """The distinct rows of the pairs at ``index``, in order of first appearance, and the pairs' comparisons:

@@ -382,6 +382,7 @@ class TestExitCodes:
         "not_an_object": "[1, 2]",
         "invalid_json": '{"features": [',
         "unknown_direction": '{"features": [{"name": "f0", "direction": "sideways"}]}',
+        "repeated_name": '{"features": [{"name": "f0", "direction": "higher"}, {"name": "f0", "direction": "lower"}]}',
     }
 
     @pytest.mark.parametrize("command", ["eval", "train"])
@@ -393,6 +394,17 @@ class TestExitCodes:
         (data / "manifest.json").write_text(self.MANIFESTS[manifest], encoding="utf-8")
         assert run([command, data / "dataset.csv", "--out-dir", tmp_path / "o"]) == 3
         assert [r for r in caplog.records if r.levelname == "ERROR" and "manifest.json" in r.getMessage()]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_a_repeated_header_feature_is_a_data_error(self, tmp_path, caplog, command):
+        """Without a manifest, a CSV whose header names a feature twice is refused by name, before any row is read."""
+        lines = (DATA / "flips_24.csv").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "dataset.csv").write_text("".join(f"{line},{line.split(',')[5]}\n" for line in lines), encoding="utf-8")
+        assert lines[0].split(",")[5] == "f0"
+        assert run([command, tmp_path / "dataset.csv", "--out-dir", tmp_path / "o"]) == 3
+        assert [r for r in caplog.records if r.levelname == "ERROR" and "dataset.csv" in r.getMessage()
+                and "'f0'" in r.getMessage()]
         assert not (tmp_path / "o").exists()
 
     def test_learner_flags_are_checked_only_where_they_are_used(self, flip_dir, synth_dir, tmp_path):

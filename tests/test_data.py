@@ -821,23 +821,19 @@ def oracle_rank_vectors(rows, schema):
 
 
 def oracle_batch_from_rows(rows, schema):
-    """``batch_from_rows`` as it was before the context record: per-row ranks stacked per width."""
+    """``batch_from_rows`` as it was before the context record: per-row ranks stacked per width, in order of first
+    appearance, and every item a target, its place found by hand."""
     clicked = [row for row in rows if row.clicks.sum() > 0]
     ranks = oracle_rank_vectors(clicked, schema)
-    sizes = [row.n for row in clicked]
-    starts = list(itertools.accumulate(sizes, initial=0))
     by_n = {}
-    for pos, n in enumerate(sizes):
-        by_n.setdefault(n, []).append(pos)
-    widths = [
-        (
-            np.concatenate([ranks[p] for p in group]).reshape(len(group), schema.k, n),
-            np.concatenate([clicked[p].clicks / clicked[p].clicks.sum() for p in group]).reshape(len(group), n),
-            np.array([starts[p] for p in group])[:, None] + np.arange(n),
-        )
-        for n, group in by_n.items()
-    ]
-    return ContextBatch.from_widths(schema.k, widths)
+    for pos, row in enumerate(clicked):
+        by_n.setdefault(row.n, []).append(pos)
+    order = [pos for group in by_n.values() for pos in group]
+    starts = dict(zip(order, itertools.accumulate([clicked[p].n for p in order], initial=0)))  # each row's first place
+    space = rank_space(*(np.stack([ranks[p] for p in group]) for group in by_n.values()))
+    targets = np.concatenate([row.clicks / row.clicks.sum() for row in clicked] or [np.zeros(0)])
+    at = np.array([starts[p] + u for p, row in enumerate(clicked) for u in range(row.n)], dtype=np.intp)
+    return ContextBatch(schema.k, space, targets, at)
 
 
 def oracle_design_from_rows(rows, schema):
@@ -918,9 +914,9 @@ def oracle_models(schema, cfg):
             ranks, scores, by_n = oracle_rank_vectors(rows, schema), [None] * len(rows), {}
             for pos, row in enumerate(rows):
                 by_n.setdefault(row.n, []).append(pos)
-            for group in by_n.values():
+            for n, group in by_n.items():
                 probs, _ = rank_chain_rows(rank_space(np.stack([ranks[p] for p in group])), native, cfg.lam, gradients=False)
-                for p, values in zip(group, probs):
+                for p, values in zip(group, probs.reshape(-1, n)):
                     scores[p] = values
             return scores
 
@@ -970,13 +966,6 @@ def record_case(rng, queries, contexts, loaded):
             if ctr_1 > 0 > ctr_2 and rng.random() < 0.3:
                 pairs.append(FlipPair(row_1=row_1, row_2=row_2, item_a=a, item_b=b, strength=1.0))
     return pairs, [row for row in rows if row.clicks.sum() == 0]
-
-
-def assert_same_batch(got, want):
-    assert got.k == want.k and len(got.buckets) == len(want.buckets)
-    for mine, theirs in zip(got.buckets, want.buckets):
-        for a, b in zip((*mine.space, *mine[1:]), (*theirs.space, *theirs[1:])):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestRecordOracle:
@@ -1372,12 +1361,23 @@ class TestFlipGeneratorLog:
         assert records[0].getMessage().startswith("flip generator kept 3 of 3 requested queries from ")
 
 
+def target_contexts(batch: ContextBatch) -> list:
+    """Per target of a batch, in dataset order, all the kernel reads for it, as bytes, whatever order the space holds
+    its widths in: the target, its item's place in its context, and the context's ranks and their products."""
+    stacks, forms, forms_v, sums = batch.space
+    contexts = [(ranks, form) for stack, form_stack in zip(stacks, forms) for ranks, form in zip(stack, form_stack)]
+    starts = np.cumsum([0] + [ranks.shape[1] for ranks, _ in contexts])
+    owner = np.searchsorted(starts, batch.at, side="right") - 1
+    return [(target.tobytes(), int(at - starts[c]), *(part.tobytes() for part in (*contexts[c], forms_v[:, c], sums[c])))
+            for target, at, c in zip(batch.targets, batch.at, owner.tolist())]
+
+
 def assert_same_batch(got: ContextBatch, want: ContextBatch) -> None:
-    """Two batches hold the same arrays, bit for bit: ranks and their products, targets, slots and places."""
-    assert (got.k, len(got.buckets)) == (want.k, len(want.buckets))
-    for a, b in zip(got.buckets, want.buckets):
-        for x, y in zip((*a.space, a.targets, a.slots, a.at, a.rows_at), (*b.space, b.targets, b.slots, b.at, b.rows_at)):
-            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+    """Two batches hold the same targets over the same contexts, bit for bit, in the same dataset order, and spaces
+    of as many contexts of each width."""
+    assert (got.k, len(got), got.targets.dtype) == (want.k, len(want), want.targets.dtype)
+    assert sorted(ranks.shape for ranks in got.space.stacks) == sorted(ranks.shape for ranks in want.space.stacks)
+    assert target_contexts(got) == target_contexts(want)
 
 
 class TestInstanceFiles:
@@ -1421,14 +1421,14 @@ class TestInstanceFiles:
         instances, payload, back = self.context_file(tmp_path, [0, 1])
         assert [c["ranks"] for c in payload["contexts"]] == [[[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]],
                                                               [[3.0, 2.0, 1.0], [3.0, 1.0, 2.0]]]
-        assert len(back.buckets[0].space.ranks) == 2
+        assert [ranks.shape for ranks in back.space.stacks] == [(2, 2, 3)]
         assert_same_batch(back, as_batch(instances))
 
     def test_scattered_instances_of_one_context_are_stored_once(self, tmp_path):
         instances, payload, back = self.context_file(tmp_path, [0, 1, 0, 1, 0])
         assert len(payload["contexts"]) == 2
         assert [target[:2] for target in payload["targets"]] == [[0, 0], [1, 1], [0, 2], [1, 0], [0, 1]]
-        assert back.buckets[0].slots.tolist() == [0, 1, 2, 3, 4]
+        assert back.targets.size == 5 and back.at.tolist() == [0, 4, 2, 3, 1]  # dataset order: contexts 0, 1, 0, 1, 0
         assert_same_batch(back, as_batch(instances))
 
     def test_malformed_file_rejected(self, tmp_path):
@@ -1509,7 +1509,8 @@ class TestMalformedInstanceFiles:
         path.write_text(json.dumps(valid_instance_payload()))
         batch = load_instances(path)
         assert len(batch) == 3 and batch.k == 2
-        assert [b.slots.tolist() for b in batch.buckets] == [[0, 2], [1]]
+        assert [ranks.shape for ranks in batch.space.stacks] == [(1, 2, 2), (1, 2, 3)]
+        assert batch.at.tolist() == [2, 1, 4] and batch.targets.tolist() == [0.25, 0.5, 1.0]  # the 2-wide context first
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCE_FILES))
     def test_is_refused(self, case, tmp_path):
@@ -1598,9 +1599,9 @@ class TestBridges:
         batch = batch_from_rows([quiet] + two_context_rows(), SCHEMA)
         assert len(ranked) == 2 and quiet not in ranked
         assert batch.k == 2 and len(batch) == 5
-        assert [b.space.ranks.shape for b in batch.buckets] == [(1, 2, 2), (1, 2, 3)]
-        assert batch.buckets[0].targets.tolist() == pytest.approx([2 / 3, 1 / 3])
-        assert batch.buckets[1].slots.tolist() == [2, 3, 4]
+        assert [ranks.shape for ranks in batch.space.stacks] == [(1, 2, 2), (1, 2, 3)]
+        assert batch.targets.tolist() == pytest.approx([2 / 3, 1 / 3, 2 / 9, 6 / 9, 1 / 9])
+        assert batch.at.tolist() == [0, 1, 2, 3, 4]
         assert len(batch_from_rows([quiet], SCHEMA)) == 0
         save_csv([quiet] + two_context_rows(), tmp_path / "log.csv", SCHEMA)
         loaded, ranked[:] = load_csv(tmp_path / "log.csv", SCHEMA).rows, []
@@ -1634,10 +1635,10 @@ class TestBridges:
         batch = batch_from_rows(rows, SCHEMA)
         assert shapes == [(3, 2, 5), (3, 2, 70)]
         clicked = [row for row in rows if row.clicks.sum() > 0]
-        for bucket, n in zip(batch.buckets, (5, 70)):
+        for stack, n in zip(batch.space.stacks, (5, 70)):
             group = [row for row in clicked if row.n == n]
-            assert len(bucket.space.ranks) == len(group) == 3
-            for ranks, row in zip(bucket.space.ranks, group):
+            assert stack.shape == (len(group), 2, n) and len(group) == 3
+            for ranks, row in zip(stack, group):
                 for got, spec in zip(ranks, SCHEMA.features):
                     expected = encode_rank_topology(row.features[spec.name], spec.direction).ranks
                     assert got.tobytes() == expected.tobytes()

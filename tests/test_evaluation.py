@@ -499,17 +499,17 @@ class TestRunExperiment:
             run_experiment(pairs, [constant_model(), constant_model()], num_splits=2)
 
     def test_each_row_encoded_once_across_splits(self, monkeypatch):
-        """Counts, not timings: the run's record ranks each row once, one call per width, before
-        the first split ends; later splits call no encoder, and the pairs are clustered once."""
+        """Counts, not timings: the run's record ranks each row once, one call per width, and builds one space
+        of every width before the first split ends; later splits call no encoder, and the pairs are clustered once."""
         k = 3
         pairs = random_flip_pairs(12, k, seed=5, widths=(3, 5, 3, 2))
         schema = synthetic_schema(k)
         weights = WeightVector(np.full(k, 1.0 / k))
         encoded = {(rsm.record, "average_ranks"): [], (rsm.data, "rank_chain"): [], (rsm.record, "rank_space"): [],
-                   (rsm.learner, "rank_space"): [], (rsm.data, "paired_split"): []}
+                   (rsm.learner, "context_space"): [], (rsm.data, "paired_split"): []}
         for module, kernel in encoded:
             def counting_kernel(*args, real=getattr(module, kernel), calls=encoded[module, kernel]):
-                calls.append(getattr(args[0], "shape", (None,))[:1])
+                calls.append(tuple(sorted(getattr(arg, "shape", (0,))[0] for arg in args)))  # each argument's length
                 return real(*args)
 
             monkeypatch.setattr(module, kernel, counting_kernel)
@@ -531,11 +531,11 @@ class TestRunExperiment:
         monkeypatch.setattr(rsm.record.ContextRecord, "split", snapshot_split)
         models = [rsm_model(schema), least_squares_model(schema), fixed_weights_model(schema, weights)]
         run_experiment(pairs, models, num_splits=4, seed=7)
-        # every row sits on one side of every split, so all rows are ranked, each once, one call per width;
-        # the scorers solve in rank space and chain no ranks into n x n tensors
+        # every row sits on one side of every split, so all rows are ranked, each once, one call per width, and
+        # put in one space; the scorers solve in rank space and chain no ranks into n x n tensors
         assert sorted(encoded[rsm.record, "average_ranks"]) == [(6,), (6,), (12,)]
-        assert sorted(encoded[rsm.record, "rank_space"]) == [(6,), (6,), (12,)]
-        assert encoded[rsm.data, "rank_chain"] == encoded[rsm.learner, "rank_space"] == []
+        assert encoded[rsm.record, "rank_space"] == [(6, 6, 12)]
+        assert encoded[rsm.data, "rank_chain"] == encoded[rsm.learner, "context_space"] == []
         assert len(splits) == 4 and after_first == {key: len(calls) for key, calls in encoded.items()}
         assert clustered == [len(pairs)] and encoded[rsm.data, "paired_split"] == []
 
@@ -617,7 +617,7 @@ def random_rows(rng, schema, widths, tie=False):
 
 
 class TestFixedWeightsModel:
-    def test_scores_are_stationary_mass_one_solve_per_width(self, monkeypatch):
+    def test_scores_are_stationary_mass_one_solve_per_call(self, monkeypatch):
         k, lam = 2, 0.2
         schema = synthetic_schema(k)
         weights = WeightVector([0.7, 0.3])
@@ -632,7 +632,7 @@ class TestFixedWeightsModel:
         real_rows = rsm.evaluation.rank_chain_rows
 
         def counting_rank_chain_rows(space, w_native, lam, gradients=True):
-            solves.append((space.ranks.shape, gradients))
+            solves.append(([ranks.shape for ranks in space.stacks], gradients))
             return real_rows(space, w_native, lam, gradients)
 
         monkeypatch.setattr(rsm.evaluation, "rank_chain_rows", counting_rank_chain_rows)
@@ -640,7 +640,7 @@ class TestFixedWeightsModel:
         for _ in range(2):
             for row, scores in zip(rows, scorer(rows)):
                 assert_allclose(scores, expected[id(row)], rtol=1e-12, atol=0.0)
-        assert solves == [((6, 2, 3), False), ((1, 2, 2), False), ((2, 2, 4), False)] * 2
+        assert solves == [([(6, 2, 3), (1, 2, 2), (2, 2, 4)], False)] * 2  # one space of every width per call
 
     @pytest.mark.parametrize("n", [2, 5, 64, 65, 200])
     def test_scores_match_combine_then_stationary(self, n):

@@ -167,3 +167,38 @@ def test_only_topology_knows_the_weight_forms():
     uses = {path.name: weight_form_uses(path.read_text(encoding="utf-8"), reexport=path.name == "__init__.py")
             for path in OUTSIDE_TOPOLOGY}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+SPACE_FIELDS = ("stacks", "forms", "forms_v", "sums")
+
+
+def rank_space_reads(source: str) -> list:
+    """The lines of ``source`` that read a ``RankSpace``'s fields: an attribute ``.stacks``, ``.forms``, ``.forms_v``
+    or ``.sums``; ``.ranks`` of anything named ``...space``; or a tuple unpacking of a name ``...space``."""
+    def spacelike(node):
+        return isinstance(node, ast.Name) and node.id.endswith("space") or isinstance(node, ast.Attribute) and node.attr.endswith("space")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (node.attr in SPACE_FIELDS or node.attr == "ranks" and spacelike(node.value)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Assign) and spacelike(node.value) and any(isinstance(t, ast.Tuple) for t in node.targets):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_markov_reads_a_rank_space():
+    """Only ``rsm.markov`` knows how a ``RankSpace`` lays out contexts of every width; every other module passes
+    spaces whole to its functions and reads item places off the flat outputs."""
+    sample = (
+        "from .markov import gather\n"
+        "def f(batch, space, top):\n"
+        "    n = batch.space.stacks[0].shape[2] + top.ranks.size\n"
+        "    stacks, forms, forms_v, sums = space\n"
+        "    probs, at = gather(space, n)\n"
+        "    return batch.space.forms_v, space.ranks.shape\n"
+    )
+    assert rank_space_reads(sample) == [3, 4, 6]
+    uses = {path.name: rank_space_reads(path.read_text(encoding="utf-8"))
+            for path in MODULES + [PACKAGE / "__init__.py"] if path.name != "markov.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}

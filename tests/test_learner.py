@@ -802,8 +802,14 @@ def oracle_widths(contexts):
 
 
 def oracle_batch(data):
+    """The old grouping's batch: widths stacked in order of first appearance, each target's place found by hand."""
     k, contexts = oracle_contexts(data)
-    return ContextBatch(k=k, buckets=tuple(rsm.learner._bucket(*width) for width in oracle_widths(contexts)))
+    widths = oracle_widths(contexts)
+    targets, at, start = np.empty(len(data)), np.empty(len(data), dtype=np.intp), 0
+    for ranks, gidx, uidx, probs, slots in widths:
+        b, _, n = ranks.shape
+        targets[slots], at[slots], start = probs, start + gidx * n + uidx, start + b * n
+    return ContextBatch(k, rank_space(*(width[0] for width in widths)), targets, at)
 
 
 def oracle_linearized_rows(data, weights, lam=config.DEFAULT_LAMBDA):
@@ -812,9 +818,10 @@ def oracle_linearized_rows(data, weights, lam=config.DEFAULT_LAMBDA):
     native = weights.as_native(lam).values
     residuals, grads = np.empty(len(data)), np.empty((len(data), k))
     for ranks, gidx, uidx, targets, slots in oracle_widths(contexts):
+        b, _, n = ranks.shape
         probs, rows = rank_chain_rows(rank_space(ranks), native, lam)
-        residuals[slots] = targets - probs[gidx, uidx]
-        grads[slots] = rows[gidx, :, uidx]
+        residuals[slots] = targets - probs.reshape(b, n)[gidx, uidx]
+        grads[slots] = rows.reshape(b, n, k)[gidx, uidx]
     return residuals, grads
 
 
@@ -867,15 +874,31 @@ class TestAsBatch:
         data = distinct_tuple_instances()
         assert len({id(inst.topologies) for inst in data}) == len(data)
         batch = as_batch(data)
-        assert [b.space.ranks.shape for b in batch.buckets] == [(3, 3, 4), (2, 3, 66)]
-        assert np.array_equal(np.sort(np.concatenate([b.slots for b in batch.buckets])), np.arange(len(data)))
+        assert [ranks.shape for ranks in batch.space.stacks] == [(3, 3, 4), (2, 3, 66)]
+        assert np.array_equal(np.sort(batch.at), np.arange(len(data)))  # every item of the 5 contexts once
 
     def test_targets_keep_their_dataset_order(self):
         data = mixed_width_instances()
         batch = as_batch(data)
-        for bucket in batch.buckets:
-            assert np.all(np.diff(bucket.slots) > 0)
-            assert bucket.targets.tolist() == [data[s].target_prob for s in bucket.slots]
+        assert batch.targets.tolist() == [inst.target_prob for inst in data]
+        assert np.unique(batch.at).size == len(data)
+
+    def test_one_kernel_call_per_evaluation_at_the_benchmark_widths(self, monkeypatch):
+        """Contexts 20, 64, 80 and 200 wide, the widths of the ``fit_wide`` benchmark, cost one ``rank_chain_rows``
+        call per evaluation: each fit iteration, ``sample_error``, ``linearized_row`` and each grid point."""
+        true = WeightVector(np.array([0.5, 0.3, 0.2]))
+        data = [inst for n in (20, 64, 80, 200)
+                for inst in generate_synthetic(SyntheticSpec(k=3, num_queries=2, weights=true, n=n, seed=n)).instances]
+        batch, calls, real = as_batch(data), [], rsm.learner.rank_chain_rows
+        monkeypatch.setattr(rsm.learner, "rank_chain_rows", lambda *args: calls.append(args[3]) or real(*args))
+        assert [ranks.shape[2] for ranks in batch.space.stacks] == [20, 64, 80, 200]
+        result = fit(batch)
+        assert result.converged and calls == [True] * result.iterations
+        for evaluate, want in [(lambda: sample_error(batch, true), [False]), (lambda: linearized_row(batch, true), [True]),
+                               (lambda: grid_search(batch, 0.5), [False] * 6)]:
+            calls.clear()
+            evaluate()
+            assert calls == want
 
     def test_an_empty_list_is_no_dataset(self):
         assert len(as_batch([])) == 0

@@ -20,7 +20,7 @@ from rsm import (
     stationary_shift,
 )
 
-from rsm.markov import _stationary_probs, rank_chain_rows, rank_space
+from rsm.markov import _stationary_probs, context_space, gather, rank_chain_rows, rank_space
 from rsm.topology import average_ranks, rank_chain
 
 from conftest import random_topologies
@@ -180,6 +180,24 @@ class TestStationaryRows:
         with pytest.raises(NoUniqueStationary):
             stationary(StochasticMatrix(entries))
 
+    @pytest.mark.parametrize("n", [config.DIRECT_SOLVE_MAX_N + 1, 200])
+    def test_a_wide_positive_chain_is_checked_for_zeros_once(self, n):
+        """``stationary`` takes one minimum of the entries and hands it down: the power iteration's answer, bit for
+        bit, from one ``n x n`` pass where there were two."""
+        chain = random_chain_stack(np.random.default_rng(n), 1, n)[0]
+        assert chain.min() > 0.0
+
+        class CountingMin(np.ndarray):
+            calls = 0
+
+            def min(self, *args, **kwargs):
+                CountingMin.calls += 1
+                return super().min(*args, **kwargs)
+
+        got = stationary(StochasticMatrix._trusted(chain.copy().view(CountingMin))).probs
+        assert CountingMin.calls == 1
+        assert got.tobytes() == _stationary_probs(chain).tobytes() == _stationary_probs(chain, False).tobytes()
+
     @pytest.mark.parametrize("closed, transient", [(1, 1), (3, 2), (5, 4), (40, 30)])
     def test_transient_states_get_no_mass(self, closed, transient):
         rng = np.random.default_rng(closed + transient)
@@ -274,21 +292,28 @@ def rank_case(values, w_report, lam):
     return ranks, p, rows
 
 
+def per_context(probs, rows, b, n):
+    """The kernel's flat outputs over ``b`` contexts all ``n`` wide as ``(b, n)`` stationary rows and ``(b, k, n)``
+    gradient rows."""
+    return probs.reshape(b, n), np.swapaxes(rows.reshape(b, n, -1), 1, 2)
+
+
 def assert_kernel_matches_oracle(values, w_report, lam):
     """rank_chain_rows on a stack of contexts against the dense kernels, 1e-10 relative.
 
-    Each context solved alone gives the same bits as in the stack.
+    The outputs are flat, item after item, and each context solved alone gives the same bits as in the stack.
     """
     cases = [rank_case(v, w_report, lam) for v in values]
     space = rank_space(np.stack([ranks for ranks, _, _ in cases]))
     native = w_report * (1.0 - lam)
     probs, rows = rank_chain_rows(space, native, lam)
-    assert rows.shape == space.ranks.shape
+    b, k, n = values.shape
+    assert probs.shape == (b * n,) and rows.shape == (b * n, k)
     assert np.array_equal(rank_chain_rows(space, native, lam, gradients=False)[0], probs)
-    for (ranks, p, expected), got_p, got_rows in zip(cases, probs, rows):
+    for (ranks, p, expected), got_p, got_rows in zip(cases, *per_context(probs, rows, b, n)):
         assert np.max(np.abs(got_p - p)) <= 1e-10 * np.max(p)
         assert np.max(np.abs(got_rows - expected)) <= 1e-10 * np.max(np.abs(expected))
-        alone_p, alone_rows = rank_chain_rows(rank_space(ranks[None]), native, lam)
+        alone_p, alone_rows = per_context(*rank_chain_rows(rank_space(ranks[None]), native, lam), 1, n)
         assert np.array_equal(alone_p[0], got_p) and np.array_equal(alone_rows[0], got_rows)
 
 
@@ -352,7 +377,7 @@ class TestRankChainRows:
         values = rng.random((4, 3, n))
         values[..., 1::3] = values[..., :1]  # every third item ties item 0 on every feature
         space = rank_space(average_ranks(values))
-        probs, rows = rank_chain_rows(space, np.array([0.5, 0.2, 0.15]), 0.15)
+        probs, rows = per_context(*rank_chain_rows(space, np.array([0.5, 0.2, 0.15]), 0.15), 4, n)
         assert np.all(probs[:, 1::3] == probs[:, :1])
         assert np.all(rows[..., 1::3] == rows[..., :1])
 
@@ -373,14 +398,45 @@ class TestRankChainRows:
         p = np.linalg.lstsq(system, np.eye(n + 1)[-1], rcond=None)[0]
         z = np.linalg.inv(np.eye(n) - chain + p)
         expected = np.stack([(p @ rank_chain(r)) @ z for r in ranks])
-        probs, rows = rank_chain_rows(rank_space(ranks[None]), native, lam)
+        probs, rows = per_context(*rank_chain_rows(rank_space(ranks[None]), native, lam), 1, n)
         assert np.max(np.abs(probs[0] - p)) <= 1e-10 * np.max(p)
         assert np.max(np.abs(rows[0] - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        widths=st.lists(st.sampled_from([2, 3, 5, 63, 64, 65, 80, 200]), min_size=1, max_size=7),
+        levels=st.sampled_from([2, 3, None]),
+        lam=st.sampled_from([0.01, 0.15, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_context_gets_the_same_bits_alone_in_its_width_and_in_a_mixed_space(self, k, widths, levels, lam, seed):
+        """Each context's stationary row and gradient rows, bit for bit: solved alone, in the stack of its width,
+        in a space of every width and gathered from one in reverse; ``levels`` of 2 or 3 ties ranks heavily."""
+        rng = np.random.default_rng(seed)
+        contexts = [average_ranks(rng.random((k, n)) if levels is None else rng.integers(0, levels, (k, n)).astype(float))
+                    for n in widths]
+        w = rng.random(k) + 0.05
+        native = w / w.sum() * (1.0 - lam)
+        by_width = {}
+        for c, n in enumerate(widths):
+            by_width.setdefault(n, []).append(c)
+        stacked = rank_space(*(np.stack([contexts[c] for c in members]) for members in by_width.values()))
+        position = np.argsort(np.concatenate(list(by_width.values())), kind="stable")  # each context's place in it
+        mixed, mixed_starts = context_space(contexts)
+        gathered, gathered_starts = gather(stacked, position[::-1])
+        spaces = [(rank_chain_rows(mixed, native, lam), mixed_starts), (rank_chain_rows(gathered, native, lam), gathered_starts[::-1])]
+        for n, members in by_width.items():
+            own = rank_chain_rows(rank_space(np.stack([contexts[c] for c in members])), native, lam)
+            for j, c in enumerate(members):
+                alone = [part.tobytes() for part in rank_chain_rows(rank_space(contexts[c][None]), native, lam)]
+                for (probs, rows), start in [(own, j * n)] + [(outputs, starts[c]) for outputs, starts in spaces]:
+                    assert [probs[start:start + n].tobytes(), rows[start:start + n].tobytes()] == alone
 
     def test_residual_check_refuses_a_wrong_space(self):
         """Ranks that do not sum to n (n + 1) / 2 give no stochastic chain, and the check says so."""
         ranks = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        space = rank_space(ranks)._replace(ranks=ranks + 0.5)
+        space = rank_space(ranks)._replace(stacks=(ranks + 0.5,))
         with pytest.raises(NoUniqueStationary):
             rank_chain_rows(space, np.array([0.85]), 0.15)
 
