@@ -113,6 +113,7 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
     A ``manifest.json`` in the same directory (written by ``synth``) names
     the features; without one, every non-base header column is treated as a
     higher-is-better numeric feature, the header read as :func:`load_csv` reads it.
+    Both files may start with a UTF-8 byte-order mark.
     """
     manifest_path = path.parent / "manifest.json"
     if manifest_path.is_file():
@@ -124,7 +125,7 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
                     for f in features
                 )
             )
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header = next(csv.reader(handle), None)
     if not header:
         raise SchemaError(f"{path} is empty")
@@ -144,7 +145,7 @@ def _manifest_features(path: Path) -> list:
     is a JSON object whose ``features``, if any, lists objects each with a nonempty string ``name``, no two alike,
     and a ``direction`` of "higher" or "lower"."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             manifest = json.load(handle)
     except ValueError as exc:  # invalid JSON or UTF-8
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc

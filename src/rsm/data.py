@@ -11,14 +11,18 @@ matrices) is refused.
 Rows are validated once, where they enter: ``load_csv`` checks a file's
 cells and contexts in bulk at the CSV boundary and builds the file's one
 ``rsm.record.ContextRecord`` from its flat columns without a second check;
-the public ``LogRow`` and ``FlipPair`` constructors check everything built
+its rows are ``LogRow`` views of that record, each holding only the record
+and its index (``LogRow`` lives in ``rsm.record`` and is re-exported here).
+The public ``LogRow`` and ``FlipPair`` constructors check everything built
 any other way. The miner mines that record's arrays and gathers the record
 of its flip pairs' rows, which each split of an ``rsm eval`` run indexes.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
 ``rsm.markov.rank_chain_rows``, which forms no ``n x n`` chain. They build
-topology objects only for the contexts they keep, one tuple per context.
+topology objects only for the contexts they keep, one tuple per context,
+and gather the kept contexts' clicks into one record, whose view is the
+dataset's rows.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ import hashlib
 import json
 import logging
 import operator
-from dataclasses import dataclass, replace
-from itertools import count
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain, count
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import ContextRecord, RecordView, by_width, clicked_view, coded, feature_ranks, first_seen, pairs_view, record_view
+from .record import ContextRecord, LogRow, RecordView, by_width, clicked_view, feature_ranks, first_seen, pairs_view, record_view
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -85,70 +88,11 @@ class DatasetSchema:
 
 def _unchecked(cls, *values):
     """A frozen dataclass ``cls`` with its fields set to ``values``, in order (so all share attribute keys), unchecked:
-    the rows of :func:`load_csv` and pairs of :func:`mine_flip_pairs` were validated in bulk. Arrays are not copied."""
+    the pairs of :func:`mine_flip_pairs` are mined from rows validated in bulk."""
     instance = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         object.__setattr__(instance, name, value)
     return instance
-
-
-@dataclass(frozen=True, eq=False)
-class LogRow:
-    """One displayed context: a query, its items, clicks and feature values.
-
-    A row is immutable: its arrays are read-only and ``features`` is a
-    read-only mapping. The constructor validates its arguments; rows from
-    :func:`load_csv` were validated in bulk at the CSV boundary and are
-    built without a second check, their arrays read-only slices of the
-    columns of the file's :class:`ContextRecord`. A row holds only its data:
-    its click total, CTRs, ranks and least-squares design live in the record
-    of each run or call that needs them.
-    """
-
-    query_id: str
-    context_id: str
-    items: tuple
-    positions: np.ndarray
-    clicks: np.ndarray
-    features: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        n = len(items)
-        if n < 2:
-            raise ValueError("a context needs at least two items")
-        if len(set(items)) != n:
-            raise ValueError("context items must be unique")
-        try:
-            positions = np.array(self.positions, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("positions must fit in 64-bit integers") from exc
-        clicks = np.array(self.clicks, dtype=np.float64)
-        if positions.shape != (n,) or clicks.shape != (n,):
-            raise ShapeError("positions and clicks must have one entry per item")
-        if not np.isfinite(clicks).all():
-            raise ValueError("clicks must be finite")
-        if (clicks < 0).any():
-            raise ValueError("clicks must be nonnegative")
-        feats = {}
-        for name, values in self.features.items():
-            arr = np.array(values, dtype=np.float64)
-            if arr.shape != (n,):
-                raise ShapeError(f"feature {name!r} must have one value per item")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"feature {name!r} values must be finite")
-            arr.flags.writeable = False
-            feats[name] = arr
-        positions.flags.writeable = False
-        clicks.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "clicks", clicks)
-        object.__setattr__(self, "features", MappingProxyType(feats))
-
-    @property
-    def n(self) -> int:
-        return len(self.items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +133,8 @@ class LoadError:
 class LoadResult:
     """What :func:`load_csv` read. ``rows.record`` holds exactly the file's valid contexts, as columns, in the order
     of their first lines; ``rows`` is the read-only view of all of its rows in that order (edit ``list(rows)``), each
-    a :class:`LogRow` of read-only slices of the columns. ``errors`` lists the lines that did not parse, in file
-    order, then the contexts refused whole."""
+    a :class:`LogRow` view ``(rows.record, index)`` that holds no data of its own. ``errors`` lists the lines that
+    did not parse, in file order, then the contexts refused whole."""
 
     rows: RecordView
     errors: List[LoadError]
@@ -199,13 +143,15 @@ class LoadResult:
 def load_csv(path, schema: DatasetSchema) -> LoadResult:
     """Parse a click-log CSV.
 
-    Raises ``SchemaError`` if the header is missing required columns.
-    Lines that fail to parse are reported in ``errors`` together with any
-    context they leave incomplete; everything else is returned as rows,
-    grouped by (query_id, context_id) in file order. Columns are found by
-    header name, the last of duplicated names winning; a short line reads
-    its missing cells as empty, extra cells are ignored and blank lines are
-    skipped, as with ``csv.DictReader``.
+    The file is read as UTF-8, with or without a byte-order mark. Raises
+    ``SchemaError``, naming the file, if the header is missing a column it
+    reads (the base columns and the schema's features) or repeats one; other
+    columns may repeat. Lines that fail to parse are reported in ``errors``
+    together with any context they leave incomplete; everything else is
+    returned as rows, grouped by (query_id, context_id) in file order.
+    Columns are found by header name; a short line reads its missing cells
+    as empty, extra cells are ignored and blank lines are skipped, as with
+    ``csv.DictReader``.
 
     This is where a file's rows are validated, once: cells are converted
     with ``int`` and ``float`` a chunk of lines at a time, and the contexts
@@ -213,10 +159,11 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
     nonnegative clicks, finite features). A line with a cell that does not
     convert is parsed again alone, for its own error; a context that fails a
     check goes to the public :class:`LogRow` constructor, whose error is
-    reported. The other contexts become the record, without a second check.
+    reported. The other contexts become the record, without a second check,
+    and its row views the result's rows.
     """
     columns = BASE_COLUMNS + schema.names
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -224,6 +171,9 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
         missing = [c for c in columns if c not in header]
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
+        repeated = [c for c in columns if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path} repeats the column {repeated[0]!r}, which it reads")
         where = {name: i for i, name in enumerate(header)}
         loader = _CsvLines(columns, [where[c] for c in columns], len(header))
         records: List[List[str]] = []
@@ -302,24 +252,21 @@ class _CsvLines:
         if self.positions and not int64.min <= min(self.positions) <= max(self.positions) <= int64.max:
             bad |= np.array([not int64.min <= p <= int64.max for p in self.positions])
         flagged = np.bincount(context, weights=bad, minlength=first.size) > 0
-        shown = coded(zip(context.tolist(), self.items), len(self.items))[0]  # each (context, item) shown
-        flagged[context[np.bincount(shown)[shown] > 1]] = True
+        items = np.fromiter(self.items, object, len(self.items))
+        shown = np.argsort(items, kind="stable")
+        shown = shown[np.argsort(context[shown], kind="stable")]  # the lines by context, then by item
+        repeated = (np.diff(context[shown]) == 0) & (items[shown[1:]] == items[shown[:-1]])  # an item twice in a context
+        flagged[context[shown[1:][repeated]]] = True
         order = np.argsort(context, kind="stable")  # each context's lines together, in file order
         starts = np.cumsum(counts) - counts
         valid = ~broken & ~flagged & (counts >= 2)
         # the valid contexts, in first-line order as ``first`` is, and their lines, context after context
         queries, contexts = (np.fromiter((key[i] for key in self.contexts), object, first.size)[valid] for i in (0, 1))
         lines = order[np.repeat(valid, counts)]
-        items = np.fromiter(self.items, object, len(self.items))[lines]
+        items = items[lines]
         positions = np.fromiter(map(self.positions.__getitem__, lines.tolist()), np.int64, lines.size)
-        flat_clicks, flat_features = clicks[lines], features[:, lines]
-        positions.flags.writeable = flat_clicks.flags.writeable = flat_features.flags.writeable = False
-        ends = np.cumsum(counts[valid]).tolist()
-        rows = [_unchecked(LogRow, query_id, context_id, tuple(items[start:end]), positions[start:end], flat_clicks[start:end],
-                           MappingProxyType(dict(zip(schema.names, flat_features[:, start:end]))))
-                for query_id, context_id, start, end in zip(queries.tolist(), contexts.tolist(), [0] + ends[:-1], ends)]
-        record = ContextRecord(rows, queries, contexts, counts[valid], items, positions, flat_clicks,
-                               dict(zip(schema.names, flat_features)))
+        record = ContextRecord(queries, contexts, counts[valid], items, positions, clicks[lines],
+                               dict(zip(schema.names, features[:, lines])))
         keys = list(self.contexts)
         for c in np.flatnonzero(~broken & ~valid).tolist():
             (query_id, context_id), size, line = keys[c], int(counts[c]), int(numbers[first[c]])
@@ -358,18 +305,18 @@ def _parse_line(values: Sequence[str], columns: Tuple[str, ...], line: int) -> t
 
 
 def save_csv(rows: Sequence[LogRow], path, schema: DatasetSchema) -> None:
-    """Write rows in the load_csv format (UTF-8, header line first)."""
+    """Write rows in the load_csv format (UTF-8, header line first), column by column from their record: whole
+    clicks as integers, other numbers as their shortest ``repr``."""
+    view = record_view(rows)
+    record, places, sizes = view.record, view.record.items(view.index), view.record.sizes[view.index]
+    columns = [np.repeat(record.query_ids[view.index], sizes), np.repeat(record.context_ids[view.index], sizes),
+               record.item_ids[places], record.positions[places]]
+    clicks = [int(c) if c.is_integer() else c for c in record.clicks[places].tolist()]
+    features = [record.features[name][places].tolist() for name in schema.names]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(BASE_COLUMNS + schema.names)
-        for row in rows:
-            for i, item in enumerate(row.items):
-                clicks = row.clicks[i]
-                clicks_cell = int(clicks) if float(clicks).is_integer() else clicks
-                writer.writerow(
-                    [row.query_id, row.context_id, item, int(row.positions[i]), clicks_cell]
-                    + [repr(float(row.features[name][i])) for name in schema.names]
-                )
+        writer.writerows(zip(*(column.tolist() for column in columns), clicks, *features))
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +521,12 @@ class SyntheticSpec:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    """A generator's output; ``candidates_drawn`` counts its candidate draws, kept or not."""
+    """A generator's output: one instance per item and, when clicks were drawn, ``rows``, the view of all the rows
+    of one record of the kept contexts (else an empty list); ``candidates_drawn`` counts its candidate draws, kept
+    or not."""
 
     instances: List[TrainingInstance]
-    rows: List[LogRow]
+    rows: Sequence[LogRow]
     schema: DatasetSchema
     candidates_drawn: int = 0
 
@@ -605,18 +554,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     enabled, the clicks are drawn after them and click-log rows are produced.
     """
     rng = np.random.default_rng(spec.seed)
-    dataset = SyntheticDataset([], [], synthetic_schema(spec.k), spec.num_queries)
     values = rng.random((spec.num_queries, spec.k, spec.n))
     ranks, probs = _targets(values, spec.weights.as_native(spec.lam).values, spec.lam)
     clicks = [None] * spec.num_queries
     if spec.clicks_per_context is not None:
         clicks = rng.multinomial(spec.clicks_per_context, probs)
     positions = np.arange(1, spec.n + 1)
+    contexts = []
     for q in range(spec.num_queries):
         query_id = f"q{q:05d}"
         items = tuple(f"{query_id}_i{j}" for j in range(spec.n))
-        _emit_context(dataset, query_id, f"c{q:05d}", items, values[q], ranks[q], probs[q], clicks[q], positions)
-    return dataset
+        contexts.append((query_id, f"c{q:05d}", items, values[q], ranks[q], probs[q], clicks[q], positions))
+    return _dataset(synthetic_schema(spec.k), contexts, spec.num_queries)
 
 
 def generate_flip_dataset(
@@ -653,8 +602,7 @@ def generate_flip_dataset(
     if n < 3:
         raise ValueError(f"the flip generator needs n of at least 3, the two flip candidates and a decoy, got {n}")
     native = weights.as_native(lam).values
-    dataset = SyntheticDataset([], [], synthetic_schema(weights.k))
-    k, pool_size = weights.k, 2 * n - 2
+    k, pool_size, contexts = weights.k, 2 * n - 2, []
     # the pool columns each context shows: the two flip candidates, then its own decoys
     index = np.array([np.arange(n), np.r_[:2, n:pool_size]])
     drawn = 0
@@ -673,7 +621,7 @@ def generate_flip_dataset(
             drawn += MAX_CANDIDATES
             continue
         drawn += start + int(flips[0]) + 1
-        pick = slice(2 * flips[0], 2 * flips[0] + 2)
+        pick = 2 * flips[0] + np.arange(2)  # copies, so the kept contexts do not hold the candidate block
         values, ranks, probs = values[pick], ranks[pick], probs[pick]
         query_id = f"q{q:05d}"
         rng = np.random.default_rng(derive_seed(seed, f"clicks:{q}"))
@@ -681,20 +629,27 @@ def generate_flip_dataset(
         clicks = rng.multinomial(clicks_per_context, probs)
         for c in range(2):
             items = tuple(f"{query_id}_i{j}" for j in index[c].tolist())
-            context = (values[c], ranks[c], probs[c], clicks[c], positions[c])
-            _emit_context(dataset, query_id, f"c{q:05d}_{c}", items, *context)
-    kept = len(dataset.rows) // 2
+            contexts.append((query_id, f"c{q:05d}_{c}", items, values[c], ranks[c], probs[c], clicks[c], positions[c]))
+    kept = len(contexts) // 2
     log.log(logging.WARNING if kept < num_queries else logging.INFO,
             "flip generator kept %d of %d requested queries from %d candidates drawn", kept, num_queries, drawn)
-    return replace(dataset, candidates_drawn=drawn)
+    return _dataset(synthetic_schema(weights.k), contexts, drawn)
 
 
-def _emit_context(dataset, query_id, context_id, items, values, ranks, probs, clicks, positions) -> None:
-    """Append one kept context: its instances, sharing one topology tuple, and its row when clicks were drawn."""
-    dataset.instances.extend(_instances(query_id, items, _topologies(dataset.schema, rank_chain(ranks), items), probs))
-    if clicks is not None:
-        features = dict(zip(dataset.schema.names, values))
-        dataset.rows.append(LogRow(query_id, context_id, items, positions, clicks, features))
+def _dataset(schema: DatasetSchema, contexts: list, candidates_drawn: int) -> SyntheticDataset:
+    """The dataset of the kept ``contexts``, each (query id, context id, items, ``(k, n)`` values, ranks, targets,
+    clicks or None, positions): their instances, a context's sharing one topology tuple, and, when clicks were
+    drawn, the view of one record of all of them as its rows."""
+    instances = [instance for query_id, _, items, _, ranks, probs, _, _ in contexts
+                 for instance in _instances(query_id, items, _topologies(schema, rank_chain(ranks), items), probs)]
+    if not contexts or contexts[0][6] is None:  # no clicks were drawn
+        return SyntheticDataset(instances, [], schema, candidates_drawn)
+    query_ids, context_ids, items, values, _, _, clicks, positions = zip(*contexts)
+    record = ContextRecord(np.array(query_ids, dtype=object), np.array(context_ids, dtype=object),
+                           np.fromiter(map(len, items), np.intp, len(items)), np.fromiter(chain.from_iterable(items), object),
+                           np.concatenate(positions).astype(np.int64), np.concatenate(clicks).astype(np.float64),
+                           dict(zip(schema.names, np.concatenate(values, axis=1))))
+    return SyntheticDataset(instances, record.view(), schema, candidates_drawn)
 
 
 # ---------------------------------------------------------------------------

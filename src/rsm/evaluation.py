@@ -84,10 +84,15 @@ def _stationary_scorer(schema: DatasetSchema, weights: WeightVector, lam: float)
     def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
         view = record_view(rows)
         space, at = view.record.space(view.index, schema)
-        probs, ends = rank_chain_rows(space, native, lam, gradients=False)[0].take(at), np.cumsum(view.record.sizes[view.index]).tolist()
-        return [probs[start:end] for start, end in zip([0] + ends, ends)]
+        return _per_row(rank_chain_rows(space, native, lam, gradients=False)[0].take(at), view)
 
     return scorer
+
+
+def _per_row(values: np.ndarray, view: RecordView) -> List[np.ndarray]:
+    """The flat per-item ``values`` of a view's rows, row after row, as one vector per row."""
+    ends = np.cumsum(view.record.sizes[view.index]).tolist()
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def least_squares_model(schema: DatasetSchema) -> Model:
@@ -103,8 +108,7 @@ def least_squares_model(schema: DatasetSchema) -> Model:
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
             view = record_view(rows)
             design = view.record.encoding(schema)[2][view.record.items(view.index)]
-            predictions, ends = model.intercept + design @ model.coefficients, np.cumsum(view.record.sizes[view.index]).tolist()
-            return [predictions[start:end] for start, end in zip([0] + ends, ends)]
+            return _per_row(model.intercept + design @ model.coefficients, view)
 
         return scorer
 
@@ -113,7 +117,8 @@ def least_squares_model(schema: DatasetSchema) -> Model:
 
 def true_ctr_model() -> Model:
     """Memorizes each (query, item) mean training CTR, the record's CTRs summed in row order by its ``item_keys``;
-    0.0 if unseen. Looked up by name: a (query, item) scores the same in every context and record, so it never predicts a flip."""
+    0.0 if unseen. Looked up by name, each distinct (query, item) of the scored record's ``item_keys`` once: a
+    (query, item) scores the same in every context and record, so it never predicts a flip."""
 
     def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
         view = clicked_view(train_rows)
@@ -125,7 +130,12 @@ def true_ctr_model() -> Model:
         means = dict(zip(map(keys.__getitem__, seen), (sums[seen] / counts[seen]).tolist()))
 
         def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
-            return [np.array([means.get((row.query_id, item), 0.0) for item in row.items]) for row in rows]
+            view = record_view(rows)
+            codes, keys = view.record.item_keys
+            codes = codes[view.record.items(view.index)]
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            scores = np.array([means.get(keys[code], 0.0) for code in codes[first].tolist()], dtype=np.float64)
+            return _per_row(scores[inverse], view)
 
         return scorer
 
@@ -133,12 +143,13 @@ def true_ctr_model() -> Model:
 
 
 def constant_model() -> Model:
-    """Scores every item identically. Lands exactly at chance on flip pairs."""
+    """Scores every item identically, taking the rows' sizes from their record. Lands exactly at chance on flip pairs."""
 
-    def fit_fn(train_rows: Sequence[LogRow]) -> ScorerFn:
-        return lambda rows: [np.zeros(row.n) for row in rows]
+    def scorer(rows: Sequence[LogRow]) -> List[np.ndarray]:
+        view = record_view(rows)
+        return [np.zeros(n) for n in view.record.sizes[view.index].tolist()]
 
-    return Model(name="constant", fit=fit_fn)
+    return Model(name="constant", fit=lambda train_rows: scorer)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def group_instances(instances: Sequence[TrainingInstance]) -> tuple:
 
 
 def as_batch(data: Data) -> ContextBatch:
-    """``data`` itself if it is a batch, else the batch of an instance sequence's :func:`group_instances`."""
+    """``data`` itself if it is a batch, else the batch of an instance sequence's :func:`group_instances`, regrouped
+    on every call: code that fits or evaluates one instance list repeatedly passes ``as_batch(instances)`` once."""
     return data if isinstance(data, ContextBatch) else ContextBatch.from_targets(*group_instances(data)[1:])
 
 
@@ -354,12 +355,13 @@ def fit(data: Data, cfg: Optional[LearnerConfig] = None) -> FitResult:
     """Learn feature weights by iterated linearization.
 
     ``data`` is a :class:`ContextBatch` or a :class:`TrainingInstance`
-    sequence. Starting from the uniform weights, each iteration evaluates
-    every target at the current weights, solves the constrained
-    least-squares step and applies it; the loop halts when the step
-    max-norm drops to ``cfg.halt_eps``. If ``max_iters`` runs out, the best
-    iterate by mean absolute residual is returned, flagged unconverged. The
-    result carries every iteration's mean squared and mean absolute
+    sequence, which is regrouped into a batch on every call: repeated fits
+    pass :func:`as_batch` of it once. Starting from the uniform weights, each
+    iteration evaluates every target at the current weights, solves the
+    constrained least-squares step and applies it; the loop halts when the
+    step max-norm drops to ``cfg.halt_eps``. If ``max_iters`` runs out, the
+    best iterate by mean absolute residual is returned, flagged unconverged.
+    The result carries every iteration's mean squared and mean absolute
     residual and step max-norm.
     """
     cfg = cfg or LearnerConfig()

@@ -1,26 +1,28 @@
 """The context record: contexts as columns, built once and gathered by index from the CSV to the scorer.
 
 ``load_csv`` builds a file's record, the miner gathers the record of its flip pairs' rows from it, and each split
-is index arrays into that one. Models get rows as a :class:`RecordView`, a list that also carries their indices,
-so the batch, the design and the scorers gather the record's arrays. Integer arrays are sorted stably and
-``np.unique`` always returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a
+is index arrays into that one. A :class:`LogRow` is a view of one row of a record, its record and index and nothing
+else; a record makes its row views on first use. Models get rows as a :class:`RecordView`, a list that also carries
+their indices, so the batch, the design and the scorers gather the record's arrays. Integer arrays are sorted stably
+and ``np.unique`` always returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a
 plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, count
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
+from itertools import count
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SplitTooSmall
+from .errors import ShapeError, SplitTooSmall
 from .markov import RankSpace, gather, rank_space
 from .topology import Direction, average_ranks
 
 if TYPE_CHECKING:
-    from .data import DatasetSchema, FlipPair, LogRow
+    from .data import DatasetSchema, FlipPair
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -63,48 +65,150 @@ def check_train_fraction(train_fraction: float) -> None:
         raise ValueError("train_fraction must lie in (0, 1)")
 
 
-class ContextRecord:
-    """Contexts as columns: per row ``query_ids``, ``context_ids`` and ``sizes``; per item, row after row,
-    ``item_ids``, ``positions`` and ``clicks``; per feature name a flat column in ``features``. Row ``r`` holds
-    places ``starts[r]`` to ``starts[r] + sizes[r]``, and ``rows[r]`` is it as a :class:`LogRow`. Each width's
-    clicks are summed per row into ``totals``, and each row's sum divides its clicks into the flat CTRs (zero
-    without clicks): the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema, on
-    first use, each width is ranked by one :func:`average_ranks` call, and all of them go into one ``rank_space``.
-    The columns are taken as given, unchecked (the loader's, or gathered by :meth:`take`); a record lives as long as the run or call that made it.
+class LogRow:
+    """One displayed context: a query, its items, their display positions, clicks and feature values.
+
+    A row is a view of row ``index`` of its ``record`` and holds only those two. Its other attributes read the record's
+    columns: ``items`` as a tuple, the arrays as read-only slices, ``features`` as a read-only mapping. Setting any
+    attribute raises ``AttributeError``, and rows compare by identity. ``LogRow(...)`` validates its arguments into a
+    one-row record; a loaded file's rows are views of its record, checked in bulk at the CSV boundary. A row's click
+    total, CTRs, ranks and design live in the record of each run or call that needs them.
     """
 
-    def __init__(self, rows: list, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
-        self.rows, self.query_ids, self.context_ids, self.sizes = rows, query_ids, context_ids, sizes
+    __slots__ = ("record", "index")
+
+    def __init__(self, query_id, context_id, items, positions, clicks, features: Mapping[str, np.ndarray]):
+        items = tuple(items)
+        n = len(items)
+        if n < 2:
+            raise ValueError("a context needs at least two items")
+        if len(set(items)) != n:
+            raise ValueError("context items must be unique")
+        try:
+            positions = np.array(positions, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("positions must fit in 64-bit integers") from exc
+        clicks = np.array(clicks, dtype=np.float64)
+        if positions.shape != (n,) or clicks.shape != (n,):
+            raise ShapeError("positions and clicks must have one entry per item")
+        if not np.isfinite(clicks).all():
+            raise ValueError("clicks must be finite")
+        if (clicks < 0).any():
+            raise ValueError("clicks must be nonnegative")
+        feats = {}
+        for name, values in features.items():
+            feats[name] = np.array(values, dtype=np.float64)
+            if feats[name].shape != (n,):
+                raise ShapeError(f"feature {name!r} must have one value per item")
+            if not np.isfinite(feats[name]).all():
+                raise ValueError(f"feature {name!r} values must be finite")
+        ids = np.fromiter((query_id, context_id), object, 2)  # tuples stay whole
+        record = ContextRecord(ids[:1], ids[1:], np.array([n], np.intp), np.fromiter(items, object, n), positions, clicks, feats)
+        _view(record, 0, self)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"a LogRow is a read-only view of its record's row; cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return _view, (self.record, self.index)
+
+    def __repr__(self) -> str:
+        return f"LogRow(query_id={self.query_id!r}, context_id={self.context_id!r}, items={self.items!r})"
+
+    def _span(self, column: np.ndarray) -> np.ndarray:
+        start = self.record.starts[self.index]
+        return column[start:start + self.record.sizes[self.index]]
+
+    query_id = property(lambda self: self.record.query_ids[self.index])
+    context_id = property(lambda self: self.record.context_ids[self.index])
+    items = property(lambda self: tuple(self._span(self.record.item_ids)))
+    positions = property(lambda self: self._span(self.record.positions))
+    clicks = property(lambda self: self._span(self.record.clicks))
+    features = property(lambda self: MappingProxyType({name: self._span(f) for name, f in self.record.features.items()}))
+    n = property(lambda self: int(self.record.sizes[self.index]))
+
+
+def _view(record: "ContextRecord", index: int, row: LogRow = None) -> LogRow:
+    """The view ``(record, index)``, unchecked: ``row``, the constructor's, or a new one. Its slots are set through
+    their own setters, which a row's ``__setattr__`` refuses."""
+    row = object.__new__(LogRow) if row is None else row
+    _RECORD.__set__(row, record)
+    _INDEX.__set__(row, index)
+    return row
+
+
+_RECORD, _INDEX = LogRow.record, LogRow.index
+
+
+class ContextRecord:
+    """Contexts as columns: per row ``query_ids``, ``context_ids`` and ``sizes``; per item, row after row,
+    ``item_ids`` and the read-only ``positions`` and ``clicks``; per feature name a read-only flat column in
+    ``features``. Row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]``. ``rows[r]`` is it as a
+    :class:`LogRow`, the view ``(record, r)``, all made on first use; a record gathered from rows that exist
+    (:meth:`of_rows`, :meth:`take`) keeps those objects instead. Derived columns are made on first use too: each
+    width's clicks summed per row into ``totals``, and each row's sum dividing its clicks into the flat ``ctrs``
+    (zero without clicks), the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema,
+    each width is ranked by one :func:`average_ranks` call, and all of them go into one ``rank_space``. The columns
+    are taken as given, unchecked; a record lives as long as the run or call that made it.
+    """
+
+    def __init__(self, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
+        self.query_ids, self.context_ids, self.sizes = query_ids, context_ids, sizes
         self.item_ids, self.positions, self.clicks, self.features = item_ids, positions, clicks, features
-        self.starts = np.cumsum(sizes) - sizes
-        self.totals, self.ctrs = np.zeros(sizes.size), np.zeros(clicks.size)
-        for n, members in by_width(sizes):
-            clicks = self.clicks[self.items(members)].reshape(-1, n)  # C-contiguous: each row sums as it does alone
-            self.totals[members] = totals = clicks.sum(axis=1)
-            hit = totals > 0
-            self.ctrs[self.items(members[hit])] = (clicks[hit] / totals[hit, None]).ravel()
-        self.clicked = self.totals > 0
+        for column in (positions, clicks, *features.values()):
+            column.flags.writeable = False
         self._encodings: Dict[DatasetSchema, tuple] = {}
+
+    rows = cached_property(lambda self: [_view(self, r) for r in range(self.sizes.size)])
+    starts = cached_property(lambda self: np.cumsum(self.sizes) - self.sizes)
+    clicked = cached_property(lambda self: self.totals > 0)
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        totals = np.zeros(self.sizes.size)
+        for n, members in by_width(self.sizes):  # C-contiguous: each row sums as it does alone
+            totals[members] = self.clicks[self.items(members)].reshape(-1, n).sum(axis=1)
+        return totals
+
+    @cached_property
+    def ctrs(self) -> np.ndarray:
+        ctrs, hit = np.zeros(self.clicks.size), np.flatnonzero(self.clicked)
+        places = self.items(hit)
+        ctrs[places] = self.clicks[places] / np.repeat(self.totals[hit], self.sizes[hit])
+        return ctrs
 
     @classmethod
     def of_rows(cls, rows: Sequence[LogRow]) -> "ContextRecord":
-        """The record of a list of independent rows, the one place where rows become arrays: each column, and each
-        feature that every row has, is concatenated once."""
+        """The record of a list of rows, gathered from their records' columns with each feature every row has. Its
+        ``rows`` are the listed rows themselves, so a caller's rows reach its scorers as they were passed."""
         rows = list(rows)
-        names = [name for name in rows[0].features if all(name in row.features for row in rows)] if rows else []
-        ids = [np.fromiter((getattr(row, key) for row in rows), object, len(rows)) for key in ("query_id", "context_id")]
-        return cls(rows, *ids, np.array([row.n for row in rows], dtype=np.intp),
-                   np.fromiter(chain.from_iterable(row.items for row in rows), object),
-                   *(np.concatenate([getattr(row, key) for row in rows] or [np.zeros(0)]) for key in ("positions", "clicks")),
-                   {name: np.concatenate([row.features[name] for row in rows]) for name in names})
+        sources = list({id(row.record): row.record for row in rows}.values())
+        starts = dict(zip(map(id, sources), np.cumsum([0] + [source.sizes.size for source in sources]).tolist()))
+        joined = sources[0] if len(sources) == 1 else cls.joined(sources)
+        record = joined.take(np.fromiter((starts[id(row.record)] + row.index for row in rows), np.intp, len(rows)))
+        record.rows = rows
+        return record
+
+    @classmethod
+    def joined(cls, records: Sequence["ContextRecord"]) -> "ContextRecord":
+        """The records end to end, with each feature that all of them have, in the first one's order."""
+        names = [name for name in records[0].features if all(name in r.features for r in records)] if records else []
+        dtypes = {"query_ids": object, "context_ids": object, "sizes": np.intp, "item_ids": object, "positions": np.int64,
+                  "clicks": np.float64}
+        return cls(*(np.concatenate([getattr(r, key) for r in records] or [np.zeros(0, dtype)]) for key, dtype in dtypes.items()),
+                   {name: np.concatenate([r.features[name] for r in records]) for name in names})
 
     def take(self, index: np.ndarray) -> "ContextRecord":
-        """The record of the rows at ``index``, in that order, gathered from the columns. It shares their
-        :class:`LogRow` objects and, if this record has coded them, their (query, item) codes."""
+        """The record of the rows at ``index``, in that order, gathered from the columns. It shares what this record
+        has made of them: their :class:`LogRow` objects and their (query, item) codes."""
         places = self.items(index)
-        record = ContextRecord(list(map(self.rows.__getitem__, index.tolist())), self.query_ids[index], self.context_ids[index],
-                               self.sizes[index], self.item_ids[places], self.positions[places], self.clicks[places],
+        record = ContextRecord(self.query_ids[index], self.context_ids[index], self.sizes[index], self.item_ids[places],
+                               self.positions[places], self.clicks[places],
                                {name: column[places] for name, column in self.features.items()})
+        if "rows" in vars(self):
+            record.rows = list(map(self.rows.__getitem__, index.tolist()))
         if "item_keys" in vars(self):
             record.item_keys = (self.item_keys[0][places], self.item_keys[1])
         return record
@@ -118,10 +222,11 @@ class ContextRecord:
         """The record of the distinct rows (by identity) of hand-built ``pairs``, and of the pairs (:meth:`pair`)."""
         pairs = list(pairs)
         sides = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
-        place = {row: i for i, row in enumerate(dict.fromkeys(sides))}
+        items = {row: row.items for row in dict.fromkeys(sides)}  # each distinct row once, in order of first appearance
+        place = dict(zip(items, count()))
         pair_items = np.array([
-            (p.row_1.items.index(p.item_a), p.row_1.items.index(p.item_b), p.row_2.items.index(p.item_b),
-             p.row_2.items.index(p.item_a)) for p in pairs
+            (items[p.row_1].index(p.item_a), items[p.row_1].index(p.item_b), items[p.row_2].index(p.item_b),
+             items[p.row_2].index(p.item_a)) for p in pairs
         ], dtype=np.intp).reshape(-1, 2, 2)
         order = sorted(range(len(pairs)), key=lambda i: (
             pairs[i].row_1.query_id, pairs[i].item_a, pairs[i].item_b, pairs[i].row_1.context_id, pairs[i].row_2.context_id,
@@ -139,7 +244,7 @@ class ContextRecord:
         # each pair takes the lowest rank over the pairs sharing one of its rows, until its cluster's first pair's
         label, keys, spread = None, self.row_key[pair_rows], rank
         while not np.array_equal(spread, label):
-            label, lowest = spread, np.full(len(self.rows), len(pairs))
+            label, lowest = spread, np.full(self.sizes.size, len(pairs))
             np.minimum.at(lowest, keys, label[:, None])
             spread = lowest[keys].min(axis=1)
         sizes = np.bincount(label, minlength=len(pairs))  # labels are the clusters' first ranks
@@ -177,7 +282,7 @@ class ContextRecord:
     def encoding(self, schema: DatasetSchema) -> tuple:
         """The RankSpace of every row, each row's position in it, and the flat (N, k + 1) design: features, position."""
         if schema not in self._encodings:
-            stacks, place, design = [], np.empty(len(self.rows), dtype=np.intp), np.empty((self.ctrs.size, schema.k + 1))
+            stacks, place, design = [], np.empty(self.sizes.size, np.intp), np.empty((self.item_ids.size, schema.k + 1))
             design[:, schema.k] = self.positions
             for _, members in by_width(self.sizes):
                 values, ranks = feature_ranks(RecordView(self, members, self.rows), schema)
@@ -209,13 +314,14 @@ def _read_only(view, *args, **kwargs):
 
 class RecordView(list):
     """A read-only list of a record's rows (or pairs) that also holds their ``index`` into the record and their
-    ``kind``, "rows" or "pairs": models read it as any sequence, while the functions here gather the record's arrays.
+    ``kind``, "rows" or "pairs": models read it as any sequence of the record's :class:`LogRow` objects, while the
+    functions here gather the record's arrays and touch no row.
     Every in-place edit raises ``TypeError``, or the ``index`` would no longer say what the view holds; ``copy.copy``
     returns the view itself, while slices, ``+`` and ``list(view)`` are plain lists."""
 
     def __init__(self, record: ContextRecord, index: np.ndarray, source: list):
         super().__init__(map(source.__getitem__, index.tolist()))
-        self.record, self.index, self.kind = record, index, "rows" if source is record.rows else "pairs"
+        self.record, self.index, self.kind = record, index, "pairs" if source is getattr(record, "pairs", None) else "rows"
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only

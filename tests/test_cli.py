@@ -286,6 +286,21 @@ class TestEval:
         rsm.record.record_view(list(rows))  # the counter does see a list adapted
         assert adapted == [len(rows)] == [20]
 
+    def test_an_eval_run_reads_no_row_attribute(self, flip_dir, tmp_path, monkeypatch):
+        """Every model gathers from the record: with each ``LogRow`` attribute counting its reads, ``rsm eval`` with
+        all four models reads none. The control, a scorer whose vectors are too short, does read them, in the failure
+        pass that names the rows."""
+        reads = []
+        for name in ("record", "index", "query_id", "context_id", "items", "positions", "clicks", "features", "n"):
+            real = vars(rsm.LogRow)[name]
+            monkeypatch.setattr(rsm.LogRow, name, property(lambda row, real=real, name=name: reads.append(name) or real.__get__(row)))
+        assert run(["eval", flip_dir / "dataset.csv", "--out-dir", tmp_path / "e", "--models", "rsm,least_squares,constant,train_ctr",
+                    "--splits", "4"]) == 0
+        assert reads == []
+        pairs = rsm.mine_flip_pairs(rsm.load_csv(flip_dir / "dataset.csv", rsm.synthetic_schema(3)).rows)
+        assert rsm.flip_accuracy(lambda rows: [np.zeros(1)] * len(rows), pairs) == 0.5
+        assert {"n", "query_id", "context_id"} <= set(reads)
+
     @pytest.mark.parametrize("rates", ["0.15,0.15", "0.1,0.10000000001", "0.3,0.05,0.30"])
     def test_lambda_sweep_rates_sharing_a_label_exit_two(self, flip_dir, tmp_path, rates, caplog):
         """Each rate's report section is named by its ``%g`` label, so two rates with one label are refused."""

@@ -85,9 +85,10 @@ def two_context_rows():
 
 class TestLogRow:
     def test_click_total_and_ctrs_are_computed_from_the_clicks(self):
-        """A row holds only its data: its click total and CTRs are computed from its clicks by a ContextRecord."""
+        """A row holds only its record and index: its click total and CTRs are computed from its clicks by the record."""
         row = make_row("q", "c", ["a", "b", "c"], [3, 0, 1], {"price": [1.0, 2.0, 3.0], "rating": [1.0, 2.0, 3.0]})
-        assert sorted(vars(row)) == ["clicks", "context_id", "features", "items", "positions", "query_id"]
+        assert LogRow.__slots__ == ("record", "index") and not hasattr(row, "__dict__")
+        assert (row.record.totals.tolist(), row.record.ctrs.tolist()) == ([4.0], [0.75, 0.0, 0.25])
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError):
@@ -255,15 +256,16 @@ class TestMalformedCsv:
         assert [r.context_id for r in result.rows] == ["c1", "c4"]
         assert result.rows[1].clicks.tolist() == [1.0, 2.0]
 
-    def test_duplicated_feature_column_last_one_wins(self, tmp_path):
-        result, errors = load_text(
-            tmp_path,
-            "query_id,context_id,item_id,position,clicks,price,rating,price\n"
-            "q,c1,a,1,3,1.0,2.0,7.0\nq,c1,b,2,4,2.0,3.0,5.0\n",
-        )
-        assert errors == []
-        assert [summary(r) for r in result.rows] == [
-            ("c1", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [7.0, 5.0], "rating": [2.0, 3.0]})
+    @pytest.mark.parametrize("column", ["price", "clicks", "query_id"])
+    def test_a_repeated_column_it_reads_is_refused(self, tmp_path, column):
+        """A header that names a column the loader reads twice is refused, naming the file and the column; a column
+        it does not read may repeat."""
+        header = HEADER.rstrip("\n") + f",{column}\n"
+        with pytest.raises(SchemaError, match=rf"log.csv repeats the column '{column}'"):
+            load_text(tmp_path, header + "q,c1,a,1,3,1.0,2.0,7\nq,c1,b,2,4,2.0,3.0,5\n")
+        result, errors = load_text(tmp_path, HEADER.rstrip("\n") + ",note,note\nq,c1,a,1,3,1.0,2.0,x,y\nq,c1,b,2,4,2.0,3.0,x,y\n")
+        assert errors == [] and [summary(r) for r in result.rows] == [
+            ("c1", ("a", "b"), [1, 2], [3.0, 4.0], {"price": [1.0, 2.0], "rating": [2.0, 3.0]})
         ]
 
     def test_quoted_item_id_keeps_its_comma(self, tmp_path):
@@ -279,9 +281,10 @@ class TestMalformedCsv:
         with pytest.raises(SchemaError, match="file is empty"):
             load_text(tmp_path, "")
 
-    def test_byte_order_mark_hides_the_first_column(self, tmp_path):
-        with pytest.raises(SchemaError, match=r"^missing columns: query_id$"):
-            load_text(tmp_path, "﻿" + HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n")
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n"
+        marked, plain = load_text(tmp_path, "\ufeff" + text), load_text(tmp_path, text)
+        assert marked[1] == plain[1] == [] and [summary(r) for r in marked[0].rows] == [summary(r) for r in plain[0].rows]
 
     def test_empty_and_whitespace_lines_are_malformed(self, tmp_path):
         result, errors = load_text(tmp_path, HEADER + "q,c1,a,1,3,1.0,2.0\nq,c1,b,2,4,2.0,3.0\n,,,,,,\n \n")
@@ -1111,6 +1114,24 @@ class TestRecordView:
         assert empty == [] and mine_flip_pairs(empty) == []
 
 
+class TestLoadedRowsAreViews:
+    def test_a_loaded_row_reads_its_record_and_holds_nothing_else(self):
+        """Each row's arrays share memory with its record's columns and are read-only, every attribute refuses an
+        assignment, and ``LogRow(...)`` rebuilt from a row gives the same state."""
+        rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
+        record = rows.record
+        for index, row in enumerate(rows):
+            assert row.record is record and row.index == index
+            arrays = [(row.positions, record.positions), (row.clicks, record.clicks)]
+            arrays += [(values, record.features[name]) for name, values in row.features.items()]
+            for array, column in arrays:
+                assert np.shares_memory(array, column) and not array.flags.writeable
+            for name in ("record", "index", "query_id", "items", "clicks", "features", "n", "anything"):
+                with pytest.raises(AttributeError, match="read-only view"):
+                    setattr(row, name, None)
+            assert row_state(rebuilt_row(row)) == row_state(row)
+
+
 class TestSyntheticGeneration:
     def test_labels_are_stationary_distributions(self):
         spec = SyntheticSpec(k=3, num_queries=6, weights=WeightVector(np.array([0.5, 0.3, 0.2])), seed=5)
@@ -1674,11 +1695,11 @@ class TestEncodingCache:
 
     @pytest.mark.parametrize("n", [3, 65])
     def test_topologies_equal_encode_rank_topology_bit_for_bit(self, n):
-        """Under both directions of every feature, and the row's attributes are its data alone."""
+        """Under both directions of every feature, and the row stays the same view, its record encoding nothing."""
         rng = np.random.default_rng(930 + n)
         feats = {"price": rng.integers(0, 4, n).astype(float), "rating": rng.random(n)}
         row = make_row("q", "c", [f"i{j}" for j in range(n)], rng.integers(0, 9, n), feats)
-        attributes = dict(vars(row))
+        attributes = (row.record, row.index)
         for direction in Direction:
             schema = DatasetSchema(features=tuple(FeatureSpec(spec.name, direction) for spec in SCHEMA.features))
             topologies = topologies_from_row(row, schema)
@@ -1686,7 +1707,7 @@ class TestEncodingCache:
                 fresh = encode_rank_topology(row.features[spec.name], spec.direction, row.items, spec.name)
                 assert (top.feature, top.item_ids) == (fresh.feature, fresh.item_ids)
                 assert top.matrix.entries.tobytes() == fresh.matrix.entries.tobytes()
-        assert vars(row).keys() == attributes.keys() and all(vars(row)[key] is value for key, value in attributes.items())
+        assert (row.record, row.index) == attributes and row.record._encodings == {}
 
 
 class TestDeriveSeed:

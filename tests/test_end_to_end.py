@@ -93,3 +93,40 @@ def test_trained_weights_follow_the_feature_columns(tmp_path):
         weights.append(json.loads((tmp_path / name / "weights.json").read_text())["weights"])
     plain, permuted = map(np.array, weights)
     assert np.abs(permuted - plain[order]).max() <= 1e-12
+
+
+def repeated_column_copy(tmp_path, column):
+    """``flips_24.csv`` with a second ``column`` appended: a random ``f0`` beside a manifest of f0, f1, f2, or an
+    all-zero ``clicks`` without one."""
+    header, lines = read_lines()
+    rng = np.random.default_rng(5)
+    cells = [repr(float(v)) for v in rng.random(len(lines))] if column == "f0" else ["0"] * len(lines)
+    folder = tmp_path / f"repeated_{column}"
+    folder.mkdir()
+    if column == "f0":
+        features = [{"name": name, "direction": "higher"} for name in ("f0", "f1", "f2")]
+        (folder / "manifest.json").write_text(json.dumps({"features": features}), encoding="utf-8")
+    return write_lines(folder / "dataset.csv", header + [column], [line + [cell] for line, cell in zip(lines, cells)])
+
+
+@pytest.mark.parametrize("column", ["f0", "clicks"])
+def test_a_header_that_repeats_a_column_it_reads_is_a_data_error(tmp_path, column, caplog):
+    path = repeated_column_copy(tmp_path, column)
+    out = tmp_path / "out"
+    assert main(["eval", str(path), "--out-dir", str(out), "--splits", "2"]) == 3
+    assert not out.exists()
+    errors = [record.getMessage() for record in caplog.records if record.levelname == "ERROR"]
+    assert errors == [f"{path} repeats the column {column!r}, which it reads"]
+
+
+def test_a_byte_order_mark_changes_no_report(tmp_path):
+    """A CSV, and a manifest beside it, that start with a UTF-8 byte-order mark give the plain file's report."""
+    want = eval_report(tmp_path, DATA / "flips_24.csv")
+    folder = tmp_path / "marked"
+    folder.mkdir()
+    path = folder / "flips_24.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "flips_24.csv").read_bytes())
+    assert eval_report(tmp_path, path) == want
+    features = [{"name": name, "direction": "higher"} for name in ("f0", "f1", "f2")]
+    (folder / "manifest.json").write_text("\ufeff" + json.dumps({"features": features}), encoding="utf-8")
+    assert eval_report(tmp_path / "manifest", path) == want

@@ -202,3 +202,34 @@ def test_only_markov_reads_a_rank_space():
     uses = {path.name: rank_space_reads(path.read_text(encoding="utf-8"))
             for path in MODULES + [PACKAGE / "__init__.py"] if path.name != "markov.py"}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def unchecked_rows(source: str) -> list:
+    """The lines of ``source`` that build a ``LogRow`` around its constructor: ``_unchecked(LogRow, ...)`` or
+    ``<anything>.__new__(LogRow)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "LogRow":
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in ("_unchecked", "__new__"):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_the_record_module_builds_rows_around_the_constructor():
+    """Outside the module that defines ``LogRow``, a row is built by ``LogRow(...)``, which checks it, or is a view
+    the record made; no code builds one unchecked."""
+    sample = (
+        "from .record import LogRow\n"
+        "row = _unchecked(LogRow, 'q', 'c', items, positions, clicks, features)\n"
+        "other = object.__new__(LogRow)\n"
+        "third = LogRow.__new__(LogRow)\n"
+        "fine = LogRow('q', 'c', items, positions, clicks, features)\n"
+        "pair = _unchecked(FlipPair, row, other, 'a', 'b', 0.5)\n"
+    )
+    assert unchecked_rows(sample) == [2, 3, 4]
+    home = [path for path in MODULES if "class LogRow" in path.read_text(encoding="utf-8")]
+    assert [path.name for path in home] == ["record.py"]
+    uses = {path.name: unchecked_rows(path.read_text(encoding="utf-8"))
+            for path in MODULES + [PACKAGE / "__init__.py"] if path not in home}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
