@@ -125,8 +125,11 @@ def _schema_for_csv(path: Path) -> DatasetSchema:
                     for f in features
                 )
             )
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(csv.reader(handle), None)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = next(csv.reader(handle), None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not header:
         raise SchemaError(f"{path} is empty")
     names = [col for col in header if col not in BASE_COLUMNS]
@@ -169,6 +172,15 @@ def _load_rows(path: Path, schema: DatasetSchema):
     return result.rows
 
 
+def _out_dir(text: str) -> Path:
+    """``--out-dir`` as a path, or a ``ValueError`` if it, or its nearest part that exists, is not a directory."""
+    out_dir = Path(text)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out-dir {out_dir}: {existing} exists and is not a directory")
+    return out_dir
+
+
 def _learner_config(args, lam: float) -> learner.LearnerConfig:
     return learner.LearnerConfig(lam=lam, eta=args.eta, halt_eps=args.halt_eps, max_iters=args.max_iters)
 
@@ -179,7 +191,7 @@ def _learner_config(args, lam: float) -> learner.LearnerConfig:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args.out_dir)
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     weights = _parse_weights(args.weights) if args.weights else WeightVector(np.full(args.k, 1.0 / args.k))
@@ -234,7 +246,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args.out_dir)
     if args.grid:  # the chosen learner's flags are checked before any read
         learner.grid_steps(args.grid_step, args.lam)
     else:
@@ -299,7 +311,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args.out_dir)
     names = [part.strip() for part in args.models.split(",") if part.strip()]
     for name in names:
         if name not in MODELS:

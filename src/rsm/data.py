@@ -8,14 +8,14 @@ some training instances once, as its ``k`` average-rank vectors, and reads
 straight into the learner's ``ContextBatch``; format 1 (per-instance
 matrices) is refused.
 
-Rows are validated once, where they enter: ``load_csv`` checks a file's
-cells and contexts in bulk at the CSV boundary and builds the file's one
-``rsm.record.ContextRecord`` from its flat columns without a second check;
+Rows are validated once, where they enter: ``load_csv`` builds a file's
+``rsm.record.ContextRecord`` at the CSV boundary and keeps the contexts that
+``rsm.record.context_errors``, the one statement of a valid context, passes;
 its rows are ``LogRow`` views of that record, each holding only the record
 and its index (``LogRow`` lives in ``rsm.record`` and is re-exported here).
-The public ``LogRow`` and ``FlipPair`` constructors check everything built
-any other way. The miner mines that record's arrays and gathers the record
-of its flip pairs' rows, which each split of an ``rsm eval`` run indexes.
+``LogRow(...)`` runs the same check on one row. The miner mines that record's
+arrays and gathers the record of its flip pairs' rows, which each split of
+an ``rsm eval`` run indexes.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -43,7 +43,8 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import ContextRecord, LogRow, RecordView, by_width, clicked_view, feature_ranks, first_seen, pairs_view, record_view
+from .record import (ContextRecord, LogRow, RecordView, by_width, clicked_view, context_errors, feature_ranks, first_seen,
+                     pairs_view, positions_column, record_view)
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -143,7 +144,8 @@ class LoadResult:
 def load_csv(path, schema: DatasetSchema) -> LoadResult:
     """Parse a click-log CSV.
 
-    The file is read as UTF-8, with or without a byte-order mark. Raises
+    The file is read as UTF-8, with or without a byte-order mark; other
+    bytes raise ``ParseError`` naming the file. Raises
     ``SchemaError``, naming the file, if the header is missing a column it
     reads (the base columns and the schema's features) or repeats one; other
     columns may repeat. Lines that fail to parse are reported in ``errors``
@@ -154,38 +156,41 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
     ``csv.DictReader``.
 
     This is where a file's rows are validated, once: cells are converted
-    with ``int`` and ``float`` a chunk of lines at a time, and the contexts
-    are checked in bulk (at least two items, unique items, finite and
-    nonnegative clicks, finite features). A line with a cell that does not
-    convert is parsed again alone, for its own error; a context that fails a
-    check goes to the public :class:`LogRow` constructor, whose error is
-    reported. The other contexts become the record, without a second check,
-    and its row views the result's rows.
+    with ``int`` and ``float`` a chunk of lines at a time, and all contexts
+    are checked at once by :func:`rsm.record.context_errors`, as
+    ``LogRow(...)`` checks one; a refused context is reported at its first
+    line with the first rule it breaks. A line with a cell that does not
+    convert is parsed again alone, for its own error, which stands for its
+    context's. The valid contexts become the record, and its row views the
+    result's rows.
     """
     columns = BASE_COLUMNS + schema.names
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("file is empty; a header line is required")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns: {', '.join(missing)}")
-        repeated = [c for c in columns if header.count(c) > 1]
-        if repeated:
-            raise SchemaError(f"{path} repeats the column {repeated[0]!r}, which it reads")
-        where = {name: i for i, name in enumerate(header)}
-        loader = _CsvLines(columns, [where[c] for c in columns], len(header))
-        records: List[List[str]] = []
-        numbers: List[int] = []
-        for cells in reader:
-            if cells:
-                records.append(cells)
-                numbers.append(reader.line_num)
-                if len(records) == _CSV_CHUNK:
-                    loader.add(records, numbers)
-                    records, numbers = [], []
-        loader.add(records, numbers)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("file is empty; a header line is required")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise SchemaError(f"missing columns: {', '.join(missing)}")
+            repeated = [c for c in columns if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path} repeats the column {repeated[0]!r}, which it reads")
+            where = {name: i for i, name in enumerate(header)}
+            loader = _CsvLines(columns, [where[c] for c in columns], len(header))
+            records: List[List[str]] = []
+            numbers: List[int] = []
+            for cells in reader:
+                if cells:
+                    records.append(cells)
+                    numbers.append(reader.line_num)
+                    if len(records) == _CSV_CHUNK:
+                        loader.add(records, numbers)
+                        records, numbers = [], []
+            loader.add(records, numbers)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return loader.result(schema)
 
 
@@ -203,9 +208,8 @@ class _CsvLines:
         self.contexts: Dict[Tuple[str, str], int] = {}  # (query_id, context_id) -> index of its first line
         self.line_index = count()  # hands each line its index, the code of a context it opens
         self.items: List[str] = []
-        self.positions: List[int] = []  # Python ints: a row's constructor rejects one beyond int64
-        # per chunk: context codes, line numbers, clicks and features, failed lines; the first chunk is empty
-        self.chunks: List[tuple] = [(np.zeros(0, np.int64),) * 2 + (np.zeros((len(columns) - 4, 0)), np.zeros(0, bool))]
+        # per chunk: context codes, line numbers, positions, clicks and features, failed lines; the first chunk is empty
+        self.chunks: List[tuple] = [(np.zeros(0, np.int64),) * 3 + (np.zeros((len(columns) - 4, 0)), np.zeros(0, bool))]
         self.errors: List[LoadError] = []
 
     def add(self, records: List[List[str]], numbers: List[int]) -> None:
@@ -237,48 +241,26 @@ class _CsvLines:
                     positions[i] = parsed[1]
                     values[:, i] = parsed[2:]
         self.items += items
-        self.positions += positions
-        self.chunks.append((codes, np.array(numbers), values, failed))
+        self.chunks.append((codes, np.array(numbers), positions_column(positions), values, failed))
 
     def result(self, schema: DatasetSchema) -> LoadResult:
-        """Group the lines into contexts, check them in bulk and build the record of the valid ones in file order."""
-        codes, numbers, values, failed = (np.concatenate(part, axis=-1) for part in zip(*self.chunks))
+        """Group the lines into contexts, check them with :func:`context_errors` and keep the valid ones in order."""
+        codes, numbers, positions, values, failed = (np.concatenate(part, axis=-1) for part in zip(*self.chunks))
         self.chunks = []
         first, context, counts = np.unique(codes, return_inverse=True, return_counts=True)
-        clicks, features = values[0], values[1:]
-        broken = np.bincount(context, weights=failed, minlength=first.size) > 0
-        bad = ~np.isfinite(values).all(axis=0) | (clicks < 0)
-        int64 = np.iinfo(np.int64)
-        if self.positions and not int64.min <= min(self.positions) <= max(self.positions) <= int64.max:
-            bad |= np.array([not int64.min <= p <= int64.max for p in self.positions])
-        flagged = np.bincount(context, weights=bad, minlength=first.size) > 0
-        items = np.fromiter(self.items, object, len(self.items))
-        shown = np.argsort(items, kind="stable")
-        shown = shown[np.argsort(context[shown], kind="stable")]  # the lines by context, then by item
-        repeated = (np.diff(context[shown]) == 0) & (items[shown[1:]] == items[shown[:-1]])  # an item twice in a context
-        flagged[context[shown[1:][repeated]]] = True
         order = np.argsort(context, kind="stable")  # each context's lines together, in file order
-        starts = np.cumsum(counts) - counts
-        valid = ~broken & ~flagged & (counts >= 2)
-        # the valid contexts, in first-line order as ``first`` is, and their lines, context after context
-        queries, contexts = (np.fromiter((key[i] for key in self.contexts), object, first.size)[valid] for i in (0, 1))
-        lines = order[np.repeat(valid, counts)]
-        items = items[lines]
-        positions = np.fromiter(map(self.positions.__getitem__, lines.tolist()), np.int64, lines.size)
-        record = ContextRecord(queries, contexts, counts[valid], items, positions, clicks[lines],
-                               dict(zip(schema.names, features[:, lines])))
-        keys = list(self.contexts)
-        for c in np.flatnonzero(~broken & ~valid).tolist():
-            (query_id, context_id), size, line = keys[c], int(counts[c]), int(numbers[first[c]])
-            if size < 2:
-                self.errors.append(LoadError(line, f"context {context_id!r} of query {query_id!r} has fewer than two items"))
-                continue
-            at = order[starts[c]:starts[c] + size].tolist()
-            feats = dict(zip(schema.names, features[:, at]))
-            try:  # flagged in bulk, so refused here; the public constructor says how
-                LogRow(query_id, context_id, [self.items[i] for i in at], [self.positions[i] for i in at], clicks[at], feats)
-            except (ValueError, ShapeError) as exc:
-                self.errors.append(LoadError(line_number=line, message=str(exc)))
+        # every context, in first-line order as ``first`` is, and its lines, context after context
+        ids = (np.fromiter((key[i] for key in self.contexts), object, first.size) for i in (0, 1))
+        record = ContextRecord(*ids, counts, np.fromiter(self.items, object, len(self.items))[order], positions[order],
+                               values[0, order], dict(zip(schema.names, values[1:, order])))
+        del positions, values  # the record holds them in context order
+        valid = np.bincount(context, weights=failed, minlength=first.size) == 0  # a line that fails is its context's error
+        for c, message in context_errors(record):
+            if valid[c]:
+                self.errors.append(LoadError(int(numbers[first[c]]), message))
+                valid[c] = False
+        if not valid.all():
+            record = record.take(np.flatnonzero(valid))
         return LoadResult(rows=record.view(), errors=self.errors)
 
 
@@ -674,17 +656,19 @@ def save_instances(instances: Sequence[TrainingInstance], path) -> None:
 def load_instances(path) -> ContextBatch:
     """Read a file of :func:`save_instances` into the learner's batch, whose ``len`` counts its targets.
 
-    The file is checked here, and anything malformed raises ``SchemaError``:
+    The file is read as UTF-8, with or without a byte-order mark; one that is
+    not UTF-8 JSON, or nests too deep to parse, raises ``ParseError`` naming
+    it. The rest is checked here, and anything malformed raises ``SchemaError``:
     each context needs at least two distinct items and per feature a rank
     vector over them equal bit for bit to its own ``average_ranks``, all
     contexts the same features count; each target an integer context and
     index in range and a probability in [0, 1]. Format 1 is refused.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line_number=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or arrays nested too deep to read
+        raise ParseError(f"{path} is not valid JSON: {exc}", line_number=getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict):
         raise SchemaError("an instance file must be a JSON object")
     if payload.get("format", 1) != INSTANCE_FORMAT:

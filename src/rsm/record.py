@@ -1,11 +1,12 @@
 """The context record: contexts as columns, built once and gathered by index from the CSV to the scorer.
 
 ``load_csv`` builds a file's record, the miner gathers the record of its flip pairs' rows from it, and each split
-is index arrays into that one. A :class:`LogRow` is a view of one row of a record, its record and index and nothing
-else; a record makes its row views on first use. Models get rows as a :class:`RecordView`, a list that also carries
-their indices, so the batch, the design and the scorers gather the record's arrays. Integer arrays are sorted stably
-and ``np.unique`` always returns an index: numpy's default integer sort is 0.3 MB of code a run never needs, and a
-plain ``np.unique`` imports ``numpy.ma``.
+is index arrays into that one. :func:`context_errors` is the one statement of a valid context, which the loader runs
+over a file's record and ``LogRow(...)`` over one row's. A :class:`LogRow` is a view of one row of a record, its
+record and index and nothing else; a record makes its row views on first use. Models get rows as a
+:class:`RecordView`, a list that also carries their indices, so the batch, the design and the scorers gather the
+record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's default integer
+sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import count
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -65,14 +66,49 @@ def check_train_fraction(train_fraction: float) -> None:
         raise ValueError("train_fraction must lie in (0, 1)")
 
 
+def positions_column(positions) -> np.ndarray:
+    """A new array of ``positions``: int64, or Python ints if one is beyond int64, which :func:`context_errors`
+    refuses."""
+    try:
+        return np.array(positions, dtype=np.int64)
+    except OverflowError:
+        return np.array(positions, dtype=object)
+
+
+def context_errors(record: "ContextRecord") -> List[Tuple[int, str]]:
+    """Each invalid row of ``record``, in row order, with the first rule it breaks, checked over all rows at once.
+    The rules, in order: at least two items; no item twice; positions within int64; finite clicks; nonnegative
+    clicks; then per feature, in ``features`` order, finite values."""
+    sizes, positions, clicks, features = record.sizes, record.positions, record.clicks, record.features
+    row = np.arange(sizes.size).repeat(sizes)
+    seen: dict = {}  # each item's first place in the column
+    pairs = row * row.size + np.fromiter(map(seen.setdefault, record.item_ids, count()), np.intp, row.size)  # (row, item)s
+    within = (positions >= -2**63) & (positions < 2**63) if positions.dtype == object else np.ones(row.size, bool)
+    broken = ~np.array([within, np.isfinite(clicks), clicks >= 0, *map(np.isfinite, features.values())])
+    if len(seen) == row.size and not broken.any() and sizes.min(initial=2) >= 2:
+        return []  # no item twice in the column, so none in a row, and no other rule broken
+    pairs.sort(kind="stable")  # a repeated (row, item) pair neighbours its twin
+    errors = {r: f"context {record.context_ids[r]!r} of query {record.query_ids[r]!r} has fewer than two items"
+              for r in (sizes < 2).nonzero()[0].tolist()}
+    for r in (pairs[1:][pairs[1:] == pairs[:-1]] // row.size).tolist():
+        errors.setdefault(r, "context items must be unique")
+    messages = ["positions must fit in 64-bit integers", "clicks must be finite", "clicks must be nonnegative",
+                *(f"feature {name!r} values must be finite" for name in features)]
+    rules, places = broken.nonzero()
+    for r, rule in zip(row[places].tolist(), rules.tolist()):  # rule after rule, so a row keeps the first it breaks
+        errors.setdefault(r, messages[rule])
+    return sorted(errors.items())
+
+
 class LogRow:
     """One displayed context: a query, its items, their display positions, clicks and feature values.
 
     A row is a view of row ``index`` of its ``record`` and holds only those two. Its other attributes read the record's
     columns: ``items`` as a tuple, the arrays as read-only slices, ``features`` as a read-only mapping. Setting any
-    attribute raises ``AttributeError``, and rows compare by identity. ``LogRow(...)`` validates its arguments into a
-    one-row record; a loaded file's rows are views of its record, checked in bulk at the CSV boundary. A row's click
-    total, CTRs, ranks and design live in the record of each run or call that needs them.
+    attribute raises ``AttributeError``, and rows compare by identity. ``LogRow(...)`` checks its arguments' shapes
+    and runs :func:`context_errors` on their one-row record; a loaded file's rows are views of its record, which the
+    loader checks the same way. A row's click total, CTRs, ranks and design live in the record of each run or call
+    that needs them.
     """
 
     __slots__ = ("record", "index")
@@ -80,30 +116,17 @@ class LogRow:
     def __init__(self, query_id, context_id, items, positions, clicks, features: Mapping[str, np.ndarray]):
         items = tuple(items)
         n = len(items)
-        if n < 2:
-            raise ValueError("a context needs at least two items")
-        if len(set(items)) != n:
-            raise ValueError("context items must be unique")
-        try:
-            positions = np.array(positions, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("positions must fit in 64-bit integers") from exc
-        clicks = np.array(clicks, dtype=np.float64)
-        if positions.shape != (n,) or clicks.shape != (n,):
-            raise ShapeError("positions and clicks must have one entry per item")
-        if not np.isfinite(clicks).all():
-            raise ValueError("clicks must be finite")
-        if (clicks < 0).any():
-            raise ValueError("clicks must be nonnegative")
-        feats = {}
-        for name, values in features.items():
-            feats[name] = np.array(values, dtype=np.float64)
-            if feats[name].shape != (n,):
-                raise ShapeError(f"feature {name!r} must have one value per item")
-            if not np.isfinite(feats[name]).all():
-                raise ValueError(f"feature {name!r} values must be finite")
         ids = np.fromiter((query_id, context_id), object, 2)  # tuples stay whole
-        record = ContextRecord(ids[:1], ids[1:], np.array([n], np.intp), np.fromiter(items, object, n), positions, clicks, feats)
+        feats = {name: np.array(values, dtype=np.float64) for name, values in features.items()}
+        record = ContextRecord(ids[:1], ids[1:], np.array([n], np.intp), np.fromiter(items, object, n), positions,
+                               np.array(clicks, dtype=np.float64), feats)
+        if record.positions.shape != (n,) or record.clicks.shape != (n,):
+            raise ShapeError("positions and clicks must have one entry per item")
+        for name, values in feats.items():
+            if values.shape != (n,):
+                raise ShapeError(f"feature {name!r} must have one value per item")
+        for _, message in context_errors(record):
+            raise ValueError(message)  # the first rule the row breaks
         _view(record, 0, self)
 
     def _frozen(self, name, *value):
@@ -151,13 +174,14 @@ class ContextRecord:
     width's clicks summed per row into ``totals``, and each row's sum dividing its clicks into the flat ``ctrs``
     (zero without clicks), the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema,
     each width is ranked by one :func:`average_ranks` call, and all of them go into one ``rank_space``. The columns
-    are taken as given, unchecked; a record lives as long as the run or call that made it.
+    are taken as given and unchecked, ``positions`` through :func:`positions_column`; a record lives as long as the
+    run or call that made it.
     """
 
     def __init__(self, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
         self.query_ids, self.context_ids, self.sizes = query_ids, context_ids, sizes
-        self.item_ids, self.positions, self.clicks, self.features = item_ids, positions, clicks, features
-        for column in (positions, clicks, *features.values()):
+        self.item_ids, self.positions, self.clicks, self.features = item_ids, positions_column(positions), clicks, features
+        for column in (self.positions, clicks, *features.values()):
             column.flags.writeable = False
         self._encodings: Dict[DatasetSchema, tuple] = {}
 

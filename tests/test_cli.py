@@ -200,6 +200,15 @@ class TestTrain:
         payload = json.loads((out / "weights.json").read_text())
         assert len(payload["weights"]) == 3
 
+    def test_a_byte_order_mark_changes_no_weights(self, tmp_path):
+        """An instances.json that starts with a UTF-8 byte-order mark trains to the plain file's weights.json bytes."""
+        plain = DATA / "synth_basic" / "instances.json"
+        marked = tmp_path / "instances.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path, out in ((plain, tmp_path / "plain"), (marked, tmp_path / "marked")):
+            assert run(["train", path, "--out-dir", out]) == 0
+        assert (tmp_path / "marked" / "weights.json").read_bytes() == (tmp_path / "plain" / "weights.json").read_bytes()
+
 
 class TestEval:
     def test_constant_model_reports_half(self, flip_dir, tmp_path):
@@ -421,6 +430,42 @@ class TestExitCodes:
         assert [r for r in caplog.records if r.levelname == "ERROR" and "dataset.csv" in r.getMessage()
                 and "'f0'" in r.getMessage()]
         assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def bad_input(tmp_path, case):
+        """The argv of a run on a malformed input of ``case``, its exit code and the path or flag its error names."""
+        flips, instances = (DATA / "flips_24.csv").read_bytes(), (DATA / "synth_basic" / "instances.json").read_bytes()
+        out = tmp_path / "out"
+        if case.startswith("out_dir_file"):
+            out.write_text("a file, not a directory\n", encoding="utf-8")
+            data = {"synth": [], "train": [DATA / "synth_basic" / "instances.json"], "eval": [DATA / "flips_24.csv"]}
+            command = case.rpartition("-")[2]
+            return [command, *data[command], "--out-dir", out], 2, "--out-dir"
+        if case.startswith("csv"):
+            path = tmp_path / "data" / "dataset.csv"
+            path.parent.mkdir()
+            path.write_bytes(flips.replace(b"\n", b"\n\xff", 2))  # a 0xff byte opens the first two lines' cells
+            if case == "csv_bad_byte_with_manifest":  # so the loader, not the header check, meets the byte
+                features = [{"name": name, "direction": "higher"} for name in ("f0", "f1", "f2")]
+                (path.parent / "manifest.json").write_text(json.dumps({"features": features}), encoding="utf-8")
+            return ["eval", path, "--out-dir", out], 3, str(path)
+        path = tmp_path / "instances.json"
+        path.write_bytes(instances[:40] + b"\xff" + instances[40:] if case == "json_bad_byte" else b"[" * 100_000 + b"]" * 100_000)
+        return ["train", path, "--out-dir", out], 3, str(path)
+
+    @pytest.mark.parametrize("case", ["csv_bad_byte", "csv_bad_byte_with_manifest", "json_bad_byte", "json_nested_100000_deep",
+                                      "out_dir_file-synth", "out_dir_file-train", "out_dir_file-eval"])
+    def test_a_bad_input_is_one_error_naming_it(self, tmp_path, caplog, capsys, case):
+        """The input contract: a command either exits 0 and writes its outputs, or exits 2 (a flag) or 3 (a data file)
+        with one ERROR record naming the flag or file, no traceback and no new ``--out-dir``."""
+        argv, code, named = self.bad_input(tmp_path, case)
+        out = argv[argv.index("--out-dir") + 1]
+        before = out.read_bytes() if out.exists() else None
+        assert run(argv) == code
+        errors = [record for record in caplog.records if record.levelname == "ERROR"]
+        assert len(errors) == 1 and named in errors[0].getMessage() and errors[0].exc_info is None
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == before
 
     def test_learner_flags_are_checked_only_where_they_are_used(self, flip_dir, synth_dir, tmp_path):
         """Only rsm reads the learner flags in eval, and only the iterative fit in train, which checks them first."""

@@ -112,6 +112,14 @@ class TestLogRow:
         with pytest.raises(ValueError, match="'rating' values must be finite"):
             make_row("q", "c", ["a", "b"], [1, 2], {"price": [1.0, 2.0], "rating": [bad, 2.0]})
 
+    def test_a_short_row_is_refused_in_the_loaders_words(self, tmp_path):
+        message = "context 'c' of query 'q' has fewer than two items"
+        with pytest.raises(ValueError) as info:
+            make_row("q", "c", ["a"], [1], {"price": [1.0], "rating": [1.0]})
+        assert str(info.value) == message
+        _, errors = load_text(tmp_path, HEADER + "q,c,a,1,1,1.0,1.0\n")
+        assert errors == [(2, message)]
+
     def test_features_are_read_only(self):
         row = two_context_rows()[0]
         with pytest.raises(TypeError):
@@ -119,6 +127,36 @@ class TestLogRow:
         with pytest.raises(ValueError):
             row.features["price"][0] = 5.0
         assert_allclose(row.features["price"], [10.0, 20.0], atol=0)
+
+
+class TestContextErrors:
+    ROWS = [  # items, positions, clicks, price, rating; and the first rule each breaks
+        ((["a", "b"], [1, 2], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), None),
+        ((["a"], [1], [np.nan], [np.nan], [1.0]), "context 'c1' of query 'q' has fewer than two items"),
+        ((["a", "b", "a"], [1, 2**63, 3], [np.nan, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), "context items must be unique"),
+        (([-1, -2], [1, 2], [1.0, 1.0], [1.0, 2.0], [1.0, 2.0]), None),  # equal hashes, distinct items
+        ((["a", "b"], [2, -2**63 - 1], [np.nan, 1.0], [1.0, 2.0], [1.0, 2.0]), "positions must fit in 64-bit integers"),
+        ((["a", "b"], [1, 2], [-1.0, np.inf], [np.nan, 2.0], [1.0, 2.0]), "clicks must be finite"),
+        ((["a", "b"], [1, 2], [1.0, -1.0], [np.nan, 2.0], [1.0, 2.0]), "clicks must be nonnegative"),
+        ((["a", "b"], [1, 2], [1.0, 1.0], [1.0, np.inf], [np.nan, 1.0]), "feature 'price' values must be finite"),
+        (([], [], [], [], []), "context 'c8' of query 'q' has fewer than two items"),
+    ]
+
+    def test_each_bad_row_once_in_row_order_with_its_first_rule(self):
+        """One call checks every row; an item may repeat across rows, and the constructor refuses each bad row alone
+        with the same message."""
+        columns = [list(itertools.chain.from_iterable(column)) for column in zip(*(row for row, _ in self.ROWS))]
+        sizes = np.array([len(row[0]) for row, _ in self.ROWS])
+        ids = [np.array(["q"] * sizes.size, object), np.array([f"c{r}" for r in range(sizes.size)], object)]
+        record = ContextRecord(*ids, sizes, np.fromiter(columns[0], object, len(columns[0])), columns[1],
+                               np.array(columns[2]), {"price": np.array(columns[3]), "rating": np.array(columns[4])})
+        errors = rsm.record.context_errors(record)
+        assert errors == [(r, message) for r, (_, message) in enumerate(self.ROWS) if message]
+        for r, ((items, positions, clicks, price, rating), message) in enumerate(self.ROWS):
+            if message:
+                with pytest.raises(ValueError) as info:
+                    LogRow("q", f"c{r}", items, positions, clicks, {"price": price, "rating": rating})
+                assert str(info.value) == message
 
 
 class TestCsvRoundTrip:

@@ -233,3 +233,30 @@ def test_only_the_record_module_builds_rows_around_the_constructor():
     uses = {path.name: unchecked_rows(path.read_text(encoding="utf-8"))
             for path in MODULES + [PACKAGE / "__init__.py"] if path not in home}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+CONTEXT_RULES = ("fewer than two items", "context items must be unique", "clicks must be finite",
+                 "clicks must be nonnegative", "!r} values must be finite", "fit in 64-bit integers")
+
+
+def context_rule_lines(source: str) -> list:
+    """The lines of ``source`` that word one of the rules of a valid context."""
+    return [number for number, line in enumerate(source.splitlines(), 1) if any(rule in line for rule in CONTEXT_RULES)]
+
+
+def test_only_the_record_module_states_the_context_rules():
+    """``rsm.record.context_errors`` is the one statement of a valid context, which ``LogRow(...)`` and the loader
+    both run; no other module words a rule of its own. Other rules that read alike, as a topology's, do not count."""
+    sample = (
+        'raise ValueError("context items must be unique")\n'
+        'message = f"context {c!r} of query {q!r} has fewer than two items"\n'
+        'raise ValueError("subset items must be unique")\n'
+        'raise ValueError(f"feature {name!r} values must be finite")\n'
+        'raise ValueError("feature values must be finite")\n'
+        'bad = "positions must fit in 64-bit integers" if wide else "clicks must be nonnegative"\n'
+    )
+    assert context_rule_lines(sample) == [1, 2, 4, 6]
+    assert context_rule_lines((PACKAGE / "record.py").read_text(encoding="utf-8")) != []
+    uses = {path.name: context_rule_lines(path.read_text(encoding="utf-8"))
+            for path in MODULES + [PACKAGE / "__init__.py"] if path.name != "record.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
