@@ -10,12 +10,11 @@ matrices) is refused.
 
 Rows are validated once, where they enter: ``load_csv`` builds a file's
 ``rsm.record.ContextRecord`` at the CSV boundary and keeps the contexts that
-``rsm.record.context_errors``, the one statement of a valid context, passes;
-its rows are ``LogRow`` views of that record, each holding only the record
-and its index (``LogRow`` lives in ``rsm.record`` and is re-exported here).
-``LogRow(...)`` runs the same check on one row. The miner mines that record's
-arrays and gathers the record of its flip pairs' rows, which each split of
-an ``rsm eval`` run indexes.
+``rsm.record.context_errors``, the one statement of a valid context, passes,
+as ``LogRow(...)`` does for one row. The miner mines that record's arrays and
+gathers the record of its flip pairs' rows, which each split of an ``rsm
+eval`` run indexes. ``LogRow`` and ``FlipPair``, views of a record's rows and
+pairs, live in ``rsm.record`` and are re-exported here.
 
 The synthetic generators rank their drawn feature values and take each
 context's targets from the learner's and the scorer's kernel,
@@ -43,8 +42,8 @@ from .baselines import FeatureRow
 from .errors import ParseError, SchemaError, ShapeError
 from .learner import ContextBatch, TrainingInstance, group_instances
 from .markov import StochasticMatrix, rank_chain_rows, rank_space
-from .record import (ContextRecord, LogRow, RecordView, by_width, clicked_view, context_errors, feature_ranks, first_seen,
-                     pairs_view, positions_column, record_view)
+from .record import (ContextRecord, FlipPair, LogRow, RecordView, by_width, clicked_view, context_errors, feature_ranks,
+                     first_seen, pairs_view, positions_column, record_view)
 from .markov import stationary  # noqa: F401 - perfbench's tracer patches rsm.data.stationary
 from .topology import (
     Direction,
@@ -87,41 +86,6 @@ class DatasetSchema:
         return len(self.features)
 
 
-def _unchecked(cls, *values):
-    """A frozen dataclass ``cls`` with its fields set to ``values``, in order (so all share attribute keys), unchecked:
-    the pairs of :func:`mine_flip_pairs` are mined from rows validated in bulk."""
-    instance = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(instance, name, value)
-    return instance
-
-
-@dataclass(frozen=True, eq=False)
-class FlipPair:
-    """Two contexts of one query in which items a and b swap preference.
-
-    ``row_1`` is the context where a out-clicks b; in ``row_2`` b out-clicks
-    a. ``strength`` is the summed absolute CTR gap across the two rows.
-    """
-
-    row_1: LogRow
-    row_2: LogRow
-    item_a: str
-    item_b: str
-    strength: float
-
-    def __post_init__(self):
-        if self.row_1.query_id != self.row_2.query_id:
-            raise ValueError("a flip pair must come from a single query")
-        for row in (self.row_1, self.row_2):
-            if self.item_a not in row.items or self.item_b not in row.items:
-                raise ValueError("both items must appear in both contexts")
-        gap_1, gap_2 = (row.clicks[row.items.index(self.item_a)] - row.clicks[row.items.index(self.item_b)]
-                        for row in (self.row_1, self.row_2))
-        if not (gap_1 > 0 and gap_2 < 0):
-            raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
-
-
 @dataclass(frozen=True)
 class LoadError:
     """One rejected CSV line (or context) with its location."""
@@ -133,9 +97,9 @@ class LoadError:
 @dataclass(frozen=True, eq=False)
 class LoadResult:
     """What :func:`load_csv` read. ``rows.record`` holds exactly the file's valid contexts, as columns, in the order
-    of their first lines; ``rows`` is the read-only view of all of its rows in that order (edit ``list(rows)``), each
-    a :class:`LogRow` view ``(rows.record, index)`` that holds no data of its own. ``errors`` lists the lines that
-    did not parse, in file order, then the contexts refused whole."""
+    of their first lines; ``rows`` is the read-only :class:`RecordView` of all of its rows in that order, which makes
+    each :class:`LogRow` view ``(rows.record, index)`` only when it is read (``list(rows)`` is a list to edit).
+    ``errors`` lists the lines that did not parse, in file order, then the contexts refused whole."""
 
     rows: RecordView
     errors: List[LoadError]
@@ -170,10 +134,10 @@ def load_csv(path, schema: DatasetSchema) -> LoadResult:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
-                raise SchemaError("file is empty; a header line is required")
+                raise SchemaError(f"{path}: file is empty; a header line is required")
             missing = [c for c in columns if c not in header]
             if missing:
-                raise SchemaError(f"missing columns: {', '.join(missing)}")
+                raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
             repeated = [c for c in columns if header.count(c) > 1]
             if repeated:
                 raise SchemaError(f"{path} repeats the column {repeated[0]!r}, which it reads")
@@ -253,7 +217,8 @@ class _CsvLines:
         ids = (np.fromiter((key[i] for key in self.contexts), object, first.size) for i in (0, 1))
         record = ContextRecord(*ids, counts, np.fromiter(self.items, object, len(self.items))[order], positions[order],
                                values[0, order], dict(zip(schema.names, values[1:, order])))
-        del positions, values  # the record holds them in context order
+        self.items, self.contexts = [], {}  # the record holds the items and ids
+        del codes, order, positions, values  # and these, in context order
         valid = np.bincount(context, weights=failed, minlength=first.size) == 0  # a line that fails is its context's error
         for c, message in context_errors(record):
             if valid[c]:
@@ -261,7 +226,7 @@ class _CsvLines:
                 valid[c] = False
         if not valid.all():
             record = record.take(np.flatnonzero(valid))
-        return LoadResult(rows=record.view(), errors=self.errors)
+        return LoadResult(rows=record.rows, errors=self.errors)
 
 
 def _parse_line(values: Sequence[str], columns: Tuple[str, ...], line: int) -> tuple:
@@ -340,15 +305,14 @@ def mine_flip_pairs(rows: Sequence[LogRow]) -> RecordView:
     item_lo, item_hi = (record.item_ids[record.starts[row[one]] + place] for place in (lo[one], hi[one]))
     swap = item_lo > item_hi  # then item_a is the higher-coded item, and row_1 the row preferring it
     pair_rows[swap], pair_items[swap] = pair_rows[swap, ::-1], pair_items[swap, ::-1]
-    item_a, item_b = np.where(swap, item_hi, item_lo).tolist(), np.where(swap, item_lo, item_hi).tolist()
+    item_a, item_b = np.minimum(item_lo, item_hi).tolist(), np.maximum(item_lo, item_hi).tolist()
     names = list(zip(record.query_ids[pair_rows[:, 0]].tolist(), item_a, item_b))
     by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
     # the record of the pairs' distinct rows, in order of first appearance, and each pair's two rows in it
     first, sides = first_seen(pair_rows[by_name].ravel())
-    pairs_record, pair_rows = record.take(pair_rows[by_name].ravel()[first]), sides.reshape(-1, 2)
-    pairs = [_unchecked(FlipPair, pairs_record.rows[i], pairs_record.rows[j], *names[p][1:], strength) for (i, j), p, strength
-             in zip(pair_rows.tolist(), by_name.tolist(), (gap[one] + gap[two])[by_name].tolist())]
-    return pairs_record.pair(pairs, pair_rows, pair_items[by_name], np.arange(len(pairs))).view("pairs")
+    strengths = (gap[one] + gap[two])[by_name]
+    return record.take(pair_rows[by_name].ravel()[first]).pair(sides.reshape(-1, 2), pair_items[by_name], strengths,
+                                                              np.arange(by_name.size)).pairs
 
 
 def _pair_entries(record, group, tie, n) -> tuple:
@@ -375,7 +339,7 @@ def paired_split(
     pairs: Sequence[FlipPair],
     train_fraction: float = config.DEFAULT_TRAIN_FRACTION,
     seed: int = 0,
-) -> Tuple[List[LogRow], List[FlipPair]]:
+) -> Tuple[RecordView, RecordView]:
     """Split flip pairs into training rows and test pairs.
 
     A pair's two rows always land on the same side, and no row appears on
@@ -631,7 +595,7 @@ def _dataset(schema: DatasetSchema, contexts: list, candidates_drawn: int) -> Sy
                            np.fromiter(map(len, items), np.intp, len(items)), np.fromiter(chain.from_iterable(items), object),
                            np.concatenate(positions).astype(np.int64), np.concatenate(clicks).astype(np.float64),
                            dict(zip(schema.names, np.concatenate(values, axis=1))))
-    return SyntheticDataset(instances, record.view(), schema, candidates_drawn)
+    return SyntheticDataset(instances, record.rows, schema, candidates_drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -670,27 +634,27 @@ def load_instances(path) -> ContextBatch:
     except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or arrays nested too deep to read
         raise ParseError(f"{path} is not valid JSON: {exc}", line_number=getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict):
-        raise SchemaError("an instance file must be a JSON object")
+        raise SchemaError(f"{path}: an instance file must be a JSON object")
     if payload.get("format", 1) != INSTANCE_FORMAT:
         raise SchemaError(f"{path} is an instance file of format {payload.get('format', 1)!r}, and only format "
                           f"{INSTANCE_FORMAT} is read; regenerate it with `rsm synth`")
     contexts, targets = payload.get("contexts"), payload.get("targets")
     if not isinstance(contexts, list) or not isinstance(targets, list):
-        raise SchemaError("an instance file needs a 'contexts' array and a 'targets' array")
+        raise SchemaError(f"{path}: an instance file needs a 'contexts' array and a 'targets' array")
     ranks: List[np.ndarray] = []
     for c, entry in enumerate(contexts):
         try:
             ranks.append(_context_ranks(entry, ranks[0].shape[0] if ranks else None))
         except KeyError as exc:
-            raise SchemaError(f"context {c} has no {exc} entry") from exc
+            raise SchemaError(f"{path}: context {c} has no {exc} entry") from exc
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"context {c} is malformed: {exc}") from exc
+            raise SchemaError(f"{path}: context {c} is malformed: {exc}") from exc
     for t, target in enumerate(targets):
         if not (isinstance(target, list) and len(target) == 3 and type(target[0]) is type(target[1]) is int
                 and type(target[2]) in (int, float) and 0 <= target[0] < len(ranks)
                 and 0 <= target[1] < ranks[target[0]].shape[1] and 0.0 <= target[2] <= 1.0):
-            raise SchemaError(f"target {t} is not [context, index, probability] with the context and index in range "
-                              f"and the probability in [0, 1]: {target!r}")
+            raise SchemaError(f"{path}: target {t} is not [context, index, probability] with the context and index in "
+                              f"range and the probability in [0, 1]: {target!r}")
     context, index, prob = zip(*targets) if targets else ((), (), ())
     return ContextBatch.from_targets(ranks, np.array(context, np.intp), np.array(index, np.intp), np.array(prob, np.float64))
 

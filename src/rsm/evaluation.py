@@ -162,8 +162,8 @@ def flip_accuracy(scorer: ScorerFn, pairs: Sequence[FlipPair]) -> float:
 
     Each pair contributes two comparisons: in row_1 the preferred item is a,
     in row_2 it is b. Full credit for ranking the preferred item strictly
-    higher, half for an exact tie, none otherwise. The pairs' distinct rows
-    (by identity), as a record's view, are scored in one scorer call; if it
+    higher, half for an exact tie, none otherwise. The pairs' distinct rows,
+    as a view of their record, are scored in one scorer call; if it
     raises, each row is scored alone. The scores are checked here, the
     scorer's output being outside input (see ``_checked_scores``): a row
     whose scores raise or are not ``n`` finite floats logs a warning and
@@ -389,7 +389,7 @@ def run_experiment(
     every model on its training rows. The report's ``per_split`` holds each
     model's accuracy on every split, in split order.
     """
-    if len(pairs) and not isinstance(pairs[0], FlipPair):
+    if not isinstance(pairs, RecordView) and len(pairs) and not isinstance(pairs[0], FlipPair):
         raise TypeError("run_experiment takes flip pairs: mine click-log rows with mine_flip_pairs first")
     models = list(models)
     names = [m.name for m in models]

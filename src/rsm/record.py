@@ -2,15 +2,16 @@
 
 ``load_csv`` builds a file's record, the miner gathers the record of its flip pairs' rows from it, and each split
 is index arrays into that one. :func:`context_errors` is the one statement of a valid context, which the loader runs
-over a file's record and ``LogRow(...)`` over one row's. A :class:`LogRow` is a view of one row of a record, its
-record and index and nothing else; a record makes its row views on first use. Models get rows as a
-:class:`RecordView`, a list that also carries their indices, so the batch, the design and the scorers gather the
-record's arrays. Integer arrays are sorted stably and ``np.unique`` always returns an index: numpy's default integer
-sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
+over a file's record and ``LogRow(...)`` over one row's. A :class:`LogRow` or :class:`FlipPair` is a view of one of
+a record's rows or flip pairs, its record and index and nothing else. Models get rows as a :class:`RecordView` of
+indices, which makes a row only when it is read, so the batch, the design and the scorers gather the record's arrays
+and a run that reads no row makes none. Integer arrays are sorted stably and ``np.unique`` always returns an index:
+numpy's default integer sort is 0.3 MB of code a run never needs, and a plain ``np.unique`` imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from functools import cached_property
 from itertools import count
 from types import MappingProxyType
@@ -23,7 +24,7 @@ from .markov import RankSpace, gather, rank_space
 from .topology import Direction, average_ranks
 
 if TYPE_CHECKING:
-    from .data import DatasetSchema, FlipPair
+    from .data import DatasetSchema
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -127,15 +128,15 @@ class LogRow:
                 raise ShapeError(f"feature {name!r} must have one value per item")
         for _, message in context_errors(record):
             raise ValueError(message)  # the first rule the row breaks
-        _view(record, 0, self)
+        record.views["rows"][0] = _view(LogRow, record, 0, self)
 
     def _frozen(self, name, *value):
-        raise AttributeError(f"a LogRow is a read-only view of its record's row; cannot change {name!r}")
+        raise AttributeError(f"a {type(self).__name__} is a read-only view of its record; cannot change {name!r}")
 
     __setattr__ = __delattr__ = _frozen
 
     def __reduce__(self):
-        return _view, (self.record, self.index)
+        return _view, (type(self), self.record, self.index)
 
     def __repr__(self) -> str:
         return f"LogRow(query_id={self.query_id!r}, context_id={self.context_id!r}, items={self.items!r})"
@@ -153,29 +154,64 @@ class LogRow:
     n = property(lambda self: int(self.record.sizes[self.index]))
 
 
-def _view(record: "ContextRecord", index: int, row: LogRow = None) -> LogRow:
-    """The view ``(record, index)``, unchecked: ``row``, the constructor's, or a new one. Its slots are set through
-    their own setters, which a row's ``__setattr__`` refuses."""
-    row = object.__new__(LogRow) if row is None else row
-    _RECORD.__set__(row, record)
-    _INDEX.__set__(row, index)
-    return row
+class FlipPair:
+    """Two contexts of one query in which items a and b swap preference: a out-clicks b in ``row_1`` and b out-clicks
+    a in ``row_2``; ``strength`` is the summed absolute CTR gap across the two rows. A pair is a view of pair ``index``
+    of its ``record`` and reads the record's ``pair_rows``, ``pair_items`` and ``strengths``. ``FlipPair(...)`` checks
+    its arguments and builds the one-pair record of its rows."""
+
+    __slots__ = ("record", "index")
+
+    def __init__(self, row_1: LogRow, row_2: LogRow, item_a, item_b, strength: float):
+        if row_1.query_id != row_2.query_id:
+            raise ValueError("a flip pair must come from a single query")
+        for row in (row_1, row_2):
+            if item_a not in row.items or item_b not in row.items:
+                raise ValueError("both items must appear in both contexts")
+        (a_1, b_1), (a_2, b_2) = places = [(row.items.index(item_a), row.items.index(item_b)) for row in (row_1, row_2)]
+        if not (row_1.clicks[a_1] - row_1.clicks[b_1] > 0 and row_2.clicks[a_2] - row_2.clicks[b_2] < 0):
+            raise ValueError("row_1 must prefer item_a and row_2 must prefer item_b")
+        record = ContextRecord.of_rows([row_1, row_2]).pair(
+            np.array([[0, 1]], np.intp), np.array([[places[0], places[1][::-1]]], np.intp), np.array([strength], float), [0])
+        record.views["pairs"][0] = _view(FlipPair, record, 0, self)
+
+    __setattr__ = __delattr__ = LogRow._frozen
+    __reduce__ = LogRow.__reduce__
+
+    def __repr__(self) -> str:
+        return f"FlipPair(row_1={self.row_1!r}, row_2={self.row_2!r}, item_a={self.item_a!r}, item_b={self.item_b!r})"
+
+    row_1 = property(lambda self: RecordView(self.record, self.record.pair_rows[self.index])[0])
+    row_2 = property(lambda self: RecordView(self.record, self.record.pair_rows[self.index])[1])
+    item_a = property(lambda self: self.row_1.items[self.record.pair_items[self.index, 0, 0]])
+    item_b = property(lambda self: self.row_1.items[self.record.pair_items[self.index, 0, 1]])
+    strength = property(lambda self: float(self.record.strengths[self.index]))
 
 
-_RECORD, _INDEX = LogRow.record, LogRow.index
+def _view(cls: type, record: "ContextRecord", index: int, view=None) -> "LogRow | FlipPair":
+    """The ``cls`` view ``(record, index)``, unchecked: ``view``, the constructor's, or a new one. Its slots are set
+    through their own setters, which a view's ``__setattr__`` refuses."""
+    view = object.__new__(cls) if view is None else view
+    for slot, value in zip(_SLOTS[cls], (record, index)):
+        slot.__set__(view, value)
+    return view
+
+
+_SLOTS = {cls: (cls.record, cls.index) for cls in (LogRow, FlipPair)}
+_KINDS = {"rows": LogRow, "pairs": FlipPair}
 
 
 class ContextRecord:
     """Contexts as columns: per row ``query_ids``, ``context_ids`` and ``sizes``; per item, row after row,
     ``item_ids`` and the read-only ``positions`` and ``clicks``; per feature name a read-only flat column in
     ``features``. Row ``r`` holds places ``starts[r]`` to ``starts[r] + sizes[r]``. ``rows[r]`` is it as a
-    :class:`LogRow`, the view ``(record, r)``, all made on first use; a record gathered from rows that exist
-    (:meth:`of_rows`, :meth:`take`) keeps those objects instead. Derived columns are made on first use too: each
-    width's clicks summed per row into ``totals``, and each row's sum dividing its clicks into the flat ``ctrs``
-    (zero without clicks), the same bits as ``row.clicks.sum()`` and ``row.clicks / row.clicks.sum()``. Per schema,
-    each width is ranked by one :func:`average_ranks` call, and all of them go into one ``rank_space``. The columns
-    are taken as given and unchecked, ``positions`` through :func:`positions_column`; a record lives as long as the
-    run or call that made it.
+    :class:`LogRow`, the view ``(record, r)``, made on first use and held in ``views``, as are ``pairs`` (:meth:`pair`);
+    a record gathered from rows that exist (:meth:`of_rows`, :meth:`take`) holds those objects instead. Derived
+    columns are made on first use too: each width's clicks summed per row into ``totals``, and each row's sum dividing
+    its clicks into the flat ``ctrs`` (zero without clicks), the same bits as ``row.clicks.sum()`` and
+    ``row.clicks / row.clicks.sum()``. Per schema, each width is ranked by one :func:`average_ranks` call, and all of
+    them go into one ``rank_space``. The columns are taken as given and unchecked, ``positions`` through
+    :func:`positions_column`; a record lives as long as the run or call that made it.
     """
 
     def __init__(self, query_ids, context_ids, sizes, item_ids, positions, clicks, features):
@@ -184,8 +220,10 @@ class ContextRecord:
         for column in (self.positions, clicks, *features.values()):
             column.flags.writeable = False
         self._encodings: Dict[DatasetSchema, tuple] = {}
+        self.views: Dict[str, dict] = {"rows": {}, "pairs": {}}  # per kind, each view made, by index
 
-    rows = cached_property(lambda self: [_view(self, r) for r in range(self.sizes.size)])
+    rows = property(lambda self: RecordView(self, np.arange(self.sizes.size)))  # a new view, so no cycle to collect
+    pairs = property(lambda self: RecordView(self, np.arange(len(self.pair_rows)), "pairs"))
     starts = cached_property(lambda self: np.cumsum(self.sizes) - self.sizes)
     clicked = cached_property(lambda self: self.totals > 0)
 
@@ -212,7 +250,7 @@ class ContextRecord:
         starts = dict(zip(map(id, sources), np.cumsum([0] + [source.sizes.size for source in sources]).tolist()))
         joined = sources[0] if len(sources) == 1 else cls.joined(sources)
         record = joined.take(np.fromiter((starts[id(row.record)] + row.index for row in rows), np.intp, len(rows)))
-        record.rows = rows
+        record.views["rows"].update(enumerate(rows))
         return record
 
     @classmethod
@@ -231,57 +269,52 @@ class ContextRecord:
         record = ContextRecord(self.query_ids[index], self.context_ids[index], self.sizes[index], self.item_ids[places],
                                self.positions[places], self.clicks[places],
                                {name: column[places] for name, column in self.features.items()})
-        if "rows" in vars(self):
-            record.rows = list(map(self.rows.__getitem__, index.tolist()))
+        made = self.views["rows"]
+        record.views["rows"].update((j, made[i]) for j, i in enumerate(index.tolist()) if i in made)
         if "item_keys" in vars(self):
             record.item_keys = (self.item_keys[0][places], self.item_keys[1])
         return record
 
-    def view(self, kind: str = "rows") -> "RecordView":
-        """The view of all of the record's ``kind``, "rows" or "pairs"."""
-        return RecordView(self, np.arange(len(getattr(self, kind))), getattr(self, kind))
-
     @classmethod
     def of_pairs(cls, pairs: Sequence[FlipPair]) -> "ContextRecord":
-        """The record of the distinct rows (by identity) of hand-built ``pairs``, and of the pairs (:meth:`pair`)."""
+        """The record of the distinct row objects of ``pairs`` and of the pairs (:meth:`pair`), which it holds as its
+        pair views. Each pair's item places and strength are copied from its own record."""
         pairs = list(pairs)
         sides = [row for pair in pairs for row in (pair.row_1, pair.row_2)]
-        items = {row: row.items for row in dict.fromkeys(sides)}  # each distinct row once, in order of first appearance
-        place = dict(zip(items, count()))
-        pair_items = np.array([
-            (items[p.row_1].index(p.item_a), items[p.row_1].index(p.item_b), items[p.row_2].index(p.item_b),
-             items[p.row_2].index(p.item_a)) for p in pairs
-        ], dtype=np.intp).reshape(-1, 2, 2)
-        order = sorted(range(len(pairs)), key=lambda i: (
-            pairs[i].row_1.query_id, pairs[i].item_a, pairs[i].item_b, pairs[i].row_1.context_id, pairs[i].row_2.context_id,
-        ))
+        place = dict(zip(dict.fromkeys(sides), count()))  # each distinct row once, in order of first appearance
+        keys = [(p.row_1.query_id, p.item_a, p.item_b, p.row_1.context_id, p.row_2.context_id) for p in pairs]
+        order = sorted(range(len(pairs)), key=keys.__getitem__)
         pair_rows = np.array([place[row] for row in sides], dtype=np.intp).reshape(-1, 2)
-        return cls.of_rows(list(place)).pair(pairs, pair_rows, pair_items, order)
+        pair_items = np.array([p.record.pair_items[p.index] for p in pairs], dtype=np.intp).reshape(-1, 2, 2)
+        strengths = np.array([p.record.strengths[p.index] for p in pairs], dtype=np.float64)
+        record = cls.of_rows(list(place)).pair(pair_rows, pair_items, strengths, order)
+        record.views["pairs"].update(enumerate(pairs))
+        return record
 
-    def pair(self, pairs: list, pair_rows: np.ndarray, pair_items: np.ndarray, order) -> "ContextRecord":
-        """The record with ``pairs`` over its rows: ``pair_rows`` holds each one's row_1 and row_2, ``pair_items`` the
-        places of (a, b) in row_1 and (b, a) in row_2. ``clusters`` lists the pairs sharing a (query, context)
-        together, each cluster in ``order`` (by query, item a, item b, context 1, context 2), clusters by their first."""
-        self.pairs, self.pair_rows, self.pair_items = pairs, pair_rows, pair_items
+    def pair(self, pair_rows: np.ndarray, pair_items: np.ndarray, strengths: np.ndarray, order) -> "ContextRecord":
+        """The record with flip pairs over its rows: each one's row_1 and row_2 in ``pair_rows``, the places of (a, b)
+        in row_1 and (b, a) in row_2 in ``pair_items``, and its ``strengths``. ``clusters`` lists the pairs sharing a
+        (query, context) together, each cluster in ``order`` (by query, item a, item b, context 1, context 2)."""
+        self.pair_rows, self.pair_items, self.strengths = pair_rows, pair_items, strengths
         self.row_key = coded(zip(self.query_ids, self.context_ids), self.sizes.size)[0]
         rank = np.argsort(np.array(order, dtype=np.intp), kind="stable")
         # each pair takes the lowest rank over the pairs sharing one of its rows, until its cluster's first pair's
         label, keys, spread = None, self.row_key[pair_rows], rank
         while not np.array_equal(spread, label):
-            label, lowest = spread, np.full(self.sizes.size, len(pairs))
+            label, lowest = spread, np.full(self.sizes.size, len(pair_rows))
             np.minimum.at(lowest, keys, label[:, None])
             spread = lowest[keys].min(axis=1)
-        sizes = np.bincount(label, minlength=len(pairs))  # labels are the clusters' first ranks
+        sizes = np.bincount(label, minlength=len(pair_rows))  # labels are the clusters' first ranks
         self.clusters, self.cluster_sizes = np.lexsort((rank, label)), sizes[sizes > 0]
         return self
 
     def split(self, train_fraction: float, seed: int) -> Tuple["RecordView", "RecordView"]:
         """:func:`paired_split` as views: clusters, in ``default_rng(seed).permutation`` order, train while
         fewer than ``round(train_fraction * pairs)`` pairs do (kept in [1, pairs - 1]); the rest test."""
-        if len(self.pairs) < 2:
-            raise SplitTooSmall(f"need at least two flip pairs, got {len(self.pairs)}")
+        if len(self.pair_rows) < 2:
+            raise SplitTooSmall(f"need at least two flip pairs, got {len(self.pair_rows)}")
         check_train_fraction(train_fraction)
-        target = min(max(int(round(train_fraction * len(self.pairs))), 1), len(self.pairs) - 1)
+        target = min(max(int(round(train_fraction * len(self.pair_rows))), 1), len(self.pair_rows) - 1)
         perm = np.random.default_rng(seed).permutation(self.cluster_sizes.size)
         sizes, starts = self.cluster_sizes[perm], (np.cumsum(self.cluster_sizes) - self.cluster_sizes)[perm]
         train = np.cumsum(sizes) - sizes < target  # once the training side is full, every later cluster is tested
@@ -291,7 +324,7 @@ class ContextRecord:
             raise SplitTooSmall("pairs are too entangled to produce a nonempty test set")
         sides = self.pair_rows[self.clusters[_ranges(starts[train], sizes[train])]].ravel()
         first, _ = first_seen(self.row_key[sides])
-        return RecordView(self, sides[first], self.rows), RecordView(self, test, self.pairs)
+        return RecordView(self, sides[first]), RecordView(self, test, "pairs")
 
     def items(self, index: np.ndarray) -> np.ndarray:
         """The flat places of the items of the rows at ``index``, row after row."""
@@ -309,7 +342,7 @@ class ContextRecord:
             stacks, place, design = [], np.empty(self.sizes.size, np.intp), np.empty((self.item_ids.size, schema.k + 1))
             design[:, schema.k] = self.positions
             for _, members in by_width(self.sizes):
-                values, ranks = feature_ranks(RecordView(self, members, self.rows), schema)
+                values, ranks = feature_ranks(RecordView(self, members), schema)
                 design[self.items(members), :schema.k] = values.swapaxes(1, 2).reshape(-1, schema.k)
                 place[members] = sum(map(len, stacks)) + np.arange(members.size)  # the space holds width after width
                 stacks.append(ranks)
@@ -329,29 +362,31 @@ class ContextRecord:
         sides = self.pair_rows[index].ravel()
         first, row = first_seen(sides)
         offsets = np.cumsum(self.sizes[sides[first]]) - self.sizes[sides[first]]
-        return RecordView(self, sides[first], self.rows), offsets[row, None] + self.pair_items[index].reshape(-1, 2)
+        return RecordView(self, sides[first]), offsets[row, None] + self.pair_items[index].reshape(-1, 2)
 
 
-def _read_only(view, *args, **kwargs):
-    raise TypeError("a record's view is read-only, or its index would no longer say what it holds; edit list(view)")
+class RecordView(abc.Sequence):
+    """A read-only sequence of a record's rows, or its flip pairs (``kind`` "rows" or "pairs"), by their ``index``
+    into the record. Models read it as any sequence of :class:`LogRow` objects, while the functions here gather the
+    record's arrays and make no row. A row or pair is made when indexed or iterated and held by its record, so
+    ``view[i] is view[i]``. A slice is a view too, and a view equals a list or view of the same objects."""
 
+    __slots__ = ("record", "index", "kind")
 
-class RecordView(list):
-    """A read-only list of a record's rows (or pairs) that also holds their ``index`` into the record and their
-    ``kind``, "rows" or "pairs": models read it as any sequence of the record's :class:`LogRow` objects, while the
-    functions here gather the record's arrays and touch no row.
-    Every in-place edit raises ``TypeError``, or the ``index`` would no longer say what the view holds; ``copy.copy``
-    returns the view itself, while slices, ``+`` and ``list(view)`` are plain lists."""
+    def __init__(self, record: ContextRecord, index: np.ndarray, kind: str = "rows"):
+        self.record, self.index, self.kind = record, index, kind
 
-    def __init__(self, record: ContextRecord, index: np.ndarray, source: list):
-        super().__init__(map(source.__getitem__, index.tolist()))
-        self.record, self.index, self.kind = record, index, "pairs" if source is getattr(record, "pairs", None) else "rows"
+    def __len__(self) -> int:
+        return self.index.size
 
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RecordView(self.record, self.index[i], self.kind)
+        made, index = self.record.views[self.kind], int(self.index[i])
+        return made.get(index) or made.setdefault(index, _view(_KINDS[self.kind], self.record, index))
 
-    def __copy__(self) -> "RecordView":
-        return self
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, RecordView)) and len(self) == len(other) and list(self) == list(other)
 
     def of(self, kind: str) -> "RecordView":
         """The view itself if it indexes the record's ``kind``, else a ``TypeError``: its indices mean other things."""
@@ -362,20 +397,20 @@ class RecordView(list):
 
 def record_view(rows: Sequence[LogRow]) -> RecordView:
     """``rows`` itself if it is a view of a record's rows, else the view of a new record of them."""
-    return rows.of("rows") if isinstance(rows, RecordView) else ContextRecord.of_rows(rows).view()
+    return rows.of("rows") if isinstance(rows, RecordView) else ContextRecord.of_rows(rows).rows
 
 
 def clicked_view(rows: Sequence[LogRow]) -> RecordView:
     """The rows of ``rows`` that have clicks, in order: a view of the same record if all of them have, else of the
     record gathered from only those, so a context without clicks is never ranked or designed."""
     view = record_view(rows)
-    clicked = RecordView(view.record, view.index[view.record.clicked[view.index]], view.record.rows)
-    return clicked if len(clicked) == len(view) else view.record.take(clicked.index).view()
+    clicked = RecordView(view.record, view.index[view.record.clicked[view.index]])
+    return clicked if len(clicked) == len(view) else view.record.take(clicked.index).rows
 
 
 def pairs_view(pairs: Sequence[FlipPair]) -> RecordView:
     """``pairs`` itself if it is a view of all of a record's pairs, else the view of :meth:`ContextRecord.of_pairs`
     of them; so its record splits exactly these pairs, and one view serves every run over them."""
-    if isinstance(pairs, RecordView) and len(pairs.of("pairs")) == len(pairs.record.pairs):
+    if isinstance(pairs, RecordView) and len(pairs.of("pairs")) == len(pairs.record.pair_rows):
         return pairs
-    return ContextRecord.of_pairs(pairs).view("pairs")
+    return ContextRecord.of_pairs(pairs).pairs

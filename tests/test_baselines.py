@@ -188,7 +188,7 @@ class TestConstantScorer:
         the (query, item) names afresh: the scores are bit-equal, on rows of either record and on rows of neither."""
         rows = self.rows(np.random.default_rng(9), [("q1", "ab"), ("q2", "ab"), ("q1", "bca"), ("q1", "ca"), ("q2", "ba")])
         record = ContextRecord.of_rows(rows)
-        view = RecordView(record, np.array([4, 2, 3], dtype=np.intp), record.rows)
+        view = RecordView(record, np.array([4, 2, 3], dtype=np.intp))
         others = self.rows(np.random.default_rng(10), [("q1", "abc"), ("q2", "ab"), ("q9", "ad")])
         for scored in (rows, others):
             from_view, from_list = true_ctr_model().fit(view)(scored), true_ctr_model().fit(list(view))(scored)

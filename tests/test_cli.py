@@ -310,6 +310,21 @@ class TestEval:
         assert rsm.flip_accuracy(lambda rows: [np.zeros(1)] * len(rows), pairs) == 0.5
         assert {"n", "query_id", "context_id"} <= set(reads)
 
+    def test_an_eval_makes_no_row_or_pair_view(self, tmp_path, monkeypatch):
+        """``rsm eval`` of ``flips_24.csv`` with all four models reads no row or pair, so it makes no ``LogRow`` and no
+        ``FlipPair``, counted where the record makes its views. The control reads every row, then every pair: 48 rows
+        and 15 pairs, whose rows are the loaded ones."""
+        made, real = [], rsm.record._view
+        monkeypatch.setattr(rsm.record, "_view", lambda *args: made.append(type(view := real(*args)).__name__) or view)
+        assert run(["eval", DATA / "flips_24.csv", "--out-dir", tmp_path / "e", "--models", "rsm,least_squares,constant,train_ctr",
+                    "--splits", "8"]) == 0
+        assert made == []
+        rows = rsm.load_csv(DATA / "flips_24.csv", rsm.synthetic_schema(3)).rows
+        loaded = list(rows)
+        sides = [row for pair in rsm.mine_flip_pairs(rows) for row in (pair.row_1, pair.row_2)]
+        assert all(any(side is row for row in loaded) for side in sides)
+        assert (made.count("FlipPair"), made.count("LogRow"), len(made)) == (15, 48, 63)
+
     @pytest.mark.parametrize("rates", ["0.15,0.15", "0.1,0.10000000001", "0.3,0.05,0.30"])
     def test_lambda_sweep_rates_sharing_a_label_exit_two(self, flip_dir, tmp_path, rates, caplog):
         """Each rate's report section is named by its ``%g`` label, so two rates with one label are refused."""
@@ -444,17 +459,36 @@ class TestExitCodes:
         if case.startswith("csv"):
             path = tmp_path / "data" / "dataset.csv"
             path.parent.mkdir()
-            path.write_bytes(flips.replace(b"\n", b"\n\xff", 2))  # a 0xff byte opens the first two lines' cells
-            if case == "csv_bad_byte_with_manifest":  # so the loader, not the header check, meets the byte
+            texts = {
+                "csv_bad_byte": flips.replace(b"\n", b"\n\xff", 2),  # a 0xff byte opens the first two lines' cells
+                "csv_no_f2_with_manifest": b"\n".join(line.rpartition(b",")[0] for line in flips.splitlines()) + b"\n",
+                "csv_empty_with_manifest": b"",
+            }
+            path.write_bytes(texts[case.replace("csv_bad_byte_with_manifest", "csv_bad_byte")])
+            if case.endswith("with_manifest"):  # so the loader, not the header check, meets the fault
                 features = [{"name": name, "direction": "higher"} for name in ("f0", "f1", "f2")]
                 (path.parent / "manifest.json").write_text(json.dumps({"features": features}), encoding="utf-8")
             return ["eval", path, "--out-dir", out], 3, str(path)
         path = tmp_path / "instances.json"
-        path.write_bytes(instances[:40] + b"\xff" + instances[40:] if case == "json_bad_byte" else b"[" * 100_000 + b"]" * 100_000)
+        payload = json.loads(instances)
+        edits = {
+            "json_not_an_object": [1, 2],
+            "json_contexts_not_an_array": {"format": 2, "contexts": 5, "targets": []},
+            "json_context_of_one_item": {**payload, "contexts": payload["contexts"][:1] + [{"features": ["f0"], "items": ["a"],
+                                                                                           "query_id": "q", "ranks": [[1.0]]}]},
+            "json_target_out_of_range": {**payload, "targets": payload["targets"] + [[len(payload["contexts"]), 0, 0.5]]},
+        }
+        if case in edits:
+            path.write_text(json.dumps(edits[case]), encoding="utf-8")
+        else:
+            path.write_bytes(instances[:40] + b"\xff" + instances[40:] if case == "json_bad_byte" else b"[" * 100_000 + b"]" * 100_000)
         return ["train", path, "--out-dir", out], 3, str(path)
 
-    @pytest.mark.parametrize("case", ["csv_bad_byte", "csv_bad_byte_with_manifest", "json_bad_byte", "json_nested_100000_deep",
-                                      "out_dir_file-synth", "out_dir_file-train", "out_dir_file-eval"])
+    @pytest.mark.parametrize("case", ["csv_bad_byte", "csv_bad_byte_with_manifest", "csv_no_f2_with_manifest",
+                                      "csv_empty_with_manifest", "json_bad_byte", "json_nested_100000_deep",
+                                      "json_not_an_object", "json_contexts_not_an_array", "json_context_of_one_item",
+                                      "json_target_out_of_range", "out_dir_file-synth", "out_dir_file-train",
+                                      "out_dir_file-eval"])
     def test_a_bad_input_is_one_error_naming_it(self, tmp_path, caplog, capsys, case):
         """The input contract: a command either exits 0 and writes its outputs, or exits 2 (a flag) or 3 (a data file)
         with one ERROR record naming the flag or file, no traceback and no new ``--out-dir``."""

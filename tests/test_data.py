@@ -56,7 +56,7 @@ from rsm import (
 )
 from rsm.baselines import fit_least_squares_arrays
 from rsm.data import LoadError, LoadResult, design_from_rows
-from rsm.record import ContextRecord
+from rsm.record import ContextRecord, RecordView
 from rsm.evaluation import Model, constant_model, flip_accuracy, least_squares_model, rsm_model, run_experiment
 from rsm.learner import ContextBatch, LearnerConfig, fit, linearized_row
 from rsm.markov import rank_chain_rows, rank_space
@@ -364,10 +364,10 @@ def reference_load_csv(path, schema):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise SchemaError("file is empty; a header line is required")
+            raise SchemaError(f"{path}: file is empty; a header line is required")
         missing = [c for c in columns if c not in header]
         if missing:
-            raise SchemaError(f"missing columns: {', '.join(missing)}")
+            raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
         where = {name: i for i, name in enumerate(header)}
         indices = [where[c] for c in columns]
         width = len(header)
@@ -529,8 +529,9 @@ class TestLoaderOracle:
         pairs = mine_flip_pairs(rows)
         assert len(pairs) == 38  # two of the 40 queries' flips do not survive the click noise
         for pair in pairs:
-            again = FlipPair(pair.row_1, pair.row_2, pair.item_a, pair.item_b, pair.strength)
-            assert vars(again) == vars(pair)
+            fields = (pair.row_1, pair.row_2, pair.item_a, pair.item_b, pair.strength)
+            assert (again := FlipPair(*fields)) is not pair
+            assert (again.row_1, again.row_2, again.item_a, again.item_b, again.strength) == fields
             assert type(pair.strength) is float
 
     def test_a_large_file_loads_in_bounded_memory(self, tmp_path):
@@ -705,6 +706,7 @@ class TestMining:
         save_csv(rows, tmp_path / "log.csv", SCHEMA)
         loaded = load_csv(tmp_path / "log.csv", SCHEMA).rows
         assert len(loaded) == len(rows)
+        list(loaded)  # the loaded rows exist before mining, so the mined pairs hold them, as the oracle's do
         for source, thresholds in itertools.product((rows, loaded), [(), (0.0, 0.0), (3.0, 1.0)]):
             got, want = mined_with_thresholds(source, thresholds)
             assert len(got) == len(want) > 0
@@ -1103,21 +1105,22 @@ FLIPS_24 = Path(__file__).resolve().parent / "data" / "flips_24.csv"
 
 
 class TestRecordView:
-    """A view's ``index`` says which of its record's rows or pairs it holds, so a view is never edited in place."""
+    """A view's ``index`` says which of its record's rows or pairs it holds, so a view has no in-place edit: an edit
+    method is missing and item assignment is unsupported."""
 
     EDITS = {
-        "setitem": lambda view: operator.setitem(view, slice(None), view[:2]),
-        "delitem": lambda view: operator.delitem(view, 0),
-        "iadd": lambda view: operator.iadd(view, view[:1]),
-        "imul": lambda view: operator.imul(view, 2),
-        "append": lambda view: view.append(view[0]),
-        "extend": lambda view: view.extend(view[:1]),
-        "insert": lambda view: view.insert(0, view[0]),
-        "pop": lambda view: view.pop(),
-        "remove": lambda view: view.remove(view[0]),
-        "clear": lambda view: view.clear(),
-        "sort": lambda view: view.sort(key=id),
-        "reverse": lambda view: view.reverse(),
+        "setitem": (TypeError, lambda view: operator.setitem(view, slice(None), view[:2])),
+        "delitem": (TypeError, lambda view: operator.delitem(view, 0)),
+        "iadd": (TypeError, lambda view: operator.iadd(view, view[:1])),
+        "imul": (TypeError, lambda view: operator.imul(view, 2)),
+        "append": (AttributeError, lambda view: view.append(view[0])),
+        "extend": (AttributeError, lambda view: view.extend(view[:1])),
+        "insert": (AttributeError, lambda view: view.insert(0, view[0])),
+        "pop": (AttributeError, lambda view: view.pop()),
+        "remove": (AttributeError, lambda view: view.remove(view[0])),
+        "clear": (AttributeError, lambda view: view.clear()),
+        "sort": (AttributeError, lambda view: view.sort(key=id)),
+        "reverse": (AttributeError, lambda view: view.reverse()),
     }
 
     @pytest.mark.parametrize("kind", ["rows", "pairs"])
@@ -1126,8 +1129,9 @@ class TestRecordView:
         rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
         view = rows if kind == "rows" else mine_flip_pairs(rows)
         held, index = list(view), view.index.copy()
-        with pytest.raises(TypeError, match=r"edit list\(view\)"):
-            self.EDITS[edit](view)
+        error, apply = self.EDITS[edit]
+        with pytest.raises(error):
+            apply(view)
         assert list(view) == held and view.index.tolist() == index.tolist()
         assert len(mine_flip_pairs(rows)) == 15
 
@@ -1136,20 +1140,51 @@ class TestRecordView:
         one query's two contexts, one flip pair and eight targets."""
         schema = synthetic_schema(3)
         rows = load_csv(FLIPS_24, schema).rows
-        with pytest.raises(TypeError, match=r"edit list\(view\)"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             rows[:] = [r for r in rows if r.query_id == "q00001"]
         kept = [r for r in rows if r.query_id == "q00001"]
         assert len(rows) == 48 and len(kept) == 2
         assert len(mine_flip_pairs(kept)) == 1 and len(batch_from_rows(kept, schema)) == 8
 
-    def test_copies_comparisons_slices_and_sums_keep_their_list_behaviour(self, tmp_path):
+    def test_copies_comparisons_and_slices_are_views_of_the_record(self, tmp_path):
+        """A copy or a slice is a view of the same record, which holds the same objects; a view equals a list or view
+        of those objects, in order, and ``+`` is left to ``list(view)``."""
         rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
-        assert copy.copy(rows) is rows
-        assert type(rows[:3]) is list and rows[:3] == list(rows)[:3]
-        assert type(rows + []) is list and rows + [] == list(rows) and [] + rows == list(rows)
+        copied, head = copy.copy(rows), rows[:3]
+        assert copied is not rows and copied == rows and copied.record is rows.record
+        assert type(head) is RecordView and head.record is rows.record and head.index.tolist() == [0, 1, 2]
+        assert head == list(rows)[:3] and list(rows)[:3] == head and head != list(rows)[1:4] and rows[-1] is rows[47]
+        assert list(rows) + [] == list(rows)
+        with pytest.raises(TypeError):
+            rows + []
         (tmp_path / "empty.csv").write_text(",".join(rsm.data.BASE_COLUMNS + synthetic_schema(3).names) + "\n")
         empty = load_csv(tmp_path / "empty.csv", synthetic_schema(3)).rows
-        assert empty == [] and mine_flip_pairs(empty) == []
+        assert empty == [] and mine_flip_pairs(empty) == [] and not empty
+
+    def test_rows_and_pairs_are_made_on_access_and_then_held(self):
+        """Loading and mining make no row and no pair; each is made when first read, by index or iteration, and is
+        the same object from then on in every view of its record. A record gathered after rows were made holds them."""
+        rows = load_csv(FLIPS_24, synthetic_schema(3)).rows
+        pairs = mine_flip_pairs(rows)
+        assert rows.record.views == {"rows": {}, "pairs": {}} and pairs.record.views == {"rows": {}, "pairs": {}}
+        pair = pairs[4]
+        assert pair is pairs[4] and list(pairs.record.views["pairs"]) == [4] and list(pairs)[4] is pair
+        assert pair.row_1 is pairs.record.rows[pairs.record.pair_rows[4, 0]] and pair.row_1.record is pairs.record
+        assert all(a is b for a, b in zip(rows, rows)) and len(rows.record.views["rows"]) == 48
+        again = mine_flip_pairs(rows)
+        assert [(p.row_1.record, p.row_2.record) for p in again] == [(rows.record, rows.record)] * 15
+
+    def test_a_hand_built_pair_is_a_view_of_its_one_pair_record(self):
+        """``FlipPair(...)`` keeps its row objects in a record of its two rows, reads its fields back from it, and is
+        frozen as a row is."""
+        feats = {"price": [1.0, 2.0, 3.0], "rating": [3.0, 1.0, 2.0]}
+        one, two = (make_row("q", c, ["a", "b", "c"], clicks, feats) for c, clicks in (("c1", [9, 3, 1]), ("c2", [2, 8, 1])))
+        pair = FlipPair(one, two, "a", "b", 1)
+        assert (pair.record.rows[0], pair.record.rows[1], pair.index) == (one, two, 0) and pair.record.pairs[0] is pair
+        assert (pair.row_1, pair.row_2, pair.item_a, pair.item_b, pair.strength) == (one, two, "a", "b", 1.0)
+        assert pair.record.pair_items.tolist() == [[[0, 1], [1, 0]]]
+        with pytest.raises(AttributeError, match="read-only view"):
+            pair.strength = 2.0
 
 
 class TestLoadedRowsAreViews:

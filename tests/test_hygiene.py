@@ -204,12 +204,15 @@ def test_only_markov_reads_a_rank_space():
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
-def unchecked_rows(source: str) -> list:
-    """The lines of ``source`` that build a ``LogRow`` around its constructor: ``_unchecked(LogRow, ...)`` or
-    ``<anything>.__new__(LogRow)``."""
+def unchecked_views(source: str) -> list:
+    """The lines of ``source`` that build a ``LogRow`` or ``FlipPair`` around its constructor, ``_unchecked(LogRow,
+    ...)`` or ``<anything>.__new__(FlipPair)``, or define an ``_unchecked`` helper."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "LogRow":
+        if isinstance(node, ast.FunctionDef) and node.name == "_unchecked":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+              and node.args[0].id in ("LogRow", "FlipPair")):
             name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
             if name in ("_unchecked", "__new__"):
                 lines.append(node.lineno)
@@ -217,22 +220,27 @@ def unchecked_rows(source: str) -> list:
 
 
 def test_only_the_record_module_builds_rows_around_the_constructor():
-    """Outside the module that defines ``LogRow``, a row is built by ``LogRow(...)``, which checks it, or is a view
-    the record made; no code builds one unchecked."""
+    """Outside the module that defines ``LogRow`` and ``FlipPair``, a row or pair is built by its constructor, which
+    checks it, or is a view the record made; no code builds one unchecked, and no module keeps a helper to do so."""
     sample = (
-        "from .record import LogRow\n"
+        "from .record import FlipPair, LogRow\n"
         "row = _unchecked(LogRow, 'q', 'c', items, positions, clicks, features)\n"
         "other = object.__new__(LogRow)\n"
         "third = LogRow.__new__(LogRow)\n"
         "fine = LogRow('q', 'c', items, positions, clicks, features)\n"
         "pair = _unchecked(FlipPair, row, other, 'a', 'b', 0.5)\n"
+        "blank = object.__new__(FlipPair)\n"
+        "good = FlipPair(row, other, 'a', 'b', 0.5)\n"
+        "def _unchecked(cls, *values):\n"
+        "    return cls\n"
     )
-    assert unchecked_rows(sample) == [2, 3, 4]
+    assert unchecked_views(sample) == [2, 3, 4, 6, 7, 9]
     home = [path for path in MODULES if "class LogRow" in path.read_text(encoding="utf-8")]
-    assert [path.name for path in home] == ["record.py"]
-    uses = {path.name: unchecked_rows(path.read_text(encoding="utf-8"))
+    assert [path.name for path in home] == ["record.py"] and "class FlipPair" in home[0].read_text(encoding="utf-8")
+    uses = {path.name: unchecked_views(path.read_text(encoding="utf-8"))
             for path in MODULES + [PACKAGE / "__init__.py"] if path not in home}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+    assert "def _unchecked" not in home[0].read_text(encoding="utf-8")
 
 
 CONTEXT_RULES = ("fewer than two items", "context items must be unique", "clicks must be finite",
