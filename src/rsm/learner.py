@@ -334,7 +334,7 @@ def _solve_step_arrays(
     slack = 2.0 * (gram @ x - lin)
     slack -= slack[free].mean()  # gradient plus the sum constraint's multiplier
     residual = float(np.max(np.where(free, np.abs(slack), held * slack)))
-    if residual > config.QP_TOL:
+    if not residual <= config.QP_TOL:
         logger.warning("step QP ended with KKT residual %.3e > QP_TOL %.3e", residual, config.QP_TOL)
     return x, steps, residual
 

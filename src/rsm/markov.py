@@ -10,6 +10,7 @@ Everything is plain numpy.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -49,7 +50,7 @@ class StochasticMatrix:
         if np.any(arr < 0.0):
             raise ValueError("transition entries must be nonnegative")
         gap = np.max(np.abs(arr.sum(axis=1) - 1.0))
-        if gap > config.ROW_SUM_TOL:
+        if not gap <= config.ROW_SUM_TOL:
             raise ValueError(
                 f"rows must sum to 1 within {config.ROW_SUM_TOL}, worst gap {gap:.3e}"
             )
@@ -73,7 +74,7 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability distribution over ``n`` states."""
+    """Probability distribution over ``n`` states, copied and checked; :func:`stationary` uses :meth:`_trusted`."""
 
     probs: np.ndarray
 
@@ -85,13 +86,20 @@ class Distribution:
             raise ValueError("probabilities must be finite")
         if np.any(arr < 0.0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > config.DIST_SUM_TOL:
+        if not abs(arr.sum() - 1.0) <= config.DIST_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {arr.sum()!r}")
         object.__setattr__(self, "probs", _freeze(arr))
 
     @property
     def n(self) -> int:
         return self.probs.size
+
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "Distribution":
+        """Freeze a fresh ``(n,)`` vector its solver clipped, normalised and residual-checked; no one else holds it."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", _freeze(probs))
+        return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +140,14 @@ def _stationary_probs(entries: np.ndarray, has_zero: Optional[bool] = None) -> n
     ------
     NoUniqueStationary
         If the system is singular, a solution leaves the probability
-        simplex, its fixed-point residual exceeds
-        ``config.STATIONARY_RESIDUAL_TOL``, or power iteration does not
-        converge.
+        simplex, its fixed-point residual is not within
+        ``config.STATIONARY_RESIDUAL_TOL`` (a NaN one included), or power
+        iteration turns non-finite or does not converge.
     """
     n = entries.shape[0]
     if n <= config.DIRECT_SOLVE_MAX_N or (entries.min() <= 0.0 if has_zero is None else has_zero):
-        system = (np.eye(n) - entries).T.copy()
+        system = np.subtract(0.0, entries.T, order="C")  # (I - P)^T off the diagonal, +0 where P has a zero
+        system.flat[:: n + 1] += 1.0
         system[-1] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0
@@ -154,16 +163,18 @@ def _stationary_probs(entries: np.ndarray, has_zero: Optional[bool] = None) -> n
             probs = nxt
             if change <= config.POWER_ITER_TOL:
                 break
+            if not math.isfinite(change):
+                raise NoUniqueStationary("power iteration reached a non-finite vector")
         else:
             raise NoUniqueStationary(
                 "power iteration did not converge; the chain is likely periodic or reducible"
             )
-    if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
+    if not (probs >= -config.STATIONARY_RESIDUAL_TOL).all():
         raise NoUniqueStationary("stationary solution leaves the probability simplex")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+    np.maximum(probs, 0.0, out=probs)
+    probs /= probs.sum()
     residual = np.abs(probs @ entries - probs).max()
-    if residual > config.STATIONARY_RESIDUAL_TOL:
+    if not residual <= config.STATIONARY_RESIDUAL_TOL:
         raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
     return probs
 
@@ -302,7 +313,7 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
     probs, hits, totals = np.empty(ends[-1]), [], []
     for ranks, form, c, out in zip(stacks, forms, np.split(coef, firsts), np.split(probs, ends[:-1])):
         p = _span(c[:, None], ranks)[:, 0]
-        if np.any(p < -config.STATIONARY_RESIDUAL_TOL):
+        if not (p >= -config.STATIONARY_RESIDUAL_TOL).all():
             raise NoUniqueStationary("stationary solution leaves the probability simplex")
         np.maximum(p, 0.0, out=p)
         totals.append(p.sum(axis=-1, keepdims=True))
@@ -312,7 +323,7 @@ def rank_chain_rows(space: RankSpace, w_native: np.ndarray, lam: float, gradient
         moved[:, 0, 0] = (lam / ranks.shape[2]) * p.sum(axis=-1) + hits[-1][:, :k] @ w
         np.multiply(hits[-1][:, k:], w, out=moved[:, 0, 1:])
         residual = np.abs(_span(moved, ranks)[:, 0] - p).max(initial=0.0)
-        if residual > config.STATIONARY_RESIDUAL_TOL:
+        if not residual <= config.STATIONARY_RESIDUAL_TOL:
             raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
         out[...] = p.ravel()
     if not gradients:
@@ -356,7 +367,7 @@ def stationary(matrix: StochasticMatrix) -> Distribution:
     has_zero = entries.min() <= 0.0
     if has_zero and not _one_closed_class(entries):
         raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
-    return Distribution(_stationary_probs(entries, has_zero))
+    return Distribution._trusted(_stationary_probs(entries, has_zero))
 
 
 def fundamental_matrix(matrix: StochasticMatrix) -> FundamentalMatrix:
@@ -378,7 +389,7 @@ def fundamental_matrix(matrix: StochasticMatrix) -> FundamentalMatrix:
     except np.linalg.LinAlgError as exc:
         raise SingularFundamental("fundamental matrix system is singular") from exc
     residual = np.max(np.abs(z @ core - np.eye(n)))
-    if residual > config.FUNDAMENTAL_CHECK_TOL:
+    if not residual <= config.FUNDAMENTAL_CHECK_TOL:
         raise SingularFundamental(
             f"fundamental matrix residual {residual:.3e} exceeds {config.FUNDAMENTAL_CHECK_TOL}"
         )

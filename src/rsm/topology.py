@@ -131,7 +131,7 @@ class WeightVector:
         if np.any(arr < 0.0):
             raise ValueError("weights must be nonnegative")
         target = 1.0 - self.lam if native else 1.0
-        if abs(arr.sum() - target) > config.WEIGHT_SUM_TOL:
+        if not abs(arr.sum() - target) <= config.WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to {target}, got {arr.sum()!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -318,14 +318,16 @@ def rank_items(combined: StochasticMatrix, item_ids: Sequence) -> list:
     order = by_prob.tolist()
     # A gap above the tolerance always closes a group, so groups only form
     # inside runs of consecutive near-tied items; regroup those runs alone.
-    edges = np.diff(np.concatenate(([0], ranked[:-1] - ranked[1:] <= config.RANK_TIE_TOL, [0])))
-    starts, stops = np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) + 1).tolist()
-    for start, stop in zip(starts, stops):
-        while start < stop:
-            head, end = ranked[start], start + 1
-            while end < stop and head - ranked[end] <= config.RANK_TIE_TOL:
-                end += 1
-            order[start:end] = sorted(order[start:end], key=item_ids.__getitem__)
-            start = end
+    tied = ranked[:-1] - ranked[1:] <= config.RANK_TIE_TOL
+    if tied.any():
+        edges = np.diff(np.concatenate(([0], tied, [0])))
+        starts, stops = np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) + 1).tolist()
+        for start, stop in zip(starts, stops):
+            while start < stop:
+                head, end = ranked[start], start + 1
+                while end < stop and head - ranked[end] <= config.RANK_TIE_TOL:
+                    end += 1
+                order[start:end] = sorted(order[start:end], key=item_ids.__getitem__)
+                start = end
     values = probs.tolist()
     return [(item_ids[i], values[i]) for i in order]

@@ -268,3 +268,53 @@ def test_only_the_record_module_states_the_context_rules():
     uses = {path.name: context_rule_lines(path.read_text(encoding="utf-8"))
             for path in MODULES + [PACKAGE / "__init__.py"] if path.name != "record.py"}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def nan_blind_tolerance_checks(source: str) -> list:
+    """``(line, name)`` of each comparison with a ``config.*_TOL`` that NaN passes, sorted: ``x > TOL``,
+    ``TOL < x``, ``x < -TOL`` and ``-TOL > x`` are all False for a NaN ``x``, where ``not x <= TOL`` is True."""
+
+    def tolerance(node) -> tuple:
+        sign = 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node, sign = node.operand, -1
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config"
+                and node.attr.endswith("_TOL")):
+            return sign, node.attr
+        return 0, None
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                (left_sign, left_name), (right_sign, right_name) = tolerance(left), tolerance(right)
+                above = isinstance(op, ast.Gt) and (right_sign == 1 or left_sign == -1)
+                below = isinstance(op, ast.Lt) and (left_sign == 1 or right_sign == -1)
+                if above or below:
+                    found.append((node.lineno, left_name or right_name))
+    return sorted(found)
+
+
+def test_the_check_finds_a_nan_blind_tolerance_check():
+    sample = (
+        "if gap > config.ROW_SUM_TOL:\n"
+        "    pass\n"
+        "bad = config.QP_TOL < residual\n"
+        "if np.any(p < -config.STATIONARY_RESIDUAL_TOL) or -config.STATIONARY_RESIDUAL_TOL > q:\n"
+        "    pass\n"
+        "if not gap <= config.ROW_SUM_TOL or n > config.DIRECT_SOLVE_MAX_N:\n"
+        "    pass\n"
+        "done = change <= config.POWER_ITER_TOL and (p >= -config.STATIONARY_RESIDUAL_TOL).all()\n"
+        "wide = abs(step - 1.0) > _BETA_CF_TOL\n"
+    )
+    assert nan_blind_tolerance_checks(sample) == [
+        (1, "ROW_SUM_TOL"), (3, "QP_TOL"), (4, "STATIONARY_RESIDUAL_TOL"), (4, "STATIONARY_RESIDUAL_TOL")
+    ]
+
+
+def test_every_tolerance_check_rejects_nan():
+    """A check against a ``config`` tolerance is written so that NaN fails it, ``not x <= TOL``."""
+    found = {path.name: nan_blind_tolerance_checks(path.read_text(encoding="utf-8"))
+             for path in MODULES + [PACKAGE / "__init__.py"]}
+    assert {name: lines for name, lines in found.items() if lines} == {}

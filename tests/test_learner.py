@@ -411,6 +411,15 @@ class TestActiveSetStep:
         assert steps == 2 * 3**2
         assert any("cap of 18 active-set steps" in r.getMessage() for r in caplog.records)
 
+    def test_a_nan_kkt_residual_is_reported(self, caplog):
+        """A NaN residual fails the KKT check as a large one does: ``nan > QP_TOL`` would pass it in silence."""
+        with caplog.at_level(logging.WARNING, logger="rsm.learner"):
+            _, _, residual = rsm.learner._solve_step_arrays(
+                np.eye(3), np.array([np.nan, 0.0, 0.0]), np.full(3, 0.85 / 3), LearnerConfig()
+            )
+        assert math.isnan(residual)
+        assert any("KKT residual nan" in r.getMessage() for r in caplog.records)
+
 
 def solve_step(grads, residuals, weights, cfg):
     """The step ``_solve_step_arrays`` takes at reporting-form ``weights``."""

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,17 +10,19 @@ from rsm import (
     Distribution,
     NoUniqueStationary,
     ShapeError,
+    SingularFundamental,
     StochasticMatrix,
     WeightVector,
     combine,
     config,
     encode_rank_topology,
     fundamental_matrix,
+    rank_items,
     stationary,
     stationary_shift,
 )
 
-from rsm.markov import _stationary_probs, context_space, gather, rank_chain_rows, rank_space
+from rsm.markov import _one_closed_class, _stationary_probs, context_space, gather, rank_chain_rows, rank_space
 from rsm.topology import average_ranks, rank_chain
 
 from conftest import random_topologies
@@ -463,3 +465,158 @@ class TestStationaryShift:
         z = fundamental_matrix(two_state(0.5, 0.5))
         with pytest.raises(ShapeError):
             stationary_shift(p, np.zeros((3, 3)), z)
+
+
+class TestNonFiniteChains:
+    """Every check on a stationary solve rejects NaN, as ``not x <= tol`` does and ``x > tol`` does not."""
+
+    def test_a_nan_chain_raises_from_the_solve(self):
+        with pytest.raises(NoUniqueStationary):
+            _stationary_probs(np.full((3, 3), np.nan))
+        with pytest.raises(NoUniqueStationary):
+            stationary(StochasticMatrix._trusted(np.full((3, 3), np.nan)))
+
+    def test_a_nan_the_system_never_reads_fails_the_residual_check(self):
+        """The LU system drops the last column of ``P``, so a NaN there leaves a finite solution and a NaN residual."""
+        entries = np.full((3, 3), 1.0 / 3.0)
+        entries[:, -1] = np.nan
+        with pytest.raises(NoUniqueStationary, match="residual nan"):
+            _stationary_probs(entries)
+        with pytest.raises(NoUniqueStationary, match="residual nan"):
+            stationary(StochasticMatrix._trusted(entries))
+
+    def test_power_iteration_stops_at_the_first_non_finite_step(self, monkeypatch):
+        monkeypatch.setattr(config, "POWER_ITER_MAX_STEPS", 3)
+        with pytest.raises(NoUniqueStationary, match="non-finite"):
+            _stationary_probs(np.full((config.DIRECT_SOLVE_MAX_N + 6, config.DIRECT_SOLVE_MAX_N + 6), np.nan), False)
+
+    @pytest.mark.parametrize("gradients", [False, True])
+    def test_the_rank_kernel_refuses_nan_weights(self, gradients):
+        space = rank_space(np.array([[[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]]))
+        with pytest.raises(NoUniqueStationary, match="simplex"):
+            rank_chain_rows(space, np.array([np.nan, 0.5]), 0.15, gradients)
+
+    def test_a_non_finite_inverse_fails_the_fundamental_check(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+        with pytest.raises(SingularFundamental, match="residual nan"):
+            fundamental_matrix(two_state(0.55, 0.81))
+
+
+def oracle_stationary_probs(entries, has_zero=None):
+    """``_stationary_probs`` before it built its system in one pass and normalised in place, copied verbatim."""
+    n = entries.shape[0]
+    if n <= config.DIRECT_SOLVE_MAX_N or (entries.min() <= 0.0 if has_zero is None else has_zero):
+        system = (np.eye(n) - entries).T.copy()
+        system[-1] = 1.0
+        rhs = np.zeros(n)
+        rhs[-1] = 1.0
+        try:
+            probs = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NoUniqueStationary("stationarity system is singular") from exc
+    else:
+        probs = np.full(n, 1.0 / n)
+        for _ in range(config.POWER_ITER_MAX_STEPS):
+            nxt = probs @ entries
+            change = np.abs(nxt - probs).sum()
+            probs = nxt
+            if change <= config.POWER_ITER_TOL:
+                break
+        else:
+            raise NoUniqueStationary(
+                "power iteration did not converge; the chain is likely periodic or reducible"
+            )
+    if np.any(probs < -config.STATIONARY_RESIDUAL_TOL):
+        raise NoUniqueStationary("stationary solution leaves the probability simplex")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    residual = np.abs(probs @ entries - probs).max()
+    if residual > config.STATIONARY_RESIDUAL_TOL:
+        raise NoUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+    return probs
+
+
+def oracle_stationary(matrix):
+    """``stationary`` before it handed its solver's vector over unchecked, copied verbatim."""
+    entries = matrix.entries
+    has_zero = entries.min() <= 0.0
+    if has_zero and not _one_closed_class(entries):
+        raise NoUniqueStationary("chain has several closed classes; multiple stationary distributions")
+    return Distribution(oracle_stationary_probs(entries, has_zero))
+
+
+def oracle_rank_items(combined, item_ids):
+    """``rank_items`` before it skipped the regrouping of untied items, copied verbatim."""
+    item_ids = tuple(item_ids)
+    if len(item_ids) != combined.n:
+        raise ShapeError("item list length does not match the matrix size")
+    probs = oracle_stationary(combined).probs
+    by_prob = np.argsort(-probs, kind="stable")
+    ranked = probs[by_prob]
+    order = by_prob.tolist()
+    # A gap above the tolerance always closes a group, so groups only form
+    # inside runs of consecutive near-tied items; regroup those runs alone.
+    edges = np.diff(np.concatenate(([0], ranked[:-1] - ranked[1:] <= config.RANK_TIE_TOL, [0])))
+    starts, stops = np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) + 1).tolist()
+    for start, stop in zip(starts, stops):
+        while start < stop:
+            head, end = ranked[start], start + 1
+            while end < stop and head - ranked[end] <= config.RANK_TIE_TOL:
+                end += 1
+            order[start:end] = sorted(order[start:end], key=item_ids.__getitem__)
+            start = end
+    values = probs.tolist()
+    return [(item_ids[i], values[i]) for i in order]
+
+
+@st.composite
+def dense_chains(draw):
+    """A chain and shuffled item ids: positive; with zeros, transient states and one closed class; bipartite, so
+    of period 2; or a restart mixture of rank topologies over heavily tied values."""
+    kind = draw(st.sampled_from(["positive", "zeros", "periodic", "tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "positive":
+        entries = random_chain_stack(rng, 1, draw(st.one_of(st.integers(1, 80), st.just(200))))[0]
+    elif kind == "zeros":
+        closed, transient = draw(st.integers(1, 40)), draw(st.integers(0, 40))
+        n = closed + transient
+        feed = rng.random((transient, n)) * (rng.random((transient, n)) < 0.5)
+        feed[np.arange(transient), rng.integers(closed, size=transient)] += 0.1  # each leads into the closed class
+        feed /= feed.sum(axis=1, keepdims=True)
+        block = random_block(rng, closed, draw(st.floats(0.1, 0.9)))
+        entries = np.block([[block, np.zeros((closed, transient))], [feed]])
+        perm = rng.permutation(n)
+        entries = entries[np.ix_(perm, perm)]
+    elif kind == "periodic":
+        left, right = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        entries = np.zeros((left + right, left + right))
+        entries[:left, left:] = rng.random((left, right)) + 0.01
+        entries[left:, :left] = rng.random((right, left)) + 0.01
+        entries /= entries.sum(axis=1, keepdims=True)
+    else:
+        n, k = draw(st.one_of(st.integers(2, 80), st.just(200))), draw(st.integers(1, 4))
+        values = rng.integers(draw(st.integers(1, 3)), size=(k, n)).astype(float)
+        tops = [encode_rank_topology(values[i], item_ids=tuple(range(n)), feature=f"f{i}") for i in range(k)]
+        raw = rng.random(k) + 0.01
+        lam = draw(st.sampled_from([1e-12, 0.15, 0.5, 1.0 - 1e-12]))
+        entries = combine(tops, WeightVector(raw / raw.sum()), lam).entries
+    return entries, tuple(f"i{j:03d}" for j in rng.permutation(entries.shape[0]))
+
+
+def spelled(ranking):
+    """A ranking with each probability spelled out bit for bit."""
+    return [(item, type(p), p.hex()) for item, p in ranking]
+
+
+class TestDenseOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=dense_chains())
+    @example(case=(np.array([[0.0, 1.0], [1.0, 0.0]]), ("b", "a")))
+    def test_stationary_and_rank_items_repeat_the_old_bits(self, case):
+        """The probabilities' bytes, signs of zero included, and each ranking's order and values."""
+        entries, ids = case
+        matrix = StochasticMatrix(entries)
+        expected = oracle_stationary(matrix).probs
+        assert _stationary_probs(matrix.entries).tobytes() == oracle_stationary_probs(matrix.entries).tobytes()
+        assert stationary(matrix).probs.tobytes() == expected.tobytes()
+        assert spelled(rank_items(matrix, ids)) == spelled(oracle_rank_items(matrix, ids))
